@@ -11,6 +11,9 @@ import (
 
 	"turbulence"
 	"turbulence/internal/eventsim"
+	"turbulence/internal/inet"
+	"turbulence/internal/netem"
+	"turbulence/internal/netsim"
 )
 
 // benchExperiment runs one registered experiment per iteration with a
@@ -296,4 +299,72 @@ func BenchmarkSchedulerDense(b *testing.B) {
 	}
 	b.Run("heap", func(b *testing.B) { run(b, false) })
 	b.Run("wheel", func(b *testing.B) { run(b, true) })
+}
+
+// BenchmarkHopForward measures the hop-forwarding layer alone: each op
+// offers a 32-datagram train to an 8-hop path whose middle hop is a
+// 10 Mbps bottleneck, and runs the network to idle. The destination is
+// not a host, so delivery and reassembly stay out of the number; ns/forward
+// divides the time by the hop traversals the path counted. "bare" runs the
+// spec-driven hops; "netem-red" puts bursty loss, a time-varying bandwidth
+// profile, trunc-normal jitter and on/off cross traffic on every hop and
+// RED on the bottleneck's standing queue.
+func BenchmarkHopForward(b *testing.B) {
+	const (
+		hops  = 8
+		train = 32
+	)
+	src := inet.MakeAddr(130, 215, 10, 5)
+	dst := inet.Endpoint{Addr: inet.MakeAddr(207, 46, 1, 9), Port: 1}
+	run := func(b *testing.B, im, bottleneckIm netem.Impairment) {
+		n := netsim.New(1)
+		h := n.AddHost(src)
+		specs := make([]netsim.HopSpec, hops)
+		for i := range specs {
+			specs[i] = netsim.HopSpec{
+				Addr:      inet.MakeAddr(10, 0, 3, byte(i+1)),
+				Bandwidth: 100e6,
+				PropDelay: 2 * time.Millisecond,
+				JitterMax: 200 * time.Microsecond,
+				Impair:    im,
+			}
+		}
+		specs[hops/2].Bandwidth = 10e6
+		specs[hops/2].Impair = bottleneckIm
+		fwd, _ := n.ConnectDuplex(src, dst.Addr, specs)
+		payload := make([]byte, 972)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			for k := 0; k < train; k++ {
+				h.SendUDP(2, dst, payload)
+			}
+			if err := n.Run(0); err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.StopTimer()
+		if f := fwd.Stats().Forwarded; f > 0 {
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(f), "ns/forward")
+		}
+	}
+	b.Run("bare", func(b *testing.B) { run(b, netem.Impairment{}, netem.Impairment{}) })
+	b.Run("netem-red", func(b *testing.B) {
+		im := netem.Impairment{
+			Loss:      func() netem.LossModel { return netem.GEFromBurst(0.01, 8, 0.3) },
+			Bandwidth: netem.ScaledSinusoid(0.9, 0.3, 10*time.Second),
+			Jitter: func() netem.DelayJitter {
+				return netem.TruncNormal{Mean: time.Millisecond, StdDev: time.Millisecond, Max: 5 * time.Millisecond}
+			},
+			Cross: func() netem.CrossTraffic {
+				return &netem.ParetoOnOff{Sources: 4, Rate: 1e6, Alpha: 1.5,
+					OnMean: time.Second, OffMean: 3 * time.Second}
+			},
+		}
+		red := im
+		red.Queue = func(limit int) netem.Queue {
+			return netem.NewRED(float64(limit)/10, float64(limit)/2, 0.1, 0.02)
+		}
+		run(b, im, red)
+	})
 }

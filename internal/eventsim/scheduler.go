@@ -119,6 +119,7 @@ type Scheduler struct {
 	free      []*Event
 	batch     []*Event // reused same-timestamp dispatch buffer
 	seq       uint64
+	done      uint64 // events due at now with a lower seq have fired
 	stopped   bool
 	fired     uint64
 	peak      int
@@ -170,8 +171,22 @@ func (s *Scheduler) Fired() uint64 { return s.fired }
 
 // Scheduled reports how many events have ever been scheduled. Together
 // with Fired it gives a cheap liveness meter: a large standing gap means
-// timers are piling up faster than they run.
+// timers are piling up faster than they run. It is also the sequence
+// number the next scheduled event will get: the stamp a virtual event
+// takes to sort, under Dispatched, exactly where a real event scheduled
+// now would sort.
 func (s *Scheduler) Scheduled() uint64 { return s.seq }
+
+// Dispatched reports whether an event due at when with sequence number seq
+// would already have fired: whether dispatch has passed (when, seq) in the
+// scheduler's firing order. Stamping a virtual event with Scheduled and
+// later asking Dispatched about it lets model code track a deadline it
+// only needs to read, without paying for a scheduled event. Once Run
+// returns by horizon or drain, every event due by Now counts as fired; an
+// event due now but stamped after that return does not.
+func (s *Scheduler) Dispatched(when Time, seq uint64) bool {
+	return when < s.now || when == s.now && seq < s.done
+}
 
 // PeakQueue reports the high-water pending-event count — the deepest the
 // queue has ever been. Deterministic for a given seed, so it doubles as a
@@ -212,6 +227,7 @@ func (s *Scheduler) Reset(drain func(name string, arg any)) {
 	s.q.reset()
 	s.now = 0
 	s.seq = 0
+	s.done = 0
 	s.fired = 0
 	s.stopped = false
 	s.peak = 0
@@ -320,6 +336,7 @@ func (s *Scheduler) Step() bool {
 		return false
 	}
 	s.now = e.when
+	s.done = e.seq + 1
 	s.fired++
 	fn, afn, arg := e.fn, e.afn, e.arg
 	s.release(e)
@@ -380,6 +397,7 @@ func (s *Scheduler) Run(horizon Time) error {
 		}
 		if horizon > 0 && head.when > horizon {
 			s.now = horizon
+			s.done = s.seq
 			return nil
 		}
 		s.batch = s.q.popRun(s.batch[:0])
@@ -391,6 +409,7 @@ func (s *Scheduler) Run(horizon Time) error {
 				s.requeue(s.batch[i:], e)
 				return ErrStopped
 			}
+			s.done = e.seq + 1
 			s.fired++
 			fn, afn, arg := e.fn, e.afn, e.arg
 			s.release(e)
@@ -404,6 +423,7 @@ func (s *Scheduler) Run(horizon Time) error {
 	if horizon > 0 && s.now < horizon {
 		s.now = horizon
 	}
+	s.done = s.seq
 	return nil
 }
 
@@ -443,6 +463,9 @@ func (s *Scheduler) Advance(d Duration) {
 	target := s.now.Add(d)
 	if e := s.q.peek(); e != nil && e.when < target {
 		panic(fmt.Sprintf("eventsim: Advance(%v) would skip event %q at %v", d, e.name, e.when))
+	}
+	if target > s.now {
+		s.done = 0 // nothing due at the new instant has fired
 	}
 	s.now = target
 }

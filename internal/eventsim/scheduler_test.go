@@ -402,3 +402,200 @@ func TestSchedulerInterrupt(t *testing.T) {
 		t.Fatalf("resumed run fired %d, want %d", fired, total)
 	}
 }
+
+// backends runs fn against a heap-backed and a wheel-backed scheduler.
+func backends(t *testing.T, fn func(t *testing.T, s *Scheduler)) {
+	for _, wheel := range []bool{false, true} {
+		s := NewScheduler()
+		if wheel {
+			s.EnableWheel(0, 0)
+		}
+		t.Run(map[bool]string{false: "heap", true: "wheel"}[wheel], func(t *testing.T) { fn(t, s) })
+	}
+}
+
+// TestDispatchedSameInstantTies pins where a virtual event stamped with
+// Scheduled sorts against a real event due at the same instant: before one
+// scheduled after the stamp, after one scheduled before it.
+func TestDispatchedSameInstantTies(t *testing.T) {
+	backends(t, func(t *testing.T, s *Scheduler) {
+		at := Time(time.Millisecond)
+		before := s.Scheduled() // stamped, then a real event: the stamp sorts first
+		var sawBefore, sawAfter []bool
+		var after uint64
+		s.At(at, "stamped-before", func(Time) {
+			sawBefore = append(sawBefore, s.Dispatched(at, before))
+		})
+		s.At(at, "stamped-after", func(Time) {
+			sawAfter = append(sawAfter, s.Dispatched(at, after))
+			s.At(at, "later", func(Time) { sawAfter = append(sawAfter, s.Dispatched(at, after)) })
+		})
+		after = s.Scheduled() // a real event, then the stamp: the stamp sorts last
+		if s.Dispatched(at, before) || s.Dispatched(at, after) {
+			t.Fatal("stamps due in the future report fired before Run")
+		}
+		if err := s.Run(0); err != nil {
+			t.Fatal(err)
+		}
+		if len(sawBefore) != 1 || !sawBefore[0] {
+			t.Fatalf("stamp taken before the real event: fired while it ran = %v, want [true]", sawBefore)
+		}
+		if len(sawAfter) != 2 || sawAfter[0] || !sawAfter[1] {
+			t.Fatalf("stamp taken after the real event: fired = %v, want [false true]", sawAfter)
+		}
+	})
+}
+
+// TestDispatchedZeroDelayInBatch covers a stamp due at the current instant,
+// taken mid-batch (zero serialisation time): it sorts after every event of
+// the running batch and before the next batch at the same instant.
+func TestDispatchedZeroDelayInBatch(t *testing.T) {
+	backends(t, func(t *testing.T, s *Scheduler) {
+		at := Time(2 * time.Millisecond)
+		var stamp uint64
+		var got []bool
+		for i := 0; i < 4; i++ {
+			i := i
+			s.At(at, "batch", func(now Time) {
+				switch {
+				case i == 1:
+					stamp = s.Scheduled()
+					s.At(now, "next-batch", func(Time) { got = append(got, s.Dispatched(now, stamp)) })
+				case i > 1:
+					got = append(got, s.Dispatched(now, stamp))
+				}
+			})
+		}
+		if err := s.Run(0); err != nil {
+			t.Fatal(err)
+		}
+		want := []bool{false, false, true}
+		if len(got) != len(want) {
+			t.Fatalf("observed %v, want %v", got, want)
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("observed %v, want %v", got, want)
+			}
+		}
+	})
+}
+
+// TestDispatchedAfterRunReturns: once Run returns at its horizon or by
+// draining, everything due by Now has fired, but a stamp taken after the
+// return — due now — would only fire in the next Run.
+func TestDispatchedAfterRunReturns(t *testing.T) {
+	backends(t, func(t *testing.T, s *Scheduler) {
+		horizon := Time(10 * time.Millisecond)
+		atHorizon := s.Scheduled()
+		s.At(horizon+1, "beyond", func(Time) {})
+		if err := s.Run(horizon); err != nil {
+			t.Fatal(err)
+		}
+		if !s.Dispatched(horizon, atHorizon) || !s.Dispatched(horizon-1, atHorizon+5) {
+			t.Fatal("stamps due by the horizon do not count as fired after Run stopped there")
+		}
+		if s.Dispatched(horizon+1, atHorizon) {
+			t.Fatal("stamp due past the horizon counts as fired")
+		}
+		if late := s.Scheduled(); s.Dispatched(horizon, late) {
+			t.Fatal("stamp taken after Run returned counts as fired")
+		}
+		// Drain: the clock stops at the last event, which has fired.
+		if err := s.Run(0); err != nil {
+			t.Fatal(err)
+		}
+		if s.Now() != horizon+1 {
+			t.Fatalf("drained at %v, want %v", s.Now(), horizon+1)
+		}
+		if !s.Dispatched(horizon+1, atHorizon) || !s.Dispatched(horizon+1, s.Scheduled()-1) {
+			t.Fatal("stamps due by the drained clock do not count as fired")
+		}
+		if s.Dispatched(horizon+1, s.Scheduled()) {
+			t.Fatal("stamp taken after draining counts as fired")
+		}
+	})
+}
+
+// TestDispatchedAfterStopMidBatch: Stop leaves dispatch at the event that
+// called it; the requeued remainder of the batch has not fired, and
+// resuming fires it in order.
+func TestDispatchedAfterStopMidBatch(t *testing.T) {
+	backends(t, func(t *testing.T, s *Scheduler) {
+		at := Time(time.Millisecond)
+		seqs := make([]uint64, 4)
+		var resumed []bool
+		for i := range seqs {
+			i := i
+			seqs[i] = s.Scheduled()
+			s.At(at, "batch", func(Time) {
+				if i == 1 {
+					s.Stop()
+				}
+				if i == 2 {
+					resumed = append(resumed, s.Dispatched(at, seqs[2]), s.Dispatched(at, seqs[3]))
+				}
+			})
+		}
+		if err := s.Run(0); err != ErrStopped {
+			t.Fatalf("Run returned %v, want ErrStopped", err)
+		}
+		if !s.Dispatched(at, seqs[1]) {
+			t.Fatal("the stopping event does not count as fired")
+		}
+		if s.Dispatched(at, seqs[2]) || s.Dispatched(at, seqs[3]) {
+			t.Fatal("the requeued remainder counts as fired")
+		}
+		if err := s.Run(0); err != nil {
+			t.Fatal(err)
+		}
+		// An event's own stamp sorts just before it, so it reads as fired.
+		if len(resumed) != 2 || !resumed[0] || resumed[1] {
+			t.Fatalf("while resuming: fired(own, next) = %v, want [true false]", resumed)
+		}
+	})
+}
+
+// TestDispatchedAfterStep covers the wall-clock loop's single-event path.
+func TestDispatchedAfterStep(t *testing.T) {
+	s := NewScheduler()
+	at := Time(time.Millisecond)
+	first := s.Scheduled()
+	s.At(at, "a", func(Time) {})
+	second := s.Scheduled()
+	s.At(at, "b", func(Time) {})
+	s.Step()
+	if !s.Dispatched(at, first) || s.Dispatched(at, second) {
+		t.Fatal("Step did not advance dispatch by exactly one event")
+	}
+}
+
+// TestDispatchedAfterReset: Reset rewinds dispatch with the clock.
+func TestDispatchedAfterReset(t *testing.T) {
+	backends(t, func(t *testing.T, s *Scheduler) {
+		s.At(Time(time.Millisecond), "a", func(Time) {})
+		if err := s.Run(0); err != nil {
+			t.Fatal(err)
+		}
+		if !s.Dispatched(0, 0) {
+			t.Fatal("epoch stamp not fired after Run")
+		}
+		s.Reset(nil)
+		if s.Scheduled() != 0 || s.Dispatched(0, 0) {
+			t.Fatalf("Reset left dispatch state: next seq %d, epoch stamp fired %t", s.Scheduled(), s.Dispatched(0, 0))
+		}
+	})
+}
+
+// TestDispatchedAfterAdvance: moving the clock forward by hand fires
+// nothing at the new instant.
+func TestDispatchedAfterAdvance(t *testing.T) {
+	s := NewScheduler()
+	stamp := s.Scheduled()
+	s.At(0, "a", func(Time) {})
+	s.Run(0)
+	s.Advance(time.Millisecond)
+	if s.Dispatched(Time(time.Millisecond), stamp) {
+		t.Fatal("stamp due at the advanced-to instant counts as fired")
+	}
+}

@@ -68,8 +68,14 @@ type hopState struct {
 	busyUntil eventsim.Time
 	// lastExit preserves FIFO ordering downstream of jitter draws.
 	lastExit eventsim.Time
-	// queued counts datagrams accepted but not yet fully serialised.
-	queued int
+	// fifo is a ring of the departures of datagrams accepted but not yet
+	// fully serialised, oldest first, holding fifoLen entries from
+	// fifoHead. It is sized to the deepest backlog the hop has held, is
+	// kept across reset, and never exceeds queueCap slots: drop-tail
+	// admission keeps the backlog within them.
+	fifo     []fifoEntry
+	fifoHead int
+	fifoLen  int
 
 	// Cross-traffic fluid state: the last integration time and the load
 	// share computed for that step.
@@ -104,7 +110,8 @@ func (h *hopState) reset() {
 	h.models = h.spec.Impair.Build(h.spec.Bandwidth, h.queueCap())
 	h.busyUntil = 0
 	h.lastExit = 0
-	h.queued = 0
+	h.fifoHead = 0
+	h.fifoLen = 0
 	h.crossInit = false
 	h.crossAt = 0
 	h.crossLoad = 0
@@ -113,6 +120,58 @@ func (h *hopState) reset() {
 	h.DroppedFull = 0
 	h.DroppedAQM = 0
 	h.TTLExpired = 0
+}
+
+// fifoEntry is when one queued datagram finishes serialising, stamped
+// with the sequence number an event scheduled at its admission would have
+// carried: the pair orders the departure against events that fall on the
+// same instant (eventsim.Scheduler.Dispatched).
+type fifoEntry struct {
+	at  eventsim.Time
+	seq uint64
+}
+
+// enqueue appends a departure to the ring; the caller has checked the
+// backlog against queueCap.
+func (h *hopState) enqueue(at eventsim.Time, seq uint64) {
+	if h.fifoLen == len(h.fifo) {
+		h.growFIFO()
+	}
+	i := h.fifoHead + h.fifoLen
+	if i >= len(h.fifo) {
+		i -= len(h.fifo)
+	}
+	h.fifo[i] = fifoEntry{at: at, seq: seq}
+	h.fifoLen++
+}
+
+// growFIFO doubles a full ring, capped at queueCap, unwrapping it into the
+// new array. Most hops never queue more than a few datagrams, so rings
+// start small; a saturated hop reaches queueCap after a handful of
+// doublings and stops growing.
+func (h *hopState) growFIFO() {
+	ring := make([]fifoEntry, min(max(2*len(h.fifo), 8), h.queueCap()))
+	n := copy(ring, h.fifo[h.fifoHead:])
+	copy(ring[n:], h.fifo[:h.fifoHead])
+	h.fifo, h.fifoHead = ring, 0
+}
+
+// backlog retires the departures the scheduler has already passed and
+// returns how many datagrams remain queued. Departures are admitted in
+// (at, seq) order, so the passed ones are always a prefix of the ring.
+func (h *hopState) backlog(s *eventsim.Scheduler) int {
+	for h.fifoLen > 0 {
+		d := h.fifo[h.fifoHead]
+		if !s.Dispatched(d.at, d.seq) {
+			break
+		}
+		h.fifoHead++
+		if h.fifoHead == len(h.fifo) {
+			h.fifoHead = 0
+		}
+		h.fifoLen--
+	}
+	return h.fifoLen
 }
 
 // transmissionDelay returns the serialization time of wireBytes at bps.
@@ -140,12 +199,13 @@ func (h *hopState) dropByLoss(rng *eventsim.RNG) bool {
 	return h.spec.Loss > 0 && rng.Bernoulli(h.spec.Loss)
 }
 
-// admit consults the hop's AQM policy after the physical limit check.
-func (h *hopState) admit(rng *eventsim.RNG) bool {
+// admit consults the hop's AQM policy after the physical limit check,
+// given the current backlog.
+func (h *hopState) admit(rng *eventsim.RNG, queued int) bool {
 	if h.models.Queue == nil {
 		return true
 	}
-	return h.models.Queue.Admit(rng, h.queued, h.queueCap())
+	return h.models.Queue.Admit(rng, queued, h.queueCap())
 }
 
 // bandwidthAt returns the hop's current output rate, after the bandwidth
@@ -214,6 +274,7 @@ func (h *hopState) String() string {
 type Path struct {
 	src, dst inet.Addr
 	hops     []*hopState
+	sched    *eventsim.Scheduler // tells which queued departures have passed
 }
 
 // Hops returns the number of router hops on the path.
@@ -254,9 +315,11 @@ func (p *Path) Bottleneck() float64 {
 
 // PathStats aggregates hop counters for reporting. The three drop causes
 // stay separate so model loss (the link's loss process), AQM early drops
-// and queue overflow are distinguishable in every report.
+// and queue overflow are distinguishable in every report. Queued is the
+// datagrams still awaiting serialisation when the snapshot was taken.
 type PathStats struct {
 	Forwarded, DroppedLoss, DroppedFull, DroppedAQM, TTLExpired uint64
+	Queued                                                      uint64
 }
 
 // Dropped sums every drop cause.
@@ -271,24 +334,26 @@ func (s *PathStats) Add(o PathStats) {
 	s.DroppedFull += o.DroppedFull
 	s.DroppedAQM += o.DroppedAQM
 	s.TTLExpired += o.TTLExpired
+	s.Queued += o.Queued
 }
 
 // Stats sums the counters across hops.
 func (p *Path) Stats() PathStats {
 	var s PathStats
 	for _, h := range p.hops {
-		s.Add(h.stats())
+		s.Add(h.stats(p.sched))
 	}
 	return s
 }
 
-func (h *hopState) stats() PathStats {
+func (h *hopState) stats(sched *eventsim.Scheduler) PathStats {
 	return PathStats{
 		Forwarded:   h.Forwarded,
 		DroppedLoss: h.DroppedLoss,
 		DroppedFull: h.DroppedFull,
 		DroppedAQM:  h.DroppedAQM,
 		TTLExpired:  h.TTLExpired,
+		Queued:      uint64(h.backlog(sched)),
 	}
 }
 
@@ -302,7 +367,7 @@ type HopCounters struct {
 func (p *Path) HopStats() []HopCounters {
 	out := make([]HopCounters, len(p.hops))
 	for i, h := range p.hops {
-		out[i] = HopCounters{Addr: h.spec.Addr, PathStats: h.stats()}
+		out[i] = HopCounters{Addr: h.spec.Addr, PathStats: h.stats(p.sched)}
 	}
 	return out
 }

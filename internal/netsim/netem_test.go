@@ -188,6 +188,54 @@ func TestForwardSteadyStateAllocFree(t *testing.T) {
 		t.Fatalf("impaired forwarding allocates %.2f allocs/packet, want 0", allocs)
 	}
 	_ = c
+
+	// A saturated bottleneck: offered load runs at twice its rate for
+	// more than 10 × queueCap packets, so its departure ring stays full
+	// and drop-tail sheds the excess. Once the warm-up has grown the ring
+	// to queueCap, forwarding must not allocate, and the ring must not
+	// grow past queueCap.
+	const limit = 20 // not a power of two: the ring's doubling must stop at queueCap
+	sat := lanSpecs(3, 100*time.Microsecond, 10e6)
+	sat[1].Bandwidth = 1e6
+	sat[1].QueueLen = limit
+	p := n.connect(clientAddr, inet.MakeAddr(10, 9, 9, 9), sat)
+	bottleneck := p.hops[1]
+	train := make([]*inet.Datagram, 4*limit) // recycled long after each leaves
+	for i := range train {
+		if train[i], err = inet.BuildUDP(inet.Endpoint{Addr: clientAddr, Port: 2},
+			inet.Endpoint{Addr: inet.MakeAddr(10, 9, 9, 9), Port: 1}, uint16(i), make([]byte, 500)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	gap := transmissionDelay(train[0].WireLen(), 2e6) // half the bottleneck's service time
+	next := 0
+	offer := func() {
+		d := train[next%len(train)]
+		next++
+		d.Header.TTL = inet.DefaultTTL
+		n.send(d, n.Now())
+		if err := n.Run(n.Now().Add(gap)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 4*limit; i++ {
+		offer()
+	}
+	if q := bottleneck.backlog(n.Sched); q != limit {
+		t.Fatalf("bottleneck backlog %d after warm-up, want a full queue of %d", q, limit)
+	}
+	full := bottleneck.DroppedFull
+	if allocs := testing.AllocsPerRun(10*limit, offer); allocs > 0 {
+		t.Fatalf("saturated forwarding allocates %.2f allocs/packet, want 0", allocs)
+	}
+	if bottleneck.DroppedFull-full < 4*limit {
+		t.Fatalf("only %d drop-tail drops over %d offered packets: the bottleneck was not saturated",
+			bottleneck.DroppedFull-full, 10*limit+1)
+	}
+	if len(bottleneck.fifo) != limit || cap(bottleneck.fifo) != limit {
+		t.Fatalf("departure ring len %d cap %d, want exactly queueCap %d",
+			len(bottleneck.fifo), cap(bottleneck.fifo), limit)
+	}
 }
 
 // TestDuplexBuildsPrivateModels ensures forward and reverse hops never

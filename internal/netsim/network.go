@@ -75,12 +75,6 @@ func deliverStep(now eventsim.Time, arg any) {
 	dst.deliver(d, now)
 }
 
-// hopDequeue frees one queue slot at a hop; the hop itself is the event
-// argument.
-func hopDequeue(_ eventsim.Time, arg any) {
-	arg.(*hopState).queued--
-}
-
 type route struct{ src, dst inet.Addr }
 
 // New creates an empty network with a deterministic RNG.
@@ -166,7 +160,7 @@ func (n *Network) connect(src, dst inet.Addr, specs []HopSpec) *Path {
 	if src == dst {
 		panic("netsim: cannot connect a host to itself")
 	}
-	p := &Path{src: src, dst: dst}
+	p := &Path{src: src, dst: dst, sched: n.Sched}
 	for _, s := range specs {
 		p.hops = append(p.hops, newHopState(s))
 	}
@@ -195,6 +189,14 @@ func (n *Network) send(d *inet.Datagram, now eventsim.Time) bool {
 // arrival at the next hop (or final delivery). Each stage delegates to the
 // hop's netem models when installed and to the spec-driven legacy
 // behaviour otherwise; either way the path is allocation-free per packet.
+//
+// Queue occupancy costs no events: an accepted datagram's departure goes
+// into the hop's ring stamped with the sequence number the next scheduled
+// event will get, and the next forward through the hop retires every
+// departure the scheduler has passed. The stamp orders a departure against
+// events due at the same instant exactly as an event scheduled at
+// admission would be ordered, so the backlog stays exact when a datagram
+// arrives on the very nanosecond another departs.
 func (n *Network) forward(t *transit, now eventsim.Time) {
 	p, i, d := t.p, t.hop, t.d
 	hop := p.hops[i]
@@ -206,14 +208,15 @@ func (n *Network) forward(t *transit, now eventsim.Time) {
 		return
 	}
 	// Drop-tail: physical FIFO overflow.
-	if hop.queued >= hop.queueCap() {
+	queued := hop.backlog(n.Sched)
+	if queued >= hop.queueCap() {
 		hop.DroppedFull++
 		d.Release()
 		n.releaseTransit(t)
 		return
 	}
 	// Active queue management: the policy may shed load before overflow.
-	if !hop.admit(n.rng) {
+	if !hop.admit(n.rng, queued) {
 		hop.DroppedAQM++
 		d.Release()
 		n.releaseTransit(t)
@@ -235,7 +238,6 @@ func (n *Network) forward(t *transit, now eventsim.Time) {
 		d.Payload[n.rng.Intn(len(d.Payload))] ^= 1 << n.rng.Intn(8)
 	}
 
-	hop.queued++
 	ser := transmissionDelay(d.WireLen(), hop.bandwidthAt(n.rng, now))
 	start := now
 	if hop.busyUntil > start {
@@ -243,7 +245,7 @@ func (n *Network) forward(t *transit, now eventsim.Time) {
 	}
 	departure := start.Add(ser)
 	hop.busyUntil = departure
-	n.Sched.AtArg(departure, "hop.dequeue", hopDequeue, hop)
+	hop.enqueue(departure, n.Sched.Scheduled())
 
 	// Propagation plus cross-traffic jitter; FIFO order is preserved.
 	delay := hop.spec.PropDelay + hop.drawJitter(n.rng)
