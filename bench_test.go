@@ -6,6 +6,7 @@
 package turbulence_test
 
 import (
+	"fmt"
 	"testing"
 	"time"
 
@@ -14,6 +15,7 @@ import (
 	"turbulence/internal/inet"
 	"turbulence/internal/netem"
 	"turbulence/internal/netsim"
+	"turbulence/internal/segment"
 )
 
 // benchExperiment runs one registered experiment per iteration with a
@@ -367,4 +369,84 @@ func BenchmarkHopForward(b *testing.B) {
 		}
 		run(b, im, red)
 	})
+}
+
+// BenchmarkUDPBuildParse measures the inet codec between two stacks, one
+// datagram per op: BuildUDPPooled (header, payload copy and checksum into
+// a pooled wire buffer), fragmentation at a 1500-byte MTU, reassembly, and
+// ParseUDP's checksum verification. 1400 B fits one packet; 16 KiB is a
+// twelve-fragment train like a high-rate Windows Media data unit's.
+// Reports ns/datagram and payload MB/s.
+func BenchmarkUDPBuildParse(b *testing.B) {
+	src := inet.Endpoint{Addr: inet.MakeAddr(207, 46, 1, 9), Port: inet.PortMMSData}
+	dst := inet.Endpoint{Addr: inet.MakeAddr(130, 215, 10, 5), Port: 4002}
+	for _, size := range []int{1400, 16 << 10} {
+		b.Run(fmt.Sprintf("%dB", size), func(b *testing.B) {
+			payload := segment.EncodeList([]segment.Segment{{Length: uint16(size - 12), Last: true}})
+			var pool inet.BufPool
+			reasm := inet.NewReassemblerPooled(&pool)
+			var frags []*inet.Datagram
+			b.SetBytes(int64(size))
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				d, err := inet.BuildUDPPooled(&pool, src, dst, uint16(i), payload)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if frags, err = inet.AppendFragments(frags[:0], d, 1500); err != nil {
+					b.Fatal(err)
+				}
+				inet.SetFragmentRefs(frags)
+				if len(frags) > 1 {
+					d.Recycle()
+				}
+				var whole *inet.Datagram
+				for _, f := range frags {
+					if whole, err = reasm.Add(f); err != nil {
+						b.Fatal(err)
+					}
+				}
+				_, got, err := inet.ParseUDP(whole.Header.Src, whole.Header.Dst, whole.Payload)
+				if err != nil || len(got) != size {
+					b.Fatalf("parse: %d bytes, %v", len(got), err)
+				}
+				whole.Release()
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N), "ns/datagram")
+		})
+	}
+}
+
+// BenchmarkSegmentAppendList measures encoding one data packet's segment
+// list straight after its protocol header into a reused buffer, as the
+// send paths do: a ~1 KB RealPlayer packet closing one frame and opening
+// the next, and a 16 KiB Windows Media data unit spanning four frames.
+// Reports payload MB/s.
+func BenchmarkSegmentAppendList(b *testing.B) {
+	header := make([]byte, 11)
+	for _, c := range []struct {
+		name string
+		segs []segment.Segment
+	}{
+		{"real-1KB", []segment.Segment{
+			{FrameIndex: 7, Offset: 2600, Length: 380, Last: true},
+			{FrameIndex: 8, Length: 600},
+		}},
+		{"wmp-16KB", []segment.Segment{
+			{FrameIndex: 30, Offset: 1000, Length: 3000, Last: true},
+			{FrameIndex: 31, Length: 4100, Key: true, Last: true},
+			{FrameIndex: 32, Length: 4100, Last: true},
+			{FrameIndex: 33, Length: 5142},
+		}},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			buf := make([]byte, 0, len(header)+segment.ListWireSize(c.segs))
+			b.SetBytes(int64(segment.ListWireSize(c.segs)))
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				buf = segment.AppendList(append(buf[:0], header...), c.segs)
+			}
+		})
+	}
 }

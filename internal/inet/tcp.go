@@ -75,13 +75,10 @@ func ParseTCP(src, dst Addr, b []byte) (TCPHeader, []byte, error) {
 	return h, b[TCPHeaderLen:], nil
 }
 
+// tcpChecksum computes the TCP checksum including the IPv4 pseudo-header.
+// Verifying a segment containing its checksum yields 0.
 func tcpChecksum(src, dst Addr, seg []byte) uint16 {
-	pseudo := make([]byte, 12, 12+len(seg)+1)
-	copy(pseudo[0:4], src[:])
-	copy(pseudo[4:8], dst[:])
-	pseudo[9] = ProtoTCP
-	binary.BigEndian.PutUint16(pseudo[10:], uint16(len(seg)))
-	return Checksum(append(pseudo, seg...))
+	return checksumWithInitial(pseudoHeaderSum(src, dst, ProtoTCP, len(seg)), seg)
 }
 
 // BuildTCP assembles a complete TCP/IPv4 datagram.

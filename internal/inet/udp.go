@@ -3,6 +3,7 @@ package inet
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 )
 
 // UDPHeader is the 8-byte UDP header. The checksum is computed over the
@@ -20,18 +21,20 @@ func MarshalUDP(src, dst Endpoint, payload []byte) ([]byte, error) {
 }
 
 // appendUDP is MarshalUDP into buf's spare capacity — the pooled send
-// path's allocation-free form.
+// path's allocation-free form. The spare capacity is overwritten without
+// being zeroed first.
 func appendUDP(buf []byte, src, dst Endpoint, payload []byte) ([]byte, error) {
 	total := UDPHeaderLen + len(payload)
 	if total > 0xFFFF {
 		return buf, ErrPayloadRange
 	}
 	base := len(buf)
-	buf = append(buf, make([]byte, total)...)
+	buf = slices.Grow(buf, total)[:base+total]
 	b := buf[base:]
 	binary.BigEndian.PutUint16(b[0:], uint16(src.Port))
 	binary.BigEndian.PutUint16(b[2:], uint16(dst.Port))
 	binary.BigEndian.PutUint16(b[4:], uint16(total))
+	b[6], b[7] = 0, 0 // summed as zero; grown capacity may hold a stale checksum
 	copy(b[UDPHeaderLen:], payload)
 	cs := udpChecksum(src.Addr, dst.Addr, b)
 	if cs == 0 {
@@ -65,17 +68,9 @@ func ParseUDP(srcAddr, dstAddr Addr, b []byte) (UDPHeader, []byte, error) {
 }
 
 // udpChecksum computes the UDP checksum including the IPv4 pseudo-header.
-// Verifying a buffer containing its checksum yields 0. The pseudo-header is
-// summed in place rather than materialised, keeping the per-datagram path
-// allocation-free.
+// Verifying a buffer containing its checksum yields 0.
 func udpChecksum(src, dst Addr, udp []byte) uint16 {
-	sum := uint32(src[0])<<8 | uint32(src[1])
-	sum += uint32(src[2])<<8 | uint32(src[3])
-	sum += uint32(dst[0])<<8 | uint32(dst[1])
-	sum += uint32(dst[2])<<8 | uint32(dst[3])
-	sum += uint32(ProtoUDP)
-	sum += uint32(uint16(len(udp)))
-	return checksumWithInitial(sum, udp)
+	return checksumWithInitial(pseudoHeaderSum(src, dst, ProtoUDP, len(udp)), udp)
 }
 
 // String summarises the header.

@@ -40,22 +40,17 @@ var ErrKind = errors.New("rdt: unexpected packet kind")
 
 // MarshalData encodes a media packet: header + encoded segment list.
 func MarshalData(h DataHeader, segPayload []byte) []byte {
-	return AppendData(nil, h, segPayload)
+	return append(AppendDataHeader(nil, h), segPayload...)
 }
 
-// AppendData is MarshalData appending into dst, returning the extended
-// slice; the send path builds packets into recycled resend-window buffers
-// this way.
-func AppendData(dst []byte, h DataHeader, segPayload []byte) []byte {
-	base := len(dst)
-	dst = append(dst, make([]byte, dataHeaderLen)...)
-	b := dst[base:]
-	b[0] = KindData
-	binary.BigEndian.PutUint32(b[1:], h.Seq)
-	binary.BigEndian.PutUint32(b[5:], h.TSms)
-	b[9] = h.Flags
-	b[10] = h.Stream
-	return append(dst, segPayload...)
+// AppendDataHeader appends a media packet's header to dst and returns the
+// extended slice. The send path follows it with segment.AppendList, so the
+// segment list is encoded straight into the packet.
+func AppendDataHeader(dst []byte, h DataHeader) []byte {
+	dst = append(dst, KindData)
+	dst = binary.BigEndian.AppendUint32(dst, h.Seq)
+	dst = binary.BigEndian.AppendUint32(dst, h.TSms)
+	return append(dst, h.Flags, h.Stream)
 }
 
 // ParseData decodes a media packet.

@@ -101,13 +101,11 @@ type Server struct {
 	ctrlFn transport.UDPHandler
 
 	// Packet-economy pools, owned by the server so they survive both
-	// session teardown and Reset: enc is the per-packet segment-list
-	// scratch (copied into the data packet immediately), freePkts recycles
-	// data-packet buffers evicted from resend windows, and ringPool
-	// recycles whole resend rings between sessions. Together they make
-	// steady-state streaming on a reused testbed allocation-free once the
-	// first run has filled the window.
-	enc      []byte
+	// session teardown and Reset: freePkts recycles data-packet buffers
+	// evicted from resend windows, and ringPool recycles whole resend
+	// rings between sessions. Together they make steady-state streaming
+	// on a reused testbed allocation-free once the first run has filled
+	// the window.
 	freePkts [][]byte
 	ringPool []*resendRing
 	rngPool  []*eventsim.RNG
@@ -446,7 +444,6 @@ func (sess *session) sendNext(now eventsim.Time) {
 	}
 	segs := sess.cutter.Next(int(size))
 	srv := sess.srv
-	srv.enc = segment.AppendList(srv.enc[:0], segs)
 	encBytesPerSec := sess.clip.EncodedBps() / 8
 	tsMs := uint32(sess.sentMediaBytes / encBytesPerSec * 1000)
 	var buf []byte
@@ -454,7 +451,7 @@ func (sess *session) sendNext(now eventsim.Time) {
 		buf = srv.freePkts[n-1][:0]
 		srv.freePkts = srv.freePkts[:n-1]
 	}
-	if need := dataHeaderLen + len(srv.enc); cap(buf) < need {
+	if need := dataHeaderLen + segment.ListWireSize(segs); cap(buf) < need {
 		if buf != nil {
 			srv.freePkts = append(srv.freePkts, buf) // undersized; back to the pool
 		}
@@ -463,7 +460,8 @@ func (sess *session) sendNext(now eventsim.Time) {
 		}
 		buf = make([]byte, 0, need)
 	}
-	pkt := AppendData(buf, DataHeader{Seq: sess.seq, TSms: tsMs}, srv.enc)
+	pkt := AppendDataHeader(buf, DataHeader{Seq: sess.seq, TSms: tsMs})
+	pkt = segment.AppendList(pkt, segs)
 	sess.srv.host.SendUDP(inet.PortRDTData, sess.data, pkt)
 	sess.remember(sess.seq, pkt)
 	sess.seq++

@@ -10,6 +10,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 )
 
@@ -44,16 +45,13 @@ func EncodeList(segs []Segment) []byte {
 }
 
 // AppendList is EncodeList appending into dst, returning the extended
-// slice. The encoding is copied onward by the UDP layer, so senders on a
-// per-packet cadence reuse one scratch buffer (AppendList(scratch[:0], …))
-// and keep the encode step allocation-free.
+// slice. Senders encode straight into the data packet after its protocol
+// header (AppendList(pkt, segs)), so the list is written once per packet.
+// dst's spare capacity is overwritten without being zeroed first.
 func AppendList(dst []byte, segs []Segment) []byte {
-	total := 0
-	for _, s := range segs {
-		total += int(s.Length)
-	}
+	n := ListWireSize(segs)
 	base := len(dst)
-	dst = append(dst, make([]byte, 2+headerLen*len(segs)+total)...)
+	dst = slices.Grow(dst, n)[:base+n]
 	out := dst[base:]
 	binary.BigEndian.PutUint16(out[0:], uint16(len(segs)))
 	off := 2
@@ -72,12 +70,23 @@ func AppendList(dst []byte, segs []Segment) []byte {
 		out[off+9] = 0 // reserved
 		off += headerLen
 	}
-	// Deterministic filler so traces are reproducible byte-for-byte.
-	for i := off; i < len(out); i++ {
-		out[i] = byte(i * 131)
+	// Deterministic filler so traces are reproducible byte-for-byte:
+	// byte i of the list is byte(i*131), which repeats every 256 bytes,
+	// so it is copied from fillPattern a table's length at a time.
+	for off < len(out) {
+		off += copy(out[off:], fillPattern[off%256:])
 	}
 	return dst
 }
+
+// fillPattern holds two periods of the filler, so a copy starting at any
+// phase in the first period has at least 256 bytes to take.
+var fillPattern = func() (p [512]byte) {
+	for i := range p {
+		p[i] = byte(i * 131)
+	}
+	return p
+}()
 
 // DecodeList parses an encoded segment list, returning the descriptors.
 func DecodeList(b []byte) ([]Segment, error) {

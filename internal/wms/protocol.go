@@ -159,20 +159,16 @@ func MarshalStop(Stop) []byte { return []byte{MsgStop} }
 // MarshalData encodes a data unit: header plus the already-encoded segment
 // list payload.
 func MarshalData(h DataHeader, segPayload []byte) []byte {
-	return AppendData(nil, h, segPayload)
+	return append(AppendDataHeader(nil, h), segPayload...)
 }
 
-// AppendData is MarshalData appending into dst, returning the extended
-// slice; the send path reuses one scratch buffer per session this way (the
-// UDP layer copies the bytes onward).
-func AppendData(dst []byte, h DataHeader, segPayload []byte) []byte {
-	base := len(dst)
-	dst = append(dst, make([]byte, DataHeaderLen)...)
-	b := dst[base:]
-	b[0] = MsgData
-	binary.BigEndian.PutUint32(b[1:], h.Seq)
-	binary.BigEndian.PutUint32(b[5:], h.SentMs)
-	return append(dst, segPayload...)
+// AppendDataHeader appends a data unit's header to dst and returns the
+// extended slice. The send path follows it with segment.AppendList, so the
+// segment list is encoded straight into the unit.
+func AppendDataHeader(dst []byte, h DataHeader) []byte {
+	dst = append(dst, MsgData)
+	dst = binary.BigEndian.AppendUint32(dst, h.Seq)
+	return binary.BigEndian.AppendUint32(dst, h.SentMs)
 }
 
 // Feedback is the client's periodic reception-quality report; the server's

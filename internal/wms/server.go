@@ -77,11 +77,10 @@ type session struct {
 	ctrl     scaling.Controller
 	byteFrac [scaling.MaxLevel + 1]float64
 
-	// enc and pkt are per-session scratch buffers for the segment-list
-	// encoding and data-unit framing; both are copied onward by the UDP
-	// layer, so reusing them keeps the per-packet send path free of
-	// allocations.
-	enc, pkt []byte
+	// pkt is the per-session data-unit buffer: header and segment list
+	// are encoded straight into it, and the UDP layer copies it onward,
+	// so reusing it keeps the per-packet send path free of allocations.
+	pkt []byte
 }
 
 // NewServer attaches a WMS server to a simulated host, listening on the
@@ -246,10 +245,9 @@ func (sess *session) sendUnit(now eventsim.Time) bool {
 		sess.stop()
 		return false
 	}
-	sess.enc = segment.AppendList(sess.enc[:0], segs)
 	h := DataHeader{Seq: sess.seq, SentMs: uint32(time.Duration(now) / time.Millisecond)}
 	sess.seq++
-	sess.pkt = AppendData(sess.pkt[:0], h, sess.enc)
+	sess.pkt = segment.AppendList(AppendDataHeader(sess.pkt[:0], h), segs)
 	sess.srv.host.SendUDP(inet.PortMMSData, sess.client, sess.pkt)
 	if sess.cutter.Done() {
 		sess.stop()

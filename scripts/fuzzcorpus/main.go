@@ -1,0 +1,136 @@
+// Command fuzzcorpus regenerates the seed corpora of the packet-decoder
+// fuzz targets from a golden pair run: the set 2 / high pair at the
+// reference seed 2002, the run TestPairRunGoldenDigest pins. It captures
+// the run's packets, reassembles fragment trains, and writes the first
+// datagram of every UDP flow, the first reassembled Windows Media data
+// unit and the first few segment lists of each player, in the
+// `go test fuzz v1` format, to
+//
+//	internal/inet/testdata/fuzz/FuzzChecksum/
+//	internal/inet/testdata/fuzz/FuzzParseUDP/
+//	internal/segment/testdata/fuzz/FuzzDecodeListInto/
+//
+// Run from the repository root: go run ./scripts/fuzzcorpus
+// The output is deterministic, so a rerun rewrites identical files.
+package main
+
+import (
+	"encoding/binary"
+	"fmt"
+	"log"
+	"os"
+	"path/filepath"
+
+	"turbulence/internal/core"
+	"turbulence/internal/inet"
+	"turbulence/internal/media"
+	"turbulence/internal/rdt"
+	"turbulence/internal/wms"
+)
+
+// listsPerPlayer bounds the segment lists taken from each player's data
+// channel.
+const listsPerPlayer = 3
+
+func main() {
+	key := core.PairKey{Set: 2, Class: media.High}
+	run, err := core.RunPairWith(core.SeedFor(2002, key), key.Set, key.Class, core.Options{})
+	if err != nil {
+		log.Fatal(err)
+	}
+	var (
+		reasm    = inet.NewReassembler()
+		flows    = map[[2]inet.Port]bool{}
+		fragUnit bool
+		lists    = map[inet.Port]int{}
+		udp      = map[string][]any{}
+		seglists = map[string][]any{}
+	)
+	for i := 0; i < run.Trace.Len(); i++ {
+		d, err := inet.ParseDatagram(run.Trace.At(i).Raw())
+		if err != nil || d.Header.Protocol != inet.ProtoUDP {
+			continue
+		}
+		fragmented := d.Header.IsFragment()
+		if d, err = reasm.Add(d); err != nil || d == nil {
+			continue
+		}
+		h, payload, err := inet.ParseUDP(d.Header.Src, d.Header.Dst, d.Payload)
+		if err != nil {
+			log.Fatalf("packet %d: %v", i, err)
+		}
+		flow := [2]inet.Port{h.SrcPort, h.DstPort}
+		name := ""
+		switch {
+		case fragmented && !fragUnit:
+			fragUnit = true
+			name = fmt.Sprintf("golden-%d-%d-reassembled", h.SrcPort, h.DstPort)
+		case !fragmented && !flows[flow]:
+			flows[flow] = true
+			name = fmt.Sprintf("golden-%d-%d", h.SrcPort, h.DstPort)
+		}
+		if name != "" {
+			src, dst := d.Header.Src, d.Header.Dst
+			udp[name] = []any{binary.BigEndian.Uint32(src[:]), binary.BigEndian.Uint32(dst[:]), d.Payload}
+		}
+		if list, ok := segmentList(h.SrcPort, payload); ok && lists[h.SrcPort] < listsPerPlayer {
+			seglists[fmt.Sprintf("golden-%d-list-%d", h.SrcPort, lists[h.SrcPort])] = []any{list}
+			lists[h.SrcPort]++
+		}
+	}
+	write("internal/inet/testdata/fuzz/FuzzParseUDP", udp)
+	sums := map[string][]any{}
+	for name, args := range udp {
+		seg := args[2].([]byte)
+		sums[name] = []any{pseudoHeaderSum(args[0].(uint32), args[1].(uint32), len(seg)), seg}
+	}
+	write("internal/inet/testdata/fuzz/FuzzChecksum", sums)
+	write("internal/segment/testdata/fuzz/FuzzDecodeListInto", seglists)
+}
+
+// segmentList extracts the encoded segment list from a data-channel
+// payload of either player.
+func segmentList(srcPort inet.Port, payload []byte) ([]byte, bool) {
+	switch srcPort {
+	case inet.PortMMSData:
+		if _, list, err := wms.ParseData(payload); err == nil {
+			return list, true
+		}
+	case inet.PortRDTData:
+		if _, list, err := rdt.ParseData(payload); err == nil {
+			return list, true
+		}
+	}
+	return nil, false
+}
+
+// pseudoHeaderSum is the unfolded UDP pseudo-header sum for addresses
+// src and dst (as big-endian words) and a segment of n bytes — the
+// initial value the UDP checksum folds a segment into.
+func pseudoHeaderSum(src, dst uint32, n int) uint32 {
+	return src>>16 + src&0xFFFF + dst>>16 + dst&0xFFFF + uint32(inet.ProtoUDP) + uint32(n)
+}
+
+// write replaces dir's contents with one corpus file per entry.
+func write(dir string, entries map[string][]any) {
+	if err := os.RemoveAll(dir); err != nil {
+		log.Fatal(err)
+	}
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		log.Fatal(err)
+	}
+	for name, args := range entries {
+		b := []byte("go test fuzz v1\n")
+		for _, a := range args {
+			switch v := a.(type) {
+			case uint32:
+				b = fmt.Appendf(b, "uint32(%d)\n", v)
+			case []byte:
+				b = fmt.Appendf(b, "[]byte(%q)\n", v)
+			}
+		}
+		if err := os.WriteFile(filepath.Join(dir, name), b, 0o644); err != nil {
+			log.Fatal(err)
+		}
+	}
+}
