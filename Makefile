@@ -72,14 +72,14 @@ bench-quick:
 # FilterMatch cost) and would otherwise trip forever. Opt-in because the
 # records are snapshots from specific hardware — gate on runners that
 # refresh their own records.
-GATE_RECORD ?= BENCH_reuse.json
+GATE_RECORD ?= BENCH_heap.json
 bench-compare:
 	@test -f BENCH_current.txt || { echo "run 'make bench' first (writes BENCH_current.txt)"; exit 1; }
 	@if [ -n "$(GATE)" ]; then \
 		$(GO) run ./scripts/benchjson compare -gate $(GATE) BENCH_current.txt $(GATE_RECORD); \
 	elif command -v benchstat >/dev/null 2>&1; then \
 		sed -E 's/^(Benchmark[^[:space:]]+)-[0-9]+([[:space:]])/\1\2/' BENCH_current.txt > .bench_current.tmp; \
-		for rec in baseline netem plan stream reuse; do \
+		for rec in baseline netem plan stream reuse heap; do \
 			echo "== benchstat vs $$rec =="; \
 			scripts/bench.sh $$rec > .bench_record.tmp 2>/dev/null || continue; \
 			benchstat .bench_record.tmp .bench_current.tmp || true; \

@@ -134,13 +134,14 @@ func BenchmarkRunAllParallel(b *testing.B) {
 
 // BenchmarkPlanStream measures the Plan/Runner engine end to end on the
 // paper's full sweep: 13 pair cells declared by the default Plan, fanned
-// across all cores, streamed in completion order with raw traces dropped
-// after profiling — the bounded-memory shape huge matrices run in.
+// across all cores, streamed in completion order with full traces
+// retained and each cell profiled from its trace by Compare — the
+// trace-based analysis that BenchmarkPlanStreamOnline replaces.
 func BenchmarkPlanStream(b *testing.B) {
 	plan := turbulence.NewPlan(2002)
 	runner := turbulence.NewRunner(
 		turbulence.WithWorkers(0),
-		turbulence.WithTraceRetention(turbulence.DropTracesAfterProfile),
+		turbulence.WithTraceRetention(turbulence.RetainTraces),
 	)
 	for i := 0; i < b.N; i++ {
 		n := 0
@@ -148,8 +149,11 @@ func BenchmarkPlanStream(b *testing.B) {
 			if res.Err != nil {
 				b.Fatal(res.Err)
 			}
-			if res.Comparison == nil || res.Run.Trace != nil {
+			if res.Run.Trace == nil {
 				b.Fatal("retention contract violated")
+			}
+			if c := turbulence.Compare(res.Run); c.WMP.Packets == 0 {
+				b.Fatal("empty profile")
 			}
 			n++
 		}
@@ -166,16 +170,14 @@ func BenchmarkPlanStream(b *testing.B) {
 // the whole point of online analysis: record storage, the payload arena
 // and the second profiling pass all disappear, and the network's wire
 // buffers recycle without capture ever pinning them. The runner is the
-// full perf configuration — testbed reuse (the default) plus the
-// timing-wheel scheduler — so this is the number BENCH_reuse.json tracks;
-// output is byte-identical to the fresh heap-scheduled sweep (pinned by
-// TestReusedAndWheelMatchFresh).
+// configuration that ships — testbed reuse and the heap scheduler — so
+// this is the number BENCH_heap.json tracks; output is byte-identical to
+// the fresh-testbed sweep (pinned by TestReusedMatchesFresh).
 func BenchmarkPlanStreamOnline(b *testing.B) {
 	plan := turbulence.NewPlan(2002)
 	runner := turbulence.NewRunner(
 		turbulence.WithWorkers(0),
 		turbulence.WithTraceRetention(turbulence.StreamProfiles),
-		turbulence.WithTimingWheel(),
 	)
 	for i := 0; i < b.N; i++ {
 		n := 0
@@ -265,22 +267,19 @@ func BenchmarkTestbedReset(b *testing.B) {
 }
 
 // BenchmarkSchedulerDense drives a dense self-rescheduling timer workload
-// — the event pattern packet pacing produces — through both scheduler
-// backends. The heap pays O(log n) sift per operation; the wheel buckets
-// near-future timers in O(1) and fires same-tick batches in one pop.
+// — the event pattern packet pacing produces — through the scheduler's
+// 4-ary heap. The sub-benchmark keeps the name "heap" so results compare
+// against the committed records.
 func BenchmarkSchedulerDense(b *testing.B) {
 	const (
 		timers = 4096                   // concurrent pacing loops
 		step   = 800 * time.Microsecond // mean reschedule gap
 		spread = 64 * time.Microsecond  // per-timer phase offset
 	)
-	run := func(b *testing.B, wheel bool) {
+	b.Run("heap", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			s := eventsim.NewScheduler()
-			if wheel {
-				s.EnableWheel(0, 0)
-			}
 			fired := 0
 			var tick func(now eventsim.Time, arg any)
 			tick = func(now eventsim.Time, arg any) {
@@ -298,9 +297,7 @@ func BenchmarkSchedulerDense(b *testing.B) {
 				b.Fatal("no events fired")
 			}
 		}
-	}
-	b.Run("heap", func(b *testing.B) { run(b, false) })
-	b.Run("wheel", func(b *testing.B) { run(b, true) })
+	})
 }
 
 // BenchmarkHopForward measures the hop-forwarding layer alone: each op

@@ -4,7 +4,7 @@
 // Usage:
 //
 //	turbulence [-seed N] [-experiment id] [-parallel N] [-scenario name]
-//	           [-retention retain|drop|stream] [-shard i/n] [-progress]
+//	           [-retention retain|stream] [-shard i/n] [-progress]
 //	           [-metrics addr] [-pprof] [-result-store dir]
 //	           [-json] [-csv dir] [-points] [-list] [-list-scenarios]
 //	turbulence -serve addr [-seed N] [-pairs list] [-scenario name]
@@ -31,11 +31,11 @@
 //
 // -retention selects what the shared pair-run sweep keeps per run:
 // "retain" (default) holds full packet captures and regenerates every
-// experiment; "drop" profiles then frees each trace; "stream" never
-// stores records at all — captured packets feed online analyzers and the
-// sweep runs in a few KB of analyzer state per worker. Under drop/stream
-// only the trace-free experiments regenerate (reports, probes, profiles);
-// with no -experiment the list narrows to them automatically.
+// experiment; "stream" never stores records at all — captured packets
+// feed online analyzers and the sweep runs in a few KB of analyzer state
+// per worker. Under stream only the trace-free experiments regenerate
+// (reports, probes, profiles); with no -experiment the list narrows to
+// them automatically.
 //
 // -shard i/n deterministically carves the experiment list into n strided
 // slices and runs only the i-th (0-based), so n processes or machines
@@ -111,8 +111,8 @@
 // cells to skip) and inserts what workers ship back; on -work it is the
 // worker's local read-through cache; on a plain experiment sweep it is
 // populated only — experiments reduce full player reports the store does
-// not hold — and requires -retention drop or stream, because the store
-// holds turbulence profiles, not packet captures. A corrupted store
+// not hold — and requires -retention stream, because the store holds
+// turbulence profiles, not packet captures. A corrupted store
 // frame is detected by checksum, counted on /metrics
 // (turbulence_cache_corrupt_frames_total) and recomputed — never served.
 //
@@ -146,7 +146,7 @@ func main() {
 	seed := flag.Int64("seed", 2002, "base random seed (runs are deterministic per seed)")
 	experiment := flag.String("experiment", "", "run a single experiment id (default: all)")
 	parallel := flag.Int("parallel", 0, "worker pool size for independent pair runs (1 = sequential, 0 = all cores); results are identical either way")
-	retention := flag.String("retention", "retain", "what the shared pair-run sweep keeps per run: retain (full packet captures, all experiments), drop (profile then free each trace), stream (never store records; online analyzers only, lowest memory). drop/stream regenerate only trace-free experiments (reports, probes, profiles)")
+	retention := flag.String("retention", "retain", "what the shared pair-run sweep keeps per run: retain (full packet captures, all experiments) or stream (never store records; online analyzers only, lowest memory). stream regenerates only trace-free experiments (reports, probes, profiles)")
 	scenario := flag.String("scenario", "", "stream the pair runs under a named netem scenario (see -list-scenarios)")
 	shard := flag.String("shard", "", "run the i-th of n strided slices of the experiment list, as \"i/n\" (0-based); all shards together reproduce the full run")
 	progress := flag.Bool("progress", false, "report each completed pair run on stderr")
@@ -161,7 +161,7 @@ func main() {
 	serveShards := flag.Int("serve-shards", 0, "-serve lease granularity: how many shard slices the plan is carved into (0 = one per cell, capped at 256)")
 	leaseTTL := flag.Duration("lease-ttl", 2*time.Minute, "-serve: how long a leased shard may stay unrenewed before it is re-issued to another worker (workers heartbeat while simulating)")
 	checkpoint := flag.String("checkpoint", "", "-serve: journal completed shards to this file; re-running with the same sweep flags and path resumes, re-leasing only unfinished shards")
-	resultStore := flag.String("result-store", "", "content-addressed result store directory: completed cells are appended, and later -serve/-work sweeps serve matching cells from it without simulating (plain sweeps populate it; they need -retention drop or stream)")
+	resultStore := flag.String("result-store", "", "content-addressed result store directory: completed cells are appended, and later -serve/-work sweeps serve matching cells from it without simulating (plain sweeps populate it; they need -retention stream)")
 	adaptiveLeases := flag.Bool("adaptive-leases", false, "-serve: size leases from each worker's measured throughput (stride subdivision; output is byte-identical)")
 	metricsAddr := flag.String("metrics", "", "serve a live Prometheus meter of the local sweep on this address (host:port) at /metrics; the -serve coordinator has its own /metrics and does not combine with this")
 	pprofFlag := flag.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/ on the -metrics server or the -serve coordinator (off by default: profiling endpoints expose internals and cost CPU when scraped)")
@@ -494,10 +494,9 @@ func serveMetrics(addr string, reg *turbulence.MetricsRegistry, pprof bool) erro
 // but they do combine with -metrics, which then exposes the live
 // transport's per-socket counters. -result-store caches per-cell
 // comparison profiles, so it needs a mode that simulates cells (not
-// -listen/-play) and, in a plain local sweep, a retention mode that
-// actually produces profiles-without-traces (-retention drop or
-// stream); -adaptive-leases is coordinator lease-sizing policy, so it
-// requires -serve.
+// -listen/-play) and, in a plain local sweep, the retention mode that
+// produces profiles without traces (-retention stream); -adaptive-leases
+// is coordinator lease-sizing policy, so it requires -serve.
 func modeConflicts(serve, work, experiment, shard, pairs, scenario, checkpoint, metrics string, pprof bool, listen, play, resultStore, retention string, adaptive bool) error {
 	switch {
 	case listen != "" && play != "":
@@ -527,7 +526,7 @@ func modeConflicts(serve, work, experiment, shard, pairs, scenario, checkpoint, 
 	case (listen != "" || play != "") && resultStore != "":
 		return errors.New("-result-store does not combine with -listen/-play (live transport carries real traffic; there are no simulated cells to cache)")
 	case resultStore != "" && serve == "" && work == "" && retention == "retain":
-		return errors.New("-result-store with a plain sweep requires -retention drop or stream (the store holds comparison profiles, not traces)")
+		return errors.New("-result-store with a plain sweep requires -retention stream (the store holds comparison profiles, not traces)")
 	case adaptive && serve == "":
 		return errors.New("-adaptive-leases requires -serve (lease sizing is coordinator policy)")
 	}
@@ -539,12 +538,10 @@ func parseRetention(s string) (turbulence.TraceRetention, error) {
 	switch s {
 	case "retain":
 		return turbulence.RetainTraces, nil
-	case "drop":
-		return turbulence.DropTracesAfterProfile, nil
 	case "stream":
 		return turbulence.StreamProfiles, nil
 	}
-	return 0, fmt.Errorf("bad -retention %q (want retain, drop or stream)", s)
+	return 0, fmt.Errorf("bad -retention %q (want retain or stream)", s)
 }
 
 // parsePairs parses the -pairs spec: comma-separated set/class, class by

@@ -34,7 +34,6 @@ func TestShardIDsStrict(t *testing.T) {
 func TestParseRetention(t *testing.T) {
 	cases := map[string]turbulence.TraceRetention{
 		"retain": turbulence.RetainTraces,
-		"drop":   turbulence.DropTracesAfterProfile,
 		"stream": turbulence.StreamProfiles,
 	}
 	for s, want := range cases {
@@ -43,7 +42,7 @@ func TestParseRetention(t *testing.T) {
 			t.Errorf("parseRetention(%q) = %v, %v", s, got, err)
 		}
 	}
-	for _, bad := range []string{"", "Retain", "keep", "streaming", "drop "} {
+	for _, bad := range []string{"", "Retain", "keep", "streaming", "drop", "drop "} {
 		if _, err := parseRetention(bad); err == nil {
 			t.Errorf("retention %q accepted", bad)
 		}
@@ -145,9 +144,8 @@ func TestModeConflicts(t *testing.T) {
 				serve, work, listen, play, resultStore, retention, adaptive, err, want)
 		}
 	}
-	// A plain sweep caches fine under drop or stream, and either service
-	// mode keeps its usual retention (workers stream internally).
-	cache("", "", "", "", "cache", "drop", false, "")
+	// A plain sweep caches fine under stream, and either service mode
+	// keeps its usual retention (workers stream internally).
 	cache("", "", "", "", "cache", "stream", false, "")
 	cache(":8080", "", "", "", "cache", "retain", false, "")
 	cache("", "host:8080", "", "", "cache", "retain", false, "")
@@ -156,8 +154,8 @@ func TestModeConflicts(t *testing.T) {
 	// Plain sweep + retain would keep traces the store can't hold.
 	cache("", "", "", "", "cache", "retain", false, "-retention")
 	// Live transport has no simulated cells to cache.
-	cache("", "", "127.0.0.1", "", "cache", "drop", false, "-result-store")
-	cache("", "", "", "127.0.0.1", "cache", "drop", false, "-result-store")
+	cache("", "", "127.0.0.1", "", "cache", "stream", false, "-result-store")
+	cache("", "", "", "127.0.0.1", "cache", "stream", false, "-result-store")
 	// Lease sizing is coordinator policy.
 	cache("", "", "", "", "", "retain", true, "-adaptive-leases")
 	cache("", "host:8080", "", "", "", "retain", true, "-adaptive-leases")

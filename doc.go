@@ -38,19 +38,18 @@
 //
 // # Trace retention
 //
-// Three retentions cover the memory/fidelity spectrum. RetainTraces (the
-// default) keeps every run's full packet capture — what the figure
-// generators need. DropTracesAfterProfile profiles both flows, then
-// releases the raw capture, bounding a sweep to O(workers × trace).
-// StreamProfiles never stores records at all: each captured packet
+// Two retentions, one per use. RetainTraces (the default) keeps every
+// run's full packet capture — what the figure generators need; Compare
+// profiles a retained run. StreamProfiles, for sweeps, never stores
+// records at all: each captured packet
 // streams through online per-flow analyzers (capture.FlowDemux routing to
 // capture.FlowMetrics) and is gone, so a run's capture state is a few KB
 // of accumulators and RunResult.Comparison carries the profiles. The
 // online profiles are exactly equal to trace-derived ones — ProfileFlow
 // replays stored traces through the same accumulator — pinned across all
 // pairs, scenarios and worker counts by test. cmd/turbulence exposes the
-// choice as -retention {retain,drop,stream} (reduced retentions
-// regenerate the trace-free experiments: reports, probes, profiles).
+// choice as -retention {retain,stream} (stream regenerates only the
+// trace-free experiments: reports, probes, profiles).
 //
 // Every run is seeded: identical plans produce byte-identical traces, for
 // any worker count. The pre-Plan entry points (RunAll, RunAllParallel,
@@ -160,8 +159,8 @@
 //	# overlapping cells served from the store (cache_hits on /metrics),
 //	# only the new cells simulate; output identical to a cold sweep
 //
-// Local experiment sweeps take -result-store too (with -retention drop
-// or stream), write-through only: experiments reduce the full player
+// Local experiment sweeps take -result-store too (with -retention
+// stream), write-through only: experiments reduce the full player
 // reports a Comparison does not hold, so the context's own sweeps
 // populate the store for later Comparison-space consumers rather than
 // serve from it. Cache traffic is metered as
@@ -273,7 +272,7 @@
 // simulator golden. See PERFORMANCE.md ("Serving real traffic") for the
 // recipe and caveats.
 //
-// # Testbed reuse and the timing wheel
+// # Testbed reuse
 //
 // A Runner does not rebuild the apparatus per cell: each worker owns a
 // testbed cache, and every layer a cell touches — the event scheduler,
@@ -282,16 +281,13 @@
 // without reallocating, so cells after the first replay into a recycled
 // testbed. The caches are retained on the Runner across Run/Stream/Seq
 // calls, so repeated sweeps start warm. Output is byte-identical to
-// building fresh (pinned by test, along with the golden digests);
-// WithFreshTestbeds() switches back to build-per-cell. WithTimingWheel()
-// swaps the scheduler's 4-ary heap for a hierarchical timing wheel that
-// buckets the dense pacing-timer workload in O(1) and fires
-// same-timestamp batches in one queue operation — again byte-identical,
-// only faster. Together they run the paper's full 13-pair online sweep
-// in under 400 ms and under 10 MB per sweep on one core; PERFORMANCE.md
-// ("Testbed reuse & the timing wheel") has the numbers and the recipe,
-// and WithSweepStats or a metrics sink exposes the economy
-// (testbeds built vs reused, wheel occupancy high-water) per sweep.
+// building fresh (pinned by test, along with the golden digests); the
+// build-per-cell path survives only as that test's oracle. Every cell's
+// scheduler is the same 4-ary heap. BENCH_heap.json records the paper's
+// full 13-pair online sweep in this configuration at one and two cores;
+// PERFORMANCE.md ("Testbed reuse & the timing wheel") has the history,
+// and WithSweepStats or a metrics sink exposes the economy (testbeds
+// built vs reused) per sweep.
 //
 // # Concurrency model
 //

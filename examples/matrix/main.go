@@ -31,15 +31,15 @@ func main() {
 	plan := turbulence.NewPlan(2002).UnderScenarios(scenarios...)
 	fmt.Printf("plan: %d cells\n", plan.Size())
 
-	// Stream the sweep: all cores, ctrl-C cancels mid-run, raw captures
-	// are dropped once profiled so memory stays bounded however large the
-	// matrix grows.
+	// Stream the sweep: all cores, ctrl-C cancels mid-run, and packets feed
+	// online analyzers instead of a stored capture, so memory stays bounded
+	// however large the matrix grows.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
 	runner := turbulence.NewRunner(
 		turbulence.WithWorkers(0),
 		turbulence.WithContext(ctx),
-		turbulence.WithTraceRetention(turbulence.DropTracesAfterProfile),
+		turbulence.WithTraceRetention(turbulence.StreamProfiles),
 		turbulence.WithProgress(func(p turbulence.Progress) {
 			fmt.Fprintf(os.Stderr, "  [%2d/%2d] %s\n", p.Done, p.Total, p.Key)
 		}),
@@ -60,7 +60,7 @@ func main() {
 	fmt.Fprintln(w, "scenario\tpair\tWMP Kbps\tReal Kbps\tWMP frag%\tdownlink drops")
 	for _, k := range plan.Keys() {
 		res := byIndex[k.Index]
-		c := res.Comparison // traces are gone; the profiles survive
+		c := res.Comparison // no trace was stored; the profiles survive
 		d := res.Run.Downlink
 		fmt.Fprintf(w, "%s\t set%d/%v\t%.0f\t%.0f\t%.0f\t%d\n",
 			k.Scenario.Name, k.Pair.Set, k.Pair.Class,

@@ -66,9 +66,6 @@ func TestProgressTimingAndMetricsSink(t *testing.T) {
 	if got, want := sink.TestbedsReused.Value(), uint64(plan.Size()-1); got != want {
 		t.Fatalf("sink counted %d testbed reuses, want %d", got, want)
 	}
-	if got := sink.WheelDepthPeak.Value(); got != 0 {
-		t.Fatalf("heap-backed sweep reports wheel occupancy %d", got)
-	}
 
 	// The new series render under their exposition names with the sweep's
 	// values.
@@ -79,7 +76,6 @@ func TestProgressTimingAndMetricsSink(t *testing.T) {
 	for _, want := range []string{
 		"turbulence_testbeds_built_total 1\n",
 		fmt.Sprintf("turbulence_testbeds_reused_total %d\n", plan.Size()-1),
-		"turbulence_sim_wheel_depth_peak 0\n",
 	} {
 		if !strings.Contains(text.String(), want) {
 			t.Fatalf("rendered exposition lacks %q:\n%s", want, text.String())
@@ -96,27 +92,6 @@ func TestProgressTimingAndMetricsSink(t *testing.T) {
 		a, b := Compare(results[i].Run), Compare(bare[i].Run)
 		if a.Real != b.Real {
 			t.Fatalf("cell %d: metered profile differs from bare run", i)
-		}
-	}
-
-	// A wheel-backed reused sweep reports its bucket high-water through the
-	// same sink — and stays profile-identical to the heap runs above.
-	wreg := obs.NewRegistry()
-	wsink := obs.NewSink(wreg)
-	wheeled, err := NewRunner(WithWorkers(1), WithTimingWheel(), WithMetrics(wsink)).Run(plan)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := wsink.WheelDepthPeak.Value(); got <= 0 {
-		t.Fatalf("wheel sweep sink wheel high-water = %d, want > 0", got)
-	}
-	if got, want := wsink.TestbedsBuilt.Value(), uint64(1); got != want {
-		t.Fatalf("wheel sweep built %d testbeds, want %d", got, want)
-	}
-	for i := range wheeled {
-		a, b := Compare(wheeled[i].Run), Compare(bare[i].Run)
-		if a.Real != b.Real {
-			t.Fatalf("cell %d: wheel-backed profile differs from heap run", i)
 		}
 	}
 }

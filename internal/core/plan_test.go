@@ -302,9 +302,9 @@ func TestRunnerCancelMidSimulation(t *testing.T) {
 }
 
 // TestRunnerStreamAndRetention pins the streaming surface: Seq delivers
-// every cell exactly once in completion order, DropTracesAfterProfile
-// replaces raw captures with profiles identical to what Compare computes
-// on a retained run, and an early break terminates the sweep.
+// every cell exactly once in completion order, StreamProfiles replaces raw
+// captures with profiles identical to what Compare computes on a retained
+// run, and an early break terminates the sweep.
 func TestRunnerStreamAndRetention(t *testing.T) {
 	keys := []PairKey{{1, media.Low}, {3, media.Low}, {4, media.Low}}
 	plan := NewPlan(5).ForPairs(keys...)
@@ -313,7 +313,7 @@ func TestRunnerStreamAndRetention(t *testing.T) {
 		t.Fatal(err)
 	}
 	seen := map[int]bool{}
-	for res := range NewRunner(WithWorkers(2), WithTraceRetention(DropTracesAfterProfile)).Seq(plan) {
+	for res := range NewRunner(WithWorkers(2), WithTraceRetention(StreamProfiles)).Seq(plan) {
 		if res.Err != nil {
 			t.Fatal(res.Err)
 		}
@@ -322,16 +322,16 @@ func TestRunnerStreamAndRetention(t *testing.T) {
 		}
 		seen[res.Key.Index] = true
 		if res.Run.Trace != nil || res.Run.WMPFlow != nil || res.Run.RealFlow != nil {
-			t.Fatal("raw traces retained under DropTracesAfterProfile")
+			t.Fatal("raw traces retained under StreamProfiles")
 		}
 		if res.Comparison == nil {
-			t.Fatal("no Comparison under DropTracesAfterProfile")
+			t.Fatal("no Comparison under StreamProfiles")
 		}
 		if want := Compare(full[res.Key.Index].Run); *res.Comparison != want {
-			t.Fatalf("cell %d: dropped-trace profile differs from retained run", res.Key.Index)
+			t.Fatalf("cell %d: streamed profile differs from retained run", res.Key.Index)
 		}
 		if res.Run.WMP == nil || res.Run.Downlink.Forwarded == 0 {
-			t.Fatal("non-trace results should survive trace dropping")
+			t.Fatal("non-trace results should survive streaming")
 		}
 	}
 	if len(seen) != plan.Size() {
@@ -339,7 +339,7 @@ func TestRunnerStreamAndRetention(t *testing.T) {
 	}
 	// Early break cancels the remainder without deadlocking.
 	delivered := 0
-	for res := range NewRunner(WithWorkers(2)).Seq(plan) {
+	for res := range NewRunner(WithWorkers(2), WithTraceRetention(StreamProfiles)).Seq(plan) {
 		if res.Err != nil {
 			t.Fatal(res.Err)
 		}

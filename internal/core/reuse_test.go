@@ -9,13 +9,19 @@ import (
 	"turbulence/internal/racecheck"
 )
 
-// TestReusedAndWheelMatchFresh is the reuse tentpole's identity pin:
-// reset-reused testbeds and the timing-wheel scheduler backend must both
-// produce byte-identical traces to fresh heap-backed construction, at
-// every worker count. The reference is a fresh-testbed sequential sweep;
-// every (workers, wheel) combination is compared against it cell by cell
-// via the full trace digest.
-func TestReusedAndWheelMatchFresh(t *testing.T) {
+// WithFreshTestbeds disables per-worker testbed reuse: every cell builds
+// its apparatus from scratch, the pre-reuse behaviour. It is the oracle
+// the reuse identity pin compares against.
+func WithFreshTestbeds() RunnerOption {
+	return func(r *Runner) { r.fresh = true }
+}
+
+// TestReusedMatchesFresh is the reuse identity pin: reset-reused testbeds
+// must produce byte-identical traces to fresh construction, at every
+// worker count. The reference is a fresh-testbed sequential sweep; each
+// worker count is compared against it cell by cell via the full trace
+// digest.
+func TestReusedMatchesFresh(t *testing.T) {
 	plan := NewPlan(2002).
 		ForPairs(PairKey{2, media.High}, PairKey{4, media.Low}).
 		UnderScenarios(nil, mustScenario(t, "lossy-wifi"))
@@ -32,48 +38,35 @@ func TestReusedAndWheelMatchFresh(t *testing.T) {
 	}
 
 	for _, workers := range []int{1, 4, 0} {
-		for _, wheel := range []bool{false, true} {
-			opts := []RunnerOption{WithWorkers(workers)}
-			if wheel {
-				opts = append(opts, WithTimingWheel())
+		var sw SweepStats
+		got, err := NewRunner(WithWorkers(workers), WithSweepStats(func(s SweepStats) { sw = s })).Run(plan)
+		if err != nil {
+			t.Fatalf("workers=%d: %v", workers, err)
+		}
+		if len(got) != len(ref) {
+			t.Fatalf("workers=%d: %d cells, want %d", workers, len(got), len(ref))
+		}
+		for i := range got {
+			if got[i].Seed != ref[i].Seed || got[i].Key.Pair != ref[i].Key.Pair {
+				t.Fatalf("workers=%d: cell %d is %v seed %d, reference has %v seed %d",
+					workers, i, got[i].Key.Pair, got[i].Seed, ref[i].Key.Pair, ref[i].Seed)
 			}
-			var sw SweepStats
-			opts = append(opts, WithSweepStats(func(s SweepStats) { sw = s }))
-			got, err := NewRunner(opts...).Run(plan)
-			if err != nil {
-				t.Fatalf("workers=%d wheel=%t: %v", workers, wheel, err)
+			if d := traceDigest(got[i].Run); d != refDigest[i] {
+				t.Fatalf("workers=%d: cell %v trace digest %#x diverges from fresh run %#x",
+					workers, got[i].Key.Pair, d, refDigest[i])
 			}
-			if len(got) != len(ref) {
-				t.Fatalf("workers=%d wheel=%t: %d cells, want %d", workers, wheel, len(got), len(ref))
-			}
-			for i := range got {
-				if got[i].Seed != ref[i].Seed || got[i].Key.Pair != ref[i].Key.Pair {
-					t.Fatalf("workers=%d wheel=%t: cell %d is %v seed %d, reference has %v seed %d",
-						workers, wheel, i, got[i].Key.Pair, got[i].Seed, ref[i].Key.Pair, ref[i].Seed)
-				}
-				if d := traceDigest(got[i].Run); d != refDigest[i] {
-					t.Fatalf("workers=%d wheel=%t: cell %v trace digest %#x diverges from fresh heap run %#x",
-						workers, wheel, got[i].Key.Pair, d, refDigest[i])
-				}
-			}
-			// Testbed economy: every cell was served, by build or reuse.
-			if sw.TestbedsBuilt+sw.TestbedsReused != plan.Size() {
-				t.Fatalf("workers=%d wheel=%t: built %d + reused %d != %d cells",
-					workers, wheel, sw.TestbedsBuilt, sw.TestbedsReused, plan.Size())
-			}
-			if workers == 1 {
-				// Sequential: one worker, two shapes (faithful, lossy-wifi),
-				// four cells — exactly two builds and two reuses.
-				if sw.TestbedsBuilt != 2 || sw.TestbedsReused != 2 {
-					t.Fatalf("wheel=%t: sequential sweep built %d, reused %d, want 2 and 2",
-						wheel, sw.TestbedsBuilt, sw.TestbedsReused)
-				}
-			}
-			if wheel && sw.WheelPeak <= 0 {
-				t.Fatalf("workers=%d: wheel sweep reports no bucket occupancy", workers)
-			}
-			if !wheel && sw.WheelPeak != 0 {
-				t.Fatalf("workers=%d: heap sweep reports wheel occupancy %d", workers, sw.WheelPeak)
+		}
+		// Testbed economy: every cell was served, by build or reuse.
+		if sw.TestbedsBuilt+sw.TestbedsReused != plan.Size() {
+			t.Fatalf("workers=%d: built %d + reused %d != %d cells",
+				workers, sw.TestbedsBuilt, sw.TestbedsReused, plan.Size())
+		}
+		if workers == 1 {
+			// Sequential: one worker, two shapes (faithful, lossy-wifi),
+			// four cells — exactly two builds and two reuses.
+			if sw.TestbedsBuilt != 2 || sw.TestbedsReused != 2 {
+				t.Fatalf("sequential sweep built %d, reused %d, want 2 and 2",
+					sw.TestbedsBuilt, sw.TestbedsReused)
 			}
 		}
 	}

@@ -18,11 +18,6 @@ const (
 	// RetainTraces keeps every run's full packet capture and flow views —
 	// the default, and what the figure generators need.
 	RetainTraces TraceRetention = iota
-	// DropTracesAfterProfile profiles both flows (RunResult.Comparison),
-	// then releases the run's raw capture (Trace, WMPFlow, RealFlow set to
-	// nil). On huge matrices this bounds memory to the per-run working set
-	// plus a small summary per cell, instead of every packet ever sniffed.
-	DropTracesAfterProfile
 	// StreamProfiles never stores records at all: each captured packet
 	// streams through online per-flow analyzers (capture.FlowDemux) at the
 	// client NIC and is gone, so a run's capture state is a few KB of
@@ -57,13 +52,13 @@ type RunResult struct {
 	Key  RunKey
 	Seed int64
 
-	// Run is the full pair-run result (nil when Err is set, and stripped
-	// of raw traces under DropTracesAfterProfile and StreamProfiles).
+	// Run is the full pair-run result (nil when Err is set or the cell
+	// came from the result store; without raw traces under
+	// StreamProfiles).
 	Run *PairRun
-	// Comparison holds both flows' turbulence profiles: computed before
-	// the raw traces were dropped (DropTracesAfterProfile) or accumulated
-	// online at capture time (StreamProfiles). Nil under RetainTraces —
-	// call Compare on the retained run instead.
+	// Comparison holds both flows' turbulence profiles, accumulated online
+	// at capture time under StreamProfiles. Nil under RetainTraces — call
+	// Compare on the retained run instead.
 	Comparison *Comparison
 
 	Err error
@@ -87,7 +82,6 @@ type Runner struct {
 	retention  TraceRetention
 	sink       *obs.Sink
 	fresh      bool
-	wheel      bool
 	sweepStats func(SweepStats)
 	store      ResultStore
 	pool       *tallyPool
@@ -107,7 +101,6 @@ type tallyPool struct {
 // span many sweeps.
 type workerTally struct {
 	cache         *TestbedCache
-	wheelPeak     int
 	builtAtStart  int
 	reusedAtStart int
 }
@@ -131,12 +124,10 @@ func (r *Runner) acquireTallies(n int) []*workerTally {
 	for i, t := range ts {
 		if t == nil {
 			c := NewTestbedCache()
-			c.Wheel = r.wheel
 			c.Fresh = r.fresh
 			t = &workerTally{cache: c}
 			ts[i] = t
 		}
-		t.wheelPeak = 0
 		t.builtAtStart = t.cache.Built()
 		t.reusedAtStart = t.cache.Reused()
 	}
@@ -155,13 +146,11 @@ func (r *Runner) releaseTallies(ts []*workerTally) {
 }
 
 // SweepStats summarises one executed sweep's testbed economy: how many
-// testbeds were constructed versus served by reset-reuse, and the deepest
-// any run's timing-wheel buckets got (zero when the heap backend ran).
-// Delivered once per execution via WithSweepStats, after the last cell.
+// testbeds were constructed versus served by reset-reuse. Delivered once
+// per execution via WithSweepStats, after the last cell.
 type SweepStats struct {
 	TestbedsBuilt  int
 	TestbedsReused int
-	WheelPeak      int
 }
 
 // ResultStore is a content-addressed cache of completed cell results: the
@@ -231,26 +220,9 @@ func WithMetrics(s *obs.Sink) RunnerOption {
 	return func(r *Runner) { r.sink = s }
 }
 
-// WithFreshTestbeds disables per-worker testbed reuse: every cell builds
-// its apparatus from scratch, the pre-reuse behaviour. Output is identical
-// either way (reuse is pinned byte-equal to construction); this is the A/B
-// switch for the identity tests and the reset benchmarks.
-func WithFreshTestbeds() RunnerOption {
-	return func(r *Runner) { r.fresh = true }
-}
-
-// WithTimingWheel runs every cell's scheduler on the hierarchical
-// timing-wheel backend instead of the default 4-ary heap (see
-// eventsim.Scheduler.EnableWheel). Firing order — and therefore every byte
-// of simulation output — is identical; only the queue's constant factor
-// changes.
-func WithTimingWheel() RunnerOption {
-	return func(r *Runner) { r.wheel = true }
-}
-
 // WithSweepStats installs a callback receiving the sweep's testbed-economy
-// summary (builds, reuses, wheel high-water) once execution finishes — the
-// hook the dispatch worker uses to ship those numbers to the coordinator.
+// summary (testbeds built and reused) once execution finishes — the hook
+// the dispatch worker uses to ship those numbers to the coordinator.
 func WithSweepStats(fn func(SweepStats)) RunnerOption {
 	return func(r *Runner) { r.sweepStats = fn }
 }
@@ -263,10 +235,10 @@ func WithSweepStats(fn func(SweepStats)) RunnerOption {
 // must not install a store with a lookup path; the experiments harness
 // wraps its store insert-only for exactly this reason. Misses simulate
 // normally and their Comparisons are inserted for the next sweep. The
-// store is consulted only under DropTracesAfterProfile and StreamProfiles:
-// RetainTraces promises full packet captures, which the store does not
-// hold, so it bypasses the cache entirely rather than silently degrade the
-// result shape. Errored cells are never cached.
+// store is consulted only under StreamProfiles: RetainTraces promises full
+// packet captures, which the store does not hold, so it bypasses the cache
+// entirely rather than silently degrade the result shape. Errored cells
+// are never cached.
 func WithResultStore(s ResultStore) RunnerOption {
 	return func(r *Runner) { r.store = s }
 }
@@ -329,7 +301,8 @@ func (r *Runner) execute(p *Plan, emit func(RunResult) bool) {
 		}
 		seed := p.Seed(k)
 		start := time.Now()
-		useStore := r.store != nil && r.retention != RetainTraces
+		stream := r.retention == StreamProfiles
+		useStore := r.store != nil && stream
 		if useStore {
 			if cmp, ok := r.store.LookupResult(k.Pair, p.OptionsFor(k), seed); ok {
 				elapsed := time.Since(start)
@@ -339,40 +312,31 @@ func (r *Runner) execute(p *Plan, emit func(RunResult) bool) {
 				return finish(RunResult{Key: k, Seed: seed, Comparison: cmp}, start, elapsed)
 			}
 		}
-		run, cmp, err := runPair(ctx, seed, k.Pair.Set, k.Pair.Class, p.OptionsFor(k), r.retention == StreamProfiles, r.sink, t.cache)
+		run, cmp, err := runPair(ctx, seed, k.Pair.Set, k.Pair.Class, p.OptionsFor(k), stream, r.sink, t.cache)
 		elapsed := time.Since(start)
 		if err != nil && ctx.Err() != nil {
 			// Interrupted mid-simulation: not a completed cell.
 			return false
 		}
-		if run != nil && run.Sim.WheelPeak > t.wheelPeak {
-			t.wheelPeak = run.Sim.WheelPeak
-		}
 		if r.sink != nil {
 			r.sink.ObserveCell(elapsed.Seconds(), err != nil)
 			if run != nil {
-				r.sink.AddSim(run.Sim.TimersScheduled, run.Sim.EventsFired, run.Sim.HeapPeak, run.Sim.WheelPeak)
+				r.sink.AddSim(run.Sim.TimersScheduled, run.Sim.EventsFired, run.Sim.HeapPeak)
 				d, u := &run.Downlink, &run.Uplink
 				r.sink.AddDrops(d.DroppedLoss+u.DroppedLoss, d.DroppedFull+u.DroppedFull,
 					d.DroppedAQM+u.DroppedAQM, d.TTLExpired+u.TTLExpired)
 			}
 		}
-		res := RunResult{Key: k, Seed: seed, Run: run, Err: err, Comparison: cmp}
-		if err == nil && r.retention == DropTracesAfterProfile {
-			c := Compare(run)
-			res.Comparison = &c
-			run.Trace, run.WMPFlow, run.RealFlow = nil, nil, nil
+		if useStore && err == nil && cmp != nil {
+			r.store.InsertResult(k.Pair, p.OptionsFor(k), seed, cmp)
 		}
-		if useStore && err == nil && res.Comparison != nil {
-			r.store.InsertResult(k.Pair, p.OptionsFor(k), seed, res.Comparison)
-		}
-		return finish(res, start, elapsed)
+		return finish(RunResult{Key: k, Seed: seed, Run: run, Err: err, Comparison: cmp}, start, elapsed)
 	}
 
 	// Each worker owns a testbed cache: cells reuse the worker's testbeds
 	// via Reset instead of rebuilding the apparatus per run (unless the
 	// Runner was configured fresh — the cache then builds every time but
-	// still carries the wheel setting and the sweep tallies). Caches come
+	// still carries the sweep tallies). Caches come
 	// from the Runner's retained pool, so a Runner driving many sweeps
 	// builds its testbeds once, not once per sweep.
 	tallies := r.acquireTallies(max(workers, 1))
@@ -385,9 +349,6 @@ func (r *Runner) execute(p *Plan, emit func(RunResult) bool) {
 		for _, t := range tallies {
 			sw.TestbedsBuilt += t.cache.Built() - t.builtAtStart
 			sw.TestbedsReused += t.cache.Reused() - t.reusedAtStart
-			if t.wheelPeak > sw.WheelPeak {
-				sw.WheelPeak = t.wheelPeak
-			}
 		}
 		if r.sink != nil {
 			r.sink.AddTestbeds(uint64(sw.TestbedsBuilt), uint64(sw.TestbedsReused))
@@ -459,7 +420,7 @@ func (r *Runner) Run(p *Plan) ([]RunResult, error) {
 // order on the returned channel, which closes when the sweep finishes or
 // the context is cancelled. Consumption is the backpressure: at most one
 // finished cell per worker is in flight, so huge sweeps never hold all
-// traces at once (pair with DropTracesAfterProfile to shrink even that).
+// traces at once (pair with StreamProfiles to hold no trace at all).
 // Consumers that may abandon the channel early must install a cancellable
 // WithContext and cancel it, or workers block forever on the send.
 func (r *Runner) Stream(p *Plan) <-chan RunResult {

@@ -70,8 +70,8 @@ type SimCounters struct {
 	TimersScheduled uint64 // events ever pushed onto the scheduler
 	EventsFired     uint64 // events dispatched
 	HeapPeak        int    // high-water pending-event count
-	// WheelPeak is the high-water timing-wheel bucket occupancy, zero when
-	// the run used the default heap backend.
+	// Deprecated: WheelPeak is always zero (the scheduler has no timing
+	// wheel); it remains only for existing readers.
 	WheelPeak int
 }
 
@@ -300,7 +300,6 @@ func runPair(ctx context.Context, seed int64, set int, class media.Class, opts O
 		TimersScheduled: tb.Net.Sched.Scheduled(),
 		EventsFired:     tb.Net.Sched.Fired(),
 		HeapPeak:        tb.Net.Sched.PeakQueue(),
-		WheelPeak:       tb.Net.Sched.WheelPeak(),
 	}
 	if stream {
 		wmp, real := demux.To(WMPDataPort), demux.To(RDTDataPort)

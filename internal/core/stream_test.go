@@ -8,21 +8,21 @@ import (
 )
 
 // streamParityPlanCheck runs one plan in both worlds — traces retained and
-// profiled (the reference), then StreamProfiles at several worker counts —
-// and requires the online profiles to be *exactly* equal to the
-// trace-derived ones, cell by cell.
+// profiled by Compare (the reference), then StreamProfiles at several
+// worker counts — and requires the online profiles to be *exactly* equal
+// to the trace-derived ones, cell by cell.
 func streamParityPlanCheck(t *testing.T, plan *Plan, workerSet []int) {
 	t.Helper()
-	ref, err := NewRunner(WithWorkers(0), WithTraceRetention(DropTracesAfterProfile)).Run(plan)
+	ref, err := NewRunner(WithWorkers(0), WithTraceRetention(RetainTraces)).Run(plan)
 	if err != nil {
 		t.Fatal(err)
 	}
 	want := make(map[int]Comparison, len(ref))
 	for _, res := range ref {
-		if res.Comparison == nil {
-			t.Fatalf("reference cell %v missing profiles", res.Key)
+		if res.Run == nil || res.Run.Trace == nil {
+			t.Fatalf("reference cell %v missing its trace", res.Key)
 		}
-		want[res.Key.Index] = *res.Comparison
+		want[res.Key.Index] = Compare(res.Run)
 	}
 	for _, workers := range workerSet {
 		results, err := NewRunner(WithWorkers(workers), WithTraceRetention(StreamProfiles)).Run(plan)

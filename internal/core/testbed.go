@@ -251,12 +251,8 @@ func (sh testbedShape) options() []TestbedOption {
 // The cache also owns the worker's online-analysis scratch (the capture
 // flow demux), pooled for the same reason.
 type TestbedCache struct {
-	// Wheel selects the timing-wheel scheduler backend for every testbed
-	// the cache builds (see eventsim.Scheduler.EnableWheel). Firing order —
-	// and therefore simulation output — is identical to the default heap.
-	Wheel bool
-	// Fresh disables reuse: every Get builds a new testbed (still honouring
-	// Wheel). The A/B switch the identity tests and benchmarks use.
+	// Fresh disables reuse: every Get builds a new testbed. Only the reuse
+	// identity test's fresh-testbed oracle sets it.
 	Fresh bool
 
 	tbs           map[testbedShape]*Testbed
@@ -264,8 +260,7 @@ type TestbedCache struct {
 	built, reused int
 }
 
-// NewTestbedCache returns an empty cache with default settings (reuse on,
-// heap scheduler).
+// NewTestbedCache returns an empty cache with reuse on.
 func NewTestbedCache() *TestbedCache {
 	return &TestbedCache{tbs: make(map[testbedShape]*Testbed)}
 }
@@ -283,9 +278,6 @@ func (c *TestbedCache) Get(seed int64, set int, opts Options) *Testbed {
 		}
 	}
 	tb := NewTestbed(seed, sh.options()...)
-	if c.Wheel {
-		tb.Net.Sched.EnableWheel(0, 0)
-	}
 	c.built++
 	if !c.Fresh {
 		c.tbs[sh] = tb

@@ -54,7 +54,6 @@ type coordMetrics struct {
 	workerThroughput     *obs.FloatGaugeVec
 	workerTestbedsBuilt  *obs.CounterVec
 	workerTestbedsReused *obs.CounterVec
-	workerWheelPeak      *obs.FloatGaugeVec
 }
 
 // newCoordMetrics registers the dispatcher metric set. The gauges close
@@ -94,7 +93,6 @@ func newCoordMetrics(c *Coordinator, ringSize int) *coordMetrics {
 		workerThroughput:     reg.FloatGaugeVec("turbulence_dispatch_worker_throughput_cells_per_second", "Cells per second over the worker's most recent shard, self-measured.", "worker"),
 		workerTestbedsBuilt:  reg.CounterVec("turbulence_dispatch_worker_testbeds_built_total", "Testbeds constructed from scratch per worker, as self-measured in WorkerStats.", "worker"),
 		workerTestbedsReused: reg.CounterVec("turbulence_dispatch_worker_testbeds_reused_total", "Cells served by resetting a cached testbed per worker, as self-measured in WorkerStats.", "worker"),
-		workerWheelPeak:      reg.FloatGaugeVec("turbulence_dispatch_worker_wheel_depth_peak", "High-water timing-wheel bucket occupancy over the worker's most recent shard (zero under the heap backend).", "worker"),
 	}
 	reg.GaugeFunc("turbulence_dispatch_queue_depth", "Shards sitting in the pending queue.",
 		func() float64 { return float64(len(c.pending)) })
@@ -157,7 +155,6 @@ func (m *coordMetrics) recordWorkerStats(s *wire.WorkerStats) {
 	m.workerRetries.With(name).Add(s.Retries)
 	m.workerTestbedsBuilt.With(name).Add(uint64(s.TestbedsBuilt))
 	m.workerTestbedsReused.With(name).Add(uint64(s.TestbedsReused))
-	m.workerWheelPeak.With(name).Set(float64(s.WheelPeak))
 	secs := float64(s.RunMillis) / 1000
 	m.workerRunSeconds.With(name).Set(secs)
 	if secs <= 0 {

@@ -188,7 +188,6 @@ func (w *Worker) runShard(grant wire.LeaseGrant) (runs []wire.Run, orphaned bool
 		core.WithSweepStats(func(sw core.SweepStats) {
 			stats.TestbedsBuilt = sw.TestbedsBuilt
 			stats.TestbedsReused = sw.TestbedsReused
-			stats.WheelPeak = sw.WheelPeak
 		}),
 	}
 	if w.cfg.Store != nil {

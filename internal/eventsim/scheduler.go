@@ -12,8 +12,7 @@ import (
 type Event struct {
 	when  Time
 	seq   uint64 // tiebreak: FIFO among events at the same instant
-	index int32  // position in heap or bucket; -1 removed; -2 in-flight
-	slot  int32  // wheel bucket index; -1 when heap-resident
+	index int32  // position in the heap; -1 removed; -2 in-flight
 	gen   uint32 // incremented on every recycle; validates Timer handles
 	name  string
 
@@ -76,46 +75,19 @@ var ErrInterrupted = errors.New("eventsim: interrupted")
 // wall clock) a poll every 2048 events still aborts within microseconds.
 const interruptStride = 2048
 
-// eventQueue is the pending-set abstraction behind the Scheduler: a 4-ary
-// heap by default, or a hierarchical timing wheel when dense short-horizon
-// timers dominate (EnableWheel). Both order events by (when, seq), so the
-// Scheduler's observable firing order is identical regardless of backend.
-type eventQueue interface {
-	push(e *Event)
-	// peek returns the earliest pending event without removing it, or nil.
-	peek() *Event
-	// popMin removes and returns the earliest pending event, or nil.
-	popMin() *Event
-	// popRun removes every event sharing the earliest due time, appending
-	// them to batch in (when, seq) order. This is the batched-dispatch
-	// seam: the wheel extracts a whole same-timestamp run in one bucket
-	// scan instead of one heap pop per event.
-	popRun(batch []*Event) []*Event
-	// remove deletes a specific pending event (Cancel path).
-	remove(e *Event)
-	len() int
-	// reset restores the post-construction state, retaining backing
-	// arrays. The queue must already be empty.
-	reset()
-}
-
 // Scheduler is a single-threaded discrete-event scheduler. It is not safe
 // for concurrent use; all model code runs inside event callbacks on one
 // goroutine, which is what makes runs deterministic. (Concurrency in this
 // repository happens one level up: independent experiment runs each own a
 // private Scheduler and fan out across OS threads.)
 //
-// The pending queue is a 4-ary heap by default: shallower than a binary
-// heap, so the common churn of scheduling and firing touches fewer cache
-// lines per operation. EnableWheel swaps in a hierarchical timing wheel for
-// dense short-horizon workloads; firing order is identical. Fired and
-// cancelled events return to a free list, making the steady-state
-// schedule/fire cycle allocation-free.
+// The pending queue is a 4-ary heap: shallower than a binary heap, so the
+// common churn of scheduling and firing touches fewer cache lines per
+// operation. Fired and cancelled events return to a free list, making the
+// steady-state schedule/fire cycle allocation-free.
 type Scheduler struct {
 	now       Time
-	q         eventQueue
-	heap      heapQueue // default backend; retained across EnableWheel for Reset reuse
-	wheel     *wheelQueue
+	q         heapQueue
 	free      []*Event
 	batch     []*Event // reused same-timestamp dispatch buffer
 	seq       uint64
@@ -127,38 +99,7 @@ type Scheduler struct {
 }
 
 // NewScheduler returns a scheduler positioned at the epoch.
-func NewScheduler() *Scheduler {
-	s := &Scheduler{}
-	s.q = &s.heap
-	return s
-}
-
-// EnableWheel switches the pending queue to a hierarchical timing wheel:
-// near-future events hash into fixed-width buckets (granularity wide, slots
-// of them), far-future events overflow to a 4-ary heap and cascade into
-// buckets as the window advances. Firing order is identical to the heap —
-// (when, seq) — the wheel only changes the constant factor for dense
-// short-horizon timer workloads. Zero arguments select the defaults
-// (250µs × 1024 slots ≈ a 256ms window). It panics if events are pending:
-// the backend may only change while the queue is empty.
-func (s *Scheduler) EnableWheel(granularity Duration, slots int) {
-	if s.q.len() != 0 {
-		panic("eventsim: EnableWheel with pending events")
-	}
-	if granularity <= 0 {
-		granularity = defaultWheelGranularity
-	}
-	if slots <= 0 {
-		slots = defaultWheelSlots
-	}
-	if s.wheel == nil || s.wheel.granularity != granularity || len(s.wheel.buckets) != slots {
-		s.wheel = newWheelQueue(granularity, slots)
-	}
-	s.q = s.wheel
-}
-
-// WheelEnabled reports whether the timing-wheel backend is active.
-func (s *Scheduler) WheelEnabled() bool { return s.q == eventQueue(s.wheel) && s.wheel != nil }
+func NewScheduler() *Scheduler { return &Scheduler{} }
 
 // Now implements Clock.
 func (s *Scheduler) Now() Time { return s.now }
@@ -195,24 +136,13 @@ func (s *Scheduler) Dispatched(when Time, seq uint64) bool {
 // its own high-water mark, not the maximum across every run so far.
 func (s *Scheduler) PeakQueue() int { return s.peak }
 
-// WheelPeak reports the high-water bucket occupancy of the timing wheel:
-// the largest number of events resident in wheel buckets (excluding the
-// overflow heap) at any point. Zero when the wheel was never enabled.
-// Reset zeroes it with the other per-run counters.
-func (s *Scheduler) WheelPeak() int {
-	if s.wheel == nil {
-		return 0
-	}
-	return s.wheel.peakResident
-}
-
 // Reset returns the scheduler to its post-NewScheduler state — clock at the
 // epoch, no pending events, counters zeroed — while retaining the event
 // free list, dispatch buffer, and queue backing arrays, so a reset
 // scheduler schedules its next million events without allocating. Pending
 // events are discarded; drain, if non-nil, observes each one first so
 // owners of pooled per-event payloads (netsim's in-flight datagrams) can
-// reclaim them. The queue backend (heap or wheel) is preserved.
+// reclaim them.
 func (s *Scheduler) Reset(drain func(name string, arg any)) {
 	for {
 		e := s.q.popMin()
@@ -241,7 +171,6 @@ func (s *Scheduler) alloc() *Event {
 		batch := make([]Event, 64)
 		for i := range batch {
 			batch[i].index = -1
-			batch[i].slot = -1
 			s.free = append(s.free, &batch[i])
 		}
 	}
@@ -255,7 +184,6 @@ func (s *Scheduler) alloc() *Event {
 func (s *Scheduler) release(e *Event) {
 	e.gen++
 	e.index = -1
-	e.slot = -1
 	e.name = ""
 	e.fn = nil
 	e.afn = nil
@@ -505,16 +433,18 @@ func eventLess(a, b *Event) bool {
 	return a.seq < b.seq
 }
 
-// heapQueue is the default eventQueue: a 4-ary heap on a flat slice, with
-// each event carrying its own index for O(log n) removal.
+// heapQueue is the Scheduler's pending set: a 4-ary heap on a flat slice,
+// with each event carrying its own index for O(log n) removal.
 type heapQueue struct {
 	q []*Event
 }
 
 func (h *heapQueue) len() int { return len(h.q) }
 
+// reset empties the heap, keeping its backing array; it must hold no events.
 func (h *heapQueue) reset() { h.q = h.q[:0] }
 
+// peek returns the earliest pending event without removing it, or nil.
 func (h *heapQueue) peek() *Event {
 	if len(h.q) == 0 {
 		return nil
@@ -523,12 +453,12 @@ func (h *heapQueue) peek() *Event {
 }
 
 func (h *heapQueue) push(e *Event) {
-	e.slot = -1
 	e.index = int32(len(h.q))
 	h.q = append(h.q, e)
 	h.siftUp(len(h.q) - 1)
 }
 
+// popMin removes the earliest pending event and returns it in flight, or nil.
 func (h *heapQueue) popMin() *Event {
 	q := h.q
 	if len(q) == 0 {
@@ -547,6 +477,8 @@ func (h *heapQueue) popMin() *Event {
 	return e
 }
 
+// popRun removes every event sharing the earliest due time, appending them
+// to batch in (when, seq) order.
 func (h *heapQueue) popRun(batch []*Event) []*Event {
 	e := h.popMin()
 	if e == nil {

@@ -403,22 +403,109 @@ func TestSchedulerInterrupt(t *testing.T) {
 	}
 }
 
-// backends runs fn against a heap-backed and a wheel-backed scheduler.
-func backends(t *testing.T, fn func(t *testing.T, s *Scheduler)) {
-	for _, wheel := range []bool{false, true} {
-		s := NewScheduler()
-		if wheel {
-			s.EnableWheel(0, 0)
+// TestSchedulerResetDrainsPending pins Reset's drain contract: every
+// pending event is surfaced to the drain callback exactly once, with its
+// name and argument, and the scheduler comes back empty at the epoch.
+func TestSchedulerResetDrainsPending(t *testing.T) {
+	s := NewScheduler()
+	payload := &struct{ n int }{7}
+	s.AtArg(Time(time.Millisecond), "drainme", func(Time, any) {}, payload)
+	s.At(Time(2*time.Second), "faraway", func(Time) {})
+	var drained []string
+	var gotArg any
+	s.Reset(func(name string, arg any) {
+		drained = append(drained, name)
+		if arg != nil {
+			gotArg = arg
 		}
-		t.Run(map[bool]string{false: "heap", true: "wheel"}[wheel], func(t *testing.T) { fn(t, s) })
+	})
+	if len(drained) != 2 {
+		t.Fatalf("drained %d events, want 2", len(drained))
 	}
+	if gotArg != payload {
+		t.Fatal("drain did not surface the event argument")
+	}
+	if s.Len() != 0 || s.Now() != 0 || s.Scheduled() != 0 || s.Fired() != 0 {
+		t.Fatalf("Reset left state behind: len=%d now=%v sched=%d fired=%d",
+			s.Len(), s.Now(), s.Scheduled(), s.Fired())
+	}
+}
+
+// TestPeakQueueAndReset pins PeakQueue as the current run's high-water
+// pending count: Reset zeroes it, and the reset scheduler still orders
+// correctly from the epoch.
+func TestPeakQueueAndReset(t *testing.T) {
+	s := NewScheduler()
+	for i := 1; i <= 10; i++ {
+		s.After(Duration(i)*time.Millisecond, "e", func(Time) {})
+	}
+	if s.PeakQueue() != 10 {
+		t.Fatalf("PeakQueue %d with 10 pending events, want 10", s.PeakQueue())
+	}
+	s.RunUntilIdle()
+	if s.PeakQueue() != 10 {
+		t.Fatalf("PeakQueue %d after draining, want 10", s.PeakQueue())
+	}
+	s.Reset(nil)
+	if s.PeakQueue() != 0 {
+		t.Fatalf("PeakQueue %d survives Reset", s.PeakQueue())
+	}
+	var got []Time
+	s.After(Duration(2*time.Millisecond), "b", func(now Time) { got = append(got, now) })
+	s.After(Duration(time.Millisecond), "a", func(now Time) { got = append(got, now) })
+	s.RunUntilIdle()
+	if len(got) != 2 || got[0] != Time(time.Millisecond) || got[1] != Time(2*time.Millisecond) {
+		t.Fatalf("post-Reset firing order wrong: %v", got)
+	}
+	if s.PeakQueue() != 2 {
+		t.Fatalf("PeakQueue %d after a two-event run, want 2", s.PeakQueue())
+	}
+}
+
+// TestBatchedDispatchStopResumes pins the Stop-mid-batch contract: the
+// unfired remainder of a same-instant batch is requeued with sequence
+// numbers intact, so a subsequent Run resumes in the exact order the batch
+// would have fired.
+func TestBatchedDispatchStopResumes(t *testing.T) {
+	s := NewScheduler()
+	var got []int
+	at := Time(time.Millisecond)
+	for i := 0; i < 5; i++ {
+		s.At(at, "batch", func(Time) {
+			got = append(got, i)
+			if i == 1 {
+				s.Stop()
+			}
+		})
+	}
+	if err := s.Run(0); err != ErrStopped {
+		t.Fatalf("Run returned %v, want ErrStopped", err)
+	}
+	if err := s.Run(0); err != nil {
+		t.Fatalf("resume Run returned %v", err)
+	}
+	want := []int{0, 1, 2, 3, 4}
+	if len(got) != len(want) {
+		t.Fatalf("fired %v, want %v", got, want)
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("fired %v, want %v", got, want)
+		}
+	}
+}
+
+// onHeap runs fn as the "heap" subtest against a fresh scheduler, keeping
+// the Dispatched checks named by the queue they exercise.
+func onHeap(t *testing.T, fn func(t *testing.T, s *Scheduler)) {
+	t.Run("heap", func(t *testing.T) { fn(t, NewScheduler()) })
 }
 
 // TestDispatchedSameInstantTies pins where a virtual event stamped with
 // Scheduled sorts against a real event due at the same instant: before one
 // scheduled after the stamp, after one scheduled before it.
 func TestDispatchedSameInstantTies(t *testing.T) {
-	backends(t, func(t *testing.T, s *Scheduler) {
+	onHeap(t, func(t *testing.T, s *Scheduler) {
 		at := Time(time.Millisecond)
 		before := s.Scheduled() // stamped, then a real event: the stamp sorts first
 		var sawBefore, sawAfter []bool
@@ -450,7 +537,7 @@ func TestDispatchedSameInstantTies(t *testing.T) {
 // taken mid-batch (zero serialisation time): it sorts after every event of
 // the running batch and before the next batch at the same instant.
 func TestDispatchedZeroDelayInBatch(t *testing.T) {
-	backends(t, func(t *testing.T, s *Scheduler) {
+	onHeap(t, func(t *testing.T, s *Scheduler) {
 		at := Time(2 * time.Millisecond)
 		var stamp uint64
 		var got []bool
@@ -485,7 +572,7 @@ func TestDispatchedZeroDelayInBatch(t *testing.T) {
 // draining, everything due by Now has fired, but a stamp taken after the
 // return — due now — would only fire in the next Run.
 func TestDispatchedAfterRunReturns(t *testing.T) {
-	backends(t, func(t *testing.T, s *Scheduler) {
+	onHeap(t, func(t *testing.T, s *Scheduler) {
 		horizon := Time(10 * time.Millisecond)
 		atHorizon := s.Scheduled()
 		s.At(horizon+1, "beyond", func(Time) {})
@@ -521,7 +608,7 @@ func TestDispatchedAfterRunReturns(t *testing.T) {
 // called it; the requeued remainder of the batch has not fired, and
 // resuming fires it in order.
 func TestDispatchedAfterStopMidBatch(t *testing.T) {
-	backends(t, func(t *testing.T, s *Scheduler) {
+	onHeap(t, func(t *testing.T, s *Scheduler) {
 		at := Time(time.Millisecond)
 		seqs := make([]uint64, 4)
 		var resumed []bool
@@ -572,7 +659,7 @@ func TestDispatchedAfterStep(t *testing.T) {
 
 // TestDispatchedAfterReset: Reset rewinds dispatch with the clock.
 func TestDispatchedAfterReset(t *testing.T) {
-	backends(t, func(t *testing.T, s *Scheduler) {
+	onHeap(t, func(t *testing.T, s *Scheduler) {
 		s.At(Time(time.Millisecond), "a", func(Time) {})
 		if err := s.Run(0); err != nil {
 			t.Fatal(err)

@@ -112,10 +112,10 @@ type Context struct {
 	workers int
 
 	// retention selects what the cached Table 1 sweep keeps per run (see
-	// core.TraceRetention). Under DropTracesAfterProfile or StreamProfiles
-	// the cached runs carry no packet captures, so only trace-free
-	// experiments (reports, probes, profiles) can regenerate; Run rejects
-	// the others with a clear error instead of letting them crash.
+	// core.TraceRetention). Under StreamProfiles the cached runs carry no
+	// packet captures, so only trace-free experiments (reports, probes,
+	// profiles) can regenerate; Run rejects the others with a clear error
+	// instead of letting them crash.
 	retention core.TraceRetention
 
 	// cancel, when set, aborts in-flight pair runs when the context is
@@ -188,8 +188,8 @@ func (c *Context) SetMetrics(s *obs.Sink) *Context {
 // flows of a PairRun, which the store's Comparisons do not hold, so a
 // cache hit here would leave the experiment nothing to regenerate from.
 // Inserts need a Comparison, so pair it with
-// SetRetention(DropTracesAfterProfile) or StreamProfiles — under the
-// default RetainTraces it is inert.
+// SetRetention(StreamProfiles) — under the default RetainTraces it is
+// inert.
 func (c *Context) SetResultStore(s core.ResultStore) *Context {
 	c.store = s
 	return c
@@ -412,7 +412,7 @@ func IDs() []string {
 }
 
 // TraceFree reports whether the experiment regenerates without retained
-// packet captures (and therefore works under -retention drop/stream).
+// packet captures (and therefore works under -retention stream).
 func TraceFree(id string) bool { return registry[id].TraceFree }
 
 // Run executes one experiment by id. Every report gains a path-drop

@@ -210,7 +210,7 @@ func TestHotPathAllocFree(t *testing.T) {
 		h.Observe(float64(i % 7))
 		child.Inc()
 		sink.ObserveCell(1.25, i%2 == 0)
-		sink.AddSim(10, 9, int(i%100), int(i%50))
+		sink.AddSim(10, 9, int(i%100))
 		sink.AddDrops(1, 2, 3, 4)
 		sink.AddTestbeds(1, 12)
 	})

@@ -20,7 +20,6 @@ type Sink struct {
 	TimersScheduled *Counter
 	EventsFired     *Counter
 	HeapDepthPeak   *Gauge // high-water across all cells
-	WheelDepthPeak  *Gauge // high-water timing-wheel bucket occupancy across all cells
 
 	// Testbed economy under reset-reuse (fed once per sweep).
 	TestbedsBuilt  *Counter
@@ -47,7 +46,6 @@ func NewSink(reg *Registry) *Sink {
 		TimersScheduled: reg.Counter("turbulence_sim_timers_scheduled_total", "Events pushed onto eventsim scheduler heaps."),
 		EventsFired:     reg.Counter("turbulence_sim_events_fired_total", "Events dispatched by eventsim schedulers."),
 		HeapDepthPeak:   reg.Gauge("turbulence_sim_heap_depth_peak", "High-water eventsim heap depth across all cells."),
-		WheelDepthPeak:  reg.Gauge("turbulence_sim_wheel_depth_peak", "High-water eventsim timing-wheel bucket occupancy across all cells (zero under the heap backend)."),
 
 		TestbedsBuilt:  reg.Counter("turbulence_testbeds_built_total", "Testbeds constructed from scratch by sweep workers."),
 		TestbedsReused: reg.Counter("turbulence_testbeds_reused_total", "Sweep cells served by resetting a cached testbed instead of building one."),
@@ -73,13 +71,11 @@ func (s *Sink) ObserveCell(seconds float64, failed bool) {
 	s.CellSeconds.Observe(seconds)
 }
 
-// AddSim folds in one cell's scheduler counters. wheelPeak is zero when
-// the cell ran on the default heap backend.
-func (s *Sink) AddSim(scheduled, fired uint64, heapPeak, wheelPeak int) {
+// AddSim folds in one cell's scheduler counters.
+func (s *Sink) AddSim(scheduled, fired uint64, heapPeak int) {
 	s.TimersScheduled.Add(scheduled)
 	s.EventsFired.Add(fired)
 	s.HeapDepthPeak.SetMax(int64(heapPeak))
-	s.WheelDepthPeak.SetMax(int64(wheelPeak))
 }
 
 // AddTestbeds folds in one sweep's testbed economy: testbeds constructed

@@ -193,8 +193,10 @@ func ParseResponse(b []byte) (Response, error) {
 	if err != nil {
 		return Response{}, fmt.Errorf("%w: status %q", ErrMalformed, parts[1])
 	}
-	resp := Response{Status: status, Headers: make(map[string]string)}
-	if len(parts) == 3 {
+	// An absent or empty reason phrase takes the default MarshalResponse
+	// would write, so a parsed response re-marshals to what it parsed from.
+	resp := Response{Status: status, Reason: reasonFor(status), Headers: make(map[string]string)}
+	if len(parts) == 3 && parts[2] != "" {
 		resp.Reason = parts[2]
 	}
 	if err := parseHeaders(lines[1:], resp.Headers); err != nil {

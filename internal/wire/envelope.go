@@ -270,5 +270,4 @@ type WorkerStats struct {
 	// coordinators and zeroes them from old workers.
 	TestbedsBuilt  int `json:",omitempty"` // testbeds constructed from scratch
 	TestbedsReused int `json:",omitempty"` // cells served by resetting a cached testbed
-	WheelPeak      int `json:",omitempty"` // high-water timing-wheel bucket occupancy
 }

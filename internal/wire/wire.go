@@ -38,8 +38,8 @@ type Run struct {
 }
 
 // FromResult flattens one executed cell. Profiles come from the result's
-// Comparison (DropTracesAfterProfile and StreamProfiles fill it); under
-// RetainTraces they are computed here from the retained flows.
+// Comparison (StreamProfiles fills it); under RetainTraces they are
+// computed here from the retained flows.
 func FromResult(res core.RunResult) Run {
 	r := Run{
 		Index: res.Key.Index,

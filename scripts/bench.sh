@@ -14,8 +14,15 @@
 #   scripts/bench.sh netem      same for the netem record (BENCH_netem.json)
 #   scripts/bench.sh plan       same for the Plan/Runner record (BENCH_plan.json)
 #   scripts/bench.sh stream     same for the online-analysis record (BENCH_stream.json)
-#   scripts/bench.sh reuse      same for the testbed-reuse/timing-wheel record
-#                               (BENCH_reuse.json)
+#   scripts/bench.sh reuse      same for the testbed-reuse record, taken with
+#                               the since-deleted timing wheel (BENCH_reuse.json)
+#   scripts/bench.sh heap       same for the shipped configuration: testbed
+#                               reuse, heap scheduler, GOMAXPROCS and core
+#                               count recorded (BENCH_heap.json, the gate record)
+#
+# The tracked benchmarks run at the machine's GOMAXPROCS. To measure the
+# parallel sweep's scaling, rerun the headline benchmark at fixed counts:
+#   go test -run=NONE -bench='BenchmarkPlanStreamOnline$' -benchmem -cpu 1,2 .
 #
 # Compare a fresh run against the committed records:
 #   scripts/bench.sh > BENCH_current.txt
@@ -47,6 +54,9 @@ stream)
     ;;
 reuse)
     exec go run ./scripts/benchjson BENCH_reuse.json
+    ;;
+heap)
+    exec go run ./scripts/benchjson BENCH_heap.json
     ;;
 smoke)
     exec go test -run=NONE -bench="$TRACKED" -benchmem -benchtime=1x -count=1 .

@@ -39,9 +39,12 @@ type entry struct {
 }
 
 type baseline struct {
-	Goos       string           `json:"goos"`
-	Goarch     string           `json:"goarch"`
-	CPU        string           `json:"cpu"`
+	Goos   string `json:"goos"`
+	Goarch string `json:"goarch"`
+	CPU    string `json:"cpu"`
+	// GOMAXPROCS and core count of the run; zero in records that predate them.
+	Gomaxprocs int              `json:"gomaxprocs,omitempty"`
+	Cores      int              `json:"cores,omitempty"`
 	Benchmarks map[string]entry `json:"benchmarks"`
 }
 
@@ -71,6 +74,9 @@ func main() {
 	}
 	b := load(file)
 	fmt.Printf("goos: %s\ngoarch: %s\npkg: turbulence\ncpu: %s\n", b.Goos, b.Goarch, b.CPU)
+	if b.Gomaxprocs > 0 {
+		fmt.Printf("gomaxprocs: %d\ncores: %d\n", b.Gomaxprocs, b.Cores)
+	}
 	for _, name := range sortedNames(b.Benchmarks) {
 		e := b.Benchmarks[name]
 		fmt.Printf("%s \t1\t%.0f ns/op\t%d B/op\t%d allocs/op\n", name, e.NsPerOp, e.BytesPerOp, e.AllocsPerOp)

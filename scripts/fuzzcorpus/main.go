@@ -3,12 +3,15 @@
 // reference seed 2002, the run TestPairRunGoldenDigest pins. It captures
 // the run's packets, reassembles fragment trains, and writes the first
 // datagram of every UDP flow, the first reassembled Windows Media data
-// unit and the first few segment lists of each player, in the
-// `go test fuzz v1` format, to
+// unit, the first few segment lists of each player, every RTSP response
+// the client received and lists of RealPlayer data-packet sequence
+// numbers (NAK "Seqs" headers), in the `go test fuzz v1` format, to
 //
 //	internal/inet/testdata/fuzz/FuzzChecksum/
 //	internal/inet/testdata/fuzz/FuzzParseUDP/
 //	internal/segment/testdata/fuzz/FuzzDecodeListInto/
+//	internal/rdt/testdata/fuzz/FuzzParseRTSP/
+//	internal/rdt/testdata/fuzz/FuzzSeqList/
 //
 // Run from the repository root: go run ./scripts/fuzzcorpus
 // The output is deterministic, so a rerun rewrites identical files.
@@ -32,6 +35,10 @@ import (
 // channel.
 const listsPerPlayer = 3
 
+// rdtSeqs is how many RealPlayer data-packet sequence numbers seed the
+// NAK list corpus.
+const rdtSeqs = 8
+
 func main() {
 	key := core.PairKey{Set: 2, Class: media.High}
 	run, err := core.RunPairWith(core.SeedFor(2002, key), key.Set, key.Class, core.Options{})
@@ -45,6 +52,8 @@ func main() {
 		lists    = map[inet.Port]int{}
 		udp      = map[string][]any{}
 		seglists = map[string][]any{}
+		rtsp     = map[string][]any{}
+		seqs     []uint32
 	)
 	for i := 0; i < run.Trace.Len(); i++ {
 		d, err := inet.ParseDatagram(run.Trace.At(i).Raw())
@@ -77,6 +86,26 @@ func main() {
 			seglists[fmt.Sprintf("golden-%d-list-%d", h.SrcPort, lists[h.SrcPort])] = []any{list}
 			lists[h.SrcPort]++
 		}
+		switch h.SrcPort {
+		case inet.PortRTSPCtl:
+			rtsp[fmt.Sprintf("golden-response-%d", len(rtsp))] = []any{payload}
+		case inet.PortRDTData:
+			if dh, _, err := rdt.ParseData(payload); err == nil && len(seqs) < rdtSeqs {
+				seqs = append(seqs, dh.Seq)
+			}
+		}
+	}
+	var gaps []uint32
+	for i := 0; i < len(seqs); i += 2 {
+		gaps = append(gaps, seqs[i])
+	}
+	seqlists := map[string][]any{}
+	for name, list := range map[string][]uint32{"one": seqs[:1], "run": seqs[:4], "gaps": gaps} {
+		raw := make([]byte, 0, 4*len(list))
+		for _, s := range list {
+			raw = binary.BigEndian.AppendUint32(raw, s)
+		}
+		seqlists["golden-rdt-seqs-"+name] = []any{rdt.FormatSeqList(list), raw}
 	}
 	write("internal/inet/testdata/fuzz/FuzzParseUDP", udp)
 	sums := map[string][]any{}
@@ -86,6 +115,8 @@ func main() {
 	}
 	write("internal/inet/testdata/fuzz/FuzzChecksum", sums)
 	write("internal/segment/testdata/fuzz/FuzzDecodeListInto", seglists)
+	write("internal/rdt/testdata/fuzz/FuzzParseRTSP", rtsp)
+	write("internal/rdt/testdata/fuzz/FuzzSeqList", seqlists)
 }
 
 // segmentList extracts the encoded segment list from a data-channel
@@ -127,6 +158,8 @@ func write(dir string, entries map[string][]any) {
 				b = fmt.Appendf(b, "uint32(%d)\n", v)
 			case []byte:
 				b = fmt.Appendf(b, "[]byte(%q)\n", v)
+			case string:
+				b = fmt.Appendf(b, "string(%q)\n", v)
 			}
 		}
 		if err := os.WriteFile(filepath.Join(dir, name), b, 0o644); err != nil {

@@ -214,11 +214,9 @@ const (
 	SeedCommon = core.SeedCommon
 	// SeedPerCell gives every cell an independent random stream.
 	SeedPerCell = core.SeedPerCell
-	// RetainTraces keeps each run's full packet capture (the default).
+	// RetainTraces keeps each run's full packet capture (the default);
+	// the figure generators need it.
 	RetainTraces = core.RetainTraces
-	// DropTracesAfterProfile profiles each run's flows, then releases the
-	// raw capture to bound memory on huge matrices.
-	DropTracesAfterProfile = core.DropTracesAfterProfile
 	// StreamProfiles never stores records at all: captured packets stream
 	// through online per-flow analyzers and profiles come back in
 	// RunResult.Comparison, exactly equal to trace-derived ones. Sweeps
@@ -251,25 +249,14 @@ func WithContext(ctx context.Context) RunnerOption { return core.WithContext(ctx
 // progress on long sweeps.
 func WithProgress(fn func(Progress)) RunnerOption { return core.WithProgress(fn) }
 
-// WithTraceRetention selects what each completed run keeps (RetainTraces
-// or DropTracesAfterProfile).
+// WithTraceRetention selects what each completed run keeps: RetainTraces
+// (full captures, for figures) or StreamProfiles (profiles only, for
+// sweeps).
 func WithTraceRetention(tr TraceRetention) RunnerOption { return core.WithTraceRetention(tr) }
 
-// WithFreshTestbeds disables the Runner's per-worker testbed reuse: every
-// cell builds its apparatus from scratch, the pre-reuse behaviour. Runs
-// are byte-identical either way; fresh mode trades speed for nothing and
-// exists for A/B measurement and debugging.
-func WithFreshTestbeds() RunnerOption { return core.WithFreshTestbeds() }
-
-// WithTimingWheel switches each run's event scheduler from the 4-ary heap
-// to the hierarchical timing wheel. Firing order — and therefore every
-// run byte — is identical; the wheel trades heap re-ordering for O(1)
-// bucket pushes on dense timer workloads.
-func WithTimingWheel() RunnerOption { return core.WithTimingWheel() }
-
 // WithSweepStats registers a callback receiving the sweep's aggregate
-// testbed-economy counters (testbeds built vs reused, wheel occupancy
-// high-water) after the last cell completes.
+// testbed-economy counters (testbeds built vs reused) after the last cell
+// completes.
 func WithSweepStats(fn func(SweepStats)) RunnerOption { return core.WithSweepStats(fn) }
 
 // WithMetrics installs a MetricsSink on the Runner: every completed cell
@@ -290,10 +277,10 @@ func OpenResultStore(dir string, logf func(format string, args ...any)) (*Result
 }
 
 // WithResultStore installs a result store as the Runner's read-through
-// cache: under the drop/stream retentions, cells whose digest is present
-// are served from the store without simulating, and freshly simulated
-// cells are inserted for the next sweep. Under RetainTraces the store is
-// bypassed (it holds profiles, not packet captures). Served results are
+// cache: under StreamProfiles, cells whose digest is present are served
+// from the store without simulating, and freshly simulated cells are
+// inserted for the next sweep. Under RetainTraces the store is bypassed
+// (it holds profiles, not packet captures). Served results are
 // byte-identical to simulated ones.
 func WithResultStore(s *ResultStore) RunnerOption { return core.WithResultStore(s) }
 
@@ -616,8 +603,8 @@ func NewExperimentContext(seed int64) *ExperimentContext {
 func ExperimentIDs() []string { return experiments.IDs() }
 
 // ExperimentTraceFree reports whether an experiment regenerates without
-// retained packet captures — the set that works under the drop/stream
-// trace retentions.
+// retained packet captures — the set that works under the StreamProfiles
+// trace retention.
 func ExperimentTraceFree(id string) bool { return experiments.TraceFree(id) }
 
 // RunExperiment regenerates one paper table/figure by id ("table1",
