@@ -104,6 +104,46 @@ func BenchmarkPairRunNetem(b *testing.B) {
 	}
 }
 
+// BenchmarkNAKRecovery is the layer benchmark of RealPlayer NAK recovery
+// (internal/rdt): one forced-overflow cell on a warm single-worker Runner
+// — set 2 high under flash-crowd at the reference seed, where the
+// bottleneck queue overflows and the player recovers the lost packets by
+// NAK and retransmission. Besides allocs/op it reports ns/retransmit, the
+// cell's time per retransmitted packet the player recovered.
+func BenchmarkNAKRecovery(b *testing.B) {
+	sc, err := turbulence.FindScenario("flash-crowd")
+	if err != nil {
+		b.Fatal(err)
+	}
+	plan := turbulence.NewPlan(2002).
+		ForPairs(turbulence.PairKey{Set: 2, Class: turbulence.High}).
+		UnderScenarios(sc)
+	runner := turbulence.NewRunner(
+		turbulence.WithWorkers(1),
+		turbulence.WithTraceRetention(turbulence.StreamProfiles),
+	)
+	cell := func() (recovered int) {
+		for res := range runner.Seq(plan) {
+			if res.Err != nil {
+				b.Fatal(res.Err)
+			}
+			if res.Run.Downlink.DroppedFull == 0 || res.Run.Real.PacketsRecovered == 0 {
+				b.Fatal("cell has no queue overflow to recover from")
+			}
+			recovered = res.Run.Real.PacketsRecovered
+		}
+		return recovered
+	}
+	cell() // warm the runner's testbed and pools
+	b.ReportAllocs()
+	b.ResetTimer()
+	recovered := 0
+	for i := 0; i < b.N; i++ {
+		recovered += cell()
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(recovered), "ns/retransmit")
+}
+
 // BenchmarkRunAllSequential regenerates all 13 Table 1 pair experiments on
 // one core — the workload behind every all-data-set figure.
 func BenchmarkRunAllSequential(b *testing.B) {

@@ -2,7 +2,7 @@ package rdt
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"strconv"
 	"time"
 
@@ -90,13 +90,19 @@ type PlayerEvents struct {
 type Player struct {
 	host     transport.Transport
 	server   inet.Addr
-	clipRef  string
+	url      string // rtsp://server/clipRef, formatted once
 	ctlPort  inet.Port
 	dataPort inet.Port
 	// segScratch is the per-packet segment-decode buffer, reused so the
 	// receive path does not allocate per data packet.
 	segScratch []segment.Segment
-	events     PlayerEvents
+	// Request scratch, reused so the periodic REPORT and the NAK timer
+	// do not allocate: reqBuf holds the encoded request, hdrBuf its header
+	// value, nakSeqs the sorted batch of missing sequence numbers.
+	reqBuf  []byte
+	hdrBuf  []byte
+	nakSeqs []uint32
+	events  PlayerEvents
 
 	state State
 	meta  Meta
@@ -147,7 +153,7 @@ func NewPlayerOn(t transport.Transport, server inet.Addr, clipRef string, ctlPor
 	return &Player{
 		host:     t,
 		server:   server,
-		clipRef:  clipRef,
+		url:      fmt.Sprintf("rtsp://%s/%s", server, clipRef),
 		ctlPort:  ctlPort,
 		dataPort: dataPort,
 		events:   ev,
@@ -173,7 +179,7 @@ func (p *Player) State() State { return p.state }
 func (p *Player) Meta() Meta { return p.meta }
 
 // URL returns the clip's RTSP URL.
-func (p *Player) URL() string { return fmt.Sprintf("rtsp://%s/%s", p.server, p.clipRef) }
+func (p *Player) URL() string { return p.url }
 
 // Start begins the session.
 func (p *Player) Start() {
@@ -201,11 +207,18 @@ func (p *Player) serverCtl() inet.Endpoint {
 	return inet.Endpoint{Addr: p.server, Port: inet.PortRTSPCtl}
 }
 
-func (p *Player) request(method string, headers map[string]string) {
+// request sends method with the given headers, encoded into the reused
+// request buffer (SendUDP lets the payload be reused once it returns).
+func (p *Player) request(method string, headers ...Header) {
 	p.cseq++
-	p.host.SendUDP(p.ctlPort, p.serverCtl(), MarshalRequest(Request{
-		Method: method, URL: p.URL(), CSeq: p.cseq, Headers: headers,
-	}))
+	p.reqBuf = AppendRequest(p.reqBuf[:0], method, p.url, p.cseq, headers...)
+	p.host.SendUDP(p.ctlPort, p.serverCtl(), p.reqBuf)
+}
+
+// requestInt sends method with one integer-valued header.
+func (p *Player) requestInt(method, key string, v int) {
+	p.hdrBuf = strconv.AppendInt(p.hdrBuf[:0], int64(v), 10)
+	p.request(method, Header{Key: key, Value: p.hdrBuf})
 }
 
 func (p *Player) sendDescribe() {
@@ -217,7 +230,7 @@ func (p *Player) sendDescribe() {
 		return
 	}
 	p.retries++
-	p.request(MethodDescribe, nil)
+	p.request(MethodDescribe)
 	p.host.After(handshakeRetry, "rdt.describeRetry", func(eventsim.Time) { p.sendDescribe() })
 }
 
@@ -230,9 +243,7 @@ func (p *Player) sendSetup() {
 		return
 	}
 	p.retries++
-	p.request(MethodSetup, map[string]string{
-		"Client-Port": strconv.Itoa(int(p.dataPort)),
-	})
+	p.requestInt(MethodSetup, "Client-Port", int(p.dataPort))
 	p.host.After(handshakeRetry, "rdt.setupRetry", func(eventsim.Time) { p.sendSetup() })
 }
 
@@ -245,9 +256,7 @@ func (p *Player) sendPlay() {
 		return
 	}
 	p.retries++
-	p.request(MethodPlay, map[string]string{
-		"Bandwidth": strconv.Itoa(int(p.BandwidthEstimate)),
-	})
+	p.requestInt(MethodPlay, "Bandwidth", int(p.BandwidthEstimate))
 	p.host.After(handshakeRetry, "rdt.playRetry", func(eventsim.Time) { p.sendPlay() })
 }
 
@@ -346,29 +355,30 @@ func (p *Player) startReporting() {
 	if p.stopReport != nil {
 		return
 	}
-	missedSoFar := func() int {
-		// Recovered packets no longer count as missing; report the gross
-		// gap count seen this interval via received+missing deltas.
-		return len(p.missing) + p.PacketsRecovered
+	p.stopReport = p.host.Ticker(ReportInterval, "rdt.report", p.report)
+}
+
+// report is one reception-report tick: the interval's loss in permille.
+func (p *Player) report(eventsim.Time) bool {
+	if p.state != Buffering && p.state != Playing {
+		return false
 	}
-	p.stopReport = p.host.Ticker(ReportInterval, "rdt.report", func(eventsim.Time) bool {
-		if p.state != Buffering && p.state != Playing {
-			return false
-		}
-		recvDelta := p.PacketsReceived - p.rpLastRecv
-		missDelta := missedSoFar() - p.rpLastMiss
-		if missDelta < 0 {
-			missDelta = 0
-		}
-		p.rpLastRecv = p.PacketsReceived
-		p.rpLastMiss = missedSoFar()
-		permille := 0
-		if total := recvDelta + missDelta; total > 0 {
-			permille = missDelta * 1000 / total
-		}
-		p.request(MethodReport, map[string]string{"Loss": strconv.Itoa(permille)})
-		return true
-	})
+	// Recovered packets no longer count as missing; report the gross gap
+	// count seen this interval via received+missing deltas.
+	missedSoFar := len(p.missing) + p.PacketsRecovered
+	recvDelta := p.PacketsReceived - p.rpLastRecv
+	missDelta := missedSoFar - p.rpLastMiss
+	if missDelta < 0 {
+		missDelta = 0
+	}
+	p.rpLastRecv = p.PacketsReceived
+	p.rpLastMiss = missedSoFar
+	permille := 0
+	if total := recvDelta + missDelta; total > 0 {
+		permille = missDelta * 1000 / total
+	}
+	p.requestInt(MethodReport, "Loss", permille)
+	return true
 }
 
 func (p *Player) onMediaPacket(now eventsim.Time, payload []byte) {
@@ -422,21 +432,31 @@ func (p *Player) armNAK() {
 		return
 	}
 	p.nakArmed = true
-	p.host.After(nakDelay, "rdt.nak", func(eventsim.Time) {
-		p.nakArmed = false
-		if p.state == Done || len(p.missing) == 0 {
-			return
-		}
-		seqs := make([]uint32, 0, len(p.missing))
-		for s := range p.missing {
-			seqs = append(seqs, s)
-		}
-		// Sort the batch: map iteration order would otherwise leak into
-		// the NAK wire format and the server's retransmission order,
-		// breaking run-to-run determinism under bursty loss.
-		sort.Slice(seqs, func(i, j int) bool { return seqs[i] < seqs[j] })
-		p.request(MethodNAK, map[string]string{"Seqs": FormatSeqList(seqs)})
-	})
+	p.host.AfterArg(nakDelay, "rdt.nak", sendNAKStep, p)
+}
+
+// sendNAKStep is the NAK timer's static callback: passing the player as
+// the event argument keeps arming free of closure allocations.
+func sendNAKStep(_ eventsim.Time, arg any) { arg.(*Player).sendNAK() }
+
+// sendNAK requests retransmission of every sequence number still missing,
+// built in the player's reused scratch.
+func (p *Player) sendNAK() {
+	p.nakArmed = false
+	if p.state == Done || len(p.missing) == 0 {
+		return
+	}
+	seqs := p.nakSeqs[:0]
+	for s := range p.missing {
+		seqs = append(seqs, s)
+	}
+	// Sort the batch: map iteration order would otherwise leak into the
+	// NAK wire format and the server's retransmission order, breaking
+	// run-to-run determinism under bursty loss.
+	slices.Sort(seqs)
+	p.nakSeqs = seqs
+	p.hdrBuf = AppendSeqList(p.hdrBuf[:0], seqs)
+	p.request(MethodNAK, Header{Key: "Seqs", Value: p.hdrBuf})
 }
 
 func (p *Player) onEnd(finalSeq uint32) {
@@ -517,7 +537,7 @@ func (p *Player) finish(now eventsim.Time) {
 	}
 	p.FinishedAt = now
 	p.setState(Done)
-	p.request(MethodTeardown, nil)
+	p.request(MethodTeardown)
 	p.teardown()
 	if p.events.Done != nil {
 		p.events.Done(now)

@@ -18,7 +18,11 @@
 //   - At low encoding rates RealVideo keeps the frame rate high (~19 fps)
 //     at reduced spatial quality (paper §3.H, Figures 13-15).
 //   - Lost data packets are NAK'd and retransmitted once, feeding the
-//     "packets recovered" statistic RealTracker-class tools expose.
+//     "packets recovered" statistic RealTracker-class tools expose. The
+//     round trip allocates nothing per missing sequence number or per
+//     retransmitted packet: the player encodes each NAK in reused scratch,
+//     and the server parses it into a reused request and sends every
+//     retransmission from one reused buffer.
 package rdt
 
 import (
@@ -101,16 +105,41 @@ func (r *Response) FloatHeader(k string, def float64) float64 {
 	return v
 }
 
-// MarshalRequest renders the request in wire form.
-func MarshalRequest(r Request) []byte {
-	var b strings.Builder
-	fmt.Fprintf(&b, "%s %s %s\r\n", r.Method, r.URL, Version)
-	fmt.Fprintf(&b, "CSeq: %d\r\n", r.CSeq)
-	for _, k := range sortedKeys(r.Headers) {
-		fmt.Fprintf(&b, "%s: %s\r\n", k, r.Headers[k])
+// Header is one request header line: "Key: Value".
+type Header struct {
+	Key   string
+	Value []byte
+}
+
+// AppendRequest appends a request's wire form to dst and returns the
+// extended slice: the request line, CSeq, the headers in the order given,
+// and the blank line that ends the message. It uses neither fmt nor a
+// header map, so a caller encoding into a reused buffer (the player's
+// NAKs and REPORTs) allocates nothing.
+func AppendRequest(dst []byte, method, url string, cseq int, headers ...Header) []byte {
+	dst = append(dst, method...)
+	dst = append(dst, ' ')
+	dst = append(dst, url...)
+	dst = append(dst, " "+Version+"\r\nCSeq: "...)
+	dst = strconv.AppendInt(dst, int64(cseq), 10)
+	dst = append(dst, "\r\n"...)
+	for _, h := range headers {
+		dst = append(dst, h.Key...)
+		dst = append(dst, ": "...)
+		dst = append(dst, h.Value...)
+		dst = append(dst, "\r\n"...)
 	}
-	b.WriteString("\r\n")
-	return []byte(b.String())
+	return append(dst, "\r\n"...)
+}
+
+// MarshalRequest renders the request in wire form, headers in key order.
+func MarshalRequest(r Request) []byte {
+	keys := sortedKeys(r.Headers)
+	headers := make([]Header, len(keys))
+	for i, k := range keys {
+		headers[i] = Header{Key: k, Value: []byte(r.Headers[k])}
+	}
+	return AppendRequest(nil, r.Method, r.URL, r.CSeq, headers...)
 }
 
 // MarshalResponse renders the response in wire form.
@@ -154,99 +183,132 @@ func sortedKeys(m map[string]string) []string {
 // IsRequest peeks whether the wire bytes are a request (method first) or a
 // response (version first).
 func IsRequest(b []byte) bool {
-	return !strings.HasPrefix(string(b), Version)
+	return len(b) < len(Version) || string(b[:len(Version)]) != Version
 }
 
 // ParseRequest decodes a request.
 func ParseRequest(b []byte) (Request, error) {
-	lines, err := splitLines(b)
-	if err != nil {
+	var req Request
+	if err := ParseRequestInto(&req, b); err != nil {
 		return Request{}, err
 	}
-	parts := strings.SplitN(lines[0], " ", 3)
-	if len(parts) != 3 {
-		return Request{}, fmt.Errorf("%w: request line %q", ErrMalformed, lines[0])
-	}
-	if parts[2] != Version {
-		return Request{}, ErrVersion
-	}
-	req := Request{Method: parts[0], URL: parts[1], Headers: make(map[string]string)}
-	if err := parseHeaders(lines[1:], req.Headers); err != nil {
-		return Request{}, err
-	}
-	req.CSeq, _ = strconv.Atoi(req.Headers["CSeq"])
-	delete(req.Headers, "CSeq")
 	return req, nil
+}
+
+// ParseRequestInto decodes a request into req, reusing req.Headers: the
+// map is cleared and refilled (made when nil), so a caller that parses
+// every request into one Request allocates only the message's string
+// form. Method, URL and header values are substrings of it. On error req
+// holds a partial parse.
+func ParseRequestInto(req *Request, b []byte) error {
+	if req.Headers == nil {
+		req.Headers = make(map[string]string)
+	}
+	clear(req.Headers)
+	first, err := parseMessage(b, req.Headers)
+	if err != nil {
+		return err
+	}
+	method, rest, ok1 := strings.Cut(first, " ")
+	url, version, ok2 := strings.Cut(rest, " ")
+	if !ok1 || !ok2 {
+		return fmt.Errorf("%w: request line %q", ErrMalformed, first)
+	}
+	if version != Version {
+		return ErrVersion
+	}
+	req.Method, req.URL = method, url
+	req.CSeq = takeCSeq(req.Headers)
+	return nil
 }
 
 // ParseResponse decodes a response.
 func ParseResponse(b []byte) (Response, error) {
-	lines, err := splitLines(b)
+	headers := make(map[string]string)
+	first, err := parseMessage(b, headers)
 	if err != nil {
 		return Response{}, err
 	}
-	parts := strings.SplitN(lines[0], " ", 3)
-	if len(parts) < 2 || parts[0] != Version {
-		return Response{}, fmt.Errorf("%w: status line %q", ErrMalformed, lines[0])
+	version, rest, ok := strings.Cut(first, " ")
+	if !ok || version != Version {
+		return Response{}, fmt.Errorf("%w: status line %q", ErrMalformed, first)
 	}
-	status, err := strconv.Atoi(parts[1])
+	code, reason, _ := strings.Cut(rest, " ")
+	status, err := strconv.Atoi(code)
 	if err != nil {
-		return Response{}, fmt.Errorf("%w: status %q", ErrMalformed, parts[1])
+		return Response{}, fmt.Errorf("%w: status %q", ErrMalformed, code)
 	}
 	// An absent or empty reason phrase takes the default MarshalResponse
 	// would write, so a parsed response re-marshals to what it parsed from.
-	resp := Response{Status: status, Reason: reasonFor(status), Headers: make(map[string]string)}
-	if len(parts) == 3 && parts[2] != "" {
-		resp.Reason = parts[2]
+	if reason == "" {
+		reason = reasonFor(status)
 	}
-	if err := parseHeaders(lines[1:], resp.Headers); err != nil {
-		return Response{}, err
-	}
-	resp.CSeq, _ = strconv.Atoi(resp.Headers["CSeq"])
-	delete(resp.Headers, "CSeq")
-	return resp, nil
+	return Response{Status: status, Reason: reason, CSeq: takeCSeq(headers), Headers: headers}, nil
 }
 
-func splitLines(b []byte) ([]string, error) {
+// parseMessage checks a message's "\r\n\r\n" terminator, adds each
+// "Key: Value" header line to into (both sides trimmed; a repeated key
+// keeps its last value) and returns the first line. It walks the lines
+// with strings.Cut over one string conversion of b, so nothing is split
+// into slices.
+func parseMessage(b []byte, into map[string]string) (string, error) {
 	s := string(b)
-	if !strings.HasSuffix(s, "\r\n\r\n") {
-		return nil, fmt.Errorf("%w: missing terminator", ErrMalformed)
+	body, ok := strings.CutSuffix(s, "\r\n\r\n")
+	if !ok {
+		return "", fmt.Errorf("%w: missing terminator", ErrMalformed)
 	}
-	lines := strings.Split(strings.TrimSuffix(s, "\r\n\r\n"), "\r\n")
-	if len(lines) == 0 || lines[0] == "" {
-		return nil, fmt.Errorf("%w: empty message", ErrMalformed)
+	first, rest, more := strings.Cut(body, "\r\n")
+	if first == "" {
+		return "", fmt.Errorf("%w: empty message", ErrMalformed)
 	}
-	return lines, nil
-}
-
-func parseHeaders(lines []string, into map[string]string) error {
-	for _, ln := range lines {
+	for more {
+		var ln string
+		ln, rest, more = strings.Cut(rest, "\r\n")
 		k, v, ok := strings.Cut(ln, ":")
 		if !ok {
-			return fmt.Errorf("%w: header %q", ErrMalformed, ln)
+			return "", fmt.Errorf("%w: header %q", ErrMalformed, ln)
 		}
 		into[strings.TrimSpace(k)] = strings.TrimSpace(v)
 	}
-	return nil
+	return first, nil
+}
+
+// takeCSeq removes the CSeq header from a parsed header set and returns
+// its value (0 when absent or not a number).
+func takeCSeq(headers map[string]string) int {
+	cseq, _ := strconv.Atoi(headers["CSeq"])
+	delete(headers, "CSeq")
+	return cseq
 }
 
 // ParseSeqList decodes a NAK "Seqs" header ("3,7,9") into sequence numbers.
-func ParseSeqList(s string) []uint32 {
-	var out []uint32
-	for _, part := range strings.Split(s, ",") {
-		v, err := strconv.ParseUint(strings.TrimSpace(part), 10, 32)
-		if err == nil {
-			out = append(out, uint32(v))
+func ParseSeqList(s string) []uint32 { return ParseSeqListInto(nil, s) }
+
+// ParseSeqListInto appends the sequence numbers of a NAK "Seqs" header to
+// dst and returns the extended slice. Entries are trimmed of white space;
+// an entry that is not a decimal uint32 is skipped.
+func ParseSeqListInto(dst []uint32, s string) []uint32 {
+	for more := true; more; {
+		var part string
+		part, s, more = strings.Cut(s, ",")
+		if v, err := strconv.ParseUint(strings.TrimSpace(part), 10, 32); err == nil {
+			dst = append(dst, uint32(v))
 		}
 	}
-	return out
+	return dst
 }
 
 // FormatSeqList renders sequence numbers for a NAK "Seqs" header.
-func FormatSeqList(seqs []uint32) string {
-	parts := make([]string, len(seqs))
+func FormatSeqList(seqs []uint32) string { return string(AppendSeqList(nil, seqs)) }
+
+// AppendSeqList appends the NAK "Seqs" header form of seqs ("3,7,9") to
+// dst and returns the extended slice.
+func AppendSeqList(dst []byte, seqs []uint32) []byte {
 	for i, s := range seqs {
-		parts[i] = strconv.FormatUint(uint64(s), 10)
+		if i > 0 {
+			dst = append(dst, ',')
+		}
+		dst = strconv.AppendUint(dst, uint64(s), 10)
 	}
-	return strings.Join(parts, ",")
+	return dst
 }

@@ -100,6 +100,13 @@ type Server struct {
 	// the control port without allocating a method value.
 	ctrlFn transport.UDPHandler
 
+	// Control-path scratch, reused across requests. req is every parsed
+	// request (its header map is cleared and refilled per parse), nakSeqs
+	// a NAK's decoded Seqs, and resent the retransmission being sent.
+	req     Request
+	nakSeqs []uint32
+	resent  []byte
+
 	// Packet-economy pools, owned by the server so they survive both
 	// session teardown and Reset: freePkts recycles data-packet buffers
 	// evicted from resend windows, and ringPool recycles whole resend
@@ -170,6 +177,7 @@ func NewServerOn(t transport.Transport) *Server {
 		rng:      t.RNG("rdt.server"),
 		clips:    make(map[string]media.Clip),
 		sessions: make(map[inet.Endpoint]*session),
+		req:      Request{Headers: make(map[string]string)},
 	}
 	s.ctrlFn = s.onControl
 	t.BindUDP(inet.PortRTSPCtl, s.ctrlFn)
@@ -231,14 +239,18 @@ func (s *Server) reply(to inet.Endpoint, resp Response) {
 	s.host.SendUDP(inet.PortRTSPCtl, to, MarshalResponse(resp))
 }
 
+// onControl dispatches a control request. Every request parses into the
+// server's one Request, so the handlers receive a header map that the next
+// request overwrites; none keeps it (or the Method, URL and header
+// strings) past its call.
 func (s *Server) onControl(now eventsim.Time, from inet.Endpoint, payload []byte) {
 	if !IsRequest(payload) {
 		return
 	}
-	req, err := ParseRequest(payload)
-	if err != nil {
+	if ParseRequestInto(&s.req, payload) != nil {
 		return
 	}
+	req := s.req
 	switch req.Method {
 	case MethodDescribe:
 		s.handleDescribe(from, req)
@@ -349,18 +361,21 @@ func (s *Server) handleTeardown(from inet.Endpoint, req Request) {
 }
 
 // handleNAK retransmits requested packets from the resend window, marked
-// with FlagRetrans.
+// with FlagRetrans. Each copy is made in the server's one retransmission
+// buffer, which SendUDP lets the next packet reuse, so the window's
+// packets stay unmarked and a NAK allocates nothing per listed seq.
 func (s *Server) handleNAK(from inet.Endpoint, req Request) {
 	sess := s.sessions[from]
 	if sess == nil {
 		return
 	}
 	s.NAKsReceived++
-	for _, seq := range ParseSeqList(req.Header("Seqs")) {
+	s.nakSeqs = ParseSeqListInto(s.nakSeqs[:0], req.Header("Seqs"))
+	for _, seq := range s.nakSeqs {
 		if pkt := sess.resendPkt(seq); pkt != nil {
-			resent := append([]byte(nil), pkt...)
-			resent[9] |= FlagRetrans
-			s.host.SendUDP(inet.PortRDTData, sess.data, resent)
+			s.resent = append(s.resent[:0], pkt...)
+			s.resent[9] |= FlagRetrans
+			s.host.SendUDP(inet.PortRDTData, sess.data, s.resent)
 			s.Resent++
 		}
 	}

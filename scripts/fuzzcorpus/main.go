@@ -4,14 +4,22 @@
 // the run's packets, reassembles fragment trains, and writes the first
 // datagram of every UDP flow, the first reassembled Windows Media data
 // unit, the first few segment lists of each player, every RTSP response
-// the client received and lists of RealPlayer data-packet sequence
-// numbers (NAK "Seqs" headers), in the `go test fuzz v1` format, to
+// the client received, lists of RealPlayer data-packet sequence numbers
+// (NAK "Seqs" headers) and the first RDT data-channel packet of each kind
+// (a data packet, a probe, the end marker), in the `go test fuzz v1`
+// format, to
 //
 //	internal/inet/testdata/fuzz/FuzzChecksum/
 //	internal/inet/testdata/fuzz/FuzzParseUDP/
 //	internal/segment/testdata/fuzz/FuzzDecodeListInto/
 //	internal/rdt/testdata/fuzz/FuzzParseRTSP/
 //	internal/rdt/testdata/fuzz/FuzzSeqList/
+//	internal/rdt/testdata/fuzz/FuzzParseData/
+//
+// The golden run loses no RealPlayer packet, so the RDT corpus takes its
+// retransmitted (FlagRetrans) data packet from the forced-overflow cell
+// BenchmarkNAKRecovery runs: the same pair and seed under the flash-crowd
+// scenario, whose bottleneck queue overflows.
 //
 // Run from the repository root: go run ./scripts/fuzzcorpus
 // The output is deterministic, so a rerun rewrites identical files.
@@ -27,6 +35,7 @@ import (
 	"turbulence/internal/core"
 	"turbulence/internal/inet"
 	"turbulence/internal/media"
+	"turbulence/internal/netem"
 	"turbulence/internal/rdt"
 	"turbulence/internal/wms"
 )
@@ -41,7 +50,8 @@ const rdtSeqs = 8
 
 func main() {
 	key := core.PairKey{Set: 2, Class: media.High}
-	run, err := core.RunPairWith(core.SeedFor(2002, key), key.Set, key.Class, core.Options{})
+	seed := core.SeedFor(2002, key)
+	run, err := core.RunPairWith(seed, key.Set, key.Class, core.Options{})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -53,6 +63,7 @@ func main() {
 		udp      = map[string][]any{}
 		seglists = map[string][]any{}
 		rtsp     = map[string][]any{}
+		rdtData  = map[string][]any{}
 		seqs     []uint32
 	)
 	for i := 0; i < run.Trace.Len(); i++ {
@@ -93,6 +104,9 @@ func main() {
 			if dh, _, err := rdt.ParseData(payload); err == nil && len(seqs) < rdtSeqs {
 				seqs = append(seqs, dh.Seq)
 			}
+			if name := rdtPacketName(payload); name != "" && rdtData[name] == nil {
+				rdtData[name] = []any{payload}
+			}
 		}
 	}
 	var gaps []uint32
@@ -117,6 +131,56 @@ func main() {
 	write("internal/segment/testdata/fuzz/FuzzDecodeListInto", seglists)
 	write("internal/rdt/testdata/fuzz/FuzzParseRTSP", rtsp)
 	write("internal/rdt/testdata/fuzz/FuzzSeqList", seqlists)
+	flashCrowd, err := netem.Find("flash-crowd")
+	if err != nil {
+		log.Fatal(err)
+	}
+	overflow, err := core.RunPairWith(seed, key.Set, key.Class, core.Options{Scenario: flashCrowd})
+	if err != nil {
+		log.Fatal(err)
+	}
+	if resent := firstRetransmission(overflow); resent != nil {
+		rdtData["golden-rdt-retrans"] = []any{resent}
+	}
+	if len(rdtData) != 4 {
+		log.Fatalf("found %d of the 4 RDT data-channel packet kinds", len(rdtData))
+	}
+	write("internal/rdt/testdata/fuzz/FuzzParseData", rdtData)
+}
+
+// firstRetransmission returns the first FlagRetrans RDT data packet the
+// client received in run, or nil. RDT packets stay below the MTU, so none
+// is fragmented.
+func firstRetransmission(run *core.PairRun) []byte {
+	for i := 0; i < run.Trace.Len(); i++ {
+		d, err := inet.ParseDatagram(run.Trace.At(i).Raw())
+		if err != nil || d.Header.Protocol != inet.ProtoUDP || d.Header.IsFragment() {
+			continue
+		}
+		h, payload, err := inet.ParseUDP(d.Header.Src, d.Header.Dst, d.Payload)
+		if err != nil || h.SrcPort != inet.PortRDTData {
+			continue
+		}
+		if dh, _, err := rdt.ParseData(payload); err == nil && dh.Flags&rdt.FlagRetrans != 0 {
+			return payload
+		}
+	}
+	return nil
+}
+
+// rdtPacketName names an RDT data-channel packet's corpus entry by its
+// kind ("" for an undecodable packet).
+func rdtPacketName(payload []byte) string {
+	if h, _, err := rdt.ParseData(payload); err == nil && h.Flags&rdt.FlagRetrans == 0 {
+		return "golden-rdt-data"
+	}
+	if _, err := rdt.ParseProbe(payload); err == nil {
+		return "golden-rdt-probe"
+	}
+	if _, err := rdt.ParseEnd(payload); err == nil {
+		return "golden-rdt-end"
+	}
+	return ""
 }
 
 // segmentList extracts the encoded segment list from a data-channel
