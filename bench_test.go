@@ -11,10 +11,12 @@ import (
 	"time"
 
 	"turbulence"
+	"turbulence/internal/capture"
 	"turbulence/internal/eventsim"
 	"turbulence/internal/inet"
 	"turbulence/internal/netem"
 	"turbulence/internal/netsim"
+	"turbulence/internal/racecheck"
 	"turbulence/internal/segment"
 )
 
@@ -268,6 +270,72 @@ func BenchmarkProfileFlow(b *testing.B) {
 		if p.Packets == 0 {
 			b.Fatal("empty profile")
 		}
+	}
+}
+
+// goldenRecords materialises every record of the golden-seed 2/high pair
+// run's retained capture, so demux replays measure routing and analysis
+// only, not reading the columnar store.
+func goldenRecords(tb testing.TB) []capture.Record {
+	tb.Helper()
+	run, err := turbulence.RunPair(2002, 2, turbulence.High)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	recs := make([]capture.Record, run.Trace.Len())
+	for i := range recs {
+		recs[i] = run.Trace.At(i)
+	}
+	return recs
+}
+
+// replayDemux resets a reused demux and feeds it every record, as a sweep
+// worker's pooled demux sees one StreamProfiles cell's capture.
+func replayDemux(dx *turbulence.FlowDemux, recs []capture.Record) {
+	dx.Reset()
+	for i := range recs {
+		dx.Observe(&recs[i])
+	}
+}
+
+// warmDemux returns a demux that has replayed recs twice: the first pass
+// discovers the flows and allocates the train tables; Reset recycles flow
+// analyzers last-in first-out, so the second pass hands each flow another
+// flow's analyzer and grows its tail ring once. From then on a replay
+// allocates nothing.
+func warmDemux(recs []capture.Record) *turbulence.FlowDemux {
+	dx := turbulence.NewFlowDemux()
+	replayDemux(dx, recs)
+	replayDemux(dx, recs)
+	return dx
+}
+
+// BenchmarkFlowDemuxObserve measures the online analysis a streamed cell
+// runs per captured record — FlowDemux routing (continuation fragments
+// included) plus FlowMetrics accumulation — over the golden-seed 2/high
+// capture, one reused demux Reset per replay. Reports ns/record.
+func BenchmarkFlowDemuxObserve(b *testing.B) {
+	recs := goldenRecords(b)
+	dx := warmDemux(recs)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		replayDemux(dx, recs)
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(recs)), "ns/record")
+}
+
+// TestFlowDemuxObserveAllocFree is the allocation pin for the path
+// BenchmarkFlowDemuxObserve measures: once a demux has settled on the
+// capture's flows, Reset and a full replay allocate nothing.
+func TestFlowDemuxObserveAllocFree(t *testing.T) {
+	if racecheck.Enabled {
+		t.Skip("allocation pins are unreliable under -race")
+	}
+	recs := goldenRecords(t)
+	dx := warmDemux(recs)
+	if allocs := testing.AllocsPerRun(5, func() { replayDemux(dx, recs) }); allocs > 0 {
+		t.Fatalf("replaying %d records allocates %.1f times, want 0", len(recs), allocs)
 	}
 }
 

@@ -380,7 +380,10 @@ func RunPairsWith(baseSeed int64, keys []PairKey, opts Options, workers int) ([]
 }
 
 // ScenarioRuns couples one scenario with its pair-run results, in key
-// order.
+// order. The runs keep what the executing Runner's TraceRetention keeps:
+// under StreamProfiles (the experiments harness's Context.Matrix) they
+// carry no Trace, WMPFlow or RealFlow, while player reports and path
+// stats are the same as under RetainTraces.
 type ScenarioRuns struct {
 	Scenario *netem.Scenario
 	Runs     []*PairRun

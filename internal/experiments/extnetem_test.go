@@ -1,6 +1,8 @@
 package experiments
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"strings"
 	"testing"
 
@@ -68,6 +70,36 @@ func TestExtNetemScenarios(t *testing.T) {
 		if !seen[name] {
 			t.Fatalf("scenario %s missing from matrix: %v", name, res.Rows)
 		}
+	}
+	// The whole report, byte for byte, as the retaining matrix rendered
+	// it before Context.Matrix streamed its cells.
+	const wantDigest = "3a45c3a1ae2b21a484627c4833e7b0b1e46dc96deb39458baa809f3999755cab"
+	sum := sha256.Sum256([]byte(res.String()))
+	if got := hex.EncodeToString(sum[:]); got != wantDigest {
+		t.Fatalf("report digest %s, want %s:\n%s", got, wantDigest, res)
+	}
+}
+
+// TestExtNetemScenariosTraceFree pins the extension's registration: it
+// never reads the context's Table 1 captures, so a StreamProfiles context
+// regenerates it, and the report equals a retaining context's.
+func TestExtNetemScenariosTraceFree(t *testing.T) {
+	if testing.Short() {
+		t.Skip("scenario matrix in -short mode")
+	}
+	if !TraceFree("ext-netem-scenarios") {
+		t.Fatal("ext-netem-scenarios not registered trace-free")
+	}
+	stream, err := Run(NewContext(2002).SetParallel(0).SetRetention(core.StreamProfiles), "ext-netem-scenarios")
+	if err != nil {
+		t.Fatal(err)
+	}
+	retain, err := Run(NewContext(2002).SetParallel(0), "ext-netem-scenarios")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := stream.String(), retain.String(); got != want {
+		t.Fatalf("report under StreamProfiles differs from RetainTraces:\n%s\nvs\n%s", got, want)
 	}
 }
 

@@ -187,9 +187,10 @@ func (c *Context) SetMetrics(s *obs.Sink) *Context {
 // from the store — experiments reduce the full player reports and packet
 // flows of a PairRun, which the store's Comparisons do not hold, so a
 // cache hit here would leave the experiment nothing to regenerate from.
-// Inserts need a Comparison, so pair it with
-// SetRetention(StreamProfiles) — under the default RetainTraces it is
-// inert.
+// Inserts need a Comparison, which only streamed cells carry: Matrix
+// sweeps always insert one per cell, the cached Table 1 sweep only under
+// SetRetention(StreamProfiles) — under the default RetainTraces it
+// inserts nothing.
 func (c *Context) SetResultStore(s core.ResultStore) *Context {
 	c.store = s
 	return c
@@ -209,8 +210,8 @@ func (insertOnly) LookupResult(core.PairKey, core.Options, int64) (*core.Compari
 // executes. With StreamProfiles the sweep never materialises a trace —
 // records stream through online analyzers — so only trace-free
 // experiments can regenerate from this context; Run reports which.
-// One-off runs (RunOne) and Matrix sweeps are unaffected: their consumers
-// own their runs and retention.
+// One-off runs (RunOne) are unaffected and always retain; Matrix sweeps
+// always stream (see Matrix).
 func (c *Context) SetRetention(tr core.TraceRetention) *Context {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -225,7 +226,7 @@ func (c *Context) SetRetention(tr core.TraceRetention) *Context {
 func (c *Context) Retention() core.TraceRetention { return c.retention }
 
 // runner assembles the Runner the context delegates execution to; extra
-// options (the cached sweep's retention) are appended last.
+// options (the sweep's retention) are appended last.
 func (c *Context) runner(extra ...core.RunnerOption) *core.Runner {
 	opts := []core.RunnerOption{core.WithWorkers(c.workers)}
 	if c.cancel != nil {
@@ -283,10 +284,15 @@ func (c *Context) RunOne(seed int64, set int, class media.Class, opts core.Optio
 }
 
 // Matrix executes a (pairs × scenarios) sweep through the context's
-// Runner, honouring SetParallel, SetCancel and SetProgress. Output is
-// byte-identical to core.RunScenarioMatrix at the same seed.
+// Runner, honouring SetParallel, SetCancel, SetProgress, SetMetrics and
+// SetResultStore. Its cells stream through online profiles
+// (core.StreamProfiles) whatever the context's Table 1 retention: the
+// rows' runs carry no Trace, WMPFlow or RealFlow, while their player
+// reports and path stats equal core.RunScenarioMatrix's at the same seed.
+// Matrix consumers reduce reports and drop counters only, so a sweep
+// holds O(workers) analyzer state instead of every cell's capture.
 func (c *Context) Matrix(seed int64, keys []core.PairKey, scenarios []*netem.Scenario) ([]core.ScenarioRuns, error) {
-	return c.runner().RunMatrix(seed, keys, scenarios)
+	return c.runner(core.WithTraceRetention(core.StreamProfiles)).RunMatrix(seed, keys, scenarios)
 }
 
 // SetScenario streams the context's Table 1 pair runs under a netem

@@ -2,11 +2,15 @@ package experiments
 
 import (
 	"context"
+	"fmt"
+	"reflect"
 	"strings"
+	"sync"
 	"testing"
 
 	"turbulence/internal/core"
 	"turbulence/internal/media"
+	"turbulence/internal/netem"
 	"turbulence/internal/resultstore"
 	"turbulence/internal/stats"
 )
@@ -197,5 +201,113 @@ func TestResultStoreWriteThroughOnly(t *testing.T) {
 	}
 	if s.Hits != 0 {
 		t.Fatalf("harness served %d cells from the store", s.Hits)
+	}
+}
+
+// matrixFixture is the small matrix the Context.Matrix contract tests
+// sweep: two low-rate pairs under two named scenarios.
+func matrixFixture(t *testing.T) ([]core.PairKey, []*netem.Scenario) {
+	t.Helper()
+	keys := []core.PairKey{{Set: 1, Class: media.Low}, {Set: 3, Class: media.Low}}
+	var scs []*netem.Scenario
+	for _, name := range []string{"paper-baseline", "lossy-wifi"} {
+		sc, err := netem.Find(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		scs = append(scs, sc)
+	}
+	return keys, scs
+}
+
+// TestContextMatrixStreamsProfiles pins the Matrix contract: cells stream
+// through online profiles, so no run carries a packet capture, while the
+// player reports and path stats every matrix consumer reduces equal a
+// retaining Runner's at the same seed.
+func TestContextMatrixStreamsProfiles(t *testing.T) {
+	keys, scs := matrixFixture(t)
+	const seed = 2002 + 803
+	got, err := NewContext(2002).SetParallel(0).Matrix(seed, keys, scs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := core.NewRunner(core.WithWorkers(1)).RunMatrix(seed, keys, scs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != len(want) {
+		t.Fatalf("rows = %d, want %d", len(got), len(want))
+	}
+	for i := range want {
+		if got[i].Scenario != want[i].Scenario || len(got[i].Runs) != len(want[i].Runs) {
+			t.Fatalf("row %d: scenario %v with %d runs, want %v with %d",
+				i, got[i].Scenario.Name, len(got[i].Runs), want[i].Scenario.Name, len(want[i].Runs))
+		}
+		for j, g := range got[i].Runs {
+			w := want[i].Runs[j]
+			where := fmt.Sprintf("%s %d/%v", want[i].Scenario.Name, keys[j].Set, keys[j].Class)
+			if g.Trace != nil || g.WMPFlow != nil || g.RealFlow != nil {
+				t.Errorf("%s: streamed run retains a capture", where)
+			}
+			if w.Trace == nil {
+				t.Fatalf("%s: retaining reference run has no trace", where)
+			}
+			if !reflect.DeepEqual(g.Real, w.Real) || !reflect.DeepEqual(g.WMP, w.WMP) {
+				t.Errorf("%s: player reports differ from the retaining run", where)
+			}
+			if g.Downlink != w.Downlink || g.Uplink != w.Uplink {
+				t.Errorf("%s: path stats differ: down %+v vs %+v, up %+v vs %+v",
+					where, g.Downlink, w.Downlink, g.Uplink, w.Uplink)
+			}
+		}
+	}
+}
+
+// countingStore is a core.ResultStore that counts calls and would serve
+// every lookup as a hit, so any lookup reaching it would replace a run.
+type countingStore struct {
+	mu               sync.Mutex
+	lookups, inserts int
+}
+
+func (s *countingStore) LookupResult(core.PairKey, core.Options, int64) (*core.Comparison, bool) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.lookups++
+	return &core.Comparison{}, true
+}
+
+func (s *countingStore) InsertResult(_ core.PairKey, _ core.Options, _ int64, cmp *core.Comparison) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if cmp != nil {
+		s.inserts++
+	}
+}
+
+// TestContextMatrixWritesThroughStore pins the store side of streamed
+// matrix cells: each cell carries a Comparison, so a context with a result
+// store inserts exactly one per cell — under the default Table 1
+// retention too — and never serves a cell from the store.
+func TestContextMatrixWritesThroughStore(t *testing.T) {
+	keys, scs := matrixFixture(t)
+	st := &countingStore{}
+	rows, err := NewContext(2002).SetParallel(0).SetResultStore(st).Matrix(2002+803, keys, scs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cells := len(keys) * len(scs)
+	if st.inserts != cells {
+		t.Fatalf("store saw %d inserts, want one per cell (%d)", st.inserts, cells)
+	}
+	if st.lookups != 0 {
+		t.Fatalf("store saw %d lookups, want 0 (insert-only)", st.lookups)
+	}
+	for _, row := range rows {
+		for _, run := range row.Runs {
+			if run == nil || run.Real == nil || run.WMP == nil {
+				t.Fatalf("%s: cell served from the store: missing player reports", row.Scenario.Name)
+			}
+		}
 	}
 }

@@ -35,7 +35,7 @@ set -euo pipefail
 
 cd "$(dirname "$0")/.."
 
-TRACKED='BenchmarkPairRun$|BenchmarkPairRunNetem|BenchmarkProfileFlow$|BenchmarkFilterMatch$|BenchmarkRunAllSequential$|BenchmarkRunAllParallel$|BenchmarkPlanStream$|BenchmarkPlanStreamOnline$|BenchmarkTestbedReset$|BenchmarkSchedulerDense|BenchmarkHopForward|BenchmarkUDPBuildParse|BenchmarkSegmentAppendList|BenchmarkNAKRecovery$'
+TRACKED='BenchmarkPairRun$|BenchmarkPairRunNetem|BenchmarkProfileFlow$|BenchmarkFilterMatch$|BenchmarkRunAllSequential$|BenchmarkRunAllParallel$|BenchmarkPlanStream$|BenchmarkPlanStreamOnline$|BenchmarkTestbedReset$|BenchmarkSchedulerDense|BenchmarkHopForward|BenchmarkUDPBuildParse|BenchmarkSegmentAppendList|BenchmarkNAKRecovery$|BenchmarkFlowDemuxObserve$'
 
 case "${1:-}" in
 baseline)
