@@ -69,7 +69,7 @@ func BenchmarkAblationSequential(b *testing.B)        { benchExperiment(b, "abla
 // streams over a 15-hop path, capture and analysis.
 func BenchmarkPairRun(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		run, err := turbulence.RunPair(2002, 2, turbulence.High)
+		run, err := turbulence.RunPair(2002, 2, turbulence.High, turbulence.Options{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -93,7 +93,7 @@ func BenchmarkPairRunNetem(b *testing.B) {
 		}
 		b.Run(name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				run, err := turbulence.RunPairWith(2002, 2, turbulence.High,
+				run, err := turbulence.RunPair(2002, 2, turbulence.High,
 					turbulence.Options{Scenario: sc})
 				if err != nil {
 					b.Fatal(err)
@@ -147,10 +147,12 @@ func BenchmarkNAKRecovery(b *testing.B) {
 }
 
 // BenchmarkRunAllSequential regenerates all 13 Table 1 pair experiments on
-// one core — the workload behind every all-data-set figure.
+// one core — the workload behind every all-data-set figure. Each iteration
+// runs the default Plan on a new sequential Runner, so no testbed carries
+// over between iterations.
 func BenchmarkRunAllSequential(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		runs, err := turbulence.RunAll(2002)
+		runs, err := turbulence.NewRunner(turbulence.WithWorkers(1)).Run(turbulence.NewPlan(2002))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -164,7 +166,7 @@ func BenchmarkRunAllSequential(b *testing.B) {
 // cores; results are byte-identical to the sequential run.
 func BenchmarkRunAllParallel(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		runs, err := turbulence.RunAllParallel(2002, 0)
+		runs, err := turbulence.NewRunner(turbulence.WithWorkers(0)).Run(turbulence.NewPlan(2002))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -241,7 +243,7 @@ func BenchmarkPlanStreamOnline(b *testing.B) {
 // BenchmarkFlowGeneration measures the Section IV synthetic generator
 // alone: one 60-second flow per iteration from a pre-fitted model.
 func BenchmarkFlowGeneration(b *testing.B) {
-	run, err := turbulence.RunPair(2002, 2, turbulence.High)
+	run, err := turbulence.RunPair(2002, 2, turbulence.High, turbulence.Options{})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -260,7 +262,7 @@ func BenchmarkFlowGeneration(b *testing.B) {
 // BenchmarkProfileFlow measures the turbulence analysis alone on a
 // captured high-rate flow.
 func BenchmarkProfileFlow(b *testing.B) {
-	run, err := turbulence.RunPair(2002, 1, turbulence.High)
+	run, err := turbulence.RunPair(2002, 1, turbulence.High, turbulence.Options{})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -278,7 +280,7 @@ func BenchmarkProfileFlow(b *testing.B) {
 // only, not reading the columnar store.
 func goldenRecords(tb testing.TB) []capture.Record {
 	tb.Helper()
-	run, err := turbulence.RunPair(2002, 2, turbulence.High)
+	run, err := turbulence.RunPair(2002, 2, turbulence.High, turbulence.Options{})
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -342,7 +344,7 @@ func TestFlowDemuxObserveAllocFree(t *testing.T) {
 // BenchmarkFilterMatch measures display-filter evaluation over a full
 // trace.
 func BenchmarkFilterMatch(b *testing.B) {
-	run, err := turbulence.RunPair(2002, 1, turbulence.High)
+	run, err := turbulence.RunPair(2002, 1, turbulence.High, turbulence.Options{})
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -10,6 +10,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -63,7 +64,7 @@ func captureCmd(args []string) {
 	if !ok {
 		fatal(fmt.Errorf("bad class %q", *className))
 	}
-	run, err := core.RunPair(*seed, *set, class)
+	run, err := core.RunPair(context.Background(), *seed, *set, class, core.Options{})
 	if err != nil {
 		fatal(err)
 	}

@@ -52,10 +52,8 @@
 // trace-free experiments: reports, probes, profiles).
 //
 // Every run is seeded: identical plans produce byte-identical traces, for
-// any worker count. The pre-Plan entry points (RunAll, RunAllParallel,
-// RunScenarioMatrix, core's RunPairs...) remain as thin wrappers over the
-// same engine, pinned byte-identical by test, but new sweep code should
-// build Plans.
+// any worker count, and each cell equals the one-off RunPair at the
+// cell's seed and options.
 //
 // # Sharding
 //
@@ -226,7 +224,7 @@
 // byte for byte:
 //
 //	sc, _ := turbulence.FindScenario("lossy-wifi")
-//	run, _ := turbulence.RunPairWith(2002, 1, turbulence.High,
+//	run, _ := turbulence.RunPair(2002, 1, turbulence.High,
 //		turbulence.Options{Scenario: sc})
 //	fmt.Println(run.Downlink) // model loss vs queue overflow vs AQM drops
 //

@@ -10,7 +10,7 @@ import (
 // ExampleRunPair runs the paper's unit experiment and prints the headline
 // contrast between the two players.
 func ExampleRunPair() {
-	run, err := turbulence.RunPair(2002, 1, turbulence.High)
+	run, err := turbulence.RunPair(2002, 1, turbulence.High, turbulence.Options{})
 	if err != nil {
 		panic(err)
 	}
@@ -24,7 +24,7 @@ func ExampleRunPair() {
 
 // ExampleCompileFilter shows the Ethereal-style display-filter language.
 func ExampleCompileFilter() {
-	run, err := turbulence.RunPair(2002, 1, turbulence.High)
+	run, err := turbulence.RunPair(2002, 1, turbulence.High, turbulence.Options{})
 	if err != nil {
 		panic(err)
 	}
@@ -47,7 +47,7 @@ func ExampleCompileFilter() {
 // from a measurement, then generate synthetic traffic with the same
 // turbulence.
 func ExampleFitModel() {
-	run, err := turbulence.RunPair(2002, 1, turbulence.High)
+	run, err := turbulence.RunPair(2002, 1, turbulence.High, turbulence.Options{})
 	if err != nil {
 		panic(err)
 	}

@@ -19,7 +19,7 @@ func main() {
 	w := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
 	fmt.Fprintln(w, "bottleneck\tplayer\tloss%\trecovered\tfps\tfps/encoded\tReal burst x")
 	for _, kbps := range []float64{900, 700, 550, 420} {
-		run, err := turbulence.RunPairWith(3001, 1, turbulence.High, turbulence.Options{
+		run, err := turbulence.RunPair(3001, 1, turbulence.High, turbulence.Options{
 			BottleneckBps: kbps * 1000,
 		})
 		if err != nil {

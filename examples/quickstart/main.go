@@ -11,7 +11,7 @@ import (
 )
 
 func main() {
-	run, err := turbulence.RunPair(2002, 1, turbulence.High)
+	run, err := turbulence.RunPair(2002, 1, turbulence.High, turbulence.Options{})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -32,7 +32,7 @@ func main() {
 	w := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
 	fmt.Fprintln(w, "scenario\tReal loss%\tReal fps\tWMP loss%\tWMP fps\tlink drops\tqueue drops\taqm drops")
 	for _, sc := range turbulence.Scenarios() {
-		run, err := turbulence.RunPairWith(4001, 1, turbulence.High, turbulence.Options{Scenario: sc})
+		run, err := turbulence.RunPair(4001, 1, turbulence.High, turbulence.Options{Scenario: sc})
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -15,7 +15,7 @@ import (
 func main() {
 	// Measure once: one high-rate pair gives us both players' models.
 	fmt.Println("fitting models from a measured pair run (set 1, high rate)...")
-	run, err := turbulence.RunPair(2002, 1, turbulence.High)
+	run, err := turbulence.RunPair(2002, 1, turbulence.High, turbulence.Options{})
 	if err != nil {
 		log.Fatal(err)
 	}

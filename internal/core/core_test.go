@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math"
 	"testing"
 	"time"
@@ -87,7 +88,7 @@ func TestAllPairsEnumeration(t *testing.T) {
 // TestRunPairHeadlineFindings executes the paper's unit experiment on the
 // shortest data set and asserts every §3 headline on the result.
 func TestRunPairHeadlineFindings(t *testing.T) {
-	run, err := RunPair(7, 2, media.High) // set 2: 39 s commercial, 268/307.2 Kbps
+	run, err := RunPair(context.Background(), 7, 2, media.High, Options{}) // set 2: 39 s commercial, 268/307.2 Kbps
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,7 +156,7 @@ func TestRunPairHeadlineFindings(t *testing.T) {
 }
 
 func TestRunPairLowRate(t *testing.T) {
-	run, err := RunPair(8, 3, media.Low) // set 3: 60 s sports, 36.5/37.9 Kbps
+	run, err := RunPair(context.Background(), 8, 3, media.Low, Options{}) // set 3: 60 s sports, 36.5/37.9 Kbps
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,20 +188,20 @@ func TestRunPairLowRate(t *testing.T) {
 }
 
 func TestRunPairErrors(t *testing.T) {
-	if _, err := RunPair(1, 99, media.Low); err == nil {
+	if _, err := RunPair(context.Background(), 1, 99, media.Low, Options{}); err == nil {
 		t.Fatal("unknown set accepted")
 	}
-	if _, err := RunPair(1, 1, media.VeryHigh); err == nil {
+	if _, err := RunPair(context.Background(), 1, 1, media.VeryHigh, Options{}); err == nil {
 		t.Fatal("missing class accepted")
 	}
 }
 
 func TestRunPairDeterminism(t *testing.T) {
-	a, err := RunPair(9, 2, media.Low)
+	a, err := RunPair(context.Background(), 9, 2, media.Low, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := RunPair(9, 2, media.Low)
+	b, err := RunPair(context.Background(), 9, 2, media.Low, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -222,7 +223,7 @@ func TestFlowModelRoundTrip(t *testing.T) {
 	// Section IV: fit a model from a measured flow, generate a synthetic
 	// flow, and verify the synthetic flow reproduces the measured
 	// turbulence profile.
-	run, err := RunPair(10, 2, media.High)
+	run, err := RunPair(context.Background(), 10, 2, media.High, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -266,7 +267,7 @@ func TestFlowModelRoundTrip(t *testing.T) {
 }
 
 func TestModelFromPair(t *testing.T) {
-	run, err := RunPair(11, 3, media.Low)
+	run, err := RunPair(context.Background(), 11, 3, media.Low, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -341,15 +342,16 @@ func rel(a, b float64) float64 {
 
 func TestRunSubset(t *testing.T) {
 	keys := []PairKey{{Set: 2, Class: media.Low}, {Set: 3, Class: media.Low}}
-	runs, err := RunSubset(12, keys)
+	results, err := NewRunner(WithWorkers(1)).Run(NewPlan(12).ForPairs(keys...))
 	if err != nil {
 		t.Fatal(err)
 	}
+	runs := PairRuns(results)
 	if len(runs) != 2 || runs[0].Set != 2 || runs[1].Set != 3 {
 		t.Fatalf("subset: %d runs", len(runs))
 	}
 	// Subset results equal standalone runs with the derived seeds.
-	solo, err := RunPair(SeedFor(12, keys[0]), 2, media.Low)
+	solo, err := RunPair(context.Background(), SeedFor(12, keys[0]), 2, media.Low, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -369,11 +371,11 @@ func TestDataEndpoints(t *testing.T) {
 
 func TestRunPairWithBottleneckOverride(t *testing.T) {
 	// Starving the bottleneck must hurt the WMP stream measurably.
-	healthy, err := RunPairWith(13, 1, media.High, Options{})
+	healthy, err := RunPair(context.Background(), 13, 1, media.High, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	starved, err := RunPairWith(13, 1, media.High, Options{BottleneckBps: 400e3})
+	starved, err := RunPair(context.Background(), 13, 1, media.High, Options{BottleneckBps: 400e3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -389,11 +391,11 @@ func TestRunPairWithBottleneckOverride(t *testing.T) {
 }
 
 func TestRunPairWithScalingReducesStarvedLoss(t *testing.T) {
-	base, err := RunPairWith(14, 1, media.High, Options{BottleneckBps: 500e3})
+	base, err := RunPair(context.Background(), 14, 1, media.High, Options{BottleneckBps: 500e3})
 	if err != nil {
 		t.Fatal(err)
 	}
-	scaled, err := RunPairWith(14, 1, media.High, Options{BottleneckBps: 500e3, EnableScaling: true})
+	scaled, err := RunPair(context.Background(), 14, 1, media.High, Options{BottleneckBps: 500e3, EnableScaling: true})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -36,10 +36,10 @@ func WMSPayloadDigest(clip media.Clip) (digest string, units int, err error) {
 		{Addr: inet.MakeAddr(10, 99, 0, 1), Bandwidth: 100e6, PropDelay: time.Millisecond},
 		{Addr: inet.MakeAddr(10, 99, 0, 2), Bandwidth: 100e6, PropDelay: time.Millisecond},
 	})
-	server := wms.NewServer(srv)
+	server := wms.NewServer(transport.NewSim(srv))
 	server.Register(clip.Name(), clip)
 	var dig wms.UnitDigest
-	player := wms.NewPlayer(client, liveServerAddr, clip.Name(), WMPCtlPort, WMPDataPort, wms.PlayerEvents{
+	player := wms.NewPlayer(transport.NewSim(client), liveServerAddr, clip.Name(), WMPCtlPort, WMPDataPort, wms.PlayerEvents{
 		DataUnit: func(_ eventsim.Time, seq uint32, payload []byte) { dig.Add(seq, payload) },
 	})
 	player.Start()
@@ -69,8 +69,8 @@ type LiveServers struct {
 func ServeLive(lt *transport.Live, logf func(format string, args ...any)) (*LiveServers, error) {
 	var ls LiveServers
 	lt.DoWait(func(eventsim.Time) {
-		ls.WMS = wms.NewServerOn(lt)
-		ls.RDT = rdt.NewServerOn(lt)
+		ls.WMS = wms.NewServer(lt)
+		ls.RDT = rdt.NewServer(lt)
 		for _, clip := range media.AllClips() {
 			if clip.Format == media.WindowsMedia {
 				ls.WMS.Register(clip.Name(), clip)
@@ -130,7 +130,7 @@ func PlayLive(lt *transport.Live, server inet.Addr, clip media.Clip, timeout tim
 			h, _, err := wms.ParseData(payload)
 			return h.Seq, err == nil
 		})
-		player = wms.NewPlayerOn(lt, server, clip.Name(), WMPCtlPort, WMPDataPort, wms.PlayerEvents{
+		player = wms.NewPlayer(lt, server, clip.Name(), WMPCtlPort, WMPDataPort, wms.PlayerEvents{
 			DataUnit: func(_ eventsim.Time, seq uint32, payload []byte) { dig.Add(seq, payload) },
 			SendError: func(_ eventsim.Time, err error) {
 				if logf != nil {

@@ -22,22 +22,23 @@ func recordsEqual(a, b capture.Record) bool {
 }
 
 // TestRunPairsParallelDeterminism is the determinism-under-parallelism
-// guarantee: fanning pair runs out across a worker pool must yield
+// guarantee: a Runner fanning pair runs out across a worker pool must yield
 // byte-identical traces and identical per-flow profiles to the sequential
 // path, in the same order.
 func TestRunPairsParallelDeterminism(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full pair runs in -short mode")
 	}
-	keys := AllPairs()[:4]
-	seq, err := RunPairs(77, keys, 1)
+	plan := NewPlan(77).ForPairs(AllPairs()[:4]...)
+	seqResults, err := NewRunner(WithWorkers(1)).Run(plan)
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := RunPairs(77, keys, 4)
+	parResults, err := NewRunner(WithWorkers(4)).Run(plan)
 	if err != nil {
 		t.Fatal(err)
 	}
+	seq, par := PairRuns(seqResults), PairRuns(parResults)
 	if len(seq) != len(par) {
 		t.Fatalf("result lengths differ: %d vs %d", len(seq), len(par))
 	}
@@ -67,10 +68,11 @@ func TestRunPairsParallelDeterminism(t *testing.T) {
 	}
 }
 
-// TestRunPairsErrorPropagates asserts the worker pool surfaces failures.
+// TestRunPairsErrorPropagates asserts the Runner's worker pool surfaces
+// failures.
 func TestRunPairsErrorPropagates(t *testing.T) {
-	keys := []PairKey{{Set: 1, Class: media.Low}, {Set: 99, Class: media.Low}}
-	if _, err := RunPairs(7, keys, 2); err == nil {
+	plan := NewPlan(7).ForPairs(PairKey{Set: 1, Class: media.Low}, PairKey{Set: 99, Class: media.Low})
+	if _, err := NewRunner(WithWorkers(2)).Run(plan); err == nil {
 		t.Fatal("unknown set did not error through the worker pool")
 	}
 }

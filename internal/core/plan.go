@@ -24,7 +24,7 @@ const (
 	// SeedCommon derives every cell's seed from the clip pair alone, so
 	// all scenarios and variants stream that pair under common random
 	// numbers: differences between cells reflect the treatment, not
-	// sampling noise. This is the policy of every legacy entry point.
+	// sampling noise. SeedFor implements it.
 	SeedCommon SeedPolicy = iota
 	// SeedPerCell additionally mixes the scenario and variant indices
 	// into the seed, making every cell an independent draw — for
@@ -55,7 +55,7 @@ type Plan struct {
 	// Variants lists the ablation-option points to cross with every
 	// (scenario, pair) (nil = the single faithful zero Variant).
 	Variants []Variant
-	// Seeds is the seed policy (default SeedCommon, the legacy policy).
+	// Seeds is the seed policy (default SeedCommon).
 	Seeds SeedPolicy
 
 	// shard/shards carve the strided slice {cell : Index%shards == shard};
@@ -296,9 +296,8 @@ func (p *Plan) Keys() []RunKey {
 }
 
 // Seed derives the cell's seed under the plan's policy. Under SeedCommon
-// it equals SeedFor(BaseSeed, k.Pair) — exactly how every legacy entry
-// point seeded the same pair, which is what keeps Runner output
-// byte-identical to them.
+// it equals SeedFor(BaseSeed, k.Pair), so a cell run one-off via RunPair
+// at Seed(k) and OptionsFor(k) is byte-identical to the Runner's.
 func (p *Plan) Seed(k RunKey) int64 {
 	s := SeedFor(p.BaseSeed, k.Pair)
 	if p.Seeds == SeedPerCell {
@@ -324,8 +323,8 @@ func MergeRuns(shards ...[]RunResult) []RunResult {
 }
 
 // PairRuns projects results onto their PairRun payloads, preserving order
-// — the bridge from the Runner API to the []*PairRun the analysis and
-// legacy surfaces consume.
+// — the bridge from the Runner API to the []*PairRun the analysis
+// consumes.
 func PairRuns(results []RunResult) []*PairRun {
 	out := make([]*PairRun, len(results))
 	for i, r := range results {

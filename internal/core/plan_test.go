@@ -158,49 +158,66 @@ func runsIdentical(t *testing.T, label string, a, b *PairRun) {
 	}
 }
 
-// TestRunnerMatchesLegacyEntryPoints is the acceptance pin for the API
-// redesign: a Runner executing the default Plan reproduces legacy RunAll
-// byte for byte at workers ∈ {1, 4, all}, and a scenario Plan reproduces
-// legacy RunScenarioMatrix the same way.
+// oneOffRuns is the reference every Runner sweep must reproduce: each
+// cell of plan run on its own via RunPair at plan.Seed(k) and
+// plan.OptionsFor(k), on a testbed built for that run alone.
+func oneOffRuns(t *testing.T, plan *Plan) []*PairRun {
+	t.Helper()
+	var out []*PairRun
+	for _, k := range plan.Keys() {
+		run, err := RunPair(context.Background(), plan.Seed(k), k.Pair.Set, k.Pair.Class, plan.OptionsFor(k))
+		if err != nil {
+			t.Fatalf("%s: %v", k, err)
+		}
+		out = append(out, run)
+	}
+	return out
+}
+
+// TestRunnerMatchesLegacyEntryPoints is the acceptance pin for the Plan
+// API: a Runner executing the default Plan reproduces the one-off RunPair
+// of every cell byte for byte at workers ∈ {1, 4, all}, and RunMatrix
+// groups a scenario Plan's cells into the right rows the same way.
 func TestRunnerMatchesLegacyEntryPoints(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full sweeps in -short mode")
 	}
-	legacy, err := RunAll(2002)
-	if err != nil {
-		t.Fatal(err)
-	}
+	plan := NewPlan(2002)
+	ref := oneOffRuns(t, plan)
 	for _, workers := range []int{1, 4, 0} {
-		results, err := NewRunner(WithWorkers(workers)).Run(NewPlan(2002))
+		results, err := NewRunner(WithWorkers(workers)).Run(plan)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
-		if len(results) != len(legacy) {
-			t.Fatalf("workers=%d: %d results, want %d", workers, len(results), len(legacy))
+		if len(results) != len(ref) {
+			t.Fatalf("workers=%d: %d results, want %d", workers, len(results), len(ref))
 		}
 		for i, res := range results {
 			if res.Err != nil || res.Seed != SeedFor(2002, res.Key.Pair) {
 				t.Fatalf("workers=%d cell %d: err=%v seed=%d", workers, i, res.Err, res.Seed)
 			}
-			runsIdentical(t, res.Key.String(), legacy[i], res.Run)
+			runsIdentical(t, res.Key.String(), ref[i], res.Run)
 		}
 	}
 
 	keys := []PairKey{{1, media.High}, {4, media.Low}}
 	scenarios := []*netem.Scenario{mustScenario(t, "dsl"), mustScenario(t, "lossy-wifi")}
-	matrix, err := RunScenarioMatrix(7, keys, scenarios, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	plan := NewPlan(7).ForPairs(keys...).UnderScenarios(scenarios...)
+	matrixRef := oneOffRuns(t, NewPlan(7).ForPairs(keys...).UnderScenarios(scenarios...))
 	for _, workers := range []int{1, 4, 0} {
-		results, err := NewRunner(WithWorkers(workers)).Run(plan)
+		rows, err := NewRunner(WithWorkers(workers)).RunMatrix(7, keys, scenarios)
 		if err != nil {
 			t.Fatalf("matrix workers=%d: %v", workers, err)
 		}
-		for _, res := range results {
-			want := matrix[res.Key.ScenarioIndex].Runs[res.Key.Index%len(keys)]
-			runsIdentical(t, res.Key.String(), want, res.Run)
+		if len(rows) != len(scenarios) {
+			t.Fatalf("matrix workers=%d: %d rows, want %d", workers, len(rows), len(scenarios))
+		}
+		for i, row := range rows {
+			if row.Scenario != scenarios[i] || len(row.Runs) != len(keys) {
+				t.Fatalf("matrix workers=%d row %d: scenario %v with %d runs", workers, i, row.Scenario, len(row.Runs))
+			}
+			for j, run := range row.Runs {
+				runsIdentical(t, fmt.Sprintf("%s/%v", row.Scenario.Name, keys[j]), matrixRef[i*len(keys)+j], run)
+			}
 		}
 	}
 }
@@ -301,6 +318,30 @@ func TestRunnerCancelMidSimulation(t *testing.T) {
 	}
 }
 
+// TestRunPairCancelMidSimulation pins the one-off path's interrupt: a
+// context cancelled 5 ms into a RunPair aborts the run between events and
+// returns context.Canceled, long before the same run would reach its end.
+func TestRunPairCancelMidSimulation(t *testing.T) {
+	start := time.Now()
+	if _, err := RunPair(context.Background(), 2002, 6, media.VeryHigh, Options{}); err != nil {
+		t.Fatal(err)
+	}
+	full := time.Since(start)
+
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	time.AfterFunc(5*time.Millisecond, cancel)
+	start = time.Now()
+	run, err := RunPair(ctx, 2002, 6, media.VeryHigh, Options{})
+	elapsed := time.Since(start)
+	if err != context.Canceled || run != nil {
+		t.Fatalf("cancelled RunPair returned run %v, err %v; want nil, context.Canceled", run != nil, err)
+	}
+	if elapsed > full/2 {
+		t.Fatalf("cancelled run took %v, the whole run %v: the interrupt did not land mid-simulation", elapsed, full)
+	}
+}
+
 // TestRunnerStreamAndRetention pins the streaming surface: Seq delivers
 // every cell exactly once in completion order, StreamProfiles replaces raw
 // captures with profiles identical to what Compare computes on a retained
@@ -352,7 +393,7 @@ func TestRunnerStreamAndRetention(t *testing.T) {
 }
 
 // TestRunnerFailFast pins that a cell error stops later cells from
-// starting (the legacy sequential early-exit): with the failing cell
+// starting (the sequential early exit): with the failing cell
 // first in canonical order and one worker, nothing after it runs.
 func TestRunnerFailFast(t *testing.T) {
 	plan := NewPlan(7).ForPairs(PairKey{99, media.Low}, PairKey{1, media.Low})
@@ -384,8 +425,8 @@ func traceDigest(run *PairRun) uint64 {
 }
 
 // TestPairRunGoldenDigest anchors the engine to committed constants, so
-// "byte-identical to legacy" is checked against history rather than
-// against another path through the same code. The digests were recorded
+// "byte-identical" is checked against history rather than only against
+// another path through the same code. The digests were recorded
 // from this tree after diffing six experiment families byte-for-byte
 // against a pre-Plan/Runner build (PR 2 HEAD); any change to the
 // simulation's draws, packetisation or capture breaks them loudly.
@@ -403,7 +444,7 @@ func TestPairRunGoldenDigest(t *testing.T) {
 		if g.scenario != "" {
 			opts.Scenario = mustScenario(t, g.scenario)
 		}
-		run, err := RunPairWith(SeedFor(2002, PairKey{2, media.High}), 2, media.High, opts)
+		run, err := RunPair(context.Background(), SeedFor(2002, PairKey{2, media.High}), 2, media.High, opts)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -9,32 +9,20 @@ import (
 	"turbulence/internal/racecheck"
 )
 
-// WithFreshTestbeds disables per-worker testbed reuse: every cell builds
-// its apparatus from scratch, the pre-reuse behaviour. It is the oracle
-// the reuse identity pin compares against.
-func WithFreshTestbeds() RunnerOption {
-	return func(r *Runner) { r.fresh = true }
-}
-
 // TestReusedMatchesFresh is the reuse identity pin: reset-reused testbeds
 // must produce byte-identical traces to fresh construction, at every
-// worker count. The reference is a fresh-testbed sequential sweep; each
-// worker count is compared against it cell by cell via the full trace
-// digest.
+// worker count. The reference runs each cell one-off via RunPair, on a
+// testbed built for that run alone; each worker count is compared against
+// it cell by cell via the full trace digest.
 func TestReusedMatchesFresh(t *testing.T) {
 	plan := NewPlan(2002).
 		ForPairs(PairKey{2, media.High}, PairKey{4, media.Low}).
 		UnderScenarios(nil, mustScenario(t, "lossy-wifi"))
-	ref, err := NewRunner(WithWorkers(1), WithFreshTestbeds()).Run(plan)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(ref) != plan.Size() {
-		t.Fatalf("reference sweep yielded %d cells, want %d", len(ref), plan.Size())
-	}
+	keys := plan.Keys()
+	ref := oneOffRuns(t, plan)
 	refDigest := make([]uint64, len(ref))
-	for i, res := range ref {
-		refDigest[i] = traceDigest(res.Run)
+	for i, run := range ref {
+		refDigest[i] = traceDigest(run)
 	}
 
 	for _, workers := range []int{1, 4, 0} {
@@ -47,9 +35,9 @@ func TestReusedMatchesFresh(t *testing.T) {
 			t.Fatalf("workers=%d: %d cells, want %d", workers, len(got), len(ref))
 		}
 		for i := range got {
-			if got[i].Seed != ref[i].Seed || got[i].Key.Pair != ref[i].Key.Pair {
-				t.Fatalf("workers=%d: cell %d is %v seed %d, reference has %v seed %d",
-					workers, i, got[i].Key.Pair, got[i].Seed, ref[i].Key.Pair, ref[i].Seed)
+			if got[i].Key != keys[i] || got[i].Seed != plan.Seed(keys[i]) {
+				t.Fatalf("workers=%d: cell %d is %v seed %d, want %v seed %d",
+					workers, i, got[i].Key, got[i].Seed, keys[i], plan.Seed(keys[i]))
 			}
 			if d := traceDigest(got[i].Run); d != refDigest[i] {
 				t.Fatalf("workers=%d: cell %v trace digest %#x diverges from fresh run %#x",
@@ -113,7 +101,7 @@ func TestReusedRunAllocatesFarLess(t *testing.T) {
 		t.Fatal(err) // warm: builds the testbed and the pooled demux
 	}
 	reused := measure(cache)
-	fresh := measure(nil)
+	fresh := measure(NewTestbedCache())
 	if fresh < 5*reused {
 		t.Fatalf("fresh run allocates %d bytes, reused run %d bytes — want ≥5× reduction, got %.1f×",
 			fresh, reused, float64(fresh)/float64(reused))

@@ -65,10 +65,9 @@ type RunResult struct {
 }
 
 // Runner executes Plans. The zero configuration (NewRunner with no
-// options) runs sequentially with no cancellation, progress or trace
-// dropping — exactly the legacy sequential entry points. (A zero Runner
-// value also works; lacking the constructor's default it fans out across
-// all cores.) Configuration is fixed at construction by functional
+// options) runs sequentially with no cancellation or progress and
+// retains traces. (A zero Runner value also works; lacking the
+// constructor's default it fans out across all cores.) Configuration is fixed at construction by functional
 // options. A Runner is safe for concurrent use; its only mutable state is
 // the pool of per-worker testbed caches it retains between executions, so
 // back-to-back sweeps on one Runner start with the previous sweep's warm
@@ -81,7 +80,6 @@ type Runner struct {
 	progress   func(Progress)
 	retention  TraceRetention
 	sink       *obs.Sink
-	fresh      bool
 	sweepStats func(SweepStats)
 	store      ResultStore
 	pool       *tallyPool
@@ -123,9 +121,7 @@ func (r *Runner) acquireTallies(n int) []*workerTally {
 	}
 	for i, t := range ts {
 		if t == nil {
-			c := NewTestbedCache()
-			c.Fresh = r.fresh
-			t = &workerTally{cache: c}
+			t = &workerTally{cache: NewTestbedCache()}
 			ts[i] = t
 		}
 		t.builtAtStart = t.cache.Built()
@@ -334,9 +330,7 @@ func (r *Runner) execute(p *Plan, emit func(RunResult) bool) {
 	}
 
 	// Each worker owns a testbed cache: cells reuse the worker's testbeds
-	// via Reset instead of rebuilding the apparatus per run (unless the
-	// Runner was configured fresh — the cache then builds every time but
-	// still carries the sweep tallies). Caches come
+	// via Reset instead of rebuilding the apparatus per run. Caches come
 	// from the Runner's retained pool, so a Runner driving many sweeps
 	// builds its testbeds once, not once per sweep.
 	tallies := r.acquireTallies(max(workers, 1))
@@ -393,8 +387,7 @@ func (r *Runner) execute(p *Plan, emit func(RunResult) bool) {
 // cancelled, else the first collected cell error in canonical order, else
 // nil. On either kind of failure the sweep stops starting new cells
 // (in-flight ones finish) and the slice holds what completed — partial
-// results survive, and a failing sequential sweep aborts at the failure
-// exactly as the legacy path did.
+// results survive, and a failing sequential sweep aborts at the failure.
 func (r *Runner) Run(p *Plan) ([]RunResult, error) {
 	var mu sync.Mutex
 	var out []RunResult

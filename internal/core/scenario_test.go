@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 
 	"turbulence/internal/media"
@@ -35,11 +36,11 @@ func tracesEqual(t *testing.T, a, b *PairRun) {
 // streaming with no scenario at all — same packets, same draws, same
 // counters.
 func TestPaperBaselineScenarioIsFaithful(t *testing.T) {
-	plain, err := RunPair(2002, 2, media.High)
+	plain, err := RunPair(context.Background(), 2002, 2, media.High, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	base, err := RunPairWith(2002, 2, media.High, Options{Scenario: mustScenario(t, "paper-baseline")})
+	base, err := RunPair(context.Background(), 2002, 2, media.High, Options{Scenario: mustScenario(t, "paper-baseline")})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,15 +63,18 @@ func TestScenarioDeterminismAcrossWorkers(t *testing.T) {
 	}
 	keys := []PairKey{{Set: 1, Class: media.High}, {Set: 6, Class: media.VeryHigh}}
 	opts := Options{Scenario: mustScenario(t, "lossy-wifi")}
-	seq, err := RunPairsWith(77, keys, opts, 1)
+	plan := NewPlan(77).ForPairs(keys...).WithOptions(opts)
+	results, err := NewRunner(WithWorkers(1)).Run(plan)
 	if err != nil {
 		t.Fatal(err)
 	}
+	seq := PairRuns(results)
 	for name, workers := range map[string]int{"parallel": 4, "repeat-sequential": 1} {
-		again, err := RunPairsWith(77, keys, opts, workers)
+		results, err := NewRunner(WithWorkers(workers)).Run(plan)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
+		again := PairRuns(results)
 		for i := range seq {
 			tracesEqual(t, seq[i], again[i])
 			if seq[i].Downlink != again[i].Downlink || seq[i].Uplink != again[i].Uplink {
@@ -87,11 +91,11 @@ func TestScenarioDeterminismAcrossWorkers(t *testing.T) {
 // fails to wire in: bursty wifi loss must show up in the downlink drop
 // breakdown as model loss, not queue drops.
 func TestScenarioChangesTheNetwork(t *testing.T) {
-	base, err := RunPair(11, 1, media.High)
+	base, err := RunPair(context.Background(), 11, 1, media.High, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	wifi, err := RunPairWith(11, 1, media.High, Options{Scenario: mustScenario(t, "lossy-wifi")})
+	wifi, err := RunPair(context.Background(), 11, 1, media.High, Options{Scenario: mustScenario(t, "lossy-wifi")})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,7 +122,7 @@ func TestScenarioMatrixCompletes(t *testing.T) {
 			scenarios = append(scenarios, sc)
 		}
 	}
-	rows, err := RunScenarioMatrix(2002, AllPairs(), scenarios, 0)
+	rows, err := NewRunner(WithWorkers(0)).RunMatrix(2002, AllPairs(), scenarios)
 	if err != nil {
 		t.Fatal(err)
 	}

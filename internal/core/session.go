@@ -112,39 +112,23 @@ type Options struct {
 	Scenario *netem.Scenario
 }
 
-// RunPair executes one paired experiment on a fresh testbed. The seed
-// fixes every random draw, so a (seed, set, class) triple is exactly
-// reproducible.
-//
-// Deprecated-ish: RunPair remains fully supported, but new sweep code
-// should declare a Plan and execute it with a Runner, which adds
-// cancellation, progress, streaming and sharding for free.
-func RunPair(seed int64, set int, class media.Class) (*PairRun, error) {
-	return RunPairWith(seed, set, class, Options{})
-}
-
-// RunPairWith is RunPair with ablation options.
-func RunPairWith(seed int64, set int, class media.Class, opts Options) (*PairRun, error) {
-	run, _, err := runPair(context.Background(), seed, set, class, opts, false, nil, nil)
+// RunPair executes one paired experiment with a literal seed and ablation
+// options — the one-off entry point for runs a Plan cannot express
+// (ablations, extensions, trace capture). The seed fixes every random
+// draw, so a (seed, set, class, opts) tuple is exactly reproducible, and
+// the run is byte-identical to the same cell executed by a Runner. The
+// context is polled between simulation events: cancelling it aborts the
+// run promptly and returns ctx.Err(). Sweeps should declare a Plan and
+// execute it with a Runner instead.
+func RunPair(ctx context.Context, seed int64, set int, class media.Class, opts Options) (*PairRun, error) {
+	run, _, err := runPair(ctx, seed, set, class, opts, false, nil, NewTestbedCache())
 	return run, err
 }
 
-// RunPairContext is RunPairWith under a cancellation context, for callers
-// that run one-off experiments (explicit literal seed, no Plan) but still
-// need ctrl-C to land mid-simulation. Identical ctx-less behaviour to
-// RunPairWith; on cancellation it returns ctx.Err() promptly.
-func RunPairContext(ctx context.Context, seed int64, set int, class media.Class, opts Options) (*PairRun, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	run, _, err := runPair(ctx, seed, set, class, opts, false, nil, nil)
-	return run, err
-}
-
-// runPair is the single pair-experiment executor every entry point —
-// legacy or Runner — funnels through. The context is polled between
-// simulation events (the scheduler's interrupt seam), so a cancelled ctx
-// aborts the run promptly mid-stream and returns ctx.Err().
+// runPair is the single pair-experiment executor RunPair and the Runner
+// both funnel through. The context is polled between simulation events
+// (the scheduler's interrupt seam), so a cancelled ctx aborts the run
+// promptly mid-stream and returns ctx.Err().
 //
 // With stream set (the Runner's StreamProfiles retention) the sniffer
 // stores nothing: each captured record streams through an online
@@ -160,10 +144,10 @@ func RunPairContext(ctx context.Context, seed int64, set int, class media.Class,
 // covers it). Sim counters and drop tallies are read from the finished
 // PairRun by the Runner, not here, keeping the sink out of the sim.
 //
-// A non-nil cache serves the testbed (reset-reused across the worker's
-// runs, or fresh if the cache says so) and the pooled analysis scratch;
-// nil builds everything fresh, the legacy one-off path. Either way the
-// run's bytes are identical: reuse is pinned equal to construction.
+// The cache serves the testbed (reset-reused across the worker's runs)
+// and the pooled analysis scratch; a one-off run passes a new cache, so
+// it builds both. Either way the run's bytes are identical: reuse is
+// pinned equal to construction.
 func runPair(ctx context.Context, seed int64, set int, class media.Class, opts Options, stream bool, sink *obs.Sink, cache *TestbedCache) (*PairRun, *Comparison, error) {
 	clipSet, ok := media.FindSet(set)
 	if !ok {
@@ -173,12 +157,7 @@ func runPair(ctx context.Context, seed int64, set int, class media.Class, opts O
 	if !ok {
 		return nil, nil, fmt.Errorf("core: set %d has no %v pair", set, class)
 	}
-	var tb *Testbed
-	if cache != nil {
-		tb = cache.Get(seed, set, opts)
-	} else {
-		tb = NewTestbed(seed, shapeFor(set, opts).options()...)
-	}
+	tb := cache.Get(seed, set, opts)
 	site := tb.Site(set)
 	run := &PairRun{Set: set, Class: class, Site: site.Profile}
 	if opts.Scenario != nil {
@@ -205,11 +184,7 @@ func runPair(ctx context.Context, seed int64, set int, class media.Class, opts O
 		// Online analysis: records stream through the flow demultiplexer's
 		// per-flow accumulators and are never stored.
 		sniff.SetStore(false)
-		if cache != nil {
-			demux = cache.demux()
-		} else {
-			demux = capture.NewFlowDemux()
-		}
+		demux = cache.demux()
 		sniff.AddTap(demux)
 	}
 
@@ -266,7 +241,7 @@ func runPair(ctx context.Context, seed int64, set int, class media.Class, opts O
 		}
 		return true
 	})
-	if ctx != nil && ctx.Done() != nil {
+	if ctx.Done() != nil {
 		tb.Net.Sched.SetInterrupt(func() bool { return ctx.Err() != nil })
 	}
 	if err := tb.Net.Run(eventsim.Time(horizon)); err != nil {
@@ -348,37 +323,6 @@ func SeedFor(base int64, k PairKey) int64 {
 	return base*1000003 + int64(k.Set)*101 + int64(k.Class)*13
 }
 
-// RunPairs executes the listed pair experiments, fanning out across up to
-// workers goroutines (workers <= 1 runs sequentially on the calling
-// goroutine; workers == 0 uses GOMAXPROCS). Each run owns a private
-// single-threaded Scheduler and testbed seeded via SeedFor, so every run
-// is bit-for-bit identical to its sequential counterpart, and results come
-// back in key order regardless of completion order. On error the first
-// failure (in key order) is reported.
-//
-// Deprecated-ish: kept as a thin wrapper over Plan + Runner, pinned
-// byte-identical by TestRunnerMatchesLegacyEntryPoints.
-func RunPairs(baseSeed int64, keys []PairKey, workers int) ([]*PairRun, error) {
-	return RunPairsWith(baseSeed, keys, Options{}, workers)
-}
-
-// RunPairsWith is RunPairs with shared ablation/scenario options applied
-// to every run. Because each run is seeded by SeedFor regardless of which
-// worker executes it, output is byte-identical for any workers value —
-// scenarios included.
-//
-// Deprecated-ish: kept as a thin wrapper over Plan + Runner.
-func RunPairsWith(baseSeed int64, keys []PairKey, opts Options, workers int) ([]*PairRun, error) {
-	if keys == nil {
-		keys = []PairKey{}
-	}
-	results, err := NewRunner(WithWorkers(workers)).Run(NewPlan(baseSeed).ForPairs(keys...).WithOptions(opts))
-	if err != nil {
-		return nil, err
-	}
-	return PairRuns(results), nil
-}
-
 // ScenarioRuns couples one scenario with its pair-run results, in key
 // order. The runs keep what the executing Runner's TraceRetention keeps:
 // under StreamProfiles (the experiments harness's Context.Matrix) they
@@ -387,20 +331,6 @@ func RunPairsWith(baseSeed int64, keys []PairKey, opts Options, workers int) ([]
 type ScenarioRuns struct {
 	Scenario *netem.Scenario
 	Runs     []*PairRun
-}
-
-// RunScenarioMatrix streams every listed clip pair under every listed
-// scenario: the what-if laboratory the netem layer enables. All scenarios
-// share the same base seed (common random numbers), so differences between
-// scenario rows reflect the impairments, not sampling noise. Each
-// (scenario, pair) run is seeded via SeedFor and owns a private testbed,
-// so the matrix is deterministic for any workers value.
-//
-// Deprecated-ish: kept as a thin wrapper over Plan + Runner; a Plan with
-// UnderScenarios additionally shards, streams, cancels and reports
-// progress.
-func RunScenarioMatrix(baseSeed int64, keys []PairKey, scenarios []*netem.Scenario, workers int) ([]ScenarioRuns, error) {
-	return NewRunner(WithWorkers(workers)).RunMatrix(baseSeed, keys, scenarios)
 }
 
 // RunMatrix executes the (pairs × scenarios) plan on r and groups the
@@ -435,24 +365,6 @@ func (r *Runner) RunMatrix(baseSeed int64, keys []PairKey, scenarios []*netem.Sc
 		out[i] = ScenarioRuns{Scenario: sc, Runs: PairRuns(results[i*len(keys) : (i+1)*len(keys)])}
 	}
 	return out, nil
-}
-
-// RunAll executes every Table 1 pair experiment sequentially. It is the
-// workhorse behind the all-data-set figures (3, 5, 7, 9, 11, 14, 15).
-func RunAll(baseSeed int64) ([]*PairRun, error) {
-	return RunPairs(baseSeed, AllPairs(), 1)
-}
-
-// RunAllParallel is RunAll with the pair runs fanned out across a worker
-// pool; output is deterministic and identical to RunAll.
-func RunAllParallel(baseSeed int64, workers int) ([]*PairRun, error) {
-	return RunPairs(baseSeed, AllPairs(), workers)
-}
-
-// RunSubset executes the listed pair experiments only; figure generators
-// that need a single set use this to stay fast.
-func RunSubset(baseSeed int64, keys []PairKey) ([]*PairRun, error) {
-	return RunPairs(baseSeed, keys, 1)
 }
 
 // DataEndpointWMP returns the client data endpoint for MediaPlayer flows.

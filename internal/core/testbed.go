@@ -18,6 +18,7 @@ import (
 	"turbulence/internal/netem"
 	"turbulence/internal/netsim"
 	"turbulence/internal/rdt"
+	"turbulence/internal/transport"
 	"turbulence/internal/wms"
 )
 
@@ -162,8 +163,8 @@ func NewTestbed(seed int64, opts ...TestbedOption) *Testbed {
 		site := &Site{
 			Profile: prof,
 			Host:    host,
-			WMS:     wms.NewServer(host),
-			RDT:     rdt.NewServer(host),
+			WMS:     wms.NewServer(transport.NewSim(host)),
+			RDT:     rdt.NewServer(transport.NewSim(host)),
 		}
 		tb.Sites[prof.Set] = site
 	}
@@ -251,37 +252,28 @@ func (sh testbedShape) options() []TestbedOption {
 // The cache also owns the worker's online-analysis scratch (the capture
 // flow demux), pooled for the same reason.
 type TestbedCache struct {
-	// Fresh disables reuse: every Get builds a new testbed. Only the reuse
-	// identity test's fresh-testbed oracle sets it.
-	Fresh bool
-
 	tbs           map[testbedShape]*Testbed
 	dx            *capture.FlowDemux
 	built, reused int
 }
 
-// NewTestbedCache returns an empty cache with reuse on.
+// NewTestbedCache returns an empty cache.
 func NewTestbedCache() *TestbedCache {
 	return &TestbedCache{tbs: make(map[testbedShape]*Testbed)}
 }
 
 // Get returns a testbed for the run's shape, reset to seed: a cached one
-// when the shape was seen before (and Fresh is off), a newly built one
-// otherwise.
+// when the shape was seen before, a newly built one otherwise.
 func (c *TestbedCache) Get(seed int64, set int, opts Options) *Testbed {
 	sh := shapeFor(set, opts)
-	if !c.Fresh {
-		if tb, ok := c.tbs[sh]; ok {
-			c.reused++
-			tb.Reset(seed)
-			return tb
-		}
+	if tb, ok := c.tbs[sh]; ok {
+		c.reused++
+		tb.Reset(seed)
+		return tb
 	}
 	tb := NewTestbed(seed, sh.options()...)
 	c.built++
-	if !c.Fresh {
-		c.tbs[sh] = tb
-	}
+	c.tbs[sh] = tb
 	return tb
 }
 
@@ -292,11 +284,8 @@ func (c *TestbedCache) Built() int { return c.built }
 func (c *TestbedCache) Reused() int { return c.reused }
 
 // demux returns the worker's pooled flow demultiplexer, reset for a new
-// run. Under Fresh each call builds a new one, matching the legacy path.
+// run.
 func (c *TestbedCache) demux() *capture.FlowDemux {
-	if c.Fresh {
-		return capture.NewFlowDemux()
-	}
 	if c.dx == nil {
 		c.dx = capture.NewFlowDemux()
 	} else {

@@ -136,7 +136,7 @@ var errTornTail = errors.New("torn tail")
 
 // readFrame decodes the next frame. io.EOF = clean end; errTornTail = the
 // file ends inside a frame.
-func readFrame(r io.Reader) (journalFrame, error) {
+func readFrame(r *countingReader) (journalFrame, error) {
 	var fr journalFrame
 	var pre [4]byte
 	if _, err := io.ReadFull(r, pre[:]); err != nil {
@@ -145,7 +145,13 @@ func readFrame(r io.Reader) (journalFrame, error) {
 		}
 		return fr, errTornTail
 	}
-	body := make([]byte, binary.BigEndian.Uint32(pre[:]))
+	// A length past the end of the file is a tear; rejecting it before
+	// allocating keeps a garbage prefix from costing up to 4 GiB.
+	n := binary.BigEndian.Uint32(pre[:])
+	if int64(n) > r.size-r.n {
+		return fr, errTornTail
+	}
+	body := make([]byte, n)
 	if _, err := io.ReadFull(r, body); err != nil {
 		return fr, errTornTail
 	}
@@ -156,10 +162,12 @@ func readFrame(r io.Reader) (journalFrame, error) {
 }
 
 // countingReader tracks how many bytes have been consumed, so readJournal
-// can report where the last whole frame ends.
+// can report where the last whole frame ends and readFrame can bound a
+// frame by the bytes left.
 type countingReader struct {
-	r io.Reader
-	n int64
+	r    io.Reader
+	n    int64
+	size int64 // file size
 }
 
 func (cr *countingReader) Read(p []byte) (int, error) {
@@ -181,7 +189,11 @@ func readJournal(path string) (h *journalHeader, done []journalComplete, end int
 		return nil, nil, 0, err
 	}
 	defer f.Close()
-	cr := &countingReader{r: f}
+	info, err := f.Stat()
+	if err != nil {
+		return nil, nil, 0, err
+	}
+	cr := &countingReader{r: f, size: info.Size()}
 	first, err := readFrame(cr)
 	if err != nil {
 		return nil, nil, 0, fmt.Errorf("dispatch: checkpoint %s: unreadable header: %w", path, err)

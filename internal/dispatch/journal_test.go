@@ -4,10 +4,12 @@ import (
 	"encoding/binary"
 	"os"
 	"path/filepath"
+	"runtime"
 	"testing"
 
 	"turbulence/internal/core"
 	"turbulence/internal/media"
+	"turbulence/internal/racecheck"
 )
 
 // completeShards leases and completes n shards on c with protocol-valid
@@ -163,6 +165,54 @@ func TestCheckpointTornTailTolerated(t *testing.T) {
 	completeShards(t, c3, plan, 1)
 	if !c3.Done() {
 		t.Fatal("sweep not done after the last shard")
+	}
+}
+
+// TestCheckpointOversizedFramePrefix appends a length prefix promising
+// almost 4 GiB: replay must treat it as the torn tail it is — keeping the
+// completions before it — and reject it from the file size rather than
+// allocate the promised body first.
+func TestCheckpointOversizedFramePrefix(t *testing.T) {
+	plan := testPlan(t)
+	ckpt := filepath.Join(t.TempDir(), "sweep.ckpt")
+	c1, err := New(plan, WithShards(3), WithCheckpoint(ckpt))
+	if err != nil {
+		t.Fatal(err)
+	}
+	completeShards(t, c1, plan, 1)
+	c1.Close()
+
+	f, err := os.OpenFile(ckpt, os.O_WRONLY|os.O_APPEND, 0o644)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var pre [4]byte
+	binary.BigEndian.PutUint32(pre[:], 0xFFFFFFF0)
+	f.Write(pre[:])
+	f.Write([]byte{1, 2, 3, 4, 5, 6, 7, 8})
+	f.Close()
+
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, done, _, err := readJournal(ckpt)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatalf("oversized prefix refused instead of treated as a torn tail: %v", err)
+	}
+	if len(done) != 1 {
+		t.Fatalf("replayed %d completions through the oversized prefix, want 1", len(done))
+	}
+	if alloc := after.TotalAlloc - before.TotalAlloc; !racecheck.Enabled && alloc > 16<<20 {
+		t.Fatalf("replay allocated %d MiB for a 12-byte torn tail, want < 16 MiB", alloc>>20)
+	}
+
+	c2, err := New(plan, WithShards(3), WithCheckpoint(ckpt))
+	if err != nil {
+		t.Fatalf("oversized prefix refused: %v", err)
+	}
+	defer c2.Close()
+	if _, _, done := c2.Counts(); done != 1 {
+		t.Fatalf("resumed with %d shards done, want 1", done)
 	}
 }
 

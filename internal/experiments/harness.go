@@ -274,9 +274,12 @@ func (c *Context) execute(keys []core.PairKey) error {
 // every experiment, not just the cached sweep. A completed run is
 // reported to SetProgress as a 1-of-1 sweep.
 func (c *Context) RunOne(seed int64, set int, class media.Class, opts core.Options) (*core.PairRun, error) {
-	run, err := core.RunPairContext(c.cancel, seed, set, class, opts)
-	interrupted := c.cancel != nil && c.cancel.Err() != nil
-	if c.progress != nil && !interrupted {
+	ctx := c.cancel
+	if ctx == nil {
+		ctx = context.Background()
+	}
+	run, err := core.RunPair(ctx, seed, set, class, opts)
+	if c.progress != nil && ctx.Err() == nil {
 		c.progress(core.Progress{Done: 1, Total: 1, Err: err,
 			Key: core.RunKey{Pair: core.PairKey{Set: set, Class: class}, Scenario: opts.Scenario}})
 	}
@@ -288,9 +291,10 @@ func (c *Context) RunOne(seed int64, set int, class media.Class, opts core.Optio
 // SetResultStore. Its cells stream through online profiles
 // (core.StreamProfiles) whatever the context's Table 1 retention: the
 // rows' runs carry no Trace, WMPFlow or RealFlow, while their player
-// reports and path stats equal core.RunScenarioMatrix's at the same seed.
-// Matrix consumers reduce reports and drop counters only, so a sweep
-// holds O(workers) analyzer state instead of every cell's capture.
+// reports and path stats equal those core.Runner.RunMatrix returns under
+// RetainTraces at the same seed. Matrix consumers reduce reports and
+// drop counters only, so a sweep holds O(workers) analyzer state instead
+// of every cell's capture.
 func (c *Context) Matrix(seed int64, keys []core.PairKey, scenarios []*netem.Scenario) ([]core.ScenarioRuns, error) {
 	return c.runner(core.WithTraceRetention(core.StreamProfiles)).RunMatrix(seed, keys, scenarios)
 }

@@ -146,6 +146,23 @@ func TestContextCancelKeepsCompletedRuns(t *testing.T) {
 	}
 }
 
+// TestRunOneHonoursCancel pins that one-off runs obey SetCancel: under a
+// cancelled context RunOne returns context.Canceled without simulating to
+// the horizon, and reports no progress for the run it abandoned.
+func TestRunOneHonoursCancel(t *testing.T) {
+	cctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	progressed := 0
+	ctx := NewContext(55).SetCancel(cctx).SetProgress(func(core.Progress) { progressed++ })
+	run, err := ctx.RunOne(2002, 2, media.High, core.Options{})
+	if err != context.Canceled || run != nil {
+		t.Fatalf("RunOne under a cancelled context returned run %v, err %v; want nil, context.Canceled", run != nil, err)
+	}
+	if progressed != 0 {
+		t.Fatalf("abandoned run emitted %d progress reports, want none", progressed)
+	}
+}
+
 // TestResultStoreWriteThroughOnly pins the harness's store discipline:
 // experiments reduce full PairRuns (player reports, packet flows), which
 // the store's Comparisons cannot reconstruct, so a context must populate

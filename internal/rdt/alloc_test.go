@@ -56,11 +56,11 @@ func streamingSession(t *testing.T) (*Player, *Server, *session, *dataSink, *ctl
 	t.Helper()
 	n, c, _ := testbed(t, 5, 10e6, 0)
 	sink := &dataSink{Transport: transport.NewSim(n.Host(serverAddr))}
-	srv := NewServerOn(sink)
+	srv := NewServer(sink)
 	clip, _ := media.FindClip(6, media.Real, media.VeryHigh)
 	srv.Register(clip.Name(), clip)
 	tap := &ctlTap{Transport: transport.NewSim(c)}
-	p := NewPlayerOn(tap, serverAddr, clip.Name(), 5001, 5002, PlayerEvents{})
+	p := NewPlayer(tap, serverAddr, clip.Name(), 5001, 5002, PlayerEvents{})
 	p.Start()
 	if err := n.Run(eventsim.At(5)); err != nil {
 		t.Fatal(err)

@@ -8,7 +8,6 @@ import (
 
 	"turbulence/internal/eventsim"
 	"turbulence/internal/inet"
-	"turbulence/internal/netsim"
 	"turbulence/internal/segment"
 	"turbulence/internal/transport"
 )
@@ -142,14 +141,9 @@ type Player struct {
 	FinishedAt       eventsim.Time
 }
 
-// NewPlayer prepares a RealPlayer on a simulated host for
-// rtsp://server/clipRef.
-func NewPlayer(host *netsim.Host, server inet.Addr, clipRef string, ctlPort, dataPort inet.Port, ev PlayerEvents) *Player {
-	return NewPlayerOn(transport.NewSim(host), server, clipRef, ctlPort, dataPort, ev)
-}
-
-// NewPlayerOn prepares a RealPlayer on any transport (simulated or live).
-func NewPlayerOn(t transport.Transport, server inet.Addr, clipRef string, ctlPort, dataPort inet.Port, ev PlayerEvents) *Player {
+// NewPlayer prepares a RealPlayer on any transport (simulated or live)
+// for rtsp://server/clipRef.
+func NewPlayer(t transport.Transport, server inet.Addr, clipRef string, ctlPort, dataPort inet.Port, ev PlayerEvents) *Player {
 	return &Player{
 		host:     t,
 		server:   server,

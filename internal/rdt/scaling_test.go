@@ -8,6 +8,7 @@ import (
 	"turbulence/internal/inet"
 	"turbulence/internal/media"
 	"turbulence/internal/netsim"
+	"turbulence/internal/transport"
 )
 
 // starvedTestbed builds a path whose bottleneck sits below the clip's
@@ -23,7 +24,7 @@ func starvedTestbed(t *testing.T, seed int64, bottleneck float64) (*netsim.Netwo
 		{Addr: inet.MakeAddr(10, 8, 0, 3), Bandwidth: 45e6, PropDelay: 2 * time.Millisecond},
 	}
 	n.ConnectDuplex(clientAddr, serverAddr, specs)
-	return n, c, NewServer(s)
+	return n, c, NewServer(transport.NewSim(s))
 }
 
 func runStarved(t *testing.T, seed int64, scalingOn bool) (*Player, *Server) {
@@ -33,7 +34,7 @@ func runStarved(t *testing.T, seed int64, scalingOn bool) (*Player, *Server) {
 	srv.Register(clip.Name(), clip)
 	srv.EnableScaling(scalingOn)
 	var done bool
-	p := NewPlayer(c, serverAddr, clip.Name(), 5001, 5002, PlayerEvents{
+	p := NewPlayer(transport.NewSim(c), serverAddr, clip.Name(), 5001, 5002, PlayerEvents{
 		Done: func(eventsim.Time) { done = true },
 	})
 	p.Start()
@@ -64,7 +65,7 @@ func TestScalingPreservesCleanRuns(t *testing.T) {
 		n, c, srv := testbed(t, 82, 900e3, 0)
 		srv.Register(clip.Name(), clip)
 		srv.EnableScaling(on)
-		p := NewPlayer(c, serverAddr, clip.Name(), 5001, 5002, PlayerEvents{})
+		p := NewPlayer(transport.NewSim(c), serverAddr, clip.Name(), 5001, 5002, PlayerEvents{})
 		p.Start()
 		n.Run(eventsim.At(clip.Duration.Seconds() + 90))
 		return p

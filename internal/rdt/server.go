@@ -9,7 +9,6 @@ import (
 	"turbulence/internal/eventsim"
 	"turbulence/internal/inet"
 	"turbulence/internal/media"
-	"turbulence/internal/netsim"
 	"turbulence/internal/scaling"
 	"turbulence/internal/segment"
 	"turbulence/internal/transport"
@@ -165,13 +164,8 @@ type resendRing struct {
 // segment headers into one packet.
 const pktBufCap = dataHeaderLen + MaxPayload + 1024
 
-// NewServer attaches a RealServer to a simulated host.
-func NewServer(host *netsim.Host) *Server {
-	return NewServerOn(transport.NewSim(host))
-}
-
-// NewServerOn attaches a RealServer to any transport (simulated or live).
-func NewServerOn(t transport.Transport) *Server {
+// NewServer attaches a RealServer to any transport (simulated or live).
+func NewServer(t transport.Transport) *Server {
 	s := &Server{
 		host:     t,
 		rng:      t.RNG("rdt.server"),
@@ -184,7 +178,7 @@ func NewServerOn(t transport.Transport) *Server {
 	return s
 }
 
-// Reset restores the server to its post-NewServerOn state: sessions clear,
+// Reset restores the server to its post-NewServer state: sessions clear,
 // ablation switches revert, counters zero, and the control port rebinds.
 // The server RNG re-splits from the transport's (already reseeded) root —
 // the same construction-time draw a fresh build performs, in the same

@@ -144,7 +144,7 @@ func Open(dir string, opts ...Option) (*Store, error) {
 		s.bytes.Store(uint64(n))
 		return s, nil
 	}
-	end, err := s.load(path)
+	end, err := s.load(path, info.Size())
 	if err != nil {
 		f.Close()
 		return nil, err
@@ -166,14 +166,15 @@ func Open(dir string, opts ...Option) (*Store, error) {
 }
 
 // load scans the file from the start, verifying the header and indexing
-// every whole, checksum-clean entry frame. Returns the offset just past
-// the last good frame. A header that does not verify is an error; a bad
-// entry frame is a miss — counted, logged, and the scan stops there.
-func (s *Store) load(path string) (int64, error) {
+// every whole, checksum-clean entry frame of a file of the given size.
+// Returns the offset just past the last good frame. A header that does not
+// verify is an error; a bad entry frame is a miss — counted, logged, and
+// the scan stops there.
+func (s *Store) load(path string, size int64) (int64, error) {
 	if _, err := s.f.Seek(0, io.SeekStart); err != nil {
 		return 0, fmt.Errorf("resultstore: %w", err)
 	}
-	cr := &countingReader{r: s.f}
+	cr := &countingReader{r: s.f, size: size}
 	first, err := readFrame(cr)
 	if err != nil {
 		return 0, fmt.Errorf("resultstore: %s: unreadable header: %v", path, err)
@@ -359,7 +360,7 @@ func writeFrame(w io.Writer, fr storeFrame) (int, error) {
 // readFrame decodes the next frame. io.EOF = clean end; errBadFrame = the
 // file ends inside a frame, the checksum fails, or the body does not
 // decode.
-func readFrame(r io.Reader) (storeFrame, error) {
+func readFrame(r *countingReader) (storeFrame, error) {
 	var fr storeFrame
 	var pre [8]byte
 	if _, err := io.ReadFull(r, pre[:]); err != nil {
@@ -368,7 +369,13 @@ func readFrame(r io.Reader) (storeFrame, error) {
 		}
 		return fr, fmt.Errorf("%w: torn length prefix", errBadFrame)
 	}
-	body := make([]byte, binary.BigEndian.Uint32(pre[:4]))
+	// A length past the end of the file is a torn body; rejecting it
+	// before allocating keeps a garbage prefix from costing up to 4 GiB.
+	n := binary.BigEndian.Uint32(pre[:4])
+	if int64(n) > r.size-r.n {
+		return fr, fmt.Errorf("%w: torn body", errBadFrame)
+	}
+	body := make([]byte, n)
 	if _, err := io.ReadFull(r, body); err != nil {
 		return fr, fmt.Errorf("%w: torn body", errBadFrame)
 	}
@@ -382,10 +389,11 @@ func readFrame(r io.Reader) (storeFrame, error) {
 }
 
 // countingReader tracks consumed bytes so load can report where the last
-// whole frame ends.
+// whole frame ends, and so readFrame can bound a frame by the bytes left.
 type countingReader struct {
-	r io.Reader
-	n int64
+	r    io.Reader
+	n    int64
+	size int64 // file size
 }
 
 func (cr *countingReader) Read(p []byte) (int, error) {

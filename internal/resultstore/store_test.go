@@ -2,9 +2,11 @@ package resultstore
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strconv"
 	"strings"
 	"sync"
@@ -14,6 +16,7 @@ import (
 	"turbulence/internal/media"
 	"turbulence/internal/netem"
 	"turbulence/internal/obs"
+	"turbulence/internal/racecheck"
 	"turbulence/internal/wire"
 )
 
@@ -189,6 +192,43 @@ func TestStoreCorruptFrameIsMiss(t *testing.T) {
 	}
 	if st := s2.Stats(); st.CorruptFrames != 1 {
 		t.Fatalf("corrupt frames = %d, want 1", st.CorruptFrames)
+	}
+}
+
+// TestStoreOversizedFramePrefix appends a frame whose length prefix
+// promises almost 4 GiB: the frame is a corrupt tail like any other tear,
+// and opening the store must reject it from the file size rather than
+// allocate the promised body first.
+func TestStoreOversizedFramePrefix(t *testing.T) {
+	dir := t.TempDir()
+	s := open(t, dir)
+	s.Insert("keep", cmpFor(1))
+	s.Close()
+
+	path := filepath.Join(dir, storeFile)
+	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var pre [8]byte
+	binary.BigEndian.PutUint32(pre[:4], 0xFFFFFFF0)
+	f.Write(pre[:])
+	f.Write([]byte{1, 2, 3, 4})
+	f.Close()
+
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	s2 := open(t, dir)
+	runtime.ReadMemStats(&after)
+	defer s2.Close()
+	if _, ok := s2.Lookup("keep"); !ok {
+		t.Fatal("frame before the oversized prefix was lost")
+	}
+	if st := s2.Stats(); st.Entries != 1 || st.CorruptFrames != 1 {
+		t.Fatalf("after oversized prefix, stats = %+v", st)
+	}
+	if alloc := after.TotalAlloc - before.TotalAlloc; !racecheck.Enabled && alloc > 16<<20 {
+		t.Fatalf("Open allocated %d MiB for a 12-byte corrupt tail, want < 16 MiB", alloc>>20)
 	}
 }
 

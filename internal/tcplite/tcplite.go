@@ -19,7 +19,6 @@ import (
 
 	"turbulence/internal/eventsim"
 	"turbulence/internal/inet"
-	"turbulence/internal/netsim"
 	"turbulence/internal/transport"
 )
 
@@ -62,13 +61,8 @@ type connKey struct {
 	remote inet.Endpoint
 }
 
-// NewStack attaches a TCP stack to a simulated host.
-func NewStack(host *netsim.Host) *Stack {
-	return NewStackOn(transport.NewSim(host))
-}
-
-// NewStackOn attaches a TCP stack to any transport (simulated or live).
-func NewStackOn(t transport.Transport) *Stack {
+// NewStack attaches a TCP stack to any transport (simulated or live).
+func NewStack(t transport.Transport) *Stack {
 	s := &Stack{
 		host:          t,
 		listeners:     make(map[inet.Port]*Listener),
@@ -80,7 +74,7 @@ func NewStackOn(t transport.Transport) *Stack {
 	return s
 }
 
-// Reset restores the stack to its post-NewStackOn state without
+// Reset restores the stack to its post-NewStack state without
 // reallocating: listeners and connections clear (their retransmission
 // timers were already drained by the owning scheduler's reset), the
 // ephemeral port sequence rewinds, and the segment consumer rebinds on the

@@ -27,7 +27,7 @@ func buildNet(t *testing.T, seed int64, loss float64, bw float64) (*netsim.Netwo
 		{Addr: inet.MakeAddr(10, 7, 0, 3), Bandwidth: 45e6, PropDelay: 3 * time.Millisecond},
 	}
 	n.ConnectDuplex(clientAddr, serverAddr, specs)
-	return n, NewStack(c), NewStack(s)
+	return n, NewStack(transport.NewSim(c)), NewStack(transport.NewSim(s))
 }
 
 func TestHandshakeAndTransfer(t *testing.T) {
@@ -154,7 +154,7 @@ func TestCloseHandshake(t *testing.T) {
 func TestConnectTimeoutToNowhere(t *testing.T) {
 	n := netsim.New(5)
 	c := n.AddHost(clientAddr)
-	cs := NewStack(c)
+	cs := NewStack(transport.NewSim(c))
 	var closed bool
 	conn, err := cs.Dial(0, inet.Endpoint{Addr: serverAddr, Port: 80}, nil)
 	if err != nil {

@@ -18,6 +18,7 @@ import (
 	"turbulence/internal/netsim"
 	"turbulence/internal/rdt"
 	"turbulence/internal/stats"
+	"turbulence/internal/transport"
 	"turbulence/internal/wms"
 )
 
@@ -218,7 +219,7 @@ func StartMediaTracker(host *netsim.Host, server *wms.Server, clipRef string, ct
 		},
 		Done: func(now eventsim.Time) { t.complete(now) },
 	}
-	t.player = wms.NewPlayer(host, server.Host().Addr(), clipRef,
+	t.player = wms.NewPlayer(transport.NewSim(host), server.Host().Addr(), clipRef,
 		toPort(ctlPort), toPort(dataPort), ev)
 	t.player.Start()
 	c.startPolling(func() int { return t.player.BytesReceived })
@@ -269,7 +270,7 @@ func StartRealTracker(host *netsim.Host, server *rdt.Server, clipRef string, ctl
 		},
 		Done: func(now eventsim.Time) { t.complete(now) },
 	}
-	t.player = rdt.NewPlayer(host, server.Host().Addr(), clipRef,
+	t.player = rdt.NewPlayer(transport.NewSim(host), server.Host().Addr(), clipRef,
 		toPort(ctlPort), toPort(dataPort), ev)
 	t.player.Start()
 	c.startPolling(func() int { return t.player.BytesReceived })

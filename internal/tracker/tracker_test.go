@@ -11,6 +11,7 @@ import (
 	"turbulence/internal/media"
 	"turbulence/internal/netsim"
 	"turbulence/internal/rdt"
+	"turbulence/internal/transport"
 	"turbulence/internal/wms"
 )
 
@@ -41,7 +42,7 @@ func testbed(t *testing.T, seed int64) (*netsim.Network, *netsim.Host, *wms.Serv
 	}
 	n.ConnectDuplex(clientAddr, wmsAddr, mk(3))
 	n.ConnectDuplex(clientAddr, rdtAddr, mk(4))
-	return n, c, wms.NewServer(w), rdt.NewServer(r)
+	return n, c, wms.NewServer(transport.NewSim(w)), rdt.NewServer(transport.NewSim(r))
 }
 
 func TestMediaTrackerRecordsSession(t *testing.T) {

@@ -36,10 +36,10 @@ func TestSendPathAllocFree(t *testing.T) {
 	}
 	n, c, _ := testbed(t, 5)
 	sink := &dataSink{Transport: transport.NewSim(n.Host(serverAddr))}
-	srv := NewServerOn(sink)
+	srv := NewServer(sink)
 	clip, _ := media.FindClip(1, media.WindowsMedia, media.High)
 	srv.Register(clip.Name(), clip)
-	p := NewPlayer(c, serverAddr, clip.Name(), 4001, 4002, PlayerEvents{})
+	p := NewPlayer(transport.NewSim(c), serverAddr, clip.Name(), 4001, 4002, PlayerEvents{})
 	p.Start()
 	if err := n.Run(eventsim.At(5)); err != nil {
 		t.Fatal(err)

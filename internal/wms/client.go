@@ -6,7 +6,6 @@ import (
 
 	"turbulence/internal/eventsim"
 	"turbulence/internal/inet"
-	"turbulence/internal/netsim"
 	"turbulence/internal/segment"
 	"turbulence/internal/transport"
 )
@@ -129,15 +128,10 @@ const handshakeRetry = 2 * time.Second
 // maxRetries bounds control retransmissions before aborting.
 const maxRetries = 5
 
-// NewPlayer prepares a player on a simulated host for the given server
-// and clip. ctlPort/dataPort must be unique per concurrent player on the
-// host.
-func NewPlayer(host *netsim.Host, server inet.Addr, clipRef string, ctlPort, dataPort inet.Port, ev PlayerEvents) *Player {
-	return NewPlayerOn(transport.NewSim(host), server, clipRef, ctlPort, dataPort, ev)
-}
-
-// NewPlayerOn prepares a player on any transport (simulated or live).
-func NewPlayerOn(t transport.Transport, server inet.Addr, clipRef string, ctlPort, dataPort inet.Port, ev PlayerEvents) *Player {
+// NewPlayer prepares a player on any transport (simulated or live) for
+// the given server and clip. ctlPort/dataPort must be unique per
+// concurrent player on the host.
+func NewPlayer(t transport.Transport, server inet.Addr, clipRef string, ctlPort, dataPort inet.Port, ev PlayerEvents) *Player {
 	return &Player{
 		host:     t,
 		server:   server,

@@ -6,7 +6,6 @@ import (
 	"turbulence/internal/eventsim"
 	"turbulence/internal/inet"
 	"turbulence/internal/media"
-	"turbulence/internal/netsim"
 	"turbulence/internal/scaling"
 	"turbulence/internal/segment"
 	"turbulence/internal/transport"
@@ -83,14 +82,9 @@ type session struct {
 	pkt []byte
 }
 
-// NewServer attaches a WMS server to a simulated host, listening on the
-// MMS control port.
-func NewServer(host *netsim.Host) *Server {
-	return NewServerOn(transport.NewSim(host))
-}
-
-// NewServerOn attaches a WMS server to any transport (simulated or live).
-func NewServerOn(t transport.Transport) *Server {
+// NewServer attaches a WMS server to any transport (simulated or live),
+// listening on the MMS control port.
+func NewServer(t transport.Transport) *Server {
 	s := &Server{
 		host:     t,
 		clips:    make(map[string]media.Clip),
@@ -101,7 +95,7 @@ func NewServerOn(t transport.Transport) *Server {
 	return s
 }
 
-// Reset restores the server to its post-NewServerOn state without
+// Reset restores the server to its post-NewServer state without
 // reallocating: sessions clear (their pending timers were already drained
 // by the owning scheduler's reset), the ablation switches revert, counters
 // zero, and the control port rebinds on the freshly reset transport.

@@ -11,6 +11,7 @@ import (
 	"turbulence/internal/media"
 	"turbulence/internal/netsim"
 	"turbulence/internal/stats"
+	"turbulence/internal/transport"
 )
 
 var (
@@ -33,7 +34,7 @@ func testbed(t *testing.T, seed int64) (*netsim.Network, *netsim.Host, *Server) 
 		}
 	}
 	n.ConnectDuplex(clientAddr, serverAddr, specs)
-	return n, c, NewServer(s)
+	return n, c, NewServer(transport.NewSim(s))
 }
 
 func TestUnitPlan(t *testing.T) {
@@ -126,7 +127,7 @@ func streamClip(t *testing.T, clip media.Clip, seed int64) (*Player, *capture.Tr
 	srv.Register(clip.Name(), clip)
 	sniff := capture.Attach(c)
 	var done bool
-	p := NewPlayer(c, serverAddr, clip.Name(), 4001, 4002, PlayerEvents{
+	p := NewPlayer(transport.NewSim(c), serverAddr, clip.Name(), 4001, 4002, PlayerEvents{
 		Done: func(eventsim.Time) { done = true },
 	})
 	p.Start()
@@ -244,7 +245,7 @@ func TestInterleavedAppDelivery(t *testing.T) {
 	n, c, srv := testbed(t, 15)
 	srv.Register(clip.Name(), clip)
 	var osTimes, appTimes []float64
-	p := NewPlayer(c, serverAddr, clip.Name(), 4001, 4002, PlayerEvents{
+	p := NewPlayer(transport.NewSim(c), serverAddr, clip.Name(), 4001, 4002, PlayerEvents{
 		OSPacket:  func(now eventsim.Time, seq uint32, _ int) { osTimes = append(osTimes, now.Seconds()) },
 		AppPacket: func(now eventsim.Time, seq uint32) { appTimes = append(appTimes, now.Seconds()) },
 	})
@@ -301,7 +302,7 @@ func TestPlayerStartupLatency(t *testing.T) {
 	n, c, srv := testbed(t, 17)
 	srv.Register(clip.Name(), clip)
 	var playStart eventsim.Time
-	p := NewPlayer(c, serverAddr, clip.Name(), 4001, 4002, PlayerEvents{
+	p := NewPlayer(transport.NewSim(c), serverAddr, clip.Name(), 4001, 4002, PlayerEvents{
 		StateChange: func(now eventsim.Time, s State) {
 			if s == Playing {
 				playStart = now
@@ -319,7 +320,7 @@ func TestPlayerStartupLatency(t *testing.T) {
 func TestServerUnknownClip(t *testing.T) {
 	n, c, _ := testbed(t, 18)
 	var done bool
-	p := NewPlayer(c, serverAddr, "no-such-clip", 4001, 4002, PlayerEvents{
+	p := NewPlayer(transport.NewSim(c), serverAddr, "no-such-clip", 4001, 4002, PlayerEvents{
 		Done: func(eventsim.Time) { done = true },
 	})
 	p.Start()
@@ -341,11 +342,11 @@ func TestHandshakeSurvivesControlLoss(t *testing.T) {
 		PropDelay: 5 * time.Millisecond, Loss: 0.3, // brutal control loss
 	}}
 	n.ConnectDuplex(clientAddr, serverAddr, specs)
-	srv := NewServer(s)
+	srv := NewServer(transport.NewSim(s))
 	clip, _ := media.FindClip(2, media.WindowsMedia, media.Low)
 	srv.Register(clip.Name(), clip)
 	var reached State
-	p := NewPlayer(c, serverAddr, clip.Name(), 4001, 4002, PlayerEvents{
+	p := NewPlayer(transport.NewSim(c), serverAddr, clip.Name(), 4001, 4002, PlayerEvents{
 		StateChange: func(_ eventsim.Time, st State) {
 			if st > reached && st != Done {
 				reached = st
@@ -368,10 +369,10 @@ func TestLossReducesFrameRate(t *testing.T) {
 		PropDelay: 5 * time.Millisecond, Loss: 0.05,
 	}}
 	n.ConnectDuplex(clientAddr, serverAddr, specs)
-	srv := NewServer(s)
+	srv := NewServer(transport.NewSim(s))
 	clip, _ := media.FindClip(1, media.WindowsMedia, media.High)
 	srv.Register(clip.Name(), clip)
-	p := NewPlayer(c, serverAddr, clip.Name(), 4001, 4002, PlayerEvents{})
+	p := NewPlayer(transport.NewSim(c), serverAddr, clip.Name(), 4001, 4002, PlayerEvents{})
 	p.Start()
 	n.Run(eventsim.At(clip.Duration.Seconds() + 60))
 	if p.UnitsLost == 0 {
@@ -389,7 +390,7 @@ func TestServerSessionBookkeeping(t *testing.T) {
 	clip, _ := media.FindClip(3, media.WindowsMedia, media.Low)
 	n, c, srv := testbed(t, 21)
 	srv.Register(clip.Name(), clip)
-	p := NewPlayer(c, serverAddr, clip.Name(), 4001, 4002, PlayerEvents{})
+	p := NewPlayer(transport.NewSim(c), serverAddr, clip.Name(), 4001, 4002, PlayerEvents{})
 	p.Start()
 	n.Run(eventsim.At(200))
 	if srv.Described != 1 || srv.Played != 1 {
@@ -412,7 +413,7 @@ func TestDoubleStartPanics(t *testing.T) {
 	n, c, srv := testbed(t, 22)
 	clip, _ := media.FindClip(3, media.WindowsMedia, media.Low)
 	srv.Register(clip.Name(), clip)
-	p := NewPlayer(c, serverAddr, clip.Name(), 4001, 4002, PlayerEvents{})
+	p := NewPlayer(transport.NewSim(c), serverAddr, clip.Name(), 4001, 4002, PlayerEvents{})
 	p.Start()
 	defer func() {
 		if recover() == nil {

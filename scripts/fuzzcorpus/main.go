@@ -26,6 +26,7 @@
 package main
 
 import (
+	"context"
 	"encoding/binary"
 	"fmt"
 	"log"
@@ -51,7 +52,7 @@ const rdtSeqs = 8
 func main() {
 	key := core.PairKey{Set: 2, Class: media.High}
 	seed := core.SeedFor(2002, key)
-	run, err := core.RunPairWith(seed, key.Set, key.Class, core.Options{})
+	run, err := core.RunPair(context.Background(), seed, key.Set, key.Class, core.Options{})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -135,7 +136,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	overflow, err := core.RunPairWith(seed, key.Set, key.Class, core.Options{Scenario: flashCrowd})
+	overflow, err := core.RunPair(context.Background(), seed, key.Set, key.Class, core.Options{Scenario: flashCrowd})
 	if err != nil {
 		log.Fatal(err)
 	}

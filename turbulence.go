@@ -210,7 +210,7 @@ const (
 // Seed-policy and trace-retention constants for Plans and Runners.
 const (
 	// SeedCommon streams every scenario/variant cell of a pair under
-	// common random numbers (the legacy entry points' policy).
+	// common random numbers (the default policy).
 	SeedCommon = core.SeedCommon
 	// SeedPerCell gives every cell an independent random stream.
 	SeedPerCell = core.SeedPerCell
@@ -233,7 +233,7 @@ const (
 func NewPlan(baseSeed int64) *Plan { return core.NewPlan(baseSeed) }
 
 // NewRunner builds a Plan executor. With no options it runs sequentially
-// with no cancellation — exactly the legacy sequential entry points.
+// with no cancellation.
 func NewRunner(opts ...RunnerOption) *Runner { return core.NewRunner(opts...) }
 
 // WithWorkers sets the Runner's worker-pool size (1 = sequential, 0 = all
@@ -487,33 +487,11 @@ func NewTestbed(seed int64) *Testbed { return core.NewTestbed(seed) }
 
 // RunPair executes the paper's unit experiment: the given set's clip pair
 // of the given class streamed simultaneously in both formats, fully
-// instrumented. Deterministic in seed.
-func RunPair(seed int64, set int, class Class) (*PairRun, error) {
-	return core.RunPair(seed, set, class)
-}
-
-// RunPairWith is RunPair with ablation options.
-func RunPairWith(seed int64, set int, class Class, opts Options) (*PairRun, error) {
-	return core.RunPairWith(seed, set, class, opts)
-}
-
-// RunAll executes all 13 Table 1 pair experiments sequentially.
-//
-// Deprecated: RunAll remains supported as a thin wrapper over the Plan
-// engine (output pinned byte-identical by test); new sweep code should use
-// NewRunner().Run(NewPlan(seed)), which adds cancellation, progress,
-// streaming and sharding.
-func RunAll(seed int64) ([]*PairRun, error) { return core.RunAll(seed) }
-
-// RunAllParallel executes all 13 Table 1 pair experiments on a worker pool
-// (workers == 0 uses every core). Each run owns a private single-threaded
-// scheduler seeded exactly as in RunAll, so the results — traces included —
-// are byte-identical to the sequential path; only wall-clock time differs.
-//
-// Deprecated: thin wrapper over the Plan engine; new code should use
-// NewRunner(WithWorkers(workers)).Run(NewPlan(seed)).
-func RunAllParallel(seed int64, workers int) ([]*PairRun, error) {
-	return core.RunAllParallel(seed, workers)
+// instrumented, with ablation options (the zero Options is the faithful
+// reproduction). Deterministic in seed. Sweeps declare a Plan and execute
+// it with a Runner instead.
+func RunPair(seed int64, set int, class Class, opts Options) (*PairRun, error) {
+	return core.RunPair(context.Background(), seed, set, class, opts)
 }
 
 // AllPairs lists the 13 Table 1 pair experiments in order.
@@ -552,19 +530,6 @@ func ForRole(r HopRole, im Impairment) func(HopRole, int, int) Impairment {
 // loss rate, mean burst length (packets) and in-burst loss probability.
 func GEFromBurst(avgLoss, burstLen, lossBad float64) LossModel {
 	return netem.GEFromBurst(avgLoss, burstLen, lossBad)
-}
-
-// RunScenarioMatrix streams every listed clip pair under every listed
-// scenario on a worker pool (workers == 0 uses every core), with common
-// random numbers across scenarios. Deterministic for any workers value.
-//
-// Deprecated: thin wrapper over the Plan engine (output pinned
-// byte-identical by test); new code should use
-// NewPlan(seed).ForPairs(keys...).UnderScenarios(scenarios...) with a
-// Runner, which additionally shards, streams, cancels and reports
-// progress.
-func RunScenarioMatrix(seed int64, keys []PairKey, scenarios []*Scenario, workers int) ([]ScenarioRuns, error) {
-	return core.RunScenarioMatrix(seed, keys, scenarios, workers)
 }
 
 // ProfileFlow computes the turbulence profile of a captured flow (by

@@ -8,7 +8,7 @@ import (
 )
 
 func TestPublicAPIQuickstart(t *testing.T) {
-	run, err := turbulence.RunPair(2002, 2, turbulence.High)
+	run, err := turbulence.RunPair(2002, 2, turbulence.High, turbulence.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,7 +56,7 @@ func TestPublicAPIExperiments(t *testing.T) {
 }
 
 func TestPublicAPIGenerator(t *testing.T) {
-	run, err := turbulence.RunPair(3, 3, turbulence.Low)
+	run, err := turbulence.RunPair(3, 3, turbulence.Low, turbulence.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,7 +76,7 @@ func TestPublicAPIFilter(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	run, err := turbulence.RunPair(4, 2, turbulence.Low)
+	run, err := turbulence.RunPair(4, 2, turbulence.Low, turbulence.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
