@@ -58,6 +58,11 @@ func BenchmarkSec4FlowGenerator(b *testing.B)              { benchExperiment(b, 
 func BenchmarkExtensionMediaScaling(b *testing.B) { benchExperiment(b, "ext-scaling") }
 func BenchmarkExtensionUDPvsTCP(b *testing.B)     { benchExperiment(b, "ext-tcp") }
 
+// BenchmarkExtNetemScenarios regenerates the scenario-matrix extension:
+// 54 streamed cells (every high-class pair under every named scenario),
+// each scenario a testbed shape of its own.
+func BenchmarkExtNetemScenarios(b *testing.B) { benchExperiment(b, "ext-netem-scenarios") }
+
 // Ablation benches (DESIGN.md §4).
 func BenchmarkAblationNoFragmentation(b *testing.B)   { benchExperiment(b, "ablation-nofrag") }
 func BenchmarkAblationUncappedBuffering(b *testing.B) { benchExperiment(b, "ablation-uncapped") }

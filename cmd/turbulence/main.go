@@ -30,10 +30,11 @@
 // reproduce identical output at any -parallel setting.
 //
 // -retention selects what the shared pair-run sweep keeps per run:
-// "retain" (default) holds full packet captures and regenerates every
-// experiment; "stream" never stores records at all — captured packets
-// feed online analyzers and the sweep runs in a few KB of analyzer state
-// per worker. Under stream only the trace-free experiments regenerate
+// "retain" (default) holds each run's two media flows without payload
+// bytes — arrival times, sizes and fragment fields, all the figures
+// reduce — and regenerates every experiment; "stream" never stores
+// records at all — captured packets feed online analyzers and the sweep
+// runs in a few KB of analyzer state per worker. Under stream only the trace-free experiments regenerate
 // (reports, probes, profiles); with no -experiment the list narrows to
 // them automatically.
 //
@@ -146,7 +147,7 @@ func main() {
 	seed := flag.Int64("seed", 2002, "base random seed (runs are deterministic per seed)")
 	experiment := flag.String("experiment", "", "run a single experiment id (default: all)")
 	parallel := flag.Int("parallel", 0, "worker pool size for independent pair runs (1 = sequential, 0 = all cores); results are identical either way")
-	retention := flag.String("retention", "retain", "what the shared pair-run sweep keeps per run: retain (full packet captures, all experiments) or stream (never store records; online analyzers only, lowest memory). stream regenerates only trace-free experiments (reports, probes, profiles)")
+	retention := flag.String("retention", "retain", "what the shared pair-run sweep keeps per run: retain (payload-free media flows, all experiments) or stream (never store records; online analyzers only, lowest memory). stream regenerates only trace-free experiments (reports, probes, profiles)")
 	scenario := flag.String("scenario", "", "stream the pair runs under a named netem scenario (see -list-scenarios)")
 	shard := flag.String("shard", "", "run the i-th of n strided slices of the experiment list, as \"i/n\" (0-based); all shards together reproduce the full run")
 	progress := flag.Bool("progress", false, "report each completed pair run on stderr")
@@ -238,6 +239,8 @@ func main() {
 		fmt.Fprintln(os.Stderr, "turbulence:", err)
 		os.Exit(2)
 	}
+	// "retain" leaves the context at its default, which keeps the media
+	// flows every experiment reduces; only "stream" narrows it.
 	if ret != turbulence.RetainTraces {
 		ctx.SetRetention(ret)
 	}
@@ -566,7 +569,7 @@ func parsePairs(spec string) ([]turbulence.PairKey, error) {
 }
 
 // traceFreeIDs filters the experiment list down to those that regenerate
-// without retained packet captures.
+// without retained packet flows.
 func traceFreeIDs(ids []string) []string {
 	var out []string
 	for _, id := range ids {

@@ -38,18 +38,25 @@
 //
 // # Trace retention
 //
-// Two retentions, one per use. RetainTraces (the default) keeps every
-// run's full packet capture — what the figure generators need; Compare
-// profiles a retained run. StreamProfiles, for sweeps, never stores
-// records at all: each captured packet
-// streams through online per-flow analyzers (capture.FlowDemux routing to
-// capture.FlowMetrics) and is gone, so a run's capture state is a few KB
-// of accumulators and RunResult.Comparison carries the profiles. The
+// Three retentions, one per use. RetainTraces (the Runner default), for
+// one-off captures, keeps every run's full packet capture, payload bytes
+// included — what cmd/ethereal writes and what the determinism pins
+// compare; Compare profiles a retained run. The experiments harness keeps
+// figure flows: its cached Table 1 runs stream through the online
+// analyzers and keep only the two media data flows, payload-free, built
+// at capture time — arrival times, wire sizes and fragment fields, all
+// any figure reduces — pinned record for record to the whole capture's
+// flow views. StreamProfiles, for sweeps, never stores records at all:
+// each captured packet streams through online per-flow analyzers
+// (capture.FlowDemux routing to capture.FlowMetrics) and is gone, so a
+// run's capture state is a few KB of accumulators and
+// RunResult.Comparison carries the profiles. The
 // online profiles are exactly equal to trace-derived ones — ProfileFlow
 // replays stored traces through the same accumulator — pinned across all
 // pairs, scenarios and worker counts by test. cmd/turbulence exposes the
-// choice as -retention {retain,stream} (stream regenerates only the
-// trace-free experiments: reports, probes, profiles).
+// experiments' choice as -retention {retain,stream}: retain keeps the
+// figure flows and regenerates every experiment, stream regenerates only
+// the trace-free ones (reports, probes, profiles).
 //
 // Every run is seeded: identical plans produce byte-identical traces, for
 // any worker count, and each cell equals the one-off RunPair at the

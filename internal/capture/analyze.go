@@ -57,6 +57,50 @@ func (f *FlowTrace) Where(keep func(*Record) bool) *FlowTrace {
 	return &FlowTrace{Flow: f.Flow, owner: f.owner, idx: idx}
 }
 
+// FlowRecorder is a Tap that keeps one flow's records without their
+// payload bytes: each observed record goes into the recorder's columnar
+// store with no arena bytes, and FlowTrace hands the flow out as a
+// standalone FlowTrace answering every reduction (times, sizes, fragment
+// fields) at a fraction of a whole capture's cost. Records are Wire-less,
+// like synthetic ones: Raw returns nil. Install it through
+// FlowDemux.Extra, which attributes fragments exactly as SplitFlows does,
+// and the recorded flow equals the stored trace's FlowTo view record for
+// record. The zero value is ready for Reset; a recorder is reused flow
+// after flow, so its columns grow once, not per flow.
+type FlowRecorder struct {
+	flow inet.Flow
+	st   store
+}
+
+// Reset empties the recorder for a new flow, keeping its columns'
+// capacity.
+func (fr *FlowRecorder) Reset(flow inet.Flow) {
+	fr.flow = flow
+	fr.st.truncate()
+}
+
+// Observe stores one record, dropping its wire payload.
+func (fr *FlowRecorder) Observe(r *Record) {
+	rec := *r
+	rec.wire = nil
+	fr.st.append(rec)
+}
+
+// FlowTrace copies the recorded flow into a standalone FlowTrace whose
+// columns are sized exactly, so the flow outlives the recorder's next
+// Reset and holds no spare capacity.
+func (fr *FlowRecorder) FlowTrace() *FlowTrace {
+	n := fr.st.len()
+	owner := &Trace{}
+	owner.st.grow(n)
+	idx := make([]int32, n)
+	for i := range idx {
+		owner.st.append(fr.st.record(i))
+		idx[i] = int32(i)
+	}
+	return &FlowTrace{Flow: fr.flow, owner: owner, idx: idx}
+}
+
 // SplitFlows partitions received UDP records into flows. Records are
 // assumed time-ordered (as captured). Fragment trains are attributed to the
 // flow of their first fragment by (src, dst, IP ID).

@@ -18,7 +18,7 @@ var (
 )
 
 // mkRecord fabricates a received UDP record without a network.
-func mkRecord(t *testing.T, at float64, payloadLen int, id uint16) Record {
+func mkRecord(t testing.TB, at float64, payloadLen int, id uint16) Record {
 	t.Helper()
 	d, err := inet.BuildUDP(srvEP, cliEP, id, make([]byte, payloadLen))
 	if err != nil {
@@ -28,7 +28,7 @@ func mkRecord(t *testing.T, at float64, payloadLen int, id uint16) Record {
 }
 
 // mkFragTrain fabricates the records of one fragmented datagram.
-func mkFragTrain(t *testing.T, at float64, payloadLen int, id uint16) []Record {
+func mkFragTrain(t testing.TB, at float64, payloadLen int, id uint16) []Record {
 	t.Helper()
 	d, err := inet.BuildUDP(srvEP, cliEP, id, make([]byte, payloadLen))
 	if err != nil {
@@ -92,7 +92,7 @@ func TestFragmentRecordConventions(t *testing.T) {
 	}
 }
 
-func buildTestTrace(t *testing.T) *Trace {
+func buildTestTrace(t testing.TB) *Trace {
 	tr := &Trace{}
 	// Flow A: 10 unfragmented 900-byte-payload packets, 100 ms apart.
 	for i := 0; i < 10; i++ {

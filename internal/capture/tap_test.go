@@ -1,7 +1,9 @@
 package capture
 
 import (
+	"fmt"
 	"math"
+	"reflect"
 	"testing"
 	"time"
 
@@ -352,5 +354,68 @@ func TestTapSteadyStateAllocFree(t *testing.T) {
 	allocs := testing.AllocsPerRun(1000, warm)
 	if allocs > 0 {
 		t.Fatalf("tap path allocates %.3f times per observation batch, want 0", allocs)
+	}
+}
+
+// TestFlowRecorderMatchesSplitFlows pins the payload-free flow recorder
+// behind core's RetainFlows: fed through the demux's Extra factory, each
+// recorder's FlowTrace equals the stored trace's SplitFlows view record
+// for record, payload aside, and a flow handed out survives the
+// recorder's reuse for the next flows.
+func TestFlowRecorderMatchesSplitFlows(t *testing.T) {
+	sameFlow := func(got, want *FlowTrace) string {
+		if got.Flow != want.Flow || got.Len() != want.Len() {
+			return fmt.Sprintf("%v with %d records, want %v with %d", got.Flow, got.Len(), want.Flow, want.Len())
+		}
+		for j := 0; j < want.Len(); j++ {
+			a, b := got.At(j), want.At(j)
+			if a.Wire() != nil {
+				return fmt.Sprintf("record %d kept its payload", j)
+			}
+			b.wire = nil
+			if !reflect.DeepEqual(a, b) {
+				return fmt.Sprintf("record %d:\n%+v\n%+v", j, a, b)
+			}
+		}
+		return ""
+	}
+	rng := eventsim.NewRNG(7)
+	var recs []*FlowRecorder
+	var first [][2]*FlowTrace // round 0's flows, rechecked after reuse
+	for round := 0; round < 3; round++ {
+		tr := randomTrace(t, rng, 400)
+		dx := NewFlowDemux()
+		next := 0
+		dx.Extra = func(f inet.Flow) Tap {
+			if next == len(recs) {
+				recs = append(recs, &FlowRecorder{})
+			}
+			fr := recs[next]
+			next++
+			fr.Reset(f)
+			return fr
+		}
+		for i := 0; i < tr.Len(); i++ {
+			r := tr.At(i)
+			dx.Observe(&r)
+		}
+		split := tr.SplitFlows()
+		if next != len(split) {
+			t.Fatalf("round %d: %d recorders for %d flows", round, next, len(split))
+		}
+		for i, want := range split {
+			got := recs[i].FlowTrace()
+			if msg := sameFlow(got, want); msg != "" {
+				t.Fatalf("round %d flow %d: %s", round, i, msg)
+			}
+			if round == 0 {
+				first = append(first, [2]*FlowTrace{got, want})
+			}
+		}
+	}
+	for i, p := range first {
+		if msg := sameFlow(p[0], p[1]); msg != "" {
+			t.Fatalf("round 0 flow %d changed after its recorder was reused: %s", i, msg)
+		}
 	}
 }

@@ -325,6 +325,29 @@ func (st *store) grow(n int) {
 	growCol(&st.wireRef, n)
 }
 
+// truncate empties the store in place: every column keeps its capacity
+// for the next records, and the arena is dropped.
+func (st *store) truncate() {
+	st.at = st.at[:0]
+	st.wireLen = st.wireLen[:0]
+	st.ipLen = st.ipLen[:0]
+	st.payLen = st.payLen[:0]
+	st.src = st.src[:0]
+	st.dst = st.dst[:0]
+	st.srcPort = st.srcPort[:0]
+	st.dstPort = st.dstPort[:0]
+	st.ipid = st.ipid[:0]
+	st.flags = st.flags[:0]
+	st.fragOff = st.fragOff[:0]
+	st.proto = st.proto[:0]
+	st.ttl = st.ttl[:0]
+	st.tos = st.tos[:0]
+	st.dir = st.dir[:0]
+	st.meta = st.meta[:0]
+	st.wireRef = st.wireRef[:0]
+	st.bytes = arena{}
+}
+
 func growCol[T any](col *[]T, n int) {
 	if free := cap(*col) - len(*col); free >= n {
 		return

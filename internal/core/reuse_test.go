@@ -6,7 +6,9 @@ import (
 	"testing"
 
 	"turbulence/internal/media"
+	"turbulence/internal/netem"
 	"turbulence/internal/racecheck"
+	"turbulence/internal/rdt"
 )
 
 // TestReusedMatchesFresh is the reuse identity pin: reset-reused testbeds
@@ -89,7 +91,7 @@ func TestReusedRunAllocatesFarLess(t *testing.T) {
 		var before, after runtime.MemStats
 		runtime.GC()
 		runtime.ReadMemStats(&before)
-		if _, _, err := runPair(ctx, seed, 2, media.High, Options{}, true, nil, cache); err != nil {
+		if _, _, err := runPair(ctx, seed, 2, media.High, Options{}, StreamProfiles, nil, cache); err != nil {
 			t.Fatal(err)
 		}
 		runtime.ReadMemStats(&after)
@@ -97,7 +99,7 @@ func TestReusedRunAllocatesFarLess(t *testing.T) {
 	}
 
 	cache := NewTestbedCache()
-	if _, _, err := runPair(ctx, seed, 2, media.High, Options{}, true, nil, cache); err != nil {
+	if _, _, err := runPair(ctx, seed, 2, media.High, Options{}, StreamProfiles, nil, cache); err != nil {
 		t.Fatal(err) // warm: builds the testbed and the pooled demux
 	}
 	reused := measure(cache)
@@ -114,14 +116,75 @@ func BenchmarkReusedPairRun(b *testing.B) {
 	seed := SeedFor(2002, PairKey{Set: 2, Class: media.High})
 	ctx := context.Background()
 	cache := NewTestbedCache()
-	if _, _, err := runPair(ctx, seed, 2, media.High, Options{}, true, nil, cache); err != nil {
+	if _, _, err := runPair(ctx, seed, 2, media.High, Options{}, StreamProfiles, nil, cache); err != nil {
 		b.Fatal(err)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := runPair(ctx, seed, 2, media.High, Options{}, true, nil, cache); err != nil {
+		if _, _, err := runPair(ctx, seed, 2, media.High, Options{}, StreamProfiles, nil, cache); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// TestNewShapeStreamsFromSharedPackets pins the cache's shared RealServer
+// packet pool: on a warm single-worker cache, a cell of a new testbed
+// shape — a testbed whose servers never streamed — allocates less than
+// one resend window of packet buffers in all, because its sessions draw
+// the buffers the previous cells returned.
+func TestNewShapeStreamsFromSharedPackets(t *testing.T) {
+	if racecheck.Enabled {
+		t.Skip("allocation pin: race instrumentation dominates the measurement")
+	}
+	ctx := context.Background()
+	cache := NewTestbedCache()
+	if _, _, err := runPair(ctx, 2002, 2, media.High, Options{}, StreamProfiles, nil, cache); err != nil {
+		t.Fatal(err) // warm: the faithful shape fills one window
+	}
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	opts := Options{Scenario: mustScenario(t, "paper-baseline")}
+	if _, _, err := runPair(ctx, 2002, 2, media.High, opts, StreamProfiles, nil, cache); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	if cache.Built() != 2 {
+		t.Fatalf("cache built %d testbeds, want 2 (the second cell is a new shape)", cache.Built())
+	}
+	// A window of fresh buffers costs 512 × the buffer capacity; the bound
+	// is the smaller 512 × MaxPayload, the window's largest payloads.
+	window := uint64(rdt.ResendWindow * rdt.MaxPayload)
+	if got := after.TotalAlloc - before.TotalAlloc; got >= window {
+		t.Fatalf("new-shape cell allocated %d bytes, want < one resend window (%d)", got, window)
+	}
+}
+
+// TestSharedPacketPoolBounded pins that the shared pool does not grow per
+// shape: after cells over the faithful testbed and every named scenario,
+// for every data set, it holds about one resend window — every session's
+// buffers came back, and no shape added a window of its own.
+func TestSharedPacketPoolBounded(t *testing.T) {
+	if testing.Short() {
+		t.Skip("60 cells in -short mode")
+	}
+	ctx := context.Background()
+	cache := NewTestbedCache()
+	scenarios := append([]*netem.Scenario{nil}, netem.All()...)
+	for _, sc := range scenarios {
+		for _, set := range media.Library() {
+			class := set.Classes()[0]
+			seed := SeedFor(2002, PairKey{Set: set.Set, Class: class})
+			if _, _, err := runPair(ctx, seed, set.Set, class, Options{Scenario: sc}, StreamProfiles, nil, cache); err != nil {
+				t.Fatalf("%d/%v under %v: %v", set.Set, class, sc, err)
+			}
+		}
+	}
+	if cache.Built() != len(scenarios) {
+		t.Fatalf("cache built %d testbeds, want one per shape (%d)", cache.Built(), len(scenarios))
+	}
+	if n, bound := cache.pkts.Len(), rdt.ResendWindow+32; n < rdt.ResendWindow || n > bound {
+		t.Fatalf("shared pool holds %d buffers after %d shapes, want one window (%d) to %d", n, len(scenarios), rdt.ResendWindow, bound)
 	}
 }

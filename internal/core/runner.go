@@ -11,12 +11,16 @@ import (
 	"turbulence/internal/obs"
 )
 
-// TraceRetention selects what a Runner keeps of each completed run.
+// TraceRetention selects what a Runner keeps of each completed run. There
+// is one retention per use: one-off captures (RetainTraces), figure flows
+// (RetainFlows) and sweep streaming (StreamProfiles).
 type TraceRetention int
 
 const (
-	// RetainTraces keeps every run's full packet capture and flow views —
-	// the default, and what the figure generators need.
+	// RetainTraces keeps every run's full packet capture, payload bytes
+	// included, and its flow views — the Runner default, and what
+	// writing, filtering or comparing whole captures needs (cmd/ethereal,
+	// the determinism pins).
 	RetainTraces TraceRetention = iota
 	// StreamProfiles never stores records at all: each captured packet
 	// streams through online per-flow analyzers (capture.FlowDemux) at the
@@ -28,6 +32,15 @@ const (
 	// run in: memory is O(workers × analyzer state), not O(workers ×
 	// trace).
 	StreamProfiles
+	// RetainFlows streams records through the online analyzers as
+	// StreamProfiles does, and also keeps the two media data flows
+	// (WMPFlow, RealFlow) as payload-free capture.FlowTraces built at
+	// capture time: arrival times, wire sizes and fragment fields, which
+	// is everything the paper's figures reduce. Run.Trace is nil and
+	// RunResult.Comparison carries the online profiles. The flows equal
+	// RetainTraces' FlowTo views record for record, payload aside. The
+	// experiments harness runs its Table 1 cells this way.
+	RetainFlows
 )
 
 // Progress is one completion notification delivered to a WithProgress
@@ -53,12 +66,12 @@ type RunResult struct {
 	Seed int64
 
 	// Run is the full pair-run result (nil when Err is set or the cell
-	// came from the result store; without raw traces under
-	// StreamProfiles).
+	// came from the result store; without a Trace under StreamProfiles
+	// and RetainFlows, and without flows under StreamProfiles).
 	Run *PairRun
 	// Comparison holds both flows' turbulence profiles, accumulated online
-	// at capture time under StreamProfiles. Nil under RetainTraces — call
-	// Compare on the retained run instead.
+	// at capture time under StreamProfiles and RetainFlows. Nil under
+	// RetainTraces — call Compare on the retained run instead.
 	Comparison *Comparison
 
 	Err error
@@ -231,10 +244,10 @@ func WithSweepStats(fn func(SweepStats)) RunnerOption {
 // must not install a store with a lookup path; the experiments harness
 // wraps its store insert-only for exactly this reason. Misses simulate
 // normally and their Comparisons are inserted for the next sweep. The
-// store is consulted only under StreamProfiles: RetainTraces promises full
-// packet captures, which the store does not hold, so it bypasses the cache
-// entirely rather than silently degrade the result shape. Errored cells
-// are never cached.
+// store is consulted only under StreamProfiles: RetainTraces and
+// RetainFlows promise packet captures or flows, which the store does not
+// hold, so they bypass the cache entirely rather than silently degrade
+// the result shape. Errored cells are never cached.
 func WithResultStore(s ResultStore) RunnerOption {
 	return func(r *Runner) { r.store = s }
 }
@@ -297,8 +310,7 @@ func (r *Runner) execute(p *Plan, emit func(RunResult) bool) {
 		}
 		seed := p.Seed(k)
 		start := time.Now()
-		stream := r.retention == StreamProfiles
-		useStore := r.store != nil && stream
+		useStore := r.store != nil && r.retention == StreamProfiles
 		if useStore {
 			if cmp, ok := r.store.LookupResult(k.Pair, p.OptionsFor(k), seed); ok {
 				elapsed := time.Since(start)
@@ -308,7 +320,7 @@ func (r *Runner) execute(p *Plan, emit func(RunResult) bool) {
 				return finish(RunResult{Key: k, Seed: seed, Comparison: cmp}, start, elapsed)
 			}
 		}
-		run, cmp, err := runPair(ctx, seed, k.Pair.Set, k.Pair.Class, p.OptionsFor(k), stream, r.sink, t.cache)
+		run, cmp, err := runPair(ctx, seed, k.Pair.Set, k.Pair.Class, p.OptionsFor(k), r.retention, r.sink, t.cache)
 		elapsed := time.Since(start)
 		if err != nil && ctx.Err() != nil {
 			// Interrupted mid-simulation: not a completed cell.

@@ -121,7 +121,7 @@ type Options struct {
 // run promptly and returns ctx.Err(). Sweeps should declare a Plan and
 // execute it with a Runner instead.
 func RunPair(ctx context.Context, seed int64, set int, class media.Class, opts Options) (*PairRun, error) {
-	run, _, err := runPair(ctx, seed, set, class, opts, false, nil, NewTestbedCache())
+	run, _, err := runPair(ctx, seed, set, class, opts, RetainTraces, nil, NewTestbedCache())
 	return run, err
 }
 
@@ -130,14 +130,17 @@ func RunPair(ctx context.Context, seed int64, set int, class media.Class, opts O
 // (the scheduler's interrupt seam), so a cancelled ctx aborts the run
 // promptly mid-stream and returns ctx.Err().
 //
-// With stream set (the Runner's StreamProfiles retention) the sniffer
-// stores nothing: each captured record streams through an online
-// flow-demultiplexing analyzer and is gone, the returned PairRun carries
-// no Trace or flow views, and both flows' profiles come back as a
-// Comparison computed from the analyzer state. Everything else — tracker
-// reports, probes, path stats — is identical, and the profiles themselves
-// are exactly equal to what profiling a retained trace yields, because
-// ProfileFlow replays stored traces through the same analyzer.
+// Under StreamProfiles and RetainFlows the sniffer stores nothing: each
+// captured record streams through the worker's pooled online
+// flow-demultiplexing analyzer and is gone, and both flows' profiles come
+// back as a Comparison computed from the analyzer state. StreamProfiles
+// keeps no Trace or flow views; RetainFlows also records the two media
+// data flows, payload-free, through the demux's per-flow Extra tap (see
+// capture.FlowRecorder), so WMPFlow and RealFlow are set while Trace stays
+// nil. Everything else — tracker reports, probes, path stats — is
+// identical, and the profiles themselves are exactly equal to what
+// profiling a retained trace yields, because ProfileFlow replays stored
+// traces through the same analyzer.
 //
 // A non-nil sink attaches a capture.CounterTap to the sniffer (packet and
 // byte volume, two atomic adds per record — the tap path's allocation pin
@@ -148,7 +151,7 @@ func RunPair(ctx context.Context, seed int64, set int, class media.Class, opts O
 // and the pooled analysis scratch; a one-off run passes a new cache, so
 // it builds both. Either way the run's bytes are identical: reuse is
 // pinned equal to construction.
-func runPair(ctx context.Context, seed int64, set int, class media.Class, opts Options, stream bool, sink *obs.Sink, cache *TestbedCache) (*PairRun, *Comparison, error) {
+func runPair(ctx context.Context, seed int64, set int, class media.Class, opts Options, retention TraceRetention, sink *obs.Sink, cache *TestbedCache) (*PairRun, *Comparison, error) {
 	clipSet, ok := media.FindSet(set)
 	if !ok {
 		return nil, nil, fmt.Errorf("core: unknown data set %d", set)
@@ -180,11 +183,15 @@ func runPair(ctx context.Context, seed int64, set int, class media.Class, opts O
 		sniff.AddTap(&capture.CounterTap{Records: sink.Packets, Bytes: sink.Bytes})
 	}
 	var demux *capture.FlowDemux
-	if stream {
+	if retention != RetainTraces {
 		// Online analysis: records stream through the flow demultiplexer's
-		// per-flow accumulators and are never stored.
+		// per-flow accumulators and are never stored whole.
 		sniff.SetStore(false)
 		demux = cache.demux()
+		demux.Extra = nil
+		if retention == RetainFlows {
+			demux.Extra = cache.flowRecorders()
+		}
 		sniff.AddTap(demux)
 	}
 
@@ -276,7 +283,7 @@ func runPair(ctx context.Context, seed int64, set int, class media.Class, opts O
 		EventsFired:     tb.Net.Sched.Fired(),
 		HeapPeak:        tb.Net.Sched.PeakQueue(),
 	}
-	if stream {
+	if demux != nil {
 		wmp, real := demux.To(WMPDataPort), demux.To(RDTDataPort)
 		if wmp == nil || real == nil {
 			return nil, nil, fmt.Errorf("core: pair %d/%v missing data flows in capture", set, class)
@@ -286,6 +293,10 @@ func runPair(ctx context.Context, seed int64, set int, class media.Class, opts O
 			ClassName: run.Class.String(),
 			Real:      ProfileFromMetrics(real.Metrics),
 			WMP:       ProfileFromMetrics(wmp.Metrics),
+		}
+		if retention == RetainFlows {
+			run.WMPFlow = wmp.Extra.(*capture.FlowRecorder).FlowTrace()
+			run.RealFlow = real.Extra.(*capture.FlowRecorder).FlowTrace()
 		}
 		return run, cmp, nil
 	}

@@ -1,8 +1,11 @@
 package core
 
 import (
+	"reflect"
 	"testing"
 
+	"turbulence/internal/capture"
+	"turbulence/internal/inet"
 	"turbulence/internal/media"
 	"turbulence/internal/netem"
 )
@@ -77,4 +80,81 @@ func TestStreamProfilesMatchTraceProfiles(t *testing.T) {
 	scenarios := append([]*netem.Scenario{nil}, netem.All()...)
 	plan := NewPlan(2002).UnderScenarios(scenarios...)
 	streamParityPlanCheck(t, plan, []int{1, 4, 0})
+}
+
+// flowParityCheck runs plan under RetainTraces (the reference) and
+// RetainFlows, and requires each RetainFlows cell's flows to equal the
+// reference capture's FlowTo views record for record — every exported
+// Record field; only the payload (Wire) is dropped — and Compare on the
+// flows to equal the cell's online Comparison.
+func flowParityCheck(t *testing.T, plan *Plan) {
+	t.Helper()
+	ref, err := NewRunner(WithWorkers(0), WithTraceRetention(RetainTraces)).Run(plan)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := NewRunner(WithWorkers(0), WithTraceRetention(RetainFlows)).Run(plan)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != len(ref) {
+		t.Fatalf("%d cells, want %d", len(got), len(ref))
+	}
+	for i, res := range got {
+		run := res.Run
+		if run.Trace != nil || run.WMPFlow == nil || run.RealFlow == nil {
+			t.Fatalf("cell %v: RetainFlows kept trace=%t wmp=%t real=%t, want only the flows",
+				res.Key, run.Trace != nil, run.WMPFlow != nil, run.RealFlow != nil)
+		}
+		if res.Comparison == nil {
+			t.Fatalf("cell %v: no online profiles", res.Key)
+		}
+		if c := Compare(run); c != *res.Comparison {
+			t.Fatalf("cell %v: Compare(flows) differs from the online Comparison:\n%+v\n%+v", res.Key, c, *res.Comparison)
+		}
+		want := ref[i].Run.Trace
+		for _, fl := range []struct {
+			port inet.Port
+			got  *capture.FlowTrace
+		}{{WMPDataPort, run.WMPFlow}, {RDTDataPort, run.RealFlow}} {
+			w := want.FlowTo(fl.port)
+			if fl.got.Flow != w.Flow || fl.got.Len() != w.Len() {
+				t.Fatalf("cell %v port %d: flow %v with %d records, want %v with %d",
+					res.Key, fl.port, fl.got.Flow, fl.got.Len(), w.Flow, w.Len())
+			}
+			for j := 0; j < w.Len(); j++ {
+				a, b := fl.got.At(j), w.At(j)
+				if a.Wire() != nil {
+					t.Fatalf("cell %v port %d record %d: payload retained", res.Key, fl.port, j)
+				}
+				if f, ok := exportedFieldsDiffer(a, b); ok {
+					t.Fatalf("cell %v port %d record %d: field %s differs:\n%v\n%v", res.Key, fl.port, j, f, a, b)
+				}
+			}
+		}
+	}
+}
+
+// exportedFieldsDiffer names the first exported Record field on which a
+// and b differ.
+func exportedFieldsDiffer(a, b capture.Record) (string, bool) {
+	va, vb := reflect.ValueOf(a), reflect.ValueOf(b)
+	for i := 0; i < va.NumField(); i++ {
+		f := va.Type().Field(i)
+		if f.IsExported() && va.Field(i).Interface() != vb.Field(i).Interface() {
+			return f.Name, true
+		}
+	}
+	return "", false
+}
+
+// TestRetainFlowsMatchTraceFlows pins flow retention to the whole-capture
+// views it replaces: all 13 Table 1 pairs at seed 2002, plus 5/high under
+// lossy-wifi, where loss breaks fragment trains.
+func TestRetainFlowsMatchTraceFlows(t *testing.T) {
+	if testing.Short() {
+		t.Skip("13-pair sweeps in -short mode")
+	}
+	flowParityCheck(t, NewPlan(2002))
+	flowParityCheck(t, NewPlan(2002).ForPairs(PairKey{5, media.High}).UnderScenarios(mustScenario(t, "lossy-wifi")))
 }

@@ -250,16 +250,23 @@ func (sh testbedShape) options() []TestbedOption {
 // the Runner creates one per worker.
 //
 // The cache also owns the worker's online-analysis scratch (the capture
-// flow demux), pooled for the same reason.
+// flow demux and RetainFlows' two flow recorders) and one RealServer
+// packet-buffer pool that every RDT server of every testbed it builds
+// shares, pooled for the same reason: a testbed of a new shape streams
+// from the buffers the previous cell's sessions returned instead of
+// filling a resend window of fresh ones. Only one of the cache's
+// testbeds runs at a time, so the shared pool needs no lock.
 type TestbedCache struct {
 	tbs           map[testbedShape]*Testbed
 	dx            *capture.FlowDemux
+	recs          dataFlowRecorders
+	pkts          *rdt.PacketPool
 	built, reused int
 }
 
 // NewTestbedCache returns an empty cache.
 func NewTestbedCache() *TestbedCache {
-	return &TestbedCache{tbs: make(map[testbedShape]*Testbed)}
+	return &TestbedCache{tbs: make(map[testbedShape]*Testbed), pkts: &rdt.PacketPool{}}
 }
 
 // Get returns a testbed for the run's shape, reset to seed: a cached one
@@ -272,6 +279,9 @@ func (c *TestbedCache) Get(seed int64, set int, opts Options) *Testbed {
 		return tb
 	}
 	tb := NewTestbed(seed, sh.options()...)
+	for _, site := range tb.Sites {
+		site.RDT.UsePacketPool(c.pkts)
+	}
 	c.built++
 	c.tbs[sh] = tb
 	return tb
@@ -282,6 +292,42 @@ func (c *TestbedCache) Built() int { return c.built }
 
 // Reused reports how many Gets were served by resetting a cached testbed.
 func (c *TestbedCache) Reused() int { return c.reused }
+
+// dataFlowRecorders is RetainFlows' recording scratch: one pooled
+// recorder per media data port. Each run hands a port's recorder to the
+// first flow bound for that port — the flow demux.To and Trace.FlowTo
+// pick — and records no other flow.
+type dataFlowRecorders struct {
+	wmp, real       capture.FlowRecorder
+	wmpSet, realSet bool
+	extra           func(inet.Flow) capture.Tap // tap, bound once
+}
+
+// tap is the demux Extra factory.
+func (fr *dataFlowRecorders) tap(f inet.Flow) capture.Tap {
+	switch {
+	case f.Dst.Port == WMPDataPort && !fr.wmpSet:
+		fr.wmpSet = true
+		fr.wmp.Reset(f)
+		return &fr.wmp
+	case f.Dst.Port == RDTDataPort && !fr.realSet:
+		fr.realSet = true
+		fr.real.Reset(f)
+		return &fr.real
+	}
+	return nil
+}
+
+// flowRecorders returns the worker's data-flow recording factory, armed
+// for a new run.
+func (c *TestbedCache) flowRecorders() func(inet.Flow) capture.Tap {
+	fr := &c.recs
+	fr.wmpSet, fr.realSet = false, false
+	if fr.extra == nil {
+		fr.extra = fr.tap
+	}
+	return fr.extra
+}
 
 // demux returns the worker's pooled flow demultiplexer, reset for a new
 // run.

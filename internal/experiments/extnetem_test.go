@@ -3,6 +3,7 @@ package experiments
 import (
 	"crypto/sha256"
 	"encoding/hex"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -77,6 +78,36 @@ func TestExtNetemScenarios(t *testing.T) {
 	sum := sha256.Sum256([]byte(res.String()))
 	if got := hex.EncodeToString(sum[:]); got != wantDigest {
 		t.Fatalf("report digest %s, want %s:\n%s", got, wantDigest, res)
+	}
+}
+
+// TestAllExperimentsDigest pins every report one `turbulence -experiment`
+// regeneration renders — table1, fig01–fig15, sec4 and
+// ext-netem-scenarios on one fresh context at the CLI's default seed — as
+// one SHA-256 over the reports in that order. The digest was taken while
+// the Table 1 cells still retained whole captures; flow retention must
+// render the same bytes.
+func TestAllExperimentsDigest(t *testing.T) {
+	if testing.Short() {
+		t.Skip("every experiment in -short mode")
+	}
+	ids := []string{"table1"}
+	for i := 1; i <= 15; i++ {
+		ids = append(ids, fmt.Sprintf("fig%02d", i))
+	}
+	ids = append(ids, "sec4", "ext-netem-scenarios")
+	ctx := NewContext(2002).SetParallel(0)
+	h := sha256.New()
+	for _, id := range ids {
+		res, err := Run(ctx, id)
+		if err != nil {
+			t.Fatalf("%s: %v", id, err)
+		}
+		h.Write([]byte(res.String()))
+	}
+	const wantDigest = "7a2938f3954d632e92cfd6f18d5b16e2830e5ac6295f2b54b0eae2c9b30acd7a"
+	if got := hex.EncodeToString(h.Sum(nil)); got != wantDigest {
+		t.Fatalf("all-experiments digest %s, want %s", got, wantDigest)
 	}
 }
 

@@ -2,8 +2,9 @@
 // evaluation from the simulated testbed. Each experiment is a registered
 // generator producing a Result: tabular rows, plottable series, or both,
 // in the same units and with the same reductions the paper used. The
-// cmd/turbulence binary prints Results; bench_test.go wraps the same
-// generators; EXPERIMENTS.md records paper-versus-measured values.
+// cmd/turbulence binary prints Results, and bench_test.go wraps the same
+// generators. The paper's value for each reported quantity appears in
+// the Result's notes.
 package experiments
 
 import (
@@ -106,16 +107,18 @@ func (r *Result) String() string {
 // progress — to the Plan/Runner engine. Because every run is seeded via
 // core.SeedFor regardless of execution shape, the cached results — and
 // every figure derived from them — are byte-identical to a sequential
-// regeneration.
+// regeneration. The cached runs keep the two media flows payload-free
+// (core.RetainFlows) and no whole capture: the figures reduce arrival
+// times, sizes and fragment fields, never a payload byte.
 type Context struct {
 	Seed    int64
 	workers int
 
 	// retention selects what the cached Table 1 sweep keeps per run (see
-	// core.TraceRetention). Under StreamProfiles the cached runs carry no
-	// packet captures, so only trace-free experiments (reports, probes,
-	// profiles) can regenerate; Run rejects the others with a clear error
-	// instead of letting them crash.
+	// core.TraceRetention; default core.RetainFlows). Under StreamProfiles
+	// the cached runs carry no flows, so only trace-free experiments
+	// (reports, probes, profiles) can regenerate; Run rejects the others
+	// with a clear error instead of letting them crash.
 	retention core.TraceRetention
 
 	// cancel, when set, aborts in-flight pair runs when the context is
@@ -141,7 +144,7 @@ type Context struct {
 
 // NewContext creates a run cache for the given base seed.
 func NewContext(seed int64) *Context {
-	return &Context{Seed: seed, workers: 1, runs: make(map[core.PairKey]*core.PairRun)}
+	return &Context{Seed: seed, workers: 1, retention: core.RetainFlows, runs: make(map[core.PairKey]*core.PairRun)}
 }
 
 // SetParallel sets the worker-pool size used when All must execute several
@@ -187,10 +190,11 @@ func (c *Context) SetMetrics(s *obs.Sink) *Context {
 // from the store — experiments reduce the full player reports and packet
 // flows of a PairRun, which the store's Comparisons do not hold, so a
 // cache hit here would leave the experiment nothing to regenerate from.
-// Inserts need a Comparison, which only streamed cells carry: Matrix
-// sweeps always insert one per cell, the cached Table 1 sweep only under
-// SetRetention(StreamProfiles) — under the default RetainTraces it
-// inserts nothing.
+// Inserts happen where the Runner consults the store, under
+// StreamProfiles: Matrix sweeps always insert one Comparison per cell,
+// the cached Table 1 sweep only under SetRetention(StreamProfiles) —
+// under the default RetainFlows, and under RetainTraces, it inserts
+// nothing.
 func (c *Context) SetResultStore(s core.ResultStore) *Context {
 	c.store = s
 	return c
@@ -206,12 +210,14 @@ func (insertOnly) LookupResult(core.PairKey, core.Options, int64) (*core.Compari
 }
 
 // SetRetention selects what the cached Table 1 sweep keeps of each pair
-// run (default core.RetainTraces). Must be called before the first run
-// executes. With StreamProfiles the sweep never materialises a trace —
-// records stream through online analyzers — so only trace-free
-// experiments can regenerate from this context; Run reports which.
-// One-off runs (RunOne) are unaffected and always retain; Matrix sweeps
-// always stream (see Matrix).
+// run. Must be called before the first run executes. The default,
+// core.RetainFlows, keeps each run's two media flows payload-free —
+// enough for every experiment. core.RetainTraces keeps whole captures as
+// well, which no experiment reads. With core.StreamProfiles the sweep
+// keeps no flows at all — records stream through online analyzers — so
+// only trace-free experiments can regenerate from this context; Run
+// reports which. One-off runs (RunOne) are unaffected and always retain
+// whole captures; Matrix sweeps always stream (see Matrix).
 func (c *Context) SetRetention(tr core.TraceRetention) *Context {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -379,7 +385,7 @@ type Experiment struct {
 	Title    string
 	Generate Generator
 	// TraceFree marks experiments that regenerate without retained packet
-	// captures (see registerTraceFree).
+	// flows (see registerTraceFree).
 	TraceFree bool
 }
 
@@ -393,9 +399,9 @@ func register(id, title string, g Generator) {
 }
 
 // registerTraceFree registers an experiment whose reductions never touch
-// the cached runs' packet captures (tracker reports, probe logs and
+// the cached runs' packet flows (tracker reports, probe logs and
 // profiles only), so it regenerates under any Table 1 sweep retention —
-// including StreamProfiles, where no trace ever exists. The flag is
+// including StreamProfiles, where no flow is kept. The flag is
 // declared here, at the registration site, so it lives next to the code
 // it describes.
 func registerTraceFree(id, title string, g Generator) {
@@ -422,7 +428,7 @@ func IDs() []string {
 }
 
 // TraceFree reports whether the experiment regenerates without retained
-// packet captures (and therefore works under -retention stream).
+// packet flows (and therefore works under -retention stream).
 func TraceFree(id string) bool { return registry[id].TraceFree }
 
 // Run executes one experiment by id. Every report gains a path-drop
@@ -434,8 +440,8 @@ func Run(ctx *Context, id string) (*Result, error) {
 	if !ok {
 		return nil, fmt.Errorf("experiments: unknown experiment %q (have %v)", id, IDs())
 	}
-	if ctx.Retention() != core.RetainTraces && !e.TraceFree {
-		return nil, fmt.Errorf("experiments: %s reduces packet captures, which the context's trace retention discards; rerun with retained traces", id)
+	if ctx.Retention() == core.StreamProfiles && !e.TraceFree {
+		return nil, fmt.Errorf("experiments: %s reduces packet flows, which the context's stream retention discards; rerun with retained flows", id)
 	}
 	res, err := e.Generate(ctx)
 	if err != nil {

@@ -8,6 +8,7 @@ import (
 	"sync"
 	"testing"
 
+	"turbulence/internal/capture"
 	"turbulence/internal/core"
 	"turbulence/internal/media"
 	"turbulence/internal/netem"
@@ -39,18 +40,25 @@ func TestContextDistinctSeedsDistinctRuns(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a.Trace.Len() == b.Trace.Len() {
-		// Lengths can collide; compare a timestamp too.
-		same := true
-		for i := 0; i < a.Trace.Len() && i < b.Trace.Len(); i++ {
-			if a.Trace.At(i).At != b.Trace.At(i).At {
+	// The context keeps the media flows, not whole captures: compare
+	// those, both of them.
+	same := true
+	for _, fs := range [][2]*capture.FlowTrace{{a.WMPFlow, b.WMPFlow}, {a.RealFlow, b.RealFlow}} {
+		fa, fb := fs[0], fs[1]
+		if fa.Len() != fb.Len() {
+			same = false
+			break
+		}
+		// Lengths can collide; compare timestamps too.
+		for i := 0; i < fa.Len(); i++ {
+			if fa.At(i).At != fb.At(i).At {
 				same = false
 				break
 			}
 		}
-		if same {
-			t.Fatal("different seeds produced identical traces")
-		}
+	}
+	if same {
+		t.Fatal("different seeds produced identical flows")
 	}
 }
 

@@ -173,3 +173,25 @@ func TestReportTickAllocFree(t *testing.T) {
 		t.Fatalf("REPORT tick allocates %.2f times, want 0", allocs)
 	}
 }
+
+// TestUsePacketPoolSharesBuffers pins the packet-buffer ownership rules: a
+// server owns its list until UsePacketPool hands it a shared one, which
+// takes over the buffers already free, and every later send and recycle
+// goes through the shared list.
+func TestUsePacketPoolSharesBuffers(t *testing.T) {
+	_, srv, _, _, _ := streamingSession(t)
+	srv.Reset() // the session's resend window returns to the server's own list
+	own := srv.pkts.Len()
+	if own == 0 {
+		t.Fatal("reset returned no packet buffers to the server's list")
+	}
+	shared := &PacketPool{}
+	srv.UsePacketPool(shared)
+	if shared.Len() != own || srv.pkts != shared {
+		t.Fatalf("shared pool holds %d buffers, want the server's %d", shared.Len(), own)
+	}
+	other := NewServer(srv.Host())
+	if other.pkts == shared || other.pkts.Len() != 0 {
+		t.Fatal("a new server does not start with its own empty list")
+	}
+}

@@ -106,13 +106,13 @@ type Server struct {
 	nakSeqs []uint32
 	resent  []byte
 
-	// Packet-economy pools, owned by the server so they survive both
-	// session teardown and Reset: freePkts recycles data-packet buffers
-	// evicted from resend windows, and ringPool recycles whole resend
-	// rings between sessions. Together they make steady-state streaming
-	// on a reused testbed allocation-free once the first run has filled
-	// the window.
-	freePkts [][]byte
+	// Packet-economy pools, which survive both session teardown and
+	// Reset: pkts recycles data-packet buffers evicted from resend
+	// windows, and ringPool recycles whole resend rings between sessions.
+	// Together they make steady-state streaming on a reused testbed
+	// allocation-free once the first run has filled the window. pkts is
+	// the server's own list unless UsePacketPool shares one.
+	pkts     *PacketPool
 	ringPool []*resendRing
 	rngPool  []*eventsim.RNG
 	// probes caches the SETUP bandwidth-probe train: packet i's bytes are
@@ -158,13 +158,42 @@ type resendRing struct {
 }
 
 // pktBufCap is the uniform recycled data-packet buffer capacity: sized for
-// the largest packet any session can emit, so one server-wide free list
-// serves every clip's size class. The slack beyond MaxPayload covers the
+// the largest packet any session can emit, so one free list serves every
+// clip's size class. The slack beyond MaxPayload covers the
 // segment-list framing — tiny delta frames can pack over a hundred
 // segment headers into one packet.
 const pktBufCap = dataHeaderLen + MaxPayload + 1024
 
+// PacketPool is a free list of data-packet buffers. Servers that share
+// one draw their resend windows from the same buffers, so a server that
+// starts streaming finds the buffers an earlier one returned instead of
+// allocating a window of its own. Every buffer is fully overwritten
+// before each send, so which buffer a packet gets never shows in its
+// bytes. A pool has no lock: the servers sharing it must never run
+// concurrently (one simulation, or one sweep worker, at a time).
+type PacketPool struct {
+	bufs [][]byte
+}
+
+// get pops a free buffer, or returns nil when the list is empty.
+func (p *PacketPool) get() []byte {
+	n := len(p.bufs)
+	if n == 0 {
+		return nil
+	}
+	buf := p.bufs[n-1][:0]
+	p.bufs = p.bufs[:n-1]
+	return buf
+}
+
+// put returns a buffer to the list.
+func (p *PacketPool) put(buf []byte) { p.bufs = append(p.bufs, buf) }
+
+// Len reports how many buffers are free.
+func (p *PacketPool) Len() int { return len(p.bufs) }
+
 // NewServer attaches a RealServer to any transport (simulated or live).
+// The server owns its packet-buffer list until UsePacketPool shares one.
 func NewServer(t transport.Transport) *Server {
 	s := &Server{
 		host:     t,
@@ -172,6 +201,7 @@ func NewServer(t transport.Transport) *Server {
 		clips:    make(map[string]media.Clip),
 		sessions: make(map[inet.Endpoint]*session),
 		req:      Request{Headers: make(map[string]string)},
+		pkts:     &PacketPool{},
 	}
 	s.ctrlFn = s.onControl
 	t.BindUDP(inet.PortRTSPCtl, s.ctrlFn)
@@ -201,6 +231,18 @@ func (s *Server) Reset() {
 	s.ThinSteps = 0
 	s.rng = s.host.RNGInto("rdt.server", s.rng)
 	s.host.BindUDP(inet.PortRTSPCtl, s.ctrlFn)
+}
+
+// UsePacketPool makes the server draw and recycle its data-packet
+// buffers through p, shared with whatever other servers use it; the
+// buffers free in the server's current list move to p. See PacketPool for
+// the one-goroutine rule.
+func (s *Server) UsePacketPool(p *PacketPool) {
+	if p == s.pkts {
+		return
+	}
+	p.bufs = append(p.bufs, s.pkts.bufs...)
+	s.pkts = p
 }
 
 // Register serves a clip under rtsp://<host>/<ref>.
@@ -455,14 +497,10 @@ func (sess *session) sendNext(now eventsim.Time) {
 	srv := sess.srv
 	encBytesPerSec := sess.clip.EncodedBps() / 8
 	tsMs := uint32(sess.sentMediaBytes / encBytesPerSec * 1000)
-	var buf []byte
-	if n := len(srv.freePkts); n > 0 {
-		buf = srv.freePkts[n-1][:0]
-		srv.freePkts = srv.freePkts[:n-1]
-	}
+	buf := srv.pkts.get()
 	if need := dataHeaderLen + segment.ListWireSize(segs); cap(buf) < need {
 		if buf != nil {
-			srv.freePkts = append(srv.freePkts, buf) // undersized; back to the pool
+			srv.pkts.put(buf) // undersized; back to the pool
 		}
 		if need < pktBufCap {
 			need = pktBufCap
@@ -493,7 +531,7 @@ func (sess *session) remember(seq uint32, pkt []byte) {
 	slot := seq % ResendWindow
 	r := sess.resend
 	if old := r.pkts[slot]; old != nil {
-		sess.srv.freePkts = append(sess.srv.freePkts, old)
+		sess.srv.pkts.put(old)
 	}
 	r.pkts[slot], r.seqs[slot] = pkt, seq
 }
@@ -539,14 +577,15 @@ func (sess *session) stop() {
 }
 
 // recycle returns the session's resend window — packet buffers and ring —
-// to the server's pools. Called exactly once, when the session ends (stop)
+// to the server's pools (the packet buffers to a shared PacketPool, when
+// one is in use). Called exactly once, when the session ends (stop)
 // or the server rewinds (Reset).
 func (sess *session) recycle() {
 	srv := sess.srv
 	r := sess.resend
 	for i, buf := range r.pkts {
 		if buf != nil {
-			srv.freePkts = append(srv.freePkts, buf)
+			srv.pkts.put(buf)
 			r.pkts[i] = nil
 		}
 		r.seqs[i] = 0

@@ -19,6 +19,9 @@
 #   scripts/bench.sh heap       same for the shipped configuration: testbed
 #                               reuse, heap scheduler, GOMAXPROCS and core
 #                               count recorded (BENCH_heap.json, the gate record)
+#   scripts/bench.sh figures    same for the flow-retention record at -cpu 2
+#                               (BENCH_figures.json; it also holds -cpu 1 and
+#                               the parent commit's numbers)
 #
 # The tracked benchmarks run at the machine's GOMAXPROCS. To measure the
 # parallel sweep's scaling, rerun the headline benchmark at fixed counts:
@@ -35,7 +38,7 @@ set -euo pipefail
 
 cd "$(dirname "$0")/.."
 
-TRACKED='BenchmarkPairRun$|BenchmarkPairRunNetem|BenchmarkProfileFlow$|BenchmarkFilterMatch$|BenchmarkRunAllSequential$|BenchmarkRunAllParallel$|BenchmarkPlanStream$|BenchmarkPlanStreamOnline$|BenchmarkTestbedReset$|BenchmarkSchedulerDense|BenchmarkHopForward|BenchmarkUDPBuildParse|BenchmarkSegmentAppendList|BenchmarkNAKRecovery$|BenchmarkFlowDemuxObserve$'
+TRACKED='BenchmarkPairRun$|BenchmarkPairRunNetem|BenchmarkProfileFlow$|BenchmarkFilterMatch$|BenchmarkRunAllSequential$|BenchmarkRunAllParallel$|BenchmarkPlanStream$|BenchmarkPlanStreamOnline$|BenchmarkTestbedReset$|BenchmarkSchedulerDense|BenchmarkHopForward|BenchmarkUDPBuildParse|BenchmarkSegmentAppendList|BenchmarkNAKRecovery$|BenchmarkFlowDemuxObserve$|BenchmarkFig07NormalizedSizePDF$|BenchmarkExtNetemScenarios$'
 
 case "${1:-}" in
 baseline)
@@ -57,6 +60,9 @@ reuse)
     ;;
 heap)
     exec go run ./scripts/benchjson BENCH_heap.json
+    ;;
+figures)
+    exec go run ./scripts/benchjson BENCH_figures.json
     ;;
 smoke)
     exec go test -run=NONE -bench="$TRACKED" -benchmem -benchtime=1x -count=1 .

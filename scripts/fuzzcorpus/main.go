@@ -5,9 +5,11 @@
 // datagram of every UDP flow, the first reassembled Windows Media data
 // unit, the first few segment lists of each player, every RTSP response
 // the client received, lists of RealPlayer data-packet sequence numbers
-// (NAK "Seqs" headers) and the first RDT data-channel packet of each kind
-// (a data packet, a probe, the end marker), in the `go test fuzz v1`
-// format, to
+// (NAK "Seqs" headers), the first RDT data-channel packet of each kind
+// (a data packet, a probe, the end marker) and three small trace files
+// cut from the capture (its first records, the first Windows Media
+// fragment train, the first RealPlayer data packet), in the
+// `go test fuzz v1` format, to
 //
 //	internal/inet/testdata/fuzz/FuzzChecksum/
 //	internal/inet/testdata/fuzz/FuzzParseUDP/
@@ -15,6 +17,7 @@
 //	internal/rdt/testdata/fuzz/FuzzParseRTSP/
 //	internal/rdt/testdata/fuzz/FuzzSeqList/
 //	internal/rdt/testdata/fuzz/FuzzParseData/
+//	internal/capture/testdata/fuzz/FuzzReadFile/
 //
 // The golden run loses no RealPlayer packet, so the RDT corpus takes its
 // retransmitted (FlagRetrans) data packet from the forced-overflow cell
@@ -26,6 +29,7 @@
 package main
 
 import (
+	"bytes"
 	"context"
 	"encoding/binary"
 	"fmt"
@@ -33,6 +37,7 @@ import (
 	"os"
 	"path/filepath"
 
+	"turbulence/internal/capture"
 	"turbulence/internal/core"
 	"turbulence/internal/inet"
 	"turbulence/internal/media"
@@ -147,6 +152,51 @@ func main() {
 		log.Fatalf("found %d of the 4 RDT data-channel packet kinds", len(rdtData))
 	}
 	write("internal/rdt/testdata/fuzz/FuzzParseData", rdtData)
+	write("internal/capture/testdata/fuzz/FuzzReadFile", traceFiles(run.Trace))
+}
+
+// headRecords is how many leading capture records the first trace-file
+// seed holds: the ping, tracert and RTSP exchanges that open a run.
+const headRecords = 8
+
+// traceFiles cuts three trace files from the golden capture: its first
+// headRecords records, the first Windows Media fragment train (first
+// fragment plus its continuations, matched by IP ID) and the first
+// RealPlayer data packet.
+func traceFiles(tr *capture.Trace) map[string][]any {
+	var head, train, rdtPkt []capture.Record
+	trainID := -1
+	for i := 0; i < tr.Len(); i++ {
+		r := tr.At(i)
+		if i < headRecords {
+			head = append(head, r)
+		}
+		switch {
+		case trainID < 0 && r.MoreFrag && r.FragOff == 0 && r.SrcPort == inet.PortMMSData:
+			trainID = int(r.IPID)
+			train = append(train, r)
+		case trainID >= 0 && train[len(train)-1].MoreFrag && r.FragOff != 0 && int(r.IPID) == trainID:
+			train = append(train, r)
+		case rdtPkt == nil && r.HasPorts && r.SrcPort == inet.PortRDTData && rdtPacketName(r.Wire()[inet.UDPHeaderLen:]) == "golden-rdt-data":
+			rdtPkt = append(rdtPkt, r)
+		}
+	}
+	if len(train) < 2 || train[len(train)-1].MoreFrag || rdtPkt == nil {
+		log.Fatal("golden capture lacks a complete fragment train or a RealPlayer data packet")
+	}
+	out := map[string][]any{}
+	for name, recs := range map[string][]capture.Record{"golden-head": head, "golden-wmp-fragment-train": train, "golden-rdt-data": rdtPkt} {
+		var t capture.Trace
+		for _, r := range recs {
+			t.Append(r)
+		}
+		var buf bytes.Buffer
+		if err := capture.WriteFile(&buf, &t); err != nil {
+			log.Fatal(err)
+		}
+		out[name] = []any{buf.Bytes()}
+	}
+	return out
 }
 
 // firstRetransmission returns the first FlagRetrans RDT data packet the

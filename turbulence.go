@@ -214,8 +214,10 @@ const (
 	SeedCommon = core.SeedCommon
 	// SeedPerCell gives every cell an independent random stream.
 	SeedPerCell = core.SeedPerCell
-	// RetainTraces keeps each run's full packet capture (the default);
-	// the figure generators need it.
+	// RetainTraces keeps each run's full packet capture, payload bytes
+	// included (the Runner default): what writing, filtering or comparing
+	// whole captures needs. The experiments keep less (see
+	// ExperimentContext).
 	RetainTraces = core.RetainTraces
 	// StreamProfiles never stores records at all: captured packets stream
 	// through online per-flow analyzers and profiles come back in
@@ -568,7 +570,7 @@ func NewExperimentContext(seed int64) *ExperimentContext {
 func ExperimentIDs() []string { return experiments.IDs() }
 
 // ExperimentTraceFree reports whether an experiment regenerates without
-// retained packet captures — the set that works under the StreamProfiles
+// retained packet flows — the set that works under the StreamProfiles
 // trace retention.
 func ExperimentTraceFree(id string) bool { return experiments.TraceFree(id) }
 
