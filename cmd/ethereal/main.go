@@ -10,7 +10,6 @@
 package main
 
 import (
-	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -64,7 +63,7 @@ func captureCmd(args []string) {
 	if !ok {
 		fatal(fmt.Errorf("bad class %q", *className))
 	}
-	run, err := core.RunPair(context.Background(), *seed, *set, class, core.Options{})
+	run, err := core.NewRunner().RunPair(*seed, *set, class, core.Options{})
 	if err != nil {
 		fatal(err)
 	}

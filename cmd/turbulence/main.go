@@ -4,8 +4,8 @@
 // Usage:
 //
 //	turbulence [-seed N] [-experiment id] [-parallel N] [-scenario name]
-//	           [-retention retain|stream] [-shard i/n] [-progress]
-//	           [-metrics addr] [-pprof] [-result-store dir]
+//	           [-shard i/n] [-progress] [-metrics addr] [-pprof]
+//	           [-result-store dir]
 //	           [-json] [-csv dir] [-points] [-list] [-list-scenarios]
 //	turbulence -serve addr [-seed N] [-pairs list] [-scenario name]
 //	           [-serve-shards N] [-lease-ttl d] [-checkpoint file] [-pprof]
@@ -29,14 +29,10 @@
 // -list-scenarios enumerates the library. Identical seed and scenario
 // reproduce identical output at any -parallel setting.
 //
-// -retention selects what the shared pair-run sweep keeps per run:
-// "retain" (default) holds each run's two media flows without payload
-// bytes — arrival times, sizes and fragment fields, all the figures
-// reduce — and regenerates every experiment; "stream" never stores
-// records at all — captured packets feed online analyzers and the sweep
-// runs in a few KB of analyzer state per worker. Under stream only the trace-free experiments regenerate
-// (reports, probes, profiles); with no -experiment the list narrows to
-// them automatically.
+// Every pair run an experiment makes keeps its two media flows without
+// payload bytes — arrival times, sizes and fragment fields, all the
+// figures reduce — and the scenario-matrix extension streams its cells
+// through online analyzers.
 //
 // -shard i/n deterministically carves the experiment list into n strided
 // slices and runs only the i-th (0-based), so n processes or machines
@@ -111,9 +107,9 @@
 // shards are never leased; partially-cached shards tell workers which
 // cells to skip) and inserts what workers ship back; on -work it is the
 // worker's local read-through cache; on a plain experiment sweep it is
-// populated only — experiments reduce full player reports the store does
-// not hold — and requires -retention stream, because the store holds
-// turbulence profiles, not packet captures. A corrupted store
+// populated only: every pair run inserts its turbulence profiles, but
+// experiments reduce full player reports and packet flows the store does
+// not hold, so they never read from it. A corrupted store
 // frame is detected by checksum, counted on /metrics
 // (turbulence_cache_corrupt_frames_total) and recomputed — never served.
 //
@@ -147,7 +143,6 @@ func main() {
 	seed := flag.Int64("seed", 2002, "base random seed (runs are deterministic per seed)")
 	experiment := flag.String("experiment", "", "run a single experiment id (default: all)")
 	parallel := flag.Int("parallel", 0, "worker pool size for independent pair runs (1 = sequential, 0 = all cores); results are identical either way")
-	retention := flag.String("retention", "retain", "what the shared pair-run sweep keeps per run: retain (payload-free media flows, all experiments) or stream (never store records; online analyzers only, lowest memory). stream regenerates only trace-free experiments (reports, probes, profiles)")
 	scenario := flag.String("scenario", "", "stream the pair runs under a named netem scenario (see -list-scenarios)")
 	shard := flag.String("shard", "", "run the i-th of n strided slices of the experiment list, as \"i/n\" (0-based); all shards together reproduce the full run")
 	progress := flag.Bool("progress", false, "report each completed pair run on stderr")
@@ -162,7 +157,7 @@ func main() {
 	serveShards := flag.Int("serve-shards", 0, "-serve lease granularity: how many shard slices the plan is carved into (0 = one per cell, capped at 256)")
 	leaseTTL := flag.Duration("lease-ttl", 2*time.Minute, "-serve: how long a leased shard may stay unrenewed before it is re-issued to another worker (workers heartbeat while simulating)")
 	checkpoint := flag.String("checkpoint", "", "-serve: journal completed shards to this file; re-running with the same sweep flags and path resumes, re-leasing only unfinished shards")
-	resultStore := flag.String("result-store", "", "content-addressed result store directory: completed cells are appended, and later -serve/-work sweeps serve matching cells from it without simulating (plain sweeps populate it; they need -retention stream)")
+	resultStore := flag.String("result-store", "", "content-addressed result store directory: completed cells are appended, and later -serve/-work sweeps serve matching cells from it without simulating (plain sweeps only populate it)")
 	adaptiveLeases := flag.Bool("adaptive-leases", false, "-serve: size leases from each worker's measured throughput (stride subdivision; output is byte-identical)")
 	metricsAddr := flag.String("metrics", "", "serve a live Prometheus meter of the local sweep on this address (host:port) at /metrics; the -serve coordinator has its own /metrics and does not combine with this")
 	pprofFlag := flag.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/ on the -metrics server or the -serve coordinator (off by default: profiling endpoints expose internals and cost CPU when scraped)")
@@ -173,7 +168,7 @@ func main() {
 	liveTimeout := flag.Duration("live-timeout", 5*time.Minute, "-play: abort if the session has not completed in this long")
 	flag.Parse()
 
-	if err := modeConflicts(*serve, *work, *experiment, *shard, *pairsSpec, *scenario, *checkpoint, *metricsAddr, *pprofFlag, *listen, *play, *resultStore, *retention, *adaptiveLeases); err != nil {
+	if err := modeConflicts(*serve, *work, *experiment, *shard, *pairsSpec, *scenario, *checkpoint, *metricsAddr, *pprofFlag, *listen, *play, *resultStore, *adaptiveLeases); err != nil {
 		fmt.Fprintln(os.Stderr, "turbulence:", err)
 		os.Exit(2)
 	}
@@ -234,23 +229,9 @@ func main() {
 	}()
 
 	ctx := turbulence.NewExperimentContext(*seed).SetParallel(*parallel).SetCancel(sigCtx)
-	ret, err := parseRetention(*retention)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "turbulence:", err)
-		os.Exit(2)
-	}
-	// "retain" leaves the context at its default, which keeps the media
-	// flows every experiment reduces; only "stream" narrows it.
-	if ret != turbulence.RetainTraces {
-		ctx.SetRetention(ret)
-	}
-	if *retention != "retain" && *experiment == "" {
-		// Running "everything" under reduced retention would fail on the
-		// first trace-bound experiment; restrict to the trace-free set.
-		ids = traceFreeIDs(ids)
-	}
 	var store *turbulence.ResultStore
 	if *resultStore != "" {
+		var err error
 		store, err = turbulence.OpenResultStore(*resultStore, logf)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "turbulence:", err)
@@ -497,10 +478,9 @@ func serveMetrics(addr string, reg *turbulence.MetricsRegistry, pprof bool) erro
 // but they do combine with -metrics, which then exposes the live
 // transport's per-socket counters. -result-store caches per-cell
 // comparison profiles, so it needs a mode that simulates cells (not
-// -listen/-play) and, in a plain local sweep, the retention mode that
-// produces profiles without traces (-retention stream); -adaptive-leases
-// is coordinator lease-sizing policy, so it requires -serve.
-func modeConflicts(serve, work, experiment, shard, pairs, scenario, checkpoint, metrics string, pprof bool, listen, play, resultStore, retention string, adaptive bool) error {
+// -listen/-play); -adaptive-leases is coordinator lease-sizing policy, so
+// it requires -serve.
+func modeConflicts(serve, work, experiment, shard, pairs, scenario, checkpoint, metrics string, pprof bool, listen, play, resultStore string, adaptive bool) error {
 	switch {
 	case listen != "" && play != "":
 		return errors.New("-listen and -play are mutually exclusive (run the live server and client as separate processes)")
@@ -528,23 +508,10 @@ func modeConflicts(serve, work, experiment, shard, pairs, scenario, checkpoint, 
 		return errors.New("-checkpoint requires -serve (the journal is coordinator state; workers are stateless)")
 	case (listen != "" || play != "") && resultStore != "":
 		return errors.New("-result-store does not combine with -listen/-play (live transport carries real traffic; there are no simulated cells to cache)")
-	case resultStore != "" && serve == "" && work == "" && retention == "retain":
-		return errors.New("-result-store with a plain sweep requires -retention stream (the store holds comparison profiles, not traces)")
 	case adaptive && serve == "":
 		return errors.New("-adaptive-leases requires -serve (lease sizing is coordinator policy)")
 	}
 	return nil
-}
-
-// parseRetention resolves the -retention flag strictly.
-func parseRetention(s string) (turbulence.TraceRetention, error) {
-	switch s {
-	case "retain":
-		return turbulence.RetainTraces, nil
-	case "stream":
-		return turbulence.StreamProfiles, nil
-	}
-	return 0, fmt.Errorf("bad -retention %q (want retain or stream)", s)
 }
 
 // parsePairs parses the -pairs spec: comma-separated set/class, class by
@@ -566,18 +533,6 @@ func parsePairs(spec string) ([]turbulence.PairKey, error) {
 		out = append(out, turbulence.PairKey{Set: set, Class: class})
 	}
 	return out, nil
-}
-
-// traceFreeIDs filters the experiment list down to those that regenerate
-// without retained packet flows.
-func traceFreeIDs(ids []string) []string {
-	var out []string
-	for _, id := range ids {
-		if turbulence.ExperimentTraceFree(id) {
-			out = append(out, id)
-		}
-	}
-	return out
 }
 
 // shardIDs parses "i/n" and returns the strided slice {ids[j] : j%n == i},

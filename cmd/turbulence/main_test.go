@@ -30,36 +30,17 @@ func TestShardIDsStrict(t *testing.T) {
 	}
 }
 
-// TestParseRetention pins the strict -retention values.
-func TestParseRetention(t *testing.T) {
-	cases := map[string]turbulence.TraceRetention{
-		"retain": turbulence.RetainTraces,
-		"stream": turbulence.StreamProfiles,
-	}
-	for s, want := range cases {
-		got, err := parseRetention(s)
-		if err != nil || got != want {
-			t.Errorf("parseRetention(%q) = %v, %v", s, got, err)
-		}
-	}
-	for _, bad := range []string{"", "Retain", "keep", "streaming", "drop", "drop "} {
-		if _, err := parseRetention(bad); err == nil {
-			t.Errorf("retention %q accepted", bad)
-		}
-	}
-}
-
 // TestModeConflicts pins the -serve/-work mutual-exclusion rules.
 func TestModeConflicts(t *testing.T) {
 	ok := func(serve, work, experiment, shard, pairs, scenario, checkpoint string) {
 		t.Helper()
-		if err := modeConflicts(serve, work, experiment, shard, pairs, scenario, checkpoint, "", false, "", "", "", "retain", false); err != nil {
+		if err := modeConflicts(serve, work, experiment, shard, pairs, scenario, checkpoint, "", false, "", "", "", false); err != nil {
 			t.Errorf("unexpected conflict: %v", err)
 		}
 	}
 	bad := func(serve, work, experiment, shard, pairs, scenario, checkpoint, want string) {
 		t.Helper()
-		err := modeConflicts(serve, work, experiment, shard, pairs, scenario, checkpoint, "", false, "", "", "", "retain", false)
+		err := modeConflicts(serve, work, experiment, shard, pairs, scenario, checkpoint, "", false, "", "", "", false)
 		if err == nil || !strings.Contains(err.Error(), want) {
 			t.Errorf("modeConflicts(%q,%q,%q,%q,%q,%q,%q) = %v, want mention of %s",
 				serve, work, experiment, shard, pairs, scenario, checkpoint, err, want)
@@ -85,7 +66,7 @@ func TestModeConflicts(t *testing.T) {
 	// -metrics meters the local sweep only; -pprof needs a server.
 	check := func(serve, work, metrics string, pprof bool, want string) {
 		t.Helper()
-		err := modeConflicts(serve, work, "", "", "", "", "", metrics, pprof, "", "", "", "retain", false)
+		err := modeConflicts(serve, work, "", "", "", "", "", metrics, pprof, "", "", "", false)
 		switch {
 		case want == "" && err != nil:
 			t.Errorf("unexpected conflict: %v", err)
@@ -107,7 +88,7 @@ func TestModeConflicts(t *testing.T) {
 	// with the simulation service/experiment/shard flags.
 	live := func(serve, work, experiment, shard, metrics, listen, play, want string) {
 		t.Helper()
-		err := modeConflicts(serve, work, experiment, shard, "", "", "", metrics, false, listen, play, "", "retain", false)
+		err := modeConflicts(serve, work, experiment, shard, "", "", "", metrics, false, listen, play, "", false)
 		switch {
 		case want == "" && err != nil:
 			t.Errorf("unexpected conflict: %v", err)
@@ -131,34 +112,31 @@ func TestModeConflicts(t *testing.T) {
 	live("", "", "", "0/2", "", "", "127.0.0.1", "-shard")
 
 	// The result store caches simulated cells, so it needs a mode that
-	// simulates them — and a plain sweep must run a retention that yields
-	// profiles without traces. -adaptive-leases is dispatcher policy.
-	cache := func(serve, work, listen, play, resultStore, retention string, adaptive bool, want string) {
+	// simulates them. -adaptive-leases is dispatcher policy.
+	cache := func(serve, work, listen, play, resultStore string, adaptive bool, want string) {
 		t.Helper()
-		err := modeConflicts(serve, work, "", "", "", "", "", "", false, listen, play, resultStore, retention, adaptive)
+		err := modeConflicts(serve, work, "", "", "", "", "", "", false, listen, play, resultStore, adaptive)
 		switch {
 		case want == "" && err != nil:
 			t.Errorf("unexpected conflict: %v", err)
 		case want != "" && (err == nil || !strings.Contains(err.Error(), want)):
-			t.Errorf("modeConflicts(serve=%q, work=%q, listen=%q, play=%q, resultStore=%q, retention=%q, adaptive=%v) = %v, want mention of %s",
-				serve, work, listen, play, resultStore, retention, adaptive, err, want)
+			t.Errorf("modeConflicts(serve=%q, work=%q, listen=%q, play=%q, resultStore=%q, adaptive=%v) = %v, want mention of %s",
+				serve, work, listen, play, resultStore, adaptive, err, want)
 		}
 	}
-	// A plain sweep caches fine under stream, and either service mode
-	// keeps its usual retention (workers stream internally).
-	cache("", "", "", "", "cache", "stream", false, "")
-	cache(":8080", "", "", "", "cache", "retain", false, "")
-	cache("", "host:8080", "", "", "cache", "retain", false, "")
-	cache(":8080", "", "", "", "cache", "retain", true, "")
-	cache(":8080", "", "", "", "", "retain", true, "")
-	// Plain sweep + retain would keep traces the store can't hold.
-	cache("", "", "", "", "cache", "retain", false, "-retention")
+	// A plain experiment sweep populates the store (its pair runs insert
+	// their profiles), and either service mode caches as well.
+	cache("", "", "", "", "cache", false, "")
+	cache(":8080", "", "", "", "cache", false, "")
+	cache("", "host:8080", "", "", "cache", false, "")
+	cache(":8080", "", "", "", "cache", true, "")
+	cache(":8080", "", "", "", "", true, "")
 	// Live transport has no simulated cells to cache.
-	cache("", "", "127.0.0.1", "", "cache", "stream", false, "-result-store")
-	cache("", "", "", "127.0.0.1", "cache", "stream", false, "-result-store")
+	cache("", "", "127.0.0.1", "", "cache", false, "-result-store")
+	cache("", "", "", "127.0.0.1", "cache", false, "-result-store")
 	// Lease sizing is coordinator policy.
-	cache("", "", "", "", "", "retain", true, "-adaptive-leases")
-	cache("", "host:8080", "", "", "", "retain", true, "-adaptive-leases")
+	cache("", "", "", "", "", true, "-adaptive-leases")
+	cache("", "host:8080", "", "", "", true, "-adaptive-leases")
 }
 
 // TestParsePairs pins the -pairs parser: names and suffixes resolve, the

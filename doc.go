@@ -8,8 +8,8 @@
 //
 // # Quick start
 //
-// A single experiment is RunPair; everything larger is a Plan executed by
-// a Runner. A Plan declares a run space — clip pairs × netem scenarios ×
+// A single experiment is RunPair (or Runner.RunPair, under a Runner's
+// options); everything larger is a Plan executed by a Runner. A Plan declares a run space — clip pairs × netem scenarios ×
 // ablation variants, plus a seed policy — without executing anything;
 // NewPlan(seed) alone declares the paper's full 13-pair sweep:
 //
@@ -38,29 +38,29 @@
 //
 // # Trace retention
 //
-// Three retentions, one per use. RetainTraces (the Runner default), for
+// Three retentions, one per use, each fixed by its caller; no flag or
+// setting chooses among them. RetainTraces (the Runner default), for
 // one-off captures, keeps every run's full packet capture, payload bytes
 // included — what cmd/ethereal writes and what the determinism pins
 // compare; Compare profiles a retained run. The experiments harness keeps
-// figure flows: its cached Table 1 runs stream through the online
-// analyzers and keep only the two media data flows, payload-free, built
-// at capture time — arrival times, wire sizes and fragment fields, all
-// any figure reduces — pinned record for record to the whole capture's
-// flow views. StreamProfiles, for sweeps, never stores records at all:
+// figure flows: its cached Table 1 runs and its one-off ablation and
+// extension runs stream through the online analyzers and keep only the
+// two media data flows, payload-free, built at capture time — arrival
+// times, wire sizes and fragment fields, all any figure reduces — pinned
+// record for record to the whole capture's flow views. StreamProfiles,
+// for sweeps (and the experiments' scenario matrix), never stores
+// records at all:
 // each captured packet streams through online per-flow analyzers
 // (capture.FlowDemux routing to capture.FlowMetrics) and is gone, so a
 // run's capture state is a few KB of accumulators and
 // RunResult.Comparison carries the profiles. The
 // online profiles are exactly equal to trace-derived ones — ProfileFlow
 // replays stored traces through the same accumulator — pinned across all
-// pairs, scenarios and worker counts by test. cmd/turbulence exposes the
-// experiments' choice as -retention {retain,stream}: retain keeps the
-// figure flows and regenerates every experiment, stream regenerates only
-// the trace-free ones (reports, probes, profiles).
+// pairs, scenarios and worker counts by test.
 //
 // Every run is seeded: identical plans produce byte-identical traces, for
-// any worker count, and each cell equals the one-off RunPair at the
-// cell's seed and options.
+// any worker count, and each cell equals the one-off Runner.RunPair at
+// the cell's seed and options.
 //
 // # Sharding
 //
@@ -164,11 +164,13 @@
 //	# overlapping cells served from the store (cache_hits on /metrics),
 //	# only the new cells simulate; output identical to a cold sweep
 //
-// Local experiment sweeps take -result-store too (with -retention
-// stream), write-through only: experiments reduce the full player
-// reports a Comparison does not hold, so the context's own sweeps
-// populate the store for later Comparison-space consumers rather than
-// serve from it. Cache traffic is metered as
+// Local experiment sweeps take -result-store too, write-through only:
+// every pair run the experiments make inserts its Comparison (a Runner
+// inserts whenever a cell yields one, under StreamProfiles and
+// RetainFlows alike, and looks up only under StreamProfiles), but
+// experiments reduce the full player reports and flows a Comparison does
+// not hold, so the context's own runs populate the store for later
+// Comparison-space consumers rather than serve from it. Cache traffic is metered as
 // turbulence_cache_{hits,misses,bytes,corrupt_frames}_total wherever a
 // registry is attached. The CI
 // cache-smoke job pins the whole story over real sockets: a warm

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"context"
 	"math"
 	"testing"
 	"time"
@@ -88,7 +87,7 @@ func TestAllPairsEnumeration(t *testing.T) {
 // TestRunPairHeadlineFindings executes the paper's unit experiment on the
 // shortest data set and asserts every §3 headline on the result.
 func TestRunPairHeadlineFindings(t *testing.T) {
-	run, err := RunPair(context.Background(), 7, 2, media.High, Options{}) // set 2: 39 s commercial, 268/307.2 Kbps
+	run, err := NewRunner().RunPair(7, 2, media.High, Options{}) // set 2: 39 s commercial, 268/307.2 Kbps
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,7 +155,7 @@ func TestRunPairHeadlineFindings(t *testing.T) {
 }
 
 func TestRunPairLowRate(t *testing.T) {
-	run, err := RunPair(context.Background(), 8, 3, media.Low, Options{}) // set 3: 60 s sports, 36.5/37.9 Kbps
+	run, err := NewRunner().RunPair(8, 3, media.Low, Options{}) // set 3: 60 s sports, 36.5/37.9 Kbps
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -188,20 +187,20 @@ func TestRunPairLowRate(t *testing.T) {
 }
 
 func TestRunPairErrors(t *testing.T) {
-	if _, err := RunPair(context.Background(), 1, 99, media.Low, Options{}); err == nil {
+	if _, err := NewRunner().RunPair(1, 99, media.Low, Options{}); err == nil {
 		t.Fatal("unknown set accepted")
 	}
-	if _, err := RunPair(context.Background(), 1, 1, media.VeryHigh, Options{}); err == nil {
+	if _, err := NewRunner().RunPair(1, 1, media.VeryHigh, Options{}); err == nil {
 		t.Fatal("missing class accepted")
 	}
 }
 
 func TestRunPairDeterminism(t *testing.T) {
-	a, err := RunPair(context.Background(), 9, 2, media.Low, Options{})
+	a, err := NewRunner().RunPair(9, 2, media.Low, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := RunPair(context.Background(), 9, 2, media.Low, Options{})
+	b, err := NewRunner().RunPair(9, 2, media.Low, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -223,7 +222,7 @@ func TestFlowModelRoundTrip(t *testing.T) {
 	// Section IV: fit a model from a measured flow, generate a synthetic
 	// flow, and verify the synthetic flow reproduces the measured
 	// turbulence profile.
-	run, err := RunPair(context.Background(), 10, 2, media.High, Options{})
+	run, err := NewRunner().RunPair(10, 2, media.High, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -267,7 +266,7 @@ func TestFlowModelRoundTrip(t *testing.T) {
 }
 
 func TestModelFromPair(t *testing.T) {
-	run, err := RunPair(context.Background(), 11, 3, media.Low, Options{})
+	run, err := NewRunner().RunPair(11, 3, media.Low, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -351,7 +350,7 @@ func TestRunSubset(t *testing.T) {
 		t.Fatalf("subset: %d runs", len(runs))
 	}
 	// Subset results equal standalone runs with the derived seeds.
-	solo, err := RunPair(context.Background(), SeedFor(12, keys[0]), 2, media.Low, Options{})
+	solo, err := NewRunner().RunPair(SeedFor(12, keys[0]), 2, media.Low, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -371,11 +370,11 @@ func TestDataEndpoints(t *testing.T) {
 
 func TestRunPairWithBottleneckOverride(t *testing.T) {
 	// Starving the bottleneck must hurt the WMP stream measurably.
-	healthy, err := RunPair(context.Background(), 13, 1, media.High, Options{})
+	healthy, err := NewRunner().RunPair(13, 1, media.High, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	starved, err := RunPair(context.Background(), 13, 1, media.High, Options{BottleneckBps: 400e3})
+	starved, err := NewRunner().RunPair(13, 1, media.High, Options{BottleneckBps: 400e3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -391,11 +390,11 @@ func TestRunPairWithBottleneckOverride(t *testing.T) {
 }
 
 func TestRunPairWithScalingReducesStarvedLoss(t *testing.T) {
-	base, err := RunPair(context.Background(), 14, 1, media.High, Options{BottleneckBps: 500e3})
+	base, err := NewRunner().RunPair(14, 1, media.High, Options{BottleneckBps: 500e3})
 	if err != nil {
 		t.Fatal(err)
 	}
-	scaled, err := RunPair(context.Background(), 14, 1, media.High, Options{BottleneckBps: 500e3, EnableScaling: true})
+	scaled, err := NewRunner().RunPair(14, 1, media.High, Options{BottleneckBps: 500e3, EnableScaling: true})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -296,8 +296,9 @@ func (p *Plan) Keys() []RunKey {
 }
 
 // Seed derives the cell's seed under the plan's policy. Under SeedCommon
-// it equals SeedFor(BaseSeed, k.Pair), so a cell run one-off via RunPair
-// at Seed(k) and OptionsFor(k) is byte-identical to the Runner's.
+// it equals SeedFor(BaseSeed, k.Pair), so a cell run one-off via
+// Runner.RunPair at Seed(k) and OptionsFor(k) is byte-identical to the
+// plan's.
 func (p *Plan) Seed(k RunKey) int64 {
 	s := SeedFor(p.BaseSeed, k.Pair)
 	if p.Seeds == SeedPerCell {

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"hash/fnv"
+	"sync"
 	"testing"
 	"time"
 
@@ -159,13 +160,13 @@ func runsIdentical(t *testing.T, label string, a, b *PairRun) {
 }
 
 // oneOffRuns is the reference every Runner sweep must reproduce: each
-// cell of plan run on its own via RunPair at plan.Seed(k) and
-// plan.OptionsFor(k), on a testbed built for that run alone.
+// cell of plan run on its own via a new Runner's RunPair at plan.Seed(k)
+// and plan.OptionsFor(k), on a testbed built for that run alone.
 func oneOffRuns(t *testing.T, plan *Plan) []*PairRun {
 	t.Helper()
 	var out []*PairRun
 	for _, k := range plan.Keys() {
-		run, err := RunPair(context.Background(), plan.Seed(k), k.Pair.Set, k.Pair.Class, plan.OptionsFor(k))
+		run, err := NewRunner().RunPair(plan.Seed(k), k.Pair.Set, k.Pair.Class, plan.OptionsFor(k))
 		if err != nil {
 			t.Fatalf("%s: %v", k, err)
 		}
@@ -319,11 +320,12 @@ func TestRunnerCancelMidSimulation(t *testing.T) {
 }
 
 // TestRunPairCancelMidSimulation pins the one-off path's interrupt: a
-// context cancelled 5 ms into a RunPair aborts the run between events and
-// returns context.Canceled, long before the same run would reach its end.
+// context cancelled 5 ms into a Runner.RunPair aborts the run between
+// events and returns context.Canceled, long before the same run would
+// reach its end.
 func TestRunPairCancelMidSimulation(t *testing.T) {
 	start := time.Now()
-	if _, err := RunPair(context.Background(), 2002, 6, media.VeryHigh, Options{}); err != nil {
+	if _, err := NewRunner().RunPair(2002, 6, media.VeryHigh, Options{}); err != nil {
 		t.Fatal(err)
 	}
 	full := time.Since(start)
@@ -332,7 +334,7 @@ func TestRunPairCancelMidSimulation(t *testing.T) {
 	defer cancel()
 	time.AfterFunc(5*time.Millisecond, cancel)
 	start = time.Now()
-	run, err := RunPair(ctx, 2002, 6, media.VeryHigh, Options{})
+	run, err := NewRunner(WithContext(ctx)).RunPair(2002, 6, media.VeryHigh, Options{})
 	elapsed := time.Since(start)
 	if err != context.Canceled || run != nil {
 		t.Fatalf("cancelled RunPair returned run %v, err %v; want nil, context.Canceled", run != nil, err)
@@ -392,6 +394,60 @@ func TestRunnerStreamAndRetention(t *testing.T) {
 	}
 }
 
+// countingStore is a ResultStore that counts calls and would serve every
+// lookup as a hit, so any lookup reaching it would replace a run.
+type countingStore struct {
+	mu               sync.Mutex
+	lookups, inserts int
+}
+
+func (s *countingStore) LookupResult(PairKey, Options, int64) (*Comparison, bool) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.lookups++
+	return &Comparison{}, true
+}
+
+func (s *countingStore) InsertResult(_ PairKey, _ Options, _ int64, cmp *Comparison) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if cmp != nil {
+		s.inserts++
+	}
+}
+
+// TestRetainFlowsWritesThroughStore pins the store rule under flow
+// retention: every cell, sweep or one-off, inserts its Comparison, and
+// none is looked up, so every run keeps its flows. The one-off reports
+// progress as a 1-of-1 sweep.
+func TestRetainFlowsWritesThroughStore(t *testing.T) {
+	plan := NewPlan(5).ForPairs(PairKey{1, media.Low}, PairKey{3, media.Low})
+	st := &countingStore{}
+	var reports []Progress
+	r := NewRunner(WithWorkers(0), WithTraceRetention(RetainFlows), WithResultStore(st),
+		WithProgress(func(p Progress) { reports = append(reports, p) }))
+	results, err := r.Run(plan)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, res := range results {
+		if res.Run == nil || res.Run.WMPFlow == nil || res.Run.RealFlow == nil {
+			t.Fatalf("cell %v: flows missing", res.Key)
+		}
+	}
+	reports = nil
+	run, err := r.RunPair(5, 4, media.Low, Options{})
+	if err != nil || run == nil || run.WMPFlow == nil {
+		t.Fatalf("one-off: run %v, err %v", run != nil, err)
+	}
+	if len(reports) != 1 || reports[0].Done != 1 || reports[0].Total != 1 || reports[0].Key.Pair != (PairKey{4, media.Low}) {
+		t.Fatalf("one-off progress %+v, want one 1-of-1 report for 4/low", reports)
+	}
+	if want := plan.Size() + 1; st.inserts != want || st.lookups != 0 {
+		t.Fatalf("store saw %d inserts and %d lookups, want %d and 0", st.inserts, st.lookups, want)
+	}
+}
+
 // TestRunnerFailFast pins that a cell error stops later cells from
 // starting (the sequential early exit): with the failing cell
 // first in canonical order and one worker, nothing after it runs.
@@ -444,7 +500,7 @@ func TestPairRunGoldenDigest(t *testing.T) {
 		if g.scenario != "" {
 			opts.Scenario = mustScenario(t, g.scenario)
 		}
-		run, err := RunPair(context.Background(), SeedFor(2002, PairKey{2, media.High}), 2, media.High, opts)
+		run, err := NewRunner().RunPair(SeedFor(2002, PairKey{2, media.High}), 2, media.High, opts)
 		if err != nil {
 			t.Fatal(err)
 		}

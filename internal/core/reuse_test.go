@@ -13,8 +13,8 @@ import (
 
 // TestReusedMatchesFresh is the reuse identity pin: reset-reused testbeds
 // must produce byte-identical traces to fresh construction, at every
-// worker count. The reference runs each cell one-off via RunPair, on a
-// testbed built for that run alone; each worker count is compared against
+// worker count. The reference runs each cell one-off via Runner.RunPair,
+// on a testbed built for that run alone; each worker count is compared against
 // it cell by cell via the full trace digest.
 func TestReusedMatchesFresh(t *testing.T) {
 	plan := NewPlan(2002).

@@ -8,12 +8,15 @@ import (
 	"sync/atomic"
 	"time"
 
+	"turbulence/internal/media"
 	"turbulence/internal/obs"
 )
 
 // TraceRetention selects what a Runner keeps of each completed run. There
-// is one retention per use: one-off captures (RetainTraces), figure flows
-// (RetainFlows) and sweep streaming (StreamProfiles).
+// is one retention per use, fixed by the caller, never by a user option:
+// whole captures for trace files and determinism pins (RetainTraces), the
+// experiments harness's figure flows (RetainFlows) and sweep streaming
+// (StreamProfiles).
 type TraceRetention int
 
 const (
@@ -39,7 +42,8 @@ const (
 	// is everything the paper's figures reduce. Run.Trace is nil and
 	// RunResult.Comparison carries the online profiles. The flows equal
 	// RetainTraces' FlowTo views record for record, payload aside. The
-	// experiments harness runs its Table 1 cells this way.
+	// experiments harness runs its Table 1 cells and its one-off runs
+	// this way.
 	RetainFlows
 )
 
@@ -236,18 +240,19 @@ func WithSweepStats(fn func(SweepStats)) RunnerOption {
 	return func(r *Runner) { r.sweepStats = fn }
 }
 
-// WithResultStore installs a content-addressed result cache: before
-// simulating a cell the Runner consults the store, and a hit becomes the
-// cell's RunResult directly — Comparison set, Run nil, merged in canonical
-// order exactly as a fresh execution would be. Callers that consume
-// RunResult.Run (player reports, packet flows) rather than Comparisons
-// must not install a store with a lookup path; the experiments harness
-// wraps its store insert-only for exactly this reason. Misses simulate
-// normally and their Comparisons are inserted for the next sweep. The
-// store is consulted only under StreamProfiles: RetainTraces and
-// RetainFlows promise packet captures or flows, which the store does not
-// hold, so they bypass the cache entirely rather than silently degrade
-// the result shape. Errored cells are never cached.
+// WithResultStore installs a content-addressed result cache. Every cell
+// that yields a Comparison — any completed cell under StreamProfiles or
+// RetainFlows — is inserted for later sweeps. Lookups happen only under
+// StreamProfiles: before simulating a cell the Runner consults the store,
+// and a hit becomes the cell's RunResult directly — Comparison set, Run
+// nil, merged in canonical order exactly as a fresh execution would be.
+// RetainTraces and RetainFlows promise packet captures or flows, which
+// the store does not hold, so they never look up rather than silently
+// degrade the result shape. Callers that consume RunResult.Run (player
+// reports) under StreamProfiles must not install a store with a lookup
+// path; the experiments harness wraps its store insert-only for exactly
+// this reason. RetainTraces cells carry no Comparison and insert nothing.
+// Errored cells are never cached.
 func WithResultStore(s ResultStore) RunnerOption {
 	return func(r *Runner) { r.store = s }
 }
@@ -261,8 +266,26 @@ func NewRunner(opts ...RunnerOption) *Runner {
 	return r
 }
 
-// execute runs every cell of the plan on the worker pool, delivering each
-// completed cell to emit exactly once. The progress callback is serialised
+// cell is one unit of Runner work: its key, with the seed and effective
+// options it runs at.
+type cell struct {
+	key  RunKey
+	seed int64
+	opts Options
+}
+
+// cells resolves the plan's keys into Runner work, in canonical order.
+func (p *Plan) cells() []cell {
+	keys := p.Keys()
+	out := make([]cell, len(keys))
+	for i, k := range keys {
+		out[i] = cell{key: k, seed: p.Seed(k), opts: p.OptionsFor(k)}
+	}
+	return out
+}
+
+// execute runs every cell on the worker pool, delivering each completed
+// cell to emit exactly once. The progress callback is serialised
 // under a mutex; emit is NOT — it may be invoked from several workers at
 // once (and, for streaming, may block on the consumer without stalling the
 // other workers), so collectors must do their own locking. emit returning
@@ -270,15 +293,14 @@ func NewRunner(opts ...RunnerOption) *Runner {
 // (fail-fast; in-flight cells still finish and are delivered). Cells that
 // never started, or that were interrupted mid-simulation by cancellation,
 // are not emitted — completed work only.
-func (r *Runner) execute(p *Plan, emit func(RunResult) bool) {
+func (r *Runner) execute(cells []cell, emit func(RunResult) bool) {
 	ctx := r.context()
-	keys := p.Keys()
 	workers := r.workers
 	if workers == 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if workers > len(keys) {
-		workers = len(keys)
+	if workers > len(cells) {
+		workers = len(cells)
 	}
 
 	var mu sync.Mutex
@@ -291,7 +313,7 @@ func (r *Runner) execute(p *Plan, emit func(RunResult) bool) {
 		mu.Lock()
 		done++
 		if r.progress != nil {
-			r.progress(Progress{Done: done, Total: len(keys), Key: res.Key, Err: res.Err, Start: start, Elapsed: elapsed})
+			r.progress(Progress{Done: done, Total: len(cells), Key: res.Key, Err: res.Err, Start: start, Elapsed: elapsed})
 		}
 		mu.Unlock()
 		if stopped.Load() {
@@ -304,15 +326,14 @@ func (r *Runner) execute(p *Plan, emit func(RunResult) bool) {
 		return true
 	}
 
-	runCell := func(k RunKey, t *workerTally) bool {
+	runCell := func(c cell, t *workerTally) bool {
 		if ctx.Err() != nil || failed.Load() {
 			return false
 		}
-		seed := p.Seed(k)
+		k, seed := c.key, c.seed
 		start := time.Now()
-		useStore := r.store != nil && r.retention == StreamProfiles
-		if useStore {
-			if cmp, ok := r.store.LookupResult(k.Pair, p.OptionsFor(k), seed); ok {
+		if r.store != nil && r.retention == StreamProfiles {
+			if cmp, ok := r.store.LookupResult(k.Pair, c.opts, seed); ok {
 				elapsed := time.Since(start)
 				if r.sink != nil {
 					r.sink.ObserveCell(elapsed.Seconds(), false)
@@ -320,7 +341,7 @@ func (r *Runner) execute(p *Plan, emit func(RunResult) bool) {
 				return finish(RunResult{Key: k, Seed: seed, Comparison: cmp}, start, elapsed)
 			}
 		}
-		run, cmp, err := runPair(ctx, seed, k.Pair.Set, k.Pair.Class, p.OptionsFor(k), r.retention, r.sink, t.cache)
+		run, cmp, err := runPair(ctx, seed, k.Pair.Set, k.Pair.Class, c.opts, r.retention, r.sink, t.cache)
 		elapsed := time.Since(start)
 		if err != nil && ctx.Err() != nil {
 			// Interrupted mid-simulation: not a completed cell.
@@ -335,8 +356,8 @@ func (r *Runner) execute(p *Plan, emit func(RunResult) bool) {
 					d.DroppedAQM+u.DroppedAQM, d.TTLExpired+u.TTLExpired)
 			}
 		}
-		if useStore && err == nil && cmp != nil {
-			r.store.InsertResult(k.Pair, p.OptionsFor(k), seed, cmp)
+		if r.store != nil && err == nil && cmp != nil {
+			r.store.InsertResult(k.Pair, c.opts, seed, cmp)
 		}
 		return finish(RunResult{Key: k, Seed: seed, Run: run, Err: err, Comparison: cmp}, start, elapsed)
 	}
@@ -367,8 +388,8 @@ func (r *Runner) execute(p *Plan, emit func(RunResult) bool) {
 	defer finishSweep()
 
 	if workers <= 1 {
-		for _, k := range keys {
-			if !runCell(k, tallies[0]) {
+		for _, c := range cells {
+			if !runCell(c, tallies[0]) {
 				return
 			}
 		}
@@ -382,10 +403,10 @@ func (r *Runner) execute(p *Plan, emit func(RunResult) bool) {
 			defer wg.Done()
 			for {
 				i := int(next.Add(1)) - 1
-				if i >= len(keys) {
+				if i >= len(cells) {
 					return
 				}
-				if !runCell(keys[i], t) {
+				if !runCell(cells[i], t) {
 					return
 				}
 			}
@@ -403,7 +424,7 @@ func (r *Runner) execute(p *Plan, emit func(RunResult) bool) {
 func (r *Runner) Run(p *Plan) ([]RunResult, error) {
 	var mu sync.Mutex
 	var out []RunResult
-	r.execute(p, func(res RunResult) bool {
+	r.execute(p.cells(), func(res RunResult) bool {
 		mu.Lock()
 		out = append(out, res)
 		mu.Unlock()
@@ -421,6 +442,30 @@ func (r *Runner) Run(p *Plan) ([]RunResult, error) {
 	return out, nil
 }
 
+// RunPair executes one paired experiment with a literal seed and ablation
+// options — the one-off for runs a Plan cannot express (ablations,
+// extensions, trace capture) — as a one-cell sweep: under the Runner's
+// context, retention, metrics sink, result store and pooled testbed
+// caches, reported to WithProgress as 1 of 1. The seed fixes every random
+// draw, so a (seed, set, class, opts) tuple is exactly reproducible, and
+// the run is byte-identical to the same cell of a Plan. Cancelling the
+// context aborts the run between simulation events and returns ctx.Err()
+// with no progress report. The run keeps what the retention keeps; under
+// StreamProfiles a result-store hit has no run, so a one-off that needs
+// its PairRun installs no store at that retention.
+func (r *Runner) RunPair(seed int64, set int, class media.Class, opts Options) (*PairRun, error) {
+	key := RunKey{Pair: PairKey{Set: set, Class: class}, Scenario: opts.Scenario}
+	var res *RunResult
+	r.execute([]cell{{key: key, seed: seed, opts: opts}}, func(rr RunResult) bool {
+		res = &rr
+		return true
+	})
+	if res == nil { // cancelled before or during the run
+		return nil, r.context().Err()
+	}
+	return res.Run, res.Err
+}
+
 // Stream executes the plan and delivers completed cells in completion
 // order on the returned channel, which closes when the sweep finishes or
 // the context is cancelled. Consumption is the backpressure: at most one
@@ -433,7 +478,7 @@ func (r *Runner) Stream(p *Plan) <-chan RunResult {
 	done := r.context().Done()
 	go func() {
 		defer close(ch)
-		r.execute(p, func(res RunResult) bool {
+		r.execute(p.cells(), func(res RunResult) bool {
 			select {
 			case ch <- res:
 				return true

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"context"
 	"testing"
 
 	"turbulence/internal/media"
@@ -36,11 +35,11 @@ func tracesEqual(t *testing.T, a, b *PairRun) {
 // streaming with no scenario at all — same packets, same draws, same
 // counters.
 func TestPaperBaselineScenarioIsFaithful(t *testing.T) {
-	plain, err := RunPair(context.Background(), 2002, 2, media.High, Options{})
+	plain, err := NewRunner().RunPair(2002, 2, media.High, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	base, err := RunPair(context.Background(), 2002, 2, media.High, Options{Scenario: mustScenario(t, "paper-baseline")})
+	base, err := NewRunner().RunPair(2002, 2, media.High, Options{Scenario: mustScenario(t, "paper-baseline")})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,11 +90,11 @@ func TestScenarioDeterminismAcrossWorkers(t *testing.T) {
 // fails to wire in: bursty wifi loss must show up in the downlink drop
 // breakdown as model loss, not queue drops.
 func TestScenarioChangesTheNetwork(t *testing.T) {
-	base, err := RunPair(context.Background(), 11, 1, media.High, Options{})
+	base, err := NewRunner().RunPair(11, 1, media.High, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	wifi, err := RunPair(context.Background(), 11, 1, media.High, Options{Scenario: mustScenario(t, "lossy-wifi")})
+	wifi, err := NewRunner().RunPair(11, 1, media.High, Options{Scenario: mustScenario(t, "lossy-wifi")})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -112,23 +112,10 @@ type Options struct {
 	Scenario *netem.Scenario
 }
 
-// RunPair executes one paired experiment with a literal seed and ablation
-// options — the one-off entry point for runs a Plan cannot express
-// (ablations, extensions, trace capture). The seed fixes every random
-// draw, so a (seed, set, class, opts) tuple is exactly reproducible, and
-// the run is byte-identical to the same cell executed by a Runner. The
-// context is polled between simulation events: cancelling it aborts the
-// run promptly and returns ctx.Err(). Sweeps should declare a Plan and
-// execute it with a Runner instead.
-func RunPair(ctx context.Context, seed int64, set int, class media.Class, opts Options) (*PairRun, error) {
-	run, _, err := runPair(ctx, seed, set, class, opts, RetainTraces, nil, NewTestbedCache())
-	return run, err
-}
-
-// runPair is the single pair-experiment executor RunPair and the Runner
-// both funnel through. The context is polled between simulation events
-// (the scheduler's interrupt seam), so a cancelled ctx aborts the run
-// promptly mid-stream and returns ctx.Err().
+// runPair is the single pair-experiment executor every Runner cell —
+// sweep or one-off — funnels through. The context is polled between
+// simulation events (the scheduler's interrupt seam), so a cancelled ctx
+// aborts the run promptly mid-stream and returns ctx.Err().
 //
 // Under StreamProfiles and RetainFlows the sniffer stores nothing: each
 // captured record streams through the worker's pooled online
@@ -148,9 +135,8 @@ func RunPair(ctx context.Context, seed int64, set int, class media.Class, opts O
 // PairRun by the Runner, not here, keeping the sink out of the sim.
 //
 // The cache serves the testbed (reset-reused across the worker's runs)
-// and the pooled analysis scratch; a one-off run passes a new cache, so
-// it builds both. Either way the run's bytes are identical: reuse is
-// pinned equal to construction.
+// and the pooled analysis scratch. The run's bytes are identical either
+// way: reuse is pinned equal to construction.
 func runPair(ctx context.Context, seed int64, set int, class media.Class, opts Options, retention TraceRetention, sink *obs.Sink, cache *TestbedCache) (*PairRun, *Comparison, error) {
 	clipSet, ok := media.FindSet(set)
 	if !ok {

@@ -3,6 +3,7 @@ package core
 import (
 	"reflect"
 	"testing"
+	"time"
 
 	"turbulence/internal/capture"
 	"turbulence/internal/inet"
@@ -149,12 +150,38 @@ func exportedFieldsDiffer(a, b capture.Record) (string, bool) {
 }
 
 // TestRetainFlowsMatchTraceFlows pins flow retention to the whole-capture
-// views it replaces: all 13 Table 1 pairs at seed 2002, plus 5/high under
-// lossy-wifi, where loss breaks fragment trains.
+// views it replaces: all 13 Table 1 pairs at seed 2002, 5/high under
+// lossy-wifi, where loss breaks fragment trains, and the option shapes of
+// the experiments' one-off runs. Sequential matters most there: the two
+// players use their ports back to back, so the recorder's first flow per
+// port must be the one Trace.FlowTo picks.
 func TestRetainFlowsMatchTraceFlows(t *testing.T) {
 	if testing.Short() {
 		t.Skip("13-pair sweeps in -short mode")
 	}
 	flowParityCheck(t, NewPlan(2002))
 	flowParityCheck(t, NewPlan(2002).ForPairs(PairKey{5, media.High}).UnderScenarios(mustScenario(t, "lossy-wifi")))
+	burstyLoss := &netem.Scenario{
+		Name: "bottleneck-ge-2-25",
+		Hop: func(role netem.HopRole, _, _ int) netem.Impairment {
+			if role != netem.RoleBottleneck {
+				return netem.Impairment{}
+			}
+			return netem.Impairment{Loss: func() netem.LossModel { return netem.GEFromBurst(0.02, 25, 0.5) }}
+		},
+		HorizonSlack: time.Minute,
+	}
+	for _, c := range []struct {
+		pair PairKey
+		opts Options
+	}{
+		{PairKey{1, media.High}, Options{WMSUnitCap: 1400}},
+		{PairKey{6, media.VeryHigh}, Options{UncappedBurst: true}},
+		{PairKey{5, media.High}, Options{DisableInterleave: true}},
+		{PairKey{2, media.High}, Options{Sequential: true}},
+		{PairKey{1, media.High}, Options{BottleneckBps: 500e3, EnableScaling: true}},
+		{PairKey{1, media.High}, Options{Scenario: burstyLoss}},
+	} {
+		flowParityCheck(t, NewPlan(2002).ForPairs(c.pair).WithOptions(c.opts))
+	}
 }

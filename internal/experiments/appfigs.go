@@ -9,10 +9,10 @@ import (
 )
 
 func init() {
-	registerTraceFree("fig12", "Figure 12: packets received by network vs application layer (MediaPlayer)", fig12)
-	registerTraceFree("fig13", "Figure 13: frame rate vs time (data set 5)", fig13)
-	registerTraceFree("fig14", "Figure 14: frame rate vs average encoding rate (all data sets)", fig14)
-	registerTraceFree("fig15", "Figure 15: frame rate vs average bandwidth (all data sets)", fig15)
+	register("fig12", "Figure 12: packets received by network vs application layer (MediaPlayer)", fig12)
+	register("fig13", "Figure 13: frame rate vs time (data set 5)", fig13)
+	register("fig14", "Figure 14: frame rate vs average encoding rate (all data sets)", fig14)
+	register("fig15", "Figure 15: frame rate vs average bandwidth (all data sets)", fig15)
 }
 
 // fig12 contrasts OS-layer and application-layer packet receipt for one

@@ -12,7 +12,7 @@ import (
 func init() {
 	register("ext-netem-loss", "Extension (netem): turbulence vs loss burstiness at equal average loss", extNetemLoss)
 	register("ext-netem-bandwidth", "Extension (netem): turbulence vs bottleneck bandwidth profile", extNetemBandwidth)
-	registerTraceFree("ext-netem-scenarios", "Extension (netem): the scenario matrix — every pair under every named scenario", extNetemScenarios)
+	register("ext-netem-scenarios", "Extension (netem): the scenario matrix — every pair under every named scenario", extNetemScenarios)
 }
 
 // bottleneckScenario builds an unregistered one-off scenario impairing

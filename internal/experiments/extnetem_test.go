@@ -111,26 +111,32 @@ func TestAllExperimentsDigest(t *testing.T) {
 	}
 }
 
-// TestExtNetemScenariosTraceFree pins the extension's registration: it
-// never reads the context's Table 1 captures, so a StreamProfiles context
-// regenerates it, and the report equals a retaining context's.
-func TestExtNetemScenariosTraceFree(t *testing.T) {
+// TestOneOffExperimentsDigest pins every report built from one-off
+// literal-seed runs (Context.RunOne) — the four ablations,
+// ext-netem-loss, ext-netem-bandwidth and ext-scaling — as one SHA-256
+// over the reports in that order at seed 2002. The digest was taken while
+// the one-off runs still retained whole captures; flow retention must
+// render the same bytes.
+func TestOneOffExperimentsDigest(t *testing.T) {
 	if testing.Short() {
-		t.Skip("scenario matrix in -short mode")
+		t.Skip("one-off pair runs in -short mode")
 	}
-	if !TraceFree("ext-netem-scenarios") {
-		t.Fatal("ext-netem-scenarios not registered trace-free")
+	ids := []string{
+		"ablation-nofrag", "ablation-uncapped", "ablation-nointerleave", "ablation-sequential",
+		"ext-netem-loss", "ext-netem-bandwidth", "ext-scaling",
 	}
-	stream, err := Run(NewContext(2002).SetParallel(0).SetRetention(core.StreamProfiles), "ext-netem-scenarios")
-	if err != nil {
-		t.Fatal(err)
+	ctx := NewContext(2002).SetParallel(0)
+	h := sha256.New()
+	for _, id := range ids {
+		res, err := Run(ctx, id)
+		if err != nil {
+			t.Fatalf("%s: %v", id, err)
+		}
+		h.Write([]byte(res.String()))
 	}
-	retain, err := Run(NewContext(2002).SetParallel(0), "ext-netem-scenarios")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got, want := stream.String(), retain.String(); got != want {
-		t.Fatalf("report under StreamProfiles differs from RetainTraces:\n%s\nvs\n%s", got, want)
+	const wantDigest = "9f09a6b4b2a4102d66e11a67ae394b9824f04cfa3f8e2839c275d4d5fc67a306"
+	if got := hex.EncodeToString(h.Sum(nil)); got != wantDigest {
+		t.Fatalf("one-off experiments digest %s, want %s", got, wantDigest)
 	}
 }
 

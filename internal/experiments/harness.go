@@ -107,19 +107,14 @@ func (r *Result) String() string {
 // progress — to the Plan/Runner engine. Because every run is seeded via
 // core.SeedFor regardless of execution shape, the cached results — and
 // every figure derived from them — are byte-identical to a sequential
-// regeneration. The cached runs keep the two media flows payload-free
+// regeneration. Every pair run the context executes — cached Table 1
+// runs and one-offs alike — keeps the two media flows payload-free
 // (core.RetainFlows) and no whole capture: the figures reduce arrival
-// times, sizes and fragment fields, never a payload byte.
+// times, sizes and fragment fields, never a payload byte. Matrix sweeps
+// stream (core.StreamProfiles).
 type Context struct {
 	Seed    int64
 	workers int
-
-	// retention selects what the cached Table 1 sweep keeps per run (see
-	// core.TraceRetention; default core.RetainFlows). Under StreamProfiles
-	// the cached runs carry no flows, so only trace-free experiments
-	// (reports, probes, profiles) can regenerate; Run rejects the others
-	// with a clear error instead of letting them crash.
-	retention core.TraceRetention
 
 	// cancel, when set, aborts in-flight pair runs when the context is
 	// cancelled (checked between simulation events); progress, when set,
@@ -144,7 +139,7 @@ type Context struct {
 
 // NewContext creates a run cache for the given base seed.
 func NewContext(seed int64) *Context {
-	return &Context{Seed: seed, workers: 1, retention: core.RetainFlows, runs: make(map[core.PairKey]*core.PairRun)}
+	return &Context{Seed: seed, workers: 1, runs: make(map[core.PairKey]*core.PairRun)}
 }
 
 // SetParallel sets the worker-pool size used when All must execute several
@@ -175,8 +170,9 @@ func (c *Context) SetProgress(fn func(core.Progress)) *Context {
 }
 
 // SetMetrics installs an obs.Sink on the underlying Runner: every
-// uncached pair run feeds cell timing, simulator counters, capture
-// volume, and netem drop causes into it. Results are unaffected — the
+// uncached pair run — Table 1 cells, one-offs (RunOne) and Matrix cells —
+// feeds cell timing, simulator counters, capture volume, and netem drop
+// causes into it. Results are unaffected — the
 // sink observes the sweep, it does not steer it.
 func (c *Context) SetMetrics(s *obs.Sink) *Context {
 	c.sink = s
@@ -184,17 +180,13 @@ func (c *Context) SetMetrics(s *obs.Sink) *Context {
 }
 
 // SetResultStore installs a content-addressed result store on the
-// underlying Runner, write-through only: completed cells are inserted so
-// later Comparison-space sweeps (a dispatched rerun, a Runner with
-// WithResultStore) hit on them, but the context's own sweeps never serve
+// underlying Runner, write-through only: every completed pair run — Table
+// 1 cells, one-offs and Matrix cells — inserts its Comparison, so later
+// Comparison-space sweeps (a dispatched rerun, a Runner with
+// WithResultStore) hit on them, but the context's own runs never serve
 // from the store — experiments reduce the full player reports and packet
 // flows of a PairRun, which the store's Comparisons do not hold, so a
 // cache hit here would leave the experiment nothing to regenerate from.
-// Inserts happen where the Runner consults the store, under
-// StreamProfiles: Matrix sweeps always insert one Comparison per cell,
-// the cached Table 1 sweep only under SetRetention(StreamProfiles) —
-// under the default RetainFlows, and under RetainTraces, it inserts
-// nothing.
 func (c *Context) SetResultStore(s core.ResultStore) *Context {
 	c.store = s
 	return c
@@ -209,30 +201,8 @@ func (insertOnly) LookupResult(core.PairKey, core.Options, int64) (*core.Compari
 	return nil, false
 }
 
-// SetRetention selects what the cached Table 1 sweep keeps of each pair
-// run. Must be called before the first run executes. The default,
-// core.RetainFlows, keeps each run's two media flows payload-free —
-// enough for every experiment. core.RetainTraces keeps whole captures as
-// well, which no experiment reads. With core.StreamProfiles the sweep
-// keeps no flows at all — records stream through online analyzers — so
-// only trace-free experiments can regenerate from this context; Run
-// reports which. One-off runs (RunOne) are unaffected and always retain
-// whole captures; Matrix sweeps always stream (see Matrix).
-func (c *Context) SetRetention(tr core.TraceRetention) *Context {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if len(c.runs) > 0 {
-		panic("experiments: SetRetention after runs are cached")
-	}
-	c.retention = tr
-	return c
-}
-
-// Retention returns the context's Table 1 sweep retention.
-func (c *Context) Retention() core.TraceRetention { return c.retention }
-
 // runner assembles the Runner the context delegates execution to; extra
-// options (the sweep's retention) are appended last.
+// options (the use's retention) are appended last.
 func (c *Context) runner(extra ...core.RunnerOption) *core.Runner {
 	opts := []core.RunnerOption{core.WithWorkers(c.workers)}
 	if c.cancel != nil {
@@ -263,7 +233,7 @@ func (c *Context) execute(keys []core.PairKey) error {
 	if c.scenario != nil {
 		plan.UnderScenarios(c.scenario)
 	}
-	results, err := c.runner(core.WithTraceRetention(c.retention)).Run(plan)
+	results, err := c.runner(core.WithTraceRetention(core.RetainFlows)).Run(plan)
 	c.mu.Lock()
 	for _, res := range results {
 		if res.Err == nil && res.Run != nil {
@@ -276,31 +246,23 @@ func (c *Context) execute(keys []core.PairKey) error {
 
 // RunOne executes one uncached pair run with an explicit literal seed —
 // how ablations and extensions keep their runs off the Table 1 cache —
-// under the context's cancellation, so ctrl-C lands mid-simulation in
-// every experiment, not just the cached sweep. A completed run is
-// reported to SetProgress as a 1-of-1 sweep.
+// through the context's Runner (core.Runner.RunPair): it honours
+// SetCancel (ctrl-C lands mid-simulation in every experiment, not just
+// the cached sweep), SetProgress (a 1-of-1 sweep), SetMetrics and
+// SetResultStore. The run keeps its media flows payload-free, as the
+// Table 1 runs do, and no whole capture.
 func (c *Context) RunOne(seed int64, set int, class media.Class, opts core.Options) (*core.PairRun, error) {
-	ctx := c.cancel
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	run, err := core.RunPair(ctx, seed, set, class, opts)
-	if c.progress != nil && ctx.Err() == nil {
-		c.progress(core.Progress{Done: 1, Total: 1, Err: err,
-			Key: core.RunKey{Pair: core.PairKey{Set: set, Class: class}, Scenario: opts.Scenario}})
-	}
-	return run, err
+	return c.runner(core.WithTraceRetention(core.RetainFlows)).RunPair(seed, set, class, opts)
 }
 
 // Matrix executes a (pairs × scenarios) sweep through the context's
 // Runner, honouring SetParallel, SetCancel, SetProgress, SetMetrics and
 // SetResultStore. Its cells stream through online profiles
-// (core.StreamProfiles) whatever the context's Table 1 retention: the
-// rows' runs carry no Trace, WMPFlow or RealFlow, while their player
-// reports and path stats equal those core.Runner.RunMatrix returns under
-// RetainTraces at the same seed. Matrix consumers reduce reports and
-// drop counters only, so a sweep holds O(workers) analyzer state instead
-// of every cell's capture.
+// (core.StreamProfiles): the rows' runs carry no Trace, WMPFlow or
+// RealFlow, while their player reports and path stats equal those
+// core.Runner.RunMatrix returns under RetainTraces at the same seed.
+// Matrix consumers reduce reports and drop counters only, so a sweep
+// holds O(workers) analyzer state instead of every cell's capture.
 func (c *Context) Matrix(seed int64, keys []core.PairKey, scenarios []*netem.Scenario) ([]core.ScenarioRuns, error) {
 	return c.runner(core.WithTraceRetention(core.StreamProfiles)).RunMatrix(seed, keys, scenarios)
 }
@@ -384,9 +346,6 @@ type Experiment struct {
 	ID       string
 	Title    string
 	Generate Generator
-	// TraceFree marks experiments that regenerate without retained packet
-	// flows (see registerTraceFree).
-	TraceFree bool
 }
 
 var registry = map[string]Experiment{}
@@ -396,19 +355,6 @@ func register(id, title string, g Generator) {
 		panic("experiments: duplicate id " + id)
 	}
 	registry[id] = Experiment{ID: id, Title: title, Generate: g}
-}
-
-// registerTraceFree registers an experiment whose reductions never touch
-// the cached runs' packet flows (tracker reports, probe logs and
-// profiles only), so it regenerates under any Table 1 sweep retention —
-// including StreamProfiles, where no flow is kept. The flag is
-// declared here, at the registration site, so it lives next to the code
-// it describes.
-func registerTraceFree(id, title string, g Generator) {
-	register(id, title, g)
-	e := registry[id]
-	e.TraceFree = true
-	registry[id] = e
 }
 
 // Lookup returns a registered experiment.
@@ -427,10 +373,6 @@ func IDs() []string {
 	return out
 }
 
-// TraceFree reports whether the experiment regenerates without retained
-// packet flows (and therefore works under -retention stream).
-func TraceFree(id string) bool { return registry[id].TraceFree }
-
 // Run executes one experiment by id. Every report gains a path-drop
 // breakdown note covering the context's cached pair runs, so model loss
 // (the links' loss processes) stays distinguishable from AQM early drops
@@ -439,9 +381,6 @@ func Run(ctx *Context, id string) (*Result, error) {
 	e, ok := registry[id]
 	if !ok {
 		return nil, fmt.Errorf("experiments: unknown experiment %q (have %v)", id, IDs())
-	}
-	if ctx.Retention() == core.StreamProfiles && !e.TraceFree {
-		return nil, fmt.Errorf("experiments: %s reduces packet flows, which the context's stream retention discards; rerun with retained flows", id)
 	}
 	res, err := e.Generate(ctx)
 	if err != nil {

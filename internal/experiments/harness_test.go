@@ -12,6 +12,7 @@ import (
 	"turbulence/internal/core"
 	"turbulence/internal/media"
 	"turbulence/internal/netem"
+	"turbulence/internal/obs"
 	"turbulence/internal/resultstore"
 	"turbulence/internal/stats"
 )
@@ -171,12 +172,25 @@ func TestRunOneHonoursCancel(t *testing.T) {
 	}
 }
 
+// TestSetMetricsCountsOneOffs pins SetMetrics' promise for one-off runs:
+// ablation-nofrag runs the cached Table 1 cell 1/high plus one RunOne
+// cell, and a metered context counts both.
+func TestSetMetricsCountsOneOffs(t *testing.T) {
+	sink := obs.NewSink(obs.NewRegistry())
+	if _, err := Run(NewContext(2002).SetMetrics(sink), "ablation-nofrag"); err != nil {
+		t.Fatal(err)
+	}
+	if got := sink.CellsDone.Value(); got != 2 {
+		t.Fatalf("sink counted %d cells, want 2 (the Table 1 cell and the one-off)", got)
+	}
+}
+
 // TestResultStoreWriteThroughOnly pins the harness's store discipline:
 // experiments reduce full PairRuns (player reports, packet flows), which
-// the store's Comparisons cannot reconstruct, so a context must populate
-// the store without ever serving its own sweeps from it — a warm rerun
-// against a full store still regenerates every experiment, run data
-// intact.
+// the store's Comparisons cannot reconstruct, so a default context must
+// populate the store without ever serving its own sweeps from it — a warm
+// rerun against a full store still regenerates every experiment, run
+// data intact.
 func TestResultStoreWriteThroughOnly(t *testing.T) {
 	st, err := resultstore.Open(t.TempDir())
 	if err != nil {
@@ -184,7 +198,7 @@ func TestResultStoreWriteThroughOnly(t *testing.T) {
 	}
 	defer st.Close()
 
-	cold := NewContext(55).SetRetention(core.StreamProfiles).SetResultStore(st)
+	cold := NewContext(55).SetResultStore(st)
 	coldRes, err := Run(cold, "table1")
 	if err != nil {
 		t.Fatal(err)
@@ -196,7 +210,7 @@ func TestResultStoreWriteThroughOnly(t *testing.T) {
 
 	// Warm context, same seed, same (now fully covering) store: the
 	// lookup path must not be taken — every run needs its full reports.
-	warm := NewContext(55).SetRetention(core.StreamProfiles).SetResultStore(st)
+	warm := NewContext(55).SetResultStore(st)
 	warmRes, err := Run(warm, "table1")
 	if err != nil {
 		t.Fatalf("warm experiment sweep against a populated store: %v", err)

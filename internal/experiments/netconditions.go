@@ -6,8 +6,8 @@ import (
 )
 
 func init() {
-	registerTraceFree("fig01", "Figure 1: CDF of round-trip time", fig01)
-	registerTraceFree("fig02", "Figure 2: CDF of number of hops", fig02)
+	register("fig01", "Figure 1: CDF of round-trip time", fig01)
+	register("fig02", "Figure 2: CDF of number of hops", fig02)
 }
 
 // fig01 rebuilds the RTT CDF from the ping runs around every experiment

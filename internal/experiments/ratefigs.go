@@ -9,7 +9,7 @@ import (
 )
 
 func init() {
-	registerTraceFree("fig03", "Figure 3: average playback data rate vs encoding data rate", fig03)
+	register("fig03", "Figure 3: average playback data rate vs encoding data rate", fig03)
 	register("fig10", "Figure 10: bandwidth vs time for one clip set (data set 1)", fig10)
 	register("fig11", "Figure 11: buffering rate / playing rate vs encoding rate (Real)", fig11)
 }

@@ -7,7 +7,7 @@ import (
 )
 
 func init() {
-	registerTraceFree("table1", "Table 1: experiment data sets (encoded rates captured by the trackers)", table1)
+	register("table1", "Table 1: experiment data sets (encoded rates captured by the trackers)", table1)
 }
 
 // table1 regenerates the paper's Table 1: for every data set and class,

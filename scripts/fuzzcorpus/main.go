@@ -30,7 +30,6 @@ package main
 
 import (
 	"bytes"
-	"context"
 	"encoding/binary"
 	"fmt"
 	"log"
@@ -57,7 +56,7 @@ const rdtSeqs = 8
 func main() {
 	key := core.PairKey{Set: 2, Class: media.High}
 	seed := core.SeedFor(2002, key)
-	run, err := core.RunPair(context.Background(), seed, key.Set, key.Class, core.Options{})
+	run, err := core.NewRunner().RunPair(seed, key.Set, key.Class, core.Options{})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -141,7 +140,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	overflow, err := core.RunPair(context.Background(), seed, key.Set, key.Class, core.Options{Scenario: flashCrowd})
+	overflow, err := core.NewRunner().RunPair(seed, key.Set, key.Class, core.Options{Scenario: flashCrowd})
 	if err != nil {
 		log.Fatal(err)
 	}

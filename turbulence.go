@@ -490,10 +490,11 @@ func NewTestbed(seed int64) *Testbed { return core.NewTestbed(seed) }
 // RunPair executes the paper's unit experiment: the given set's clip pair
 // of the given class streamed simultaneously in both formats, fully
 // instrumented, with ablation options (the zero Options is the faithful
-// reproduction). Deterministic in seed. Sweeps declare a Plan and execute
-// it with a Runner instead.
+// reproduction). Deterministic in seed. The run keeps its whole capture
+// (RetainTraces). It is Runner.RunPair on a new default Runner; sweeps
+// declare a Plan and execute it with a Runner instead.
 func RunPair(seed int64, set int, class Class, opts Options) (*PairRun, error) {
-	return core.RunPair(context.Background(), seed, set, class, opts)
+	return core.NewRunner().RunPair(seed, set, class, opts)
 }
 
 // AllPairs lists the 13 Table 1 pair experiments in order.
@@ -568,11 +569,6 @@ func NewExperimentContext(seed int64) *ExperimentContext {
 
 // ExperimentIDs lists every regenerable table/figure id.
 func ExperimentIDs() []string { return experiments.IDs() }
-
-// ExperimentTraceFree reports whether an experiment regenerates without
-// retained packet flows — the set that works under the StreamProfiles
-// trace retention.
-func ExperimentTraceFree(id string) bool { return experiments.TraceFree(id) }
 
 // RunExperiment regenerates one paper table/figure by id ("table1",
 // "fig01".."fig15", "sec4", "ablation-*").
