@@ -9,7 +9,7 @@
 //	           [-json] [-csv dir] [-points] [-list] [-list-scenarios]
 //	turbulence -serve addr [-seed N] [-pairs list] [-scenario name]
 //	           [-serve-shards N] [-lease-ttl d] [-checkpoint file] [-pprof]
-//	           [-result-store dir] [-adaptive-leases]
+//	           [-result-store dir]
 //	turbulence -work addr [-parallel N] [-result-store dir]
 //	turbulence -listen ip [-seed N] [-metrics addr] [-pprof]
 //	turbulence -play ip [-bind ip] [-clip set/class] [-seed N]
@@ -112,12 +112,6 @@
 // not hold, so they never read from it. A corrupted store
 // frame is detected by checksum, counted on /metrics
 // (turbulence_cache_corrupt_frames_total) and recomputed — never served.
-//
-// -adaptive-leases sizes -serve leases from each worker's measured
-// throughput instead of granting whole static shards: slices subdivide by
-// stride until they fit -lease-ttl/4 of work at the puller's pace, so
-// slow workers take smaller bites and strike-prone shards cost less to
-// retry. Output is byte-identical either way.
 package main
 
 import (
@@ -158,7 +152,6 @@ func main() {
 	leaseTTL := flag.Duration("lease-ttl", 2*time.Minute, "-serve: how long a leased shard may stay unrenewed before it is re-issued to another worker (workers heartbeat while simulating)")
 	checkpoint := flag.String("checkpoint", "", "-serve: journal completed shards to this file; re-running with the same sweep flags and path resumes, re-leasing only unfinished shards")
 	resultStore := flag.String("result-store", "", "content-addressed result store directory: completed cells are appended, and later -serve/-work sweeps serve matching cells from it without simulating (plain sweeps only populate it)")
-	adaptiveLeases := flag.Bool("adaptive-leases", false, "-serve: size leases from each worker's measured throughput (stride subdivision; output is byte-identical)")
 	metricsAddr := flag.String("metrics", "", "serve a live Prometheus meter of the local sweep on this address (host:port) at /metrics; the -serve coordinator has its own /metrics and does not combine with this")
 	pprofFlag := flag.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/ on the -metrics server or the -serve coordinator (off by default: profiling endpoints expose internals and cost CPU when scraped)")
 	listen := flag.String("listen", "", "serve the streaming protocol stacks over real UDP sockets bound to this IPv4 address (e.g. 127.0.0.1); -metrics adds the per-socket transport counters")
@@ -168,7 +161,7 @@ func main() {
 	liveTimeout := flag.Duration("live-timeout", 5*time.Minute, "-play: abort if the session has not completed in this long")
 	flag.Parse()
 
-	if err := modeConflicts(*serve, *work, *experiment, *shard, *pairsSpec, *scenario, *checkpoint, *metricsAddr, *pprofFlag, *listen, *play, *resultStore, *adaptiveLeases); err != nil {
+	if err := modeConflicts(*serve, *work, *experiment, *shard, *pairsSpec, *scenario, *checkpoint, *metricsAddr, *pprofFlag, *listen, *play, *resultStore); err != nil {
 		fmt.Fprintln(os.Stderr, "turbulence:", err)
 		os.Exit(2)
 	}
@@ -193,7 +186,7 @@ func main() {
 		os.Exit(runPlay(*play, *bindIP, *clipSpec, *seed, *metricsAddr, *pprofFlag, *liveTimeout))
 	}
 	if *serve != "" {
-		os.Exit(runServe(*serve, *seed, *pairsSpec, *scenario, *serveShards, *leaseTTL, *checkpoint, *resultStore, *adaptiveLeases, *pprofFlag))
+		os.Exit(runServe(*serve, *seed, *pairsSpec, *scenario, *serveShards, *leaseTTL, *checkpoint, *resultStore, *pprofFlag))
 	}
 	if *work != "" {
 		os.Exit(runWork(*work, *parallel, *resultStore))
@@ -314,7 +307,7 @@ func main() {
 // no further leases are issued, workers wind down, and whatever completed
 // still prints. With -checkpoint, completions are journalled and a
 // re-run on the same path resumes the sweep instead of restarting it.
-func runServe(addr string, seed int64, pairsSpec, scenario string, shards int, ttl time.Duration, checkpoint, storeDir string, adaptive bool, pprof bool) int {
+func runServe(addr string, seed int64, pairsSpec, scenario string, shards int, ttl time.Duration, checkpoint, storeDir string, pprof bool) int {
 	keys, err := parsePairs(pairsSpec)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "turbulence:", err)
@@ -336,7 +329,6 @@ func runServe(addr string, seed int64, pairsSpec, scenario string, shards int, t
 		turbulence.WithDispatchShards(shards),
 		turbulence.WithLeaseTTL(ttl),
 		turbulence.WithDispatchCheckpoint(checkpoint),
-		turbulence.WithAdaptiveLeases(adaptive),
 		turbulence.WithDispatchPprof(pprof),
 		turbulence.WithDispatchLogf(logf),
 	}
@@ -478,9 +470,8 @@ func serveMetrics(addr string, reg *turbulence.MetricsRegistry, pprof bool) erro
 // but they do combine with -metrics, which then exposes the live
 // transport's per-socket counters. -result-store caches per-cell
 // comparison profiles, so it needs a mode that simulates cells (not
-// -listen/-play); -adaptive-leases is coordinator lease-sizing policy, so
-// it requires -serve.
-func modeConflicts(serve, work, experiment, shard, pairs, scenario, checkpoint, metrics string, pprof bool, listen, play, resultStore string, adaptive bool) error {
+// -listen/-play).
+func modeConflicts(serve, work, experiment, shard, pairs, scenario, checkpoint, metrics string, pprof bool, listen, play, resultStore string) error {
 	switch {
 	case listen != "" && play != "":
 		return errors.New("-listen and -play are mutually exclusive (run the live server and client as separate processes)")
@@ -508,8 +499,6 @@ func modeConflicts(serve, work, experiment, shard, pairs, scenario, checkpoint, 
 		return errors.New("-checkpoint requires -serve (the journal is coordinator state; workers are stateless)")
 	case (listen != "" || play != "") && resultStore != "":
 		return errors.New("-result-store does not combine with -listen/-play (live transport carries real traffic; there are no simulated cells to cache)")
-	case adaptive && serve == "":
-		return errors.New("-adaptive-leases requires -serve (lease sizing is coordinator policy)")
 	}
 	return nil
 }

@@ -1,6 +1,9 @@
 package main
 
 import (
+	"errors"
+	"os"
+	"os/exec"
 	"strings"
 	"testing"
 
@@ -34,13 +37,13 @@ func TestShardIDsStrict(t *testing.T) {
 func TestModeConflicts(t *testing.T) {
 	ok := func(serve, work, experiment, shard, pairs, scenario, checkpoint string) {
 		t.Helper()
-		if err := modeConflicts(serve, work, experiment, shard, pairs, scenario, checkpoint, "", false, "", "", "", false); err != nil {
+		if err := modeConflicts(serve, work, experiment, shard, pairs, scenario, checkpoint, "", false, "", "", ""); err != nil {
 			t.Errorf("unexpected conflict: %v", err)
 		}
 	}
 	bad := func(serve, work, experiment, shard, pairs, scenario, checkpoint, want string) {
 		t.Helper()
-		err := modeConflicts(serve, work, experiment, shard, pairs, scenario, checkpoint, "", false, "", "", "", false)
+		err := modeConflicts(serve, work, experiment, shard, pairs, scenario, checkpoint, "", false, "", "", "")
 		if err == nil || !strings.Contains(err.Error(), want) {
 			t.Errorf("modeConflicts(%q,%q,%q,%q,%q,%q,%q) = %v, want mention of %s",
 				serve, work, experiment, shard, pairs, scenario, checkpoint, err, want)
@@ -66,7 +69,7 @@ func TestModeConflicts(t *testing.T) {
 	// -metrics meters the local sweep only; -pprof needs a server.
 	check := func(serve, work, metrics string, pprof bool, want string) {
 		t.Helper()
-		err := modeConflicts(serve, work, "", "", "", "", "", metrics, pprof, "", "", "", false)
+		err := modeConflicts(serve, work, "", "", "", "", "", metrics, pprof, "", "", "")
 		switch {
 		case want == "" && err != nil:
 			t.Errorf("unexpected conflict: %v", err)
@@ -88,7 +91,7 @@ func TestModeConflicts(t *testing.T) {
 	// with the simulation service/experiment/shard flags.
 	live := func(serve, work, experiment, shard, metrics, listen, play, want string) {
 		t.Helper()
-		err := modeConflicts(serve, work, experiment, shard, "", "", "", metrics, false, listen, play, "", false)
+		err := modeConflicts(serve, work, experiment, shard, "", "", "", metrics, false, listen, play, "")
 		switch {
 		case want == "" && err != nil:
 			t.Errorf("unexpected conflict: %v", err)
@@ -112,31 +115,47 @@ func TestModeConflicts(t *testing.T) {
 	live("", "", "", "0/2", "", "", "127.0.0.1", "-shard")
 
 	// The result store caches simulated cells, so it needs a mode that
-	// simulates them. -adaptive-leases is dispatcher policy.
-	cache := func(serve, work, listen, play, resultStore string, adaptive bool, want string) {
+	// simulates them.
+	cache := func(serve, work, listen, play, resultStore string, want string) {
 		t.Helper()
-		err := modeConflicts(serve, work, "", "", "", "", "", "", false, listen, play, resultStore, adaptive)
+		err := modeConflicts(serve, work, "", "", "", "", "", "", false, listen, play, resultStore)
 		switch {
 		case want == "" && err != nil:
 			t.Errorf("unexpected conflict: %v", err)
 		case want != "" && (err == nil || !strings.Contains(err.Error(), want)):
-			t.Errorf("modeConflicts(serve=%q, work=%q, listen=%q, play=%q, resultStore=%q, adaptive=%v) = %v, want mention of %s",
-				serve, work, listen, play, resultStore, adaptive, err, want)
+			t.Errorf("modeConflicts(serve=%q, work=%q, listen=%q, play=%q, resultStore=%q) = %v, want mention of %s",
+				serve, work, listen, play, resultStore, err, want)
 		}
 	}
 	// A plain experiment sweep populates the store (its pair runs insert
 	// their profiles), and either service mode caches as well.
-	cache("", "", "", "", "cache", false, "")
-	cache(":8080", "", "", "", "cache", false, "")
-	cache("", "host:8080", "", "", "cache", false, "")
-	cache(":8080", "", "", "", "cache", true, "")
-	cache(":8080", "", "", "", "", true, "")
+	cache("", "", "", "", "cache", "")
+	cache(":8080", "", "", "", "cache", "")
+	cache("", "host:8080", "", "", "cache", "")
 	// Live transport has no simulated cells to cache.
-	cache("", "", "127.0.0.1", "", "cache", false, "-result-store")
-	cache("", "", "", "127.0.0.1", "cache", false, "-result-store")
-	// Lease sizing is coordinator policy.
-	cache("", "", "", "", "", true, "-adaptive-leases")
-	cache("", "host:8080", "", "", "", true, "-adaptive-leases")
+	cache("", "", "127.0.0.1", "", "cache", "-result-store")
+	cache("", "", "", "127.0.0.1", "cache", "-result-store")
+}
+
+// TestRemovedFlagUnknown runs the command in a child process and pins
+// that a deleted flag is refused as unknown, with the flag package's usage
+// exit status 2, rather than silently accepted.
+func TestRemovedFlagUnknown(t *testing.T) {
+	if args := os.Getenv("TURBULENCE_MAIN_ARGS"); args != "" {
+		os.Args = append([]string{"turbulence"}, strings.Fields(args)...)
+		main()
+		os.Exit(0)
+	}
+	cmd := exec.Command(os.Args[0], "-test.run=^TestRemovedFlagUnknown$")
+	cmd.Env = append(os.Environ(), "TURBULENCE_MAIN_ARGS=-list -adaptive-leases")
+	out, err := cmd.CombinedOutput()
+	var exit *exec.ExitError
+	if !errors.As(err, &exit) || exit.ExitCode() != 2 {
+		t.Fatalf("turbulence -adaptive-leases: err %v, want exit status 2\n%s", err, out)
+	}
+	if !strings.Contains(string(out), "flag provided but not defined: -adaptive-leases") {
+		t.Fatalf("turbulence -adaptive-leases did not report an unknown flag:\n%s", out)
+	}
 }
 
 // TestParsePairs pins the -pairs parser: names and suffixes resolve, the

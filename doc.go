@@ -152,11 +152,7 @@
 // complete without ever being leased, partially-cached shards ship the
 // cached cell indexes in the lease grant (LeaseGrant.CachedCells) so
 // workers simulate only the rest, and fresh results are inserted as
-// shards commit. With WithAdaptiveLeases the coordinator also sizes
-// leases from each worker's observed throughput — stride-subdividing a
-// shard so a slow or strike-prone worker pulls a slice it can finish
-// inside WithLeaseTarget, while per-shard journalling, quarantine and
-// merge order stay at the base carve. The warm-rerun recipe:
+// shards commit. The warm-rerun recipe:
 //
 //	$ turbulence -serve :8080 -seed 2002 -result-store sweep.cache
 //	...add pairs or scenarios, rerun...

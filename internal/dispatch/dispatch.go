@@ -152,19 +152,6 @@ type Config struct {
 	// are inserted for the next sweep. On a worker it is the Runner's
 	// read-through cache for loopback/local runs.
 	Store *resultstore.Store
-	// AdaptiveLeases sizes leases from observed per-worker throughput
-	// instead of granting whole static shards: a popped shard is
-	// subdivided (by stride, so cell Index and seed never move) until its
-	// cell count fits LeaseTarget at the puller's measured pace, and
-	// quarantine-prone shards subdivide further so a strike costs less
-	// re-work. Off by default — with it off the carve is exactly the
-	// static Shards count.
-	AdaptiveLeases bool
-	// LeaseTarget is the wall-clock an adaptively sized lease should take
-	// at the pulling worker's measured throughput. Workers with no
-	// measurement yet (their first pull) get the whole shard. Default
-	// LeaseTTL/4, so even a mis-sized lease renews comfortably.
-	LeaseTarget time.Duration
 	// Logf receives progress lines (default: none).
 	Logf func(format string, args ...any)
 }
@@ -234,14 +221,6 @@ func WithLogf(f func(format string, args ...any)) Option { return func(c *Config
 // Config.Store).
 func WithResultStore(s *resultstore.Store) Option { return func(c *Config) { c.Store = s } }
 
-// WithAdaptiveLeases toggles throughput-driven lease sizing (see
-// Config.AdaptiveLeases).
-func WithAdaptiveLeases(on bool) Option { return func(c *Config) { c.AdaptiveLeases = on } }
-
-// WithLeaseTarget sets the wall-clock an adaptive lease aims for (see
-// Config.LeaseTarget).
-func WithLeaseTarget(d time.Duration) Option { return func(c *Config) { c.LeaseTarget = d } }
-
 func newConfig(opts []Option) Config {
 	c := Config{
 		LeaseTTL:         2 * time.Minute,
@@ -285,9 +264,6 @@ func newConfig(opts []Option) Config {
 	if c.EventRing <= 0 {
 		c.EventRing = 1024
 	}
-	if c.LeaseTarget <= 0 {
-		c.LeaseTarget = c.LeaseTTL / 4
-	}
 	if c.Logf == nil {
 		c.Logf = func(string, ...any) {}
 	}
@@ -314,10 +290,10 @@ type Coordinator struct {
 	cellDigests []string
 
 	mu          sync.Mutex
-	pending     []slab          // lease slices ready to grant, FIFO
-	leases      map[string]slab // outstanding leaseID → slice
+	pending     []int          // shards ready to grant, FIFO
+	leases      map[string]int // outstanding leaseID → shard
 	deadlines   map[string]time.Time
-	issued      map[string]slab   // every leaseID ever granted → slice
+	issued      map[string]int    // every leaseID ever granted → shard
 	holders     map[string]string // every leaseID ever granted → worker name
 	rejected    map[string]bool   // leases already struck for a bad delivery
 	done        []bool            // per shard
@@ -327,124 +303,15 @@ type Coordinator struct {
 	committing  []bool            // per shard: journal append in flight
 	commitDone  *sync.Cond        // on mu; broadcast when a commit settles
 	results     map[int][]wire.Run
-	cachedRuns  map[int][]wire.Run       // per shard: store hits, canonical order
-	cachedIdx   map[int]map[int]bool     // per shard: store-hit global Indexes
-	gathered    map[int]map[int]wire.Run // per shard: delivered cells by global Index
-	open        map[int][]slab           // per shard: slices not yet resolved
-	remaining   int                      // non-empty shards neither completed nor quarantined
-	delivering  int                      // live leases removed by an in-flight Complete, not yet classified
+	cachedRuns  map[int][]wire.Run   // per shard: store hits, canonical order
+	cachedIdx   map[int]map[int]bool // per shard: store-hit global Indexes
+	remaining   int                  // non-empty shards neither completed nor quarantined
+	delivering  int                  // live leases removed by an in-flight Complete, not yet classified
 	seq         int
 	draining    bool
 	finished    chan struct{} // closed when remaining hits 0
 	journal     *journal      // nil when checkpointing is off
 	m           *coordMetrics
-}
-
-// slab is one leasable slice of a shard, in stride coordinates relative to
-// the base carve: subs=1 (sub=0) is the whole shard — the only shape that
-// exists with adaptive leasing off — and splitting doubles subs, giving
-// the two strided halves (sub, 2·subs) and (sub+subs, 2·subs). The slab's
-// cells on the wire are Plan.Shard(shard + sub·shards, subs·shards): the
-// same strided-slice contract workers already execute, so subdivision
-// needs no new protocol shape and every cell keeps its global Index and
-// seed. Per-shard bookkeeping (strikes, quarantine, journal frames,
-// results) stays at the base-shard grain; slabs only change how much of a
-// shard one lease carries.
-type slab struct {
-	shard     int // base shard, 0..shards-1
-	sub, subs int // stride slice within the shard; subs >= 1
-}
-
-// wireCoords are the slab's Shard/Shards as granted to a worker.
-func (s slab) wireCoords(shards int) (int, int) {
-	return s.shard + s.sub*shards, s.subs * shards
-}
-
-// sliceSize is the slab's cell count in a plan of planSize cells.
-func (c *Coordinator) sliceSize(s slab) int {
-	i, n := s.wireCoords(c.shards)
-	if i >= c.planSize {
-		return 0
-	}
-	return (c.planSize - i + n - 1) / n
-}
-
-// cachedInSlice lists the slab's store-hit global Indexes, ascending.
-func (c *Coordinator) cachedInSlice(s slab) []int {
-	m := c.cachedIdx[s.shard]
-	if len(m) == 0 {
-		return nil
-	}
-	i, n := s.wireCoords(c.shards)
-	var out []int
-	for idx := i; idx < c.planSize; idx += n {
-		if m[idx] {
-			out = append(out, idx)
-		}
-	}
-	return out
-}
-
-// effectiveSize is how many cells a lease on the slab actually simulates:
-// its stride minus the store hits the grant tells the worker to skip.
-func (c *Coordinator) effectiveSize(s slab) int {
-	return c.sliceSize(s) - len(c.cachedInSlice(s))
-}
-
-// sliceOpen reports whether the slab is still awaiting resolution. A slab
-// can sit in pending and be closed — it expired, was requeued, split on
-// re-grant, or its cells arrived in a late parent delivery — and granting
-// it again would re-run covered work. Called with c.mu held.
-func (c *Coordinator) sliceOpen(s slab) bool {
-	for _, o := range c.open[s.shard] {
-		if o == s {
-			return true
-		}
-	}
-	return false
-}
-
-// resolveSliceLocked removes the slab from its shard's open set. Called
-// with c.mu held.
-func (c *Coordinator) resolveSliceLocked(s slab) {
-	live := c.open[s.shard][:0]
-	for _, o := range c.open[s.shard] {
-		if o != s {
-			live = append(live, o)
-		}
-	}
-	c.open[s.shard] = live
-}
-
-// sweepOpenLocked resolves every remaining open slab of the shard whose
-// cells are all covered by store hits plus gathered deliveries — which is
-// how a late whole-parent delivery (the lease expired, the slab was
-// requeued and split, then the presumed-dead worker shipped after all)
-// retires the child slabs its batch subsumed. Called with c.mu held.
-func (c *Coordinator) sweepOpenLocked(shard int) {
-	live := c.open[shard][:0]
-	for _, o := range c.open[shard] {
-		if c.sliceCoveredLocked(o) {
-			continue
-		}
-		live = append(live, o)
-	}
-	c.open[shard] = live
-}
-
-// sliceCoveredLocked reports whether every cell of the slab is accounted
-// for (cached or delivered). Called with c.mu held.
-func (c *Coordinator) sliceCoveredLocked(s slab) bool {
-	i, n := s.wireCoords(c.shards)
-	cached, got := c.cachedIdx[s.shard], c.gathered[s.shard]
-	for idx := i; idx < c.planSize; idx += n {
-		if !cached[idx] {
-			if _, ok := got[idx]; !ok {
-				return false
-			}
-		}
-	}
-	return true
 }
 
 // newEpoch draws the coordinator instance's random lease-ID tag. Lease
@@ -523,9 +390,9 @@ func New(plan *core.Plan, opts ...Option) (*Coordinator, error) {
 		planSize:    plan.Size(),
 		sizes:       plan.ShardSizes(n),
 		epoch:       epoch,
-		leases:      make(map[string]slab),
+		leases:      make(map[string]int),
 		deadlines:   make(map[string]time.Time),
-		issued:      make(map[string]slab),
+		issued:      make(map[string]int),
 		holders:     make(map[string]string),
 		rejected:    make(map[string]bool),
 		done:        make([]bool, n),
@@ -536,8 +403,6 @@ func New(plan *core.Plan, opts ...Option) (*Coordinator, error) {
 		results:     make(map[int][]wire.Run),
 		cachedRuns:  make(map[int][]wire.Run),
 		cachedIdx:   make(map[int]map[int]bool),
-		gathered:    make(map[int]map[int]wire.Run),
-		open:        make(map[int][]slab),
 		finished:    make(chan struct{}),
 	}
 	c.commitDone = sync.NewCond(&c.mu)
@@ -550,8 +415,7 @@ func New(plan *core.Plan, opts ...Option) (*Coordinator, error) {
 			c.done[shard] = true
 			continue
 		}
-		c.pending = append(c.pending, slab{shard: shard, subs: 1})
-		c.open[shard] = []slab{{shard: shard, subs: 1}}
+		c.pending = append(c.pending, shard)
 		c.remaining++
 	}
 	for _, rec := range replayed {
@@ -566,18 +430,11 @@ func New(plan *core.Plan, opts ...Option) (*Coordinator, error) {
 		}
 		c.done[rec.Shard] = true
 		c.results[rec.Shard] = rec.Runs
-		delete(c.open, rec.Shard)
 		c.remaining--
 	}
 	if len(replayed) > 0 {
 		// Drop replayed shards from pending.
-		open := c.pending[:0]
-		for _, s := range c.pending {
-			if !c.done[s.shard] {
-				open = append(open, s)
-			}
-		}
-		c.pending = open
+		c.dropDonePendingLocked()
 		cfg.Logf("dispatch: resumed from %s: %d/%d shards already collected, %d to go", cfg.Checkpoint, n-c.remaining, n, c.remaining)
 	}
 	if cfg.Checkpoint != "" {
@@ -648,7 +505,6 @@ func (c *Coordinator) consultStore(plan *core.Plan) {
 			c.journal.appendFrame(journalFrame{Complete: &journalComplete{Shard: shard, Runs: hits}})
 			c.done[shard] = true
 			c.results[shard] = hits
-			delete(c.open, shard)
 			c.remaining--
 			full++
 			c.m.event("complete", shard, "", "", "served from result store")
@@ -659,13 +515,7 @@ func (c *Coordinator) consultStore(plan *core.Plan) {
 	}
 	if cells > 0 {
 		if full > 0 {
-			open := c.pending[:0]
-			for _, s := range c.pending {
-				if !c.done[s.shard] {
-					open = append(open, s)
-				}
-			}
-			c.pending = open
+			c.dropDonePendingLocked()
 		}
 		c.cfg.Logf("dispatch: result store holds %d of this sweep's cells (%d shards fully cached, never leased); %d shards to go", cells, full, c.remaining)
 	}
@@ -688,42 +538,24 @@ func Resume(path string, opts ...Option) (*Coordinator, error) {
 	return New(plan, append(opts, WithCheckpoint(path))...)
 }
 
-// validateBatch applies the collector's protocol checks to a whole-shard
-// batch: every cell inside the shard's stride, and no unexplained short
-// count. Used for journal replay, where frames are always whole shards.
-// Called with c.mu held (or during construction, before concurrency).
+// validateBatch applies the collector's protocol checks to one shard's
+// delivery: every cell must lie on the shard's stride within the plan, no
+// cell may appear twice, and the count of non-cached cells must equal the
+// shard's size minus its store hits unless some run carries a cell error
+// to explain the shortfall. Workers may ship cells the grant marked
+// cached (one that ignores CachedCells simply recomputes them) — those
+// are tolerated and not counted against the expected size. Journal
+// replay runs the same checks before the store is consulted, so a
+// replayed frame must hold the whole shard. Called with c.mu held (or
+// during construction, before concurrency).
 func (c *Coordinator) validateBatch(shard int, runs []wire.Run) error {
-	failed := false
-	for _, r := range runs {
-		if r.Index%c.shards != shard {
-			return fmt.Errorf("dispatch: batch delivered cell %d, which is not in shard %d/%d", r.Index, shard, c.shards)
-		}
-		if r.Err != "" {
-			failed = true
-		}
-	}
-	if len(runs) != c.sizes[shard] && !failed {
-		return fmt.Errorf("dispatch: batch delivered %d runs for shard %d/%d, want %d", len(runs), shard, c.shards, c.sizes[shard])
-	}
-	return nil
-}
-
-// validateSlice is validateBatch for one leased slab: every delivered cell
-// must lie on the slab's stride within the plan, no cell may appear twice,
-// and the count of non-cached cells must equal the slab's effective size
-// unless some run carries a cell error to explain the shortfall. Workers
-// are allowed to ship cells the grant marked cached (an old worker that
-// ignores CachedCells simply recomputes them) — those are tolerated and
-// not counted against the expected size. Called with c.mu held.
-func (c *Coordinator) validateSlice(s slab, runs []wire.Run) error {
-	i, n := s.wireCoords(c.shards)
-	cached := c.cachedIdx[s.shard]
+	cached := c.cachedIdx[shard]
 	seen := make(map[int]bool, len(runs))
 	failed := false
 	fresh := 0
 	for _, r := range runs {
-		if r.Index < 0 || r.Index >= c.planSize || (r.Index-i)%n != 0 || r.Index < i {
-			return fmt.Errorf("dispatch: batch delivered cell %d, which is not in slice %d/%d", r.Index, i, n)
+		if r.Index < 0 || r.Index >= c.planSize || r.Index%c.shards != shard {
+			return fmt.Errorf("dispatch: batch delivered cell %d, which is not in shard %d/%d", r.Index, shard, c.shards)
 		}
 		if seen[r.Index] {
 			return fmt.Errorf("dispatch: batch delivered cell %d twice", r.Index)
@@ -736,10 +568,22 @@ func (c *Coordinator) validateSlice(s slab, runs []wire.Run) error {
 			fresh++
 		}
 	}
-	if want := c.effectiveSize(s); fresh != want && !failed {
-		return fmt.Errorf("dispatch: batch delivered %d runs for slice %d/%d, want %d", fresh, i, n, want)
+	if want := c.sizes[shard] - len(c.cachedRuns[shard]); fresh != want && !failed {
+		return fmt.Errorf("dispatch: batch delivered %d runs for shard %d/%d, want %d", fresh, shard, c.shards, want)
 	}
 	return nil
+}
+
+// dropDonePendingLocked removes completed shards from the pending queue.
+// Called with c.mu held (or during construction).
+func (c *Coordinator) dropDonePendingLocked() {
+	open := c.pending[:0]
+	for _, shard := range c.pending {
+		if !c.done[shard] {
+			open = append(open, shard)
+		}
+	}
+	c.pending = open
 }
 
 // expire requeues every outstanding lease whose deadline has passed.
@@ -754,14 +598,13 @@ func (c *Coordinator) expire(now time.Time) {
 		if now.Before(deadline) {
 			continue
 		}
-		s := c.leases[id]
-		shard := s.shard
+		shard := c.leases[id]
 		delete(c.leases, id)
 		delete(c.deadlines, id)
 		c.m.expired.Inc()
 		c.m.event("expire", shard, id, c.holders[id], "")
-		if !c.done[shard] && !c.quarantined[shard] && c.sliceOpen(s) {
-			c.pending = append(c.pending, s)
+		if !c.done[shard] && !c.quarantined[shard] {
+			c.pending = append(c.pending, shard)
 			c.cfg.Logf("dispatch: lease %s expired, requeueing shard %d/%d", id, shard, c.shards)
 			c.strikeLocked(shard, "lease expired")
 		}
@@ -785,7 +628,7 @@ func (c *Coordinator) strikeLocked(shard int, reason string) {
 	c.m.event("quarantine", shard, "", "", reason)
 	open := c.pending[:0]
 	for _, s := range c.pending {
-		if s.shard != shard {
+		if s != shard {
 			open = append(open, s)
 		}
 	}
@@ -808,79 +651,44 @@ func (c *Coordinator) Lease(worker string) (wire.LeaseGrant, error) {
 	if c.draining || c.remaining == 0 {
 		return wire.LeaseGrant{Version: wire.Version, Done: true}, nil
 	}
-	// Pop the first pending slab that is still open: a slab can sit in
-	// pending and be resolved — its lease expired, it was requeued, and
-	// then the presumed-dead worker's late completion landed (possibly as
-	// part of a whole-parent batch that covered it) — and re-leasing it
-	// would re-run the whole slice for nothing.
-	var s slab
-	found := false
+	// Pop the first pending shard still unresolved: a shard can sit in
+	// pending and be done — its lease expired, it was requeued, and then
+	// the presumed-dead worker's late completion landed — and re-leasing
+	// it would re-run the whole shard for nothing.
+	shard := -1
 	for len(c.pending) > 0 {
 		cand := c.pending[0]
 		c.pending = c.pending[1:]
-		if !c.done[cand.shard] && !c.quarantined[cand.shard] && c.sliceOpen(cand) {
-			s = cand
-			found = true
+		if !c.done[cand] && !c.quarantined[cand] {
+			shard = cand
 			break
 		}
 	}
-	if !found {
+	if shard < 0 {
 		return wire.LeaseGrant{Version: wire.Version, Wait: true, RetryMillis: c.cfg.Retry.Milliseconds()}, nil
 	}
-	if c.cfg.AdaptiveLeases {
-		s = c.splitForWorkerLocked(s, worker)
-	}
-	i, n := s.wireCoords(c.shards)
 	c.seq++
-	id := fmt.Sprintf("lease-%s-%d-shard-%d", c.epoch, c.seq, s.shard)
-	c.leases[id] = s
+	id := fmt.Sprintf("lease-%s-%d-shard-%d", c.epoch, c.seq, shard)
+	c.leases[id] = shard
 	c.deadlines[id] = time.Now().Add(c.cfg.LeaseTTL)
-	c.issued[id] = s
+	c.issued[id] = shard
 	c.holders[id] = worker
 	c.m.granted.Inc()
-	c.m.event("lease", s.shard, id, worker, "")
-	if c.cfg.AdaptiveLeases {
-		c.m.adaptiveLeaseCells.Observe(float64(c.effectiveSize(s)))
+	c.m.event("lease", shard, id, worker, "")
+	var cached []int // store hits, ascending: the cells the worker skips
+	for _, r := range c.cachedRuns[shard] {
+		cached = append(cached, r.Index)
 	}
-	c.cfg.Logf("dispatch: leased slice %d/%d (%d cells) to %s as %s", i, n, c.effectiveSize(s), worker, id)
+	c.cfg.Logf("dispatch: leased shard %d/%d (%d cells) to %s as %s", shard, c.shards, c.sizes[shard]-len(cached), worker, id)
 	return wire.LeaseGrant{
 		Version:     wire.Version,
 		LeaseID:     id,
-		Shard:       i,
-		Shards:      n,
+		Shard:       shard,
+		Shards:      c.shards,
 		Plan:        c.spec,
 		TTLMillis:   c.cfg.LeaseTTL.Milliseconds(),
-		CachedCells: c.cachedInSlice(s),
+		CachedCells: cached,
 	}, nil
-}
-
-// splitForWorkerLocked shrinks a popped slab until its effective cell
-// count fits what the pulling worker can simulate inside LeaseTarget at
-// its measured throughput. A worker with no measurement yet (first pull)
-// takes the slab whole; a shard with strikes subdivides regardless, so a
-// repeat failure forfeits half as much work. Splitting is by stride —
-// slab (sub, subs) becomes (sub, 2·subs) and (sub+subs, 2·subs) — so cell
-// Indexes and seeds never move; the far half goes to the head of the
-// queue for the next puller. Called with c.mu held.
-func (c *Coordinator) splitForWorkerLocked(s slab, worker string) slab {
-	target := c.m.workerThroughput.With(worker).Value() * c.cfg.LeaseTarget.Seconds()
-	if c.strikes[s.shard] > 0 {
-		if half := float64(c.effectiveSize(s)) / 2; target <= 0 || target > half {
-			target = half
-		}
-	}
-	if target <= 0 {
-		return s
-	}
-	for float64(c.effectiveSize(s)) > target && c.sliceSize(s) > 1 {
-		a := slab{shard: s.shard, sub: s.sub, subs: s.subs * 2}
-		b := slab{shard: s.shard, sub: s.sub + s.subs, subs: s.subs * 2}
-		c.resolveSliceLocked(s)
-		c.open[s.shard] = append(c.open[s.shard], a, b)
-		c.pending = append([]slab{b}, c.pending...)
-		s = a
-	}
-	return s
 }
 
 // Renew implements Queue: push an outstanding lease's deadline out one
@@ -893,14 +701,13 @@ func (c *Coordinator) Renew(leaseID, worker string) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.expire(time.Now())
-	s, ok := c.leases[leaseID]
+	shard, ok := c.leases[leaseID]
 	if !ok {
 		return fmt.Errorf("%w: %s", ErrLeaseLost, leaseID)
 	}
-	shard := s.shard
-	if c.done[shard] || c.quarantined[shard] || !c.sliceOpen(s) {
-		// Someone else's batch already resolved the slice (or its shard
-		// was parked); renewing would only extend pointless work.
+	if c.done[shard] || c.quarantined[shard] {
+		// Someone else's batch already resolved the shard (or it was
+		// parked); renewing would only extend pointless work.
 		delete(c.leases, leaseID)
 		delete(c.deadlines, leaseID)
 		c.m.lost.Inc()
@@ -923,11 +730,10 @@ func (c *Coordinator) Renew(leaseID, worker string) error {
 func (c *Coordinator) Reject(leaseID string, reason error) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	s, ok := c.issued[leaseID]
+	shard, ok := c.issued[leaseID]
 	if !ok {
 		return fmt.Errorf("dispatch: unknown lease %q", leaseID)
 	}
-	shard := s.shard
 	if _, live := c.leases[leaseID]; live {
 		c.m.rejected.Inc()
 	}
@@ -938,11 +744,11 @@ func (c *Coordinator) Reject(leaseID string, reason error) error {
 	}
 	c.rejected[leaseID] = true
 	c.m.event("reject", shard, leaseID, c.holders[leaseID], reason.Error())
-	if c.done[shard] || c.quarantined[shard] || !c.sliceOpen(s) {
+	if c.done[shard] || c.quarantined[shard] {
 		return nil
 	}
 	c.cfg.Logf("dispatch: lease %s delivery rejected (%v), requeueing shard %d/%d", leaseID, reason, shard, c.shards)
-	c.requeueLocked(s)
+	c.requeueLocked(shard)
 	c.strikeLocked(shard, "delivery rejected: "+reason.Error())
 	return nil
 }
@@ -953,8 +759,8 @@ func (c *Coordinator) Reject(leaseID string, reason error) error {
 // every batch for one shard identical, so "first wins" is not a race on
 // content. A batch is rejected (the shard requeued, with a strike) when
 // it is short without carrying a cell error to explain it, or when any
-// run's Index falls outside the shard — both are protocol violations, not
-// transient failures. An accepted batch is journalled (when checkpointing
+// run's Index falls outside the shard or repeats — all protocol
+// violations, not transient failures. An accepted batch is journalled (when checkpointing
 // is on) before it counts as done, so a coordinator crash after the ack
 // can never lose an acknowledged shard.
 func (c *Coordinator) Complete(leaseID string, runs []wire.Run) error {
@@ -969,11 +775,10 @@ func (c *Coordinator) Complete(leaseID string, runs []wire.Run) error {
 func (c *Coordinator) CompleteStats(leaseID string, runs []wire.Run, stats *wire.WorkerStats) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	sl, ok := c.issued[leaseID]
+	shard, ok := c.issued[leaseID]
 	if !ok {
 		return fmt.Errorf("dispatch: unknown lease %q", leaseID)
 	}
-	shard := sl.shard
 	// Lease-ledger accounting: removing a live lease here puts the
 	// delivery in flight until it is classified as completed or rejected
 	// below. c.mu is released twice on the way (the committing wait and
@@ -1007,47 +812,15 @@ func (c *Coordinator) CompleteStats(leaseID string, runs []wire.Run, stats *wire
 		c.m.event("complete", shard, leaseID, c.holders[leaseID], "duplicate")
 		return nil
 	}
-	if err := c.validateSlice(sl, runs); err != nil {
+	if err := c.validateBatch(shard, runs); err != nil {
 		settle(c.m.rejected)
 		c.m.event("reject", shard, leaseID, c.holders[leaseID], err.Error())
-		if c.sliceOpen(sl) {
-			c.requeueLocked(sl)
-		}
+		c.requeueLocked(shard)
 		c.strikeLocked(shard, "delivery rejected: "+err.Error())
 		return fmt.Errorf("%s (lease %s)", err, leaseID)
 	}
-	// Fold the delivery into the shard's gathered cells, keyed by global
-	// Index. Duplicates — a late delivery of an expired slab whose cells
-	// already arrived another way — are absorbed; determinism makes both
-	// copies identical, so first-wins is not a race on content. Cells the
-	// grant marked cached are dropped in favour of the store's copy.
-	got := c.gathered[shard]
-	if got == nil {
-		got = make(map[int]wire.Run)
-		c.gathered[shard] = got
-	}
+	batch := c.assembleShardLocked(shard, runs)
 	cached := c.cachedIdx[shard]
-	for _, r := range runs {
-		if cached[r.Index] {
-			continue
-		}
-		if _, dup := got[r.Index]; !dup {
-			got[r.Index] = r
-		}
-	}
-	c.resolveSliceLocked(sl)
-	c.sweepOpenLocked(shard)
-	if len(c.open[shard]) > 0 {
-		// The shard is split across leases and other slices are still out:
-		// settle this one and keep collecting.
-		settle(c.m.completed)
-		c.recordStatsLocked(stats)
-		c.m.batchCells.Observe(float64(len(runs)))
-		c.m.event("partial", shard, leaseID, c.holders[leaseID], "")
-		c.cfg.Logf("dispatch: slice of shard %d/%d complete (%s), %d/%d cells gathered", shard, c.shards, leaseID, len(got)+len(c.cachedRuns[shard]), c.sizes[shard])
-		return nil
-	}
-	batch := c.assembleShardLocked(shard)
 	// Journal outside c.mu — the append fsyncs, and a slow disk must not
 	// stall every /lease and /renew in the fleet behind it. committing
 	// marks the shard claimed meanwhile, and it only counts as done once
@@ -1072,10 +845,8 @@ func (c *Coordinator) CompleteStats(leaseID string, runs []wire.Run, stats *wire
 	c.commitDone.Broadcast()
 	c.done[shard] = true
 	c.results[shard] = batch
-	delete(c.gathered, shard)
 	delete(c.cachedRuns, shard)
 	delete(c.cachedIdx, shard)
-	delete(c.open, shard)
 	settle(c.m.completed)
 	c.recordStatsLocked(stats)
 	c.m.batchCells.Observe(float64(len(runs)))
@@ -1108,27 +879,30 @@ func (c *Coordinator) recordStatsLocked(stats *wire.WorkerStats) {
 	c.m.recordWorkerStats(stats)
 }
 
-// requeueLocked puts a slab back at the head of the queue, unless that
-// exact slab is already queued (two rejected batches for one slice must
-// not double-lease it). Called with c.mu held.
-func (c *Coordinator) requeueLocked(s slab) {
+// requeueLocked puts a shard back at the head of the queue, unless it is
+// already queued (two rejected batches for one shard must not
+// double-lease it). Called with c.mu held.
+func (c *Coordinator) requeueLocked(shard int) {
 	for _, q := range c.pending {
-		if q == s {
+		if q == shard {
 			return
 		}
 	}
-	c.pending = append([]slab{s}, c.pending...)
+	c.pending = append([]int{shard}, c.pending...)
 }
 
-// assembleShardLocked builds a shard's canonical batch — store hits plus
-// gathered deliveries, ascending global Index — once every open slice has
-// resolved. Called with c.mu held.
-func (c *Coordinator) assembleShardLocked(shard int) []wire.Run {
-	got := c.gathered[shard]
-	batch := make([]wire.Run, 0, len(c.cachedRuns[shard])+len(got))
+// assembleShardLocked builds a shard's canonical batch: its store hits
+// plus this delivery's other cells, ascending global Index. A shipped copy
+// of a cached cell is dropped in favour of the store's. Called with c.mu
+// held.
+func (c *Coordinator) assembleShardLocked(shard int, runs []wire.Run) []wire.Run {
+	cached := c.cachedIdx[shard]
+	batch := make([]wire.Run, 0, c.sizes[shard])
 	batch = append(batch, c.cachedRuns[shard]...)
-	for _, r := range got {
-		batch = append(batch, r)
+	for _, r := range runs {
+		if !cached[r.Index] {
+			batch = append(batch, r)
+		}
 	}
 	sort.Slice(batch, func(i, j int) bool { return batch[i].Index < batch[j].Index })
 	return batch

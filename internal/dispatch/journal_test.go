@@ -256,3 +256,23 @@ func TestCheckpointRefusesGarbage(t *testing.T) {
 		t.Fatal("corrupt frame replayed as if valid")
 	}
 }
+
+// TestCheckpointRefusesDuplicateCell pins replay's use of the collector's
+// validator: a completion frame whose batch has the right count but
+// repeats a cell Index is corruption, refused at resume rather than
+// replayed into the merge.
+func TestCheckpointRefusesDuplicateCell(t *testing.T) {
+	plan := testPlan(t)
+	ckpt := filepath.Join(t.TempDir(), "sweep.ckpt")
+	c1, err := New(plan, WithShards(2), WithCheckpoint(ckpt))
+	if err != nil {
+		t.Fatal(err)
+	}
+	runs := batchFor(plan, 0, 2)
+	runs[len(runs)-1].Index = runs[0].Index
+	c1.journal.appendFrame(journalFrame{Complete: &journalComplete{Shard: 0, Runs: runs}})
+	c1.Close()
+	if _, err := New(plan, WithShards(2), WithCheckpoint(ckpt)); err == nil {
+		t.Fatal("frame repeating a cell Index replayed as if valid")
+	}
+}

@@ -37,11 +37,10 @@ type coordMetrics struct {
 	rejected  *obs.Counter
 	lost      *obs.Counter
 
-	strikes            *obs.Counter
-	quarantines        *obs.Counter
-	unparks            *obs.Counter
-	batchCells         *obs.Histogram
-	adaptiveLeaseCells *obs.Histogram
+	strikes     *obs.Counter
+	quarantines *obs.Counter
+	unparks     *obs.Counter
+	batchCells  *obs.Histogram
 
 	journalFsyncs       *obs.Counter
 	journalFsyncSeconds *obs.Histogram
@@ -76,11 +75,10 @@ func newCoordMetrics(c *Coordinator, ringSize int) *coordMetrics {
 		rejected:  reg.Counter("turbulence_dispatch_leases_rejected_total", "Leases resolved by an undecodable or protocol-violating delivery."),
 		lost:      reg.Counter("turbulence_dispatch_leases_lost_total", "Leases released when renewal found the shard already resolved."),
 
-		strikes:            reg.Counter("turbulence_dispatch_strikes_total", "Failures charged against shards (expiries plus rejected deliveries)."),
-		quarantines:        reg.Counter("turbulence_dispatch_quarantines_total", "Shards parked after reaching the strike threshold."),
-		unparks:            reg.Counter("turbulence_dispatch_unparks_total", "Quarantined shards rescued by a late completion."),
-		batchCells:         reg.Histogram("turbulence_dispatch_batch_cells", "Cells per accepted completion batch.", obs.BatchBuckets),
-		adaptiveLeaseCells: reg.Histogram("turbulence_dispatch_adaptive_lease_cells", "Effective (non-cached) cells per adaptively sized lease.", obs.BatchBuckets),
+		strikes:     reg.Counter("turbulence_dispatch_strikes_total", "Failures charged against shards (expiries plus rejected deliveries)."),
+		quarantines: reg.Counter("turbulence_dispatch_quarantines_total", "Shards parked after reaching the strike threshold."),
+		unparks:     reg.Counter("turbulence_dispatch_unparks_total", "Quarantined shards rescued by a late completion."),
+		batchCells:  reg.Histogram("turbulence_dispatch_batch_cells", "Cells per accepted completion batch.", obs.BatchBuckets),
 
 		journalFsyncs:       reg.Counter("turbulence_dispatch_journal_fsyncs_total", "Checkpoint journal appends made durable."),
 		journalFsyncSeconds: reg.Histogram("turbulence_dispatch_journal_fsync_seconds", "Seconds per checkpoint journal fsync.", []float64{0.0005, 0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 1}),

@@ -187,124 +187,104 @@ func TestDispatchPartialCacheShipsCachedCells(t *testing.T) {
 	}
 }
 
-// TestAdaptiveLeaseSplitting pins the subdivision mechanics without
-// workers: a measured-slow puller gets a stride-split slice (Shards is a
-// multiple of the base carve), the far half stays leasable, every cell is
-// granted exactly once across the slices, and completing all slices
-// assembles the whole shard.
-func TestAdaptiveLeaseSplitting(t *testing.T) {
-	plan := testPlan(t) // 6 cells
-	c, err := New(plan,
-		WithShards(1),
-		WithAdaptiveLeases(true),
-		WithLeaseTarget(time.Second),
-	)
+// TestDispatchPartialCacheToleratesWholeShard pins the validator's
+// tolerance for a worker that ignores CachedCells and ships its whole
+// partially cached shard: the batch is accepted, the store's copies of
+// the cached cells win over the shipped ones, and the merge is still
+// byte-identical to the unsharded run. A batch that repeats a cell Index
+// or ships a cell from outside the shard is still a protocol violation,
+// rejected with a strike.
+func TestDispatchPartialCacheToleratesWholeShard(t *testing.T) {
+	dsl, err := netem.Find("dsl")
 	if err != nil {
 		t.Fatal(err)
 	}
-	// 2 cells/s × 1s target = 2 cells per lease: the 6-cell shard must
-	// split (6 → 3 → 2, stride-halving) for this worker.
-	c.m.workerThroughput.With("slow").Set(2)
-
-	fakeRuns := func(g wire.LeaseGrant) []wire.Run {
-		var runs []wire.Run
-		for _, k := range plan.Shard(g.Shard, g.Shards).Keys() {
-			runs = append(runs, wire.Run{Index: k.Index, Set: k.Pair.Set, Class: k.Pair.Class.String(),
-				Comparison: &core.Comparison{Set: k.Pair.Set}})
-		}
-		return runs
+	st := openStore(t, t.TempDir())
+	subset := core.NewPlan(7).
+		ForPairs(core.PairKey{Set: 1, Class: media.Low}).
+		UnderScenarios(nil, dsl)
+	if _, err := core.NewRunner(
+		core.WithWorkers(1),
+		core.WithTraceRetention(core.StreamProfiles),
+		core.WithResultStore(st),
+	).Run(subset); err != nil {
+		t.Fatal(err)
 	}
 
-	seen := make(map[int]int)
-	grants := 0
-	for !c.Done() {
-		g, err := c.Lease("slow")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if g.LeaseID == "" {
-			t.Fatalf("queue stalled mid-shard: %+v", g)
-		}
-		if g.Shards%c.shards != 0 {
-			t.Fatalf("granted Shards=%d is not a multiple of the base carve %d", g.Shards, c.shards)
-		}
-		runs := fakeRuns(g)
-		if len(runs) > 2 {
-			t.Fatalf("slow worker granted %d cells, want <= 2 (grant %d/%d)", len(runs), g.Shard, g.Shards)
-		}
-		for _, r := range runs {
-			seen[r.Index]++
-		}
-		grants++
-		if grants > 16 {
-			t.Fatal("adaptive splitting did not converge")
-		}
-		if err := c.Complete(g.LeaseID, runs); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if grants < 3 {
-		t.Fatalf("6 cells at <=2 per lease took %d grants, want >= 3", grants)
-	}
-	for idx := 0; idx < plan.Size(); idx++ {
-		if seen[idx] != 1 {
-			t.Fatalf("cell %d granted %d times, want exactly once", idx, seen[idx])
-		}
-	}
-	merged := c.Collected()
-	if len(merged) != plan.Size() {
-		t.Fatalf("assembled %d runs, want %d", len(merged), plan.Size())
-	}
-	for i, r := range merged {
-		if r.Index != i {
-			t.Fatalf("merged[%d].Index = %d — canonical order broken by subdivision", i, r.Index)
-		}
-	}
-}
-
-// TestAdaptiveDispatchMatchesUnsharded is the adaptive end-to-end pin:
-// real workers with live throughput measurements, splitting enabled, and
-// the merge still byte-identical to the single-process run.
-func TestAdaptiveDispatchMatchesUnsharded(t *testing.T) {
 	plan := testPlan(t)
 	want := unshardedGob(t, plan)
-	c, err := New(plan,
-		WithShards(2),
-		WithAdaptiveLeases(true),
-		WithLeaseTarget(50*time.Millisecond),
-		WithRetry(10*time.Millisecond),
-	)
+	c, err := New(plan, WithShards(1), WithResultStore(st))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := runDispatched(t, c, 3); !bytes.Equal(got, want) {
-		t.Fatal("adaptive dispatched sweep differs from unsharded run")
+	g, err := c.Lease("stale")
+	if err != nil {
+		t.Fatal(err)
 	}
-}
+	if len(g.CachedCells) != subset.Size() {
+		t.Fatalf("grant ships %d cached cells, want %d", len(g.CachedCells), subset.Size())
+	}
+	gp, err := g.Plan.Plan()
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The stale worker runs the whole stride, cached cells included.
+	results, err := core.NewRunner(
+		core.WithWorkers(1),
+		core.WithTraceRetention(core.StreamProfiles),
+	).Run(gp.Shard(g.Shard, g.Shards))
+	if err != nil {
+		t.Fatal(err)
+	}
+	runs := wire.FromResults(results)
+	if len(runs) != plan.Size() {
+		t.Fatalf("whole shard ran %d cells, want %d", len(runs), plan.Size())
+	}
+	// Corrupt the shipped copies of the cached cells: if the merge still
+	// matches, the store's copies won.
+	cached := make(map[int]bool)
+	for _, idx := range g.CachedCells {
+		cached[idx] = true
+	}
+	for i := range runs {
+		if cached[runs[i].Index] {
+			cmp := *runs[i].Comparison
+			cmp.ClassName = "shipped-copy"
+			runs[i].Comparison = &cmp
+		}
+	}
 
-// TestAdaptiveSplitAfterStrike pins the quarantine-pressure rule: once a
-// shard has a strike, even an unmeasured worker gets at most half of it,
-// so a repeat failure forfeits half as much work.
-func TestAdaptiveSplitAfterStrike(t *testing.T) {
-	plan := testPlan(t)
-	c, err := New(plan, WithShards(1), WithAdaptiveLeases(true))
-	if err != nil {
+	strikes := func() int {
+		c.mu.Lock()
+		defer c.mu.Unlock()
+		return c.strikes[0]
+	}
+	dupCached := append(append([]wire.Run(nil), runs...), runs[0])
+	if err := c.Complete(g.LeaseID, dupCached); err == nil {
+		t.Fatal("batch repeating a cell Index accepted")
+	}
+	if n := strikes(); n != 1 {
+		t.Fatalf("duplicate-Index batch charged %d strikes, want 1", n)
+	}
+	outside := append(append([]wire.Run(nil), runs[:len(runs)-1]...), wire.Run{Index: plan.Size()})
+	if err := c.Complete(g.LeaseID, outside); err == nil {
+		t.Fatal("batch shipping a cell outside the shard accepted")
+	}
+	if n := strikes(); n != 2 {
+		t.Fatalf("outside-shard batch charged %d strikes in all, want 2", n)
+	}
+
+	if err := c.Complete(g.LeaseID, runs); err != nil {
+		t.Fatalf("whole partially cached shard rejected: %v", err)
+	}
+	if !c.Done() {
+		t.Fatal("coordinator not done after the only shard completed")
+	}
+	var buf bytes.Buffer
+	if err := wire.WriteGob(&buf, c.Collected()); err != nil {
 		t.Fatal(err)
 	}
-	// First pull: no measurement, no strikes — the whole shard.
-	g1, _ := c.Lease("fresh")
-	if g1.Shards != 1 {
-		t.Fatalf("unmeasured worker got a split slice %d/%d, want the whole shard", g1.Shard, g1.Shards)
-	}
-	// Reject it (a strike) and pull again: the slab must now subdivide.
-	if err := c.Complete(g1.LeaseID, nil); err == nil {
-		t.Fatal("short batch accepted")
-	}
-	g2, _ := c.Lease("fresh")
-	if g2.LeaseID == "" {
-		t.Fatalf("struck shard not re-leasable: %+v", g2)
-	}
-	if g2.Shards < 2 {
-		t.Fatalf("struck shard granted whole (%d/%d), want a split slice", g2.Shard, g2.Shards)
+	if !bytes.Equal(buf.Bytes(), want) {
+		t.Fatal("merge of a whole shipped shard differs from the unsharded run: shipped copies of cached cells leaked in")
 	}
 }

@@ -308,3 +308,49 @@ func TestStatusReportsQuarantine(t *testing.T) {
 		t.Fatalf("status quarantine: %+v, want shard %d parked", st, g.Shard)
 	}
 }
+
+// TestCompleteRejectsMisplacedCells pins the validator's cell checks on a
+// batch whose count is right: a repeated cell Index, a cell from another
+// shard, and cells on the shard's stride but outside the plan are each a
+// protocol violation, rejected with one strike apiece, and the shard
+// still completes from an honest batch afterwards.
+func TestCompleteRejectsMisplacedCells(t *testing.T) {
+	plan := testPlan(t)
+	c, err := New(plan, WithShards(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, _ := c.Lease("w")
+	if g.LeaseID == "" {
+		t.Fatalf("no lease: %+v", g)
+	}
+	good := batchFor(plan, g.Shard, g.Shards)
+	last := len(good) - 1
+	swapLast := func(idx int) []wire.Run {
+		b := append([]wire.Run(nil), good...)
+		b[last].Index = idx
+		return b
+	}
+	bad := map[string][]wire.Run{
+		"repeated Index":      swapLast(good[0].Index),
+		"other shard's cell":  swapLast(good[last].Index + 1),
+		"past the plan's end": swapLast(plan.Size() + g.Shard),
+		"negative Index":      swapLast(g.Shard - g.Shards),
+	}
+	strikes := 0
+	for name, runs := range bad {
+		if err := c.Complete(g.LeaseID, runs); err == nil {
+			t.Fatalf("%s: batch accepted", name)
+		}
+		strikes++
+		c.mu.Lock()
+		got := c.strikes[g.Shard]
+		c.mu.Unlock()
+		if got != strikes {
+			t.Fatalf("%s: shard has %d strikes, want %d", name, got, strikes)
+		}
+	}
+	if err := c.Complete(g.LeaseID, good); err != nil {
+		t.Fatalf("honest batch after rejections: %v", err)
+	}
+}

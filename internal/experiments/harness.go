@@ -130,8 +130,15 @@ type Context struct {
 	// their own testbeds (ablations, extensions) are unaffected.
 	scenario *netem.Scenario
 
+	// flows is the RetainFlows Runner the Table 1 runs and the one-offs
+	// share, so a testbed one of them built is reset for the next instead
+	// of rebuilt. Built on first use; every setter drops it, so a run
+	// after a setter picks the new setting up.
+	flows *core.Runner
+
 	// runMu serialises cache-miss execution so concurrent callers never
-	// duplicate a multi-second pair simulation; mu guards only the map.
+	// duplicate a multi-second pair simulation; mu guards the map, flows
+	// and the settings flows is built from.
 	runMu sync.Mutex
 	mu    sync.Mutex
 	runs  map[core.PairKey]*core.PairRun
@@ -149,7 +156,16 @@ func (c *Context) SetParallel(workers int) *Context {
 	if workers < 0 {
 		workers = 1
 	}
-	c.workers = workers
+	return c.set(func() { c.workers = workers })
+}
+
+// set applies one setting under c.mu and drops the shared Runner built
+// from the old settings.
+func (c *Context) set(apply func()) *Context {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	apply()
+	c.flows = nil
 	return c
 }
 
@@ -158,15 +174,13 @@ func (c *Context) SetParallel(workers int) *Context {
 // simulation events) and cache-miss execution return its error. Completed
 // runs stay cached.
 func (c *Context) SetCancel(ctx context.Context) *Context {
-	c.cancel = ctx
-	return c
+	return c.set(func() { c.cancel = ctx })
 }
 
 // SetProgress installs a completion callback on the underlying Runner,
 // invoked serially after each uncached pair run finishes.
 func (c *Context) SetProgress(fn func(core.Progress)) *Context {
-	c.progress = fn
-	return c
+	return c.set(func() { c.progress = fn })
 }
 
 // SetMetrics installs an obs.Sink on the underlying Runner: every
@@ -175,8 +189,7 @@ func (c *Context) SetProgress(fn func(core.Progress)) *Context {
 // causes into it. Results are unaffected — the
 // sink observes the sweep, it does not steer it.
 func (c *Context) SetMetrics(s *obs.Sink) *Context {
-	c.sink = s
-	return c
+	return c.set(func() { c.sink = s })
 }
 
 // SetResultStore installs a content-addressed result store on the
@@ -188,8 +201,7 @@ func (c *Context) SetMetrics(s *obs.Sink) *Context {
 // flows of a PairRun, which the store's Comparisons do not hold, so a
 // cache hit here would leave the experiment nothing to regenerate from.
 func (c *Context) SetResultStore(s core.ResultStore) *Context {
-	c.store = s
-	return c
+	return c.set(func() { c.store = s })
 }
 
 // insertOnly adapts a ResultStore to the harness's write-through
@@ -201,8 +213,8 @@ func (insertOnly) LookupResult(core.PairKey, core.Options, int64) (*core.Compari
 	return nil, false
 }
 
-// runner assembles the Runner the context delegates execution to; extra
-// options (the use's retention) are appended last.
+// runner assembles a Runner from the context's settings; extra options
+// (the use's retention) are appended last. Called with c.mu held.
 func (c *Context) runner(extra ...core.RunnerOption) *core.Runner {
 	opts := []core.RunnerOption{core.WithWorkers(c.workers)}
 	if c.cancel != nil {
@@ -221,6 +233,17 @@ func (c *Context) runner(extra ...core.RunnerOption) *core.Runner {
 	return core.NewRunner(opts...)
 }
 
+// flowRunner returns the shared RetainFlows Runner, building it on first
+// use after NewContext or a setter.
+func (c *Context) flowRunner() *core.Runner {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.flows == nil {
+		c.flows = c.runner(core.WithTraceRetention(core.RetainFlows))
+	}
+	return c.flows
+}
+
 // execute runs the listed uncached pairs through the Runner and caches
 // every run that completed — even when the sweep was cancelled partway,
 // honouring SetCancel's promise that completed runs stay cached — before
@@ -233,7 +256,7 @@ func (c *Context) execute(keys []core.PairKey) error {
 	if c.scenario != nil {
 		plan.UnderScenarios(c.scenario)
 	}
-	results, err := c.runner(core.WithTraceRetention(core.RetainFlows)).Run(plan)
+	results, err := c.flowRunner().Run(plan)
 	c.mu.Lock()
 	for _, res := range results {
 		if res.Err == nil && res.Run != nil {
@@ -246,13 +269,14 @@ func (c *Context) execute(keys []core.PairKey) error {
 
 // RunOne executes one uncached pair run with an explicit literal seed —
 // how ablations and extensions keep their runs off the Table 1 cache —
-// through the context's Runner (core.Runner.RunPair): it honours
-// SetCancel (ctrl-C lands mid-simulation in every experiment, not just
-// the cached sweep), SetProgress (a 1-of-1 sweep), SetMetrics and
-// SetResultStore. The run keeps its media flows payload-free, as the
-// Table 1 runs do, and no whole capture.
+// through the Runner the Table 1 runs use (core.Runner.RunPair), so it
+// reuses their testbeds: it honours SetCancel (ctrl-C lands
+// mid-simulation in every experiment, not just the cached sweep),
+// SetProgress (a 1-of-1 sweep), SetMetrics and SetResultStore. The run
+// keeps its media flows payload-free, as the Table 1 runs do, and no
+// whole capture.
 func (c *Context) RunOne(seed int64, set int, class media.Class, opts core.Options) (*core.PairRun, error) {
-	return c.runner(core.WithTraceRetention(core.RetainFlows)).RunPair(seed, set, class, opts)
+	return c.flowRunner().RunPair(seed, set, class, opts)
 }
 
 // Matrix executes a (pairs × scenarios) sweep through the context's
@@ -264,7 +288,10 @@ func (c *Context) RunOne(seed int64, set int, class media.Class, opts core.Optio
 // Matrix consumers reduce reports and drop counters only, so a sweep
 // holds O(workers) analyzer state instead of every cell's capture.
 func (c *Context) Matrix(seed int64, keys []core.PairKey, scenarios []*netem.Scenario) ([]core.ScenarioRuns, error) {
-	return c.runner(core.WithTraceRetention(core.StreamProfiles)).RunMatrix(seed, keys, scenarios)
+	c.mu.Lock()
+	r := c.runner(core.WithTraceRetention(core.StreamProfiles))
+	c.mu.Unlock()
+	return r.RunMatrix(seed, keys, scenarios)
 }
 
 // SetScenario streams the context's Table 1 pair runs under a netem

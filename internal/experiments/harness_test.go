@@ -185,6 +185,39 @@ func TestSetMetricsCountsOneOffs(t *testing.T) {
 	}
 }
 
+// TestOneOffsReuseTestbeds pins that the Table 1 runs and the one-offs
+// share one Runner, so a one-off whose testbed shape matches a run before
+// it resets that testbed instead of building its own: ext-scaling's two
+// cells share the 500 kbps bottleneck, and ablation-nofrag's one-off has
+// the faithful shape of its cached 1/high run.
+func TestOneOffsReuseTestbeds(t *testing.T) {
+	for _, id := range []string{"ext-scaling", "ablation-nofrag"} {
+		sink := obs.NewSink(obs.NewRegistry())
+		if _, err := Run(NewContext(2002).SetMetrics(sink), id); err != nil {
+			t.Fatal(err)
+		}
+		if built, reused := sink.TestbedsBuilt.Value(), sink.TestbedsReused.Value(); built != 1 || reused != 1 {
+			t.Errorf("%s: %d testbeds built, %d reused; want 1 and 1", id, built, reused)
+		}
+	}
+}
+
+// TestSetterAfterRunTakesEffect pins that a setter drops the shared
+// Runner: a sink installed after a one-off ran still meters the next one.
+func TestSetterAfterRunTakesEffect(t *testing.T) {
+	ctx := NewContext(2002)
+	if _, err := ctx.RunOne(2002, 1, media.Low, core.Options{}); err != nil {
+		t.Fatal(err)
+	}
+	sink := obs.NewSink(obs.NewRegistry())
+	if _, err := ctx.SetMetrics(sink).RunOne(2002, 1, media.Low, core.Options{}); err != nil {
+		t.Fatal(err)
+	}
+	if got := sink.CellsDone.Value(); got != 1 {
+		t.Fatalf("sink installed after a run counted %d cells, want 1", got)
+	}
+}
+
 // TestResultStoreWriteThroughOnly pins the harness's store discipline:
 // experiments reduce full PairRuns (player reports, packet flows), which
 // the store's Comparisons cannot reconstruct, so a default context must

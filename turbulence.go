@@ -421,18 +421,6 @@ func WithDispatchEventRing(n int) DispatchOption { return dispatch.WithEventRing
 // read-through cache.
 func WithDispatchResultStore(s *ResultStore) DispatchOption { return dispatch.WithResultStore(s) }
 
-// WithAdaptiveLeases sizes coordinator leases from each worker's measured
-// throughput instead of granting whole static shards: slices subdivide by
-// stride (cell indexes and seeds never move) until they fit the lease
-// target at the puller's pace, and strike-prone shards subdivide further
-// so a repeat failure forfeits less work. The merged output is
-// byte-identical either way.
-func WithAdaptiveLeases(on bool) DispatchOption { return dispatch.WithAdaptiveLeases(on) }
-
-// WithLeaseTarget sets the wall-clock an adaptively sized lease should
-// take at the pulling worker's measured throughput (default LeaseTTL/4).
-func WithLeaseTarget(d time.Duration) DispatchOption { return dispatch.WithLeaseTarget(d) }
-
 // Library returns the paper's Table 1 clip library (6 sets, 26 clips).
 func Library() []ClipSet { return media.Library() }
 
