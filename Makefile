@@ -90,15 +90,15 @@ bench-compare:
 	fi
 
 # Coverage for the distributed-sweep plumbing (the wire format, the shard
-# dispatcher and the result store — the layers whose bugs corrupt results
-# silently). Writes cover.out (gitignored); CI uploads it as a per-run
+# dispatcher, the result store and the frame log under the journal and the
+# store — the layers whose bugs corrupt results silently). Writes cover.out (gitignored); CI uploads it as a per-run
 # artifact and fails below the floor, so the cache/dispatch paths cannot
 # quietly shed their tests.
 COVER_FLOOR ?= 75
 cover:
 	$(GO) test -covermode=atomic -coverprofile=cover.out \
-		-coverpkg=./internal/wire/...,./internal/dispatch/...,./internal/resultstore/... \
-		./internal/wire/... ./internal/dispatch/... ./internal/resultstore/...
+		-coverpkg=./internal/wire/...,./internal/dispatch/...,./internal/resultstore/...,./internal/framelog/... \
+		./internal/wire/... ./internal/dispatch/... ./internal/resultstore/... ./internal/framelog/...
 	@total=$$($(GO) tool cover -func=cover.out | tail -n 1 | awk '{ print $$3 }'); \
 	echo "total: $$total (floor $(COVER_FLOOR)%)"; \
 	pct=$${total%\%}; \

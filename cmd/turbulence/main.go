@@ -88,15 +88,17 @@
 // errors, duplicate sequences) on /metrics. Neither mode combines with
 // -serve, -work, -experiment or -shard.
 //
-// -checkpoint file journals every completed shard to file (fsync'd per
-// append), making the coordinator crash-safe: re-running the same -serve
-// command — same seed, pairs and scenario — with the same -checkpoint
-// path replays the journal and re-leases only the unfinished shards, and
-// the final output is byte-identical to an uninterrupted sweep. Workers
+// -checkpoint file journals every completed shard to file (checksummed
+// gob frames, fsync'd per append), making the coordinator crash-safe:
+// re-running the same -serve command — same seed, pairs and scenario —
+// with the same -checkpoint path replays the journal and re-leases only
+// the unfinished shards, and the final output is byte-identical to an
+// uninterrupted sweep. Workers
 // renew their leases with a heartbeat while a shard simulates, so a slow
 // shard is never double-run; only a worker that actually dies forfeits
 // its lease. A checkpoint written for a different sweep is refused rather
-// than mixed in.
+// than mixed in, as is one with a corrupt frame or one written by an older
+// build, before frames carried checksums.
 //
 // -result-store dir makes sweeps incremental: completed cell results are
 // appended to a content-addressed store in dir — keyed by a digest over
@@ -150,7 +152,7 @@ func main() {
 	pairsSpec := flag.String("pairs", "", "comma-separated clip pairs as set/class for the -serve sweep, e.g. \"1/low,3/l,6/very-high\" (default: all 13 Table 1 pairs)")
 	serveShards := flag.Int("serve-shards", 0, "-serve lease granularity: how many shard slices the plan is carved into (0 = one per cell, capped at 256)")
 	leaseTTL := flag.Duration("lease-ttl", 2*time.Minute, "-serve: how long a leased shard may stay unrenewed before it is re-issued to another worker (workers heartbeat while simulating)")
-	checkpoint := flag.String("checkpoint", "", "-serve: journal completed shards to this file; re-running with the same sweep flags and path resumes, re-leasing only unfinished shards")
+	checkpoint := flag.String("checkpoint", "", "-serve: journal completed shards to this file as checksummed gob frames; re-running with the same sweep flags and path resumes, re-leasing only unfinished shards (a checkpoint from an older build is refused)")
 	resultStore := flag.String("result-store", "", "content-addressed result store directory: completed cells are appended, and later -serve/-work sweeps serve matching cells from it without simulating (plain sweeps only populate it)")
 	metricsAddr := flag.String("metrics", "", "serve a live Prometheus meter of the local sweep on this address (host:port) at /metrics; the -serve coordinator has its own /metrics and does not combine with this")
 	pprofFlag := flag.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/ on the -metrics server or the -serve coordinator (off by default: profiling endpoints expose internals and cost CPU when scraped)")

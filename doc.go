@@ -104,10 +104,12 @@
 // renewal means the lease is gone and the worker aborts the orphaned
 // shard mid-event instead of shipping a late duplicate. With
 // WithDispatchCheckpoint the coordinator journals every completed shard
-// (gob frames, fsync'd per append) and a crashed coordinator is rebuilt
-// with ResumeCoordinator — or by re-running -serve -checkpoint on the
-// same path — replaying the journal and re-leasing only the unfinished
-// shards; a journal for a different sweep is refused by plan digest.
+// (checksummed gob frames, fsync'd per append) and a crashed coordinator
+// is rebuilt with ResumeCoordinator — or by re-running -serve -checkpoint
+// on the same path — replaying the journal and re-leasing only the
+// unfinished shards; a journal for a different sweep is refused by plan
+// digest, a corrupt frame refuses the resume, and a checkpoint written by
+// an older build, before frames carried checksums, is refused.
 // Clients retry transient failures with jittered exponential backoff
 // under a MaxAttempts and WithDispatchRetryBudget budget, workers drain
 // rather than crash when the coordinator is unreachable, and a shard

@@ -95,10 +95,11 @@ type Config struct {
 	// right default: three missed beats before the claim lapses.
 	Heartbeat time.Duration
 	// Checkpoint is the coordinator's journal path. Empty disables
-	// checkpointing; otherwise every completed shard is appended (gob
-	// frames, fsync'd) and a coordinator restarted on the same path —
-	// or via Resume — replays it and re-leases only the unfinished
-	// shards.
+	// checkpointing; otherwise every completed shard is appended
+	// (checksummed gob frames, fsync'd) and a coordinator restarted on
+	// the same path — or via Resume — replays it and re-leases only the
+	// unfinished shards. A checkpoint written by an older build, before
+	// frames carried checksums, is refused.
 	Checkpoint string
 	// MaxShardFailures quarantines a shard after this many strikes
 	// (lease expiries, rejected or malformed batches): the shard is

@@ -1,15 +1,20 @@
 package dispatch
 
 import (
+	"bytes"
 	"encoding/binary"
+	"encoding/gob"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"runtime"
 	"testing"
 
 	"turbulence/internal/core"
+	"turbulence/internal/framelog"
 	"turbulence/internal/media"
 	"turbulence/internal/racecheck"
+	"turbulence/internal/wire"
 )
 
 // completeShards leases and completes n shards on c with protocol-valid
@@ -28,6 +33,26 @@ func completeShards(t *testing.T, c *Coordinator, plan *core.Plan, n int) []int 
 		done = append(done, g.Shard)
 	}
 	return done
+}
+
+// appendRaw appends b to the file at path, as a crash or a bad disk would.
+func appendRaw(t *testing.T, path string, b []byte) {
+	t.Helper()
+	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	if _, err := f.Write(b); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// rawFrame builds a frame by hand: [uint32 n][uint32 sum][body].
+func rawFrame(n, sum uint32, body []byte) []byte {
+	fr := binary.BigEndian.AppendUint32(nil, n)
+	fr = binary.BigEndian.AppendUint32(fr, sum)
+	return append(fr, body...)
 }
 
 // TestCheckpointResumeReplaysCompletions pins the happy recovery path:
@@ -130,16 +155,12 @@ func TestCheckpointTornTailTolerated(t *testing.T) {
 	completeShards(t, c1, plan, 1)
 	c1.Close()
 
-	// The crash: a length prefix promising 64 bytes, then only 3.
-	f, err := os.OpenFile(ckpt, os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
+	// The crash: a completion frame cut three bytes into its body.
+	var whole bytes.Buffer
+	if _, err := framelog.Append(&whole, journalFrame{Complete: &journalComplete{Shard: 2, Runs: batchFor(plan, 2, 3)}}); err != nil {
 		t.Fatal(err)
 	}
-	var pre [4]byte
-	binary.BigEndian.PutUint32(pre[:], 64)
-	f.Write(pre[:])
-	f.Write([]byte{1, 2, 3})
-	f.Close()
+	appendRaw(t, ckpt, whole.Bytes()[:8+3])
 
 	c2, err := New(plan, WithShards(3), WithCheckpoint(ckpt))
 	if err != nil {
@@ -168,7 +189,7 @@ func TestCheckpointTornTailTolerated(t *testing.T) {
 	}
 }
 
-// TestCheckpointOversizedFramePrefix appends a length prefix promising
+// TestCheckpointOversizedFramePrefix appends a frame prefix promising
 // almost 4 GiB: replay must treat it as the torn tail it is — keeping the
 // completions before it — and reject it from the file size rather than
 // allocate the promised body first.
@@ -182,15 +203,7 @@ func TestCheckpointOversizedFramePrefix(t *testing.T) {
 	completeShards(t, c1, plan, 1)
 	c1.Close()
 
-	f, err := os.OpenFile(ckpt, os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var pre [4]byte
-	binary.BigEndian.PutUint32(pre[:], 0xFFFFFFF0)
-	f.Write(pre[:])
-	f.Write([]byte{1, 2, 3, 4, 5, 6, 7, 8})
-	f.Close()
+	appendRaw(t, ckpt, rawFrame(0xFFFFFFF0, 0x01020304, []byte{1, 2, 3, 4, 5, 6, 7, 8}))
 
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
@@ -203,7 +216,7 @@ func TestCheckpointOversizedFramePrefix(t *testing.T) {
 		t.Fatalf("replayed %d completions through the oversized prefix, want 1", len(done))
 	}
 	if alloc := after.TotalAlloc - before.TotalAlloc; !racecheck.Enabled && alloc > 16<<20 {
-		t.Fatalf("replay allocated %d MiB for a 12-byte torn tail, want < 16 MiB", alloc>>20)
+		t.Fatalf("replay allocated %d MiB for a 16-byte torn tail, want < 16 MiB", alloc>>20)
 	}
 
 	c2, err := New(plan, WithShards(3), WithCheckpoint(ckpt))
@@ -217,9 +230,11 @@ func TestCheckpointOversizedFramePrefix(t *testing.T) {
 }
 
 // TestCheckpointRefusesGarbage pins the corruption guards: a file that is
-// not a checkpoint at all, and a journal holding a whole frame of garbage,
-// both refuse — resuming a half-trusted sweep silently is the one thing
-// the journal must never do.
+// not a checkpoint at all, a journal in the layout that predates frame
+// checksums, and a journal holding a whole frame of garbage — one failing
+// its checksum, one whose checksum holds but whose gob does not decode —
+// all refuse: resuming a half-trusted sweep silently is the one thing the
+// journal must never do.
 func TestCheckpointRefusesGarbage(t *testing.T) {
 	plan := testPlan(t)
 	dir := t.TempDir()
@@ -235,25 +250,92 @@ func TestCheckpointRefusesGarbage(t *testing.T) {
 		t.Fatal("arbitrary file accepted by Resume")
 	}
 
-	// A whole frame that decodes to garbage is corruption, not a torn tail.
+	// The pre-checksum layout, [uint32 len][gob body] per frame.
+	var old bytes.Buffer
+	spec := wire.PlanSpecOf(plan)
+	for _, fr := range []journalFrame{
+		{Header: &journalHeader{Magic: journalMagic, Version: wire.Version, Digest: spec.Digest(), Spec: spec, Shards: 3}},
+		{Complete: &journalComplete{Shard: 0, Runs: batchFor(plan, 0, 3)}},
+	} {
+		var body bytes.Buffer
+		if err := gob.NewEncoder(&body).Encode(fr); err != nil {
+			t.Fatal(err)
+		}
+		old.Write(binary.BigEndian.AppendUint32(nil, uint32(body.Len())))
+		old.Write(body.Bytes())
+	}
+	oldCkpt := filepath.Join(dir, "old.ckpt")
+	if err := os.WriteFile(oldCkpt, old.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := New(plan, WithShards(3), WithCheckpoint(oldCkpt)); err == nil || !contains(err.Error(), "unreadable header") {
+		t.Fatalf("pre-checksum journal not refused as unreadable: %v", err)
+	}
+	if _, err := Resume(oldCkpt); err == nil || !contains(err.Error(), "unreadable header") {
+		t.Fatalf("pre-checksum journal not refused by Resume as unreadable: %v", err)
+	}
+
+	// A whole frame of garbage is corruption, not a torn tail.
+	garbage := []byte{0xde, 0xad, 0xbe, 0xef, 0xde, 0xad, 0xbe, 0xef}
+	for name, frame := range map[string][]byte{
+		"checksum mismatch":   rawFrame(8, 0, garbage),
+		"gob does not decode": rawFrame(8, crc32.ChecksumIEEE(garbage), garbage),
+	} {
+		ckpt := filepath.Join(dir, name+".ckpt")
+		c1, err := New(plan, WithShards(3), WithCheckpoint(ckpt))
+		if err != nil {
+			t.Fatal(err)
+		}
+		completeShards(t, c1, plan, 1)
+		c1.Close()
+		appendRaw(t, ckpt, frame)
+		if _, err := New(plan, WithShards(3), WithCheckpoint(ckpt)); err == nil {
+			t.Fatalf("%s: corrupt frame replayed as if valid", name)
+		}
+	}
+}
+
+// TestCheckpointRefusesBitFlips flips one bit in each byte of a journal's
+// last completion frame, one flip per file — its length, its checksum and
+// its body alike. Every flipped file must be refused at resume: a flip in
+// the body or checksum fails the checksum, a shortened length fails it
+// over the bytes it covers, and a lengthened one overruns the file with a
+// whole body behind it, which a crash mid-append cannot leave.
+func TestCheckpointRefusesBitFlips(t *testing.T) {
+	plan := testPlan(t)
+	dir := t.TempDir()
 	ckpt := filepath.Join(dir, "sweep.ckpt")
 	c1, err := New(plan, WithShards(3), WithCheckpoint(ckpt))
 	if err != nil {
 		t.Fatal(err)
 	}
 	completeShards(t, c1, plan, 1)
-	c1.Close()
-	f, err := os.OpenFile(ckpt, os.O_WRONLY|os.O_APPEND, 0o644)
+	st, err := os.Stat(ckpt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var pre [4]byte
-	binary.BigEndian.PutUint32(pre[:], 8)
-	f.Write(pre[:])
-	f.Write([]byte{0xde, 0xad, 0xbe, 0xef, 0xde, 0xad, 0xbe, 0xef})
-	f.Close()
-	if _, err := New(plan, WithShards(3), WithCheckpoint(ckpt)); err == nil {
-		t.Fatal("corrupt frame replayed as if valid")
+	start := int(st.Size()) // the last completion frame begins here
+	completeShards(t, c1, plan, 1)
+	c1.Close()
+	raw, err := os.ReadFile(ckpt)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	flipped := filepath.Join(dir, "flipped.ckpt")
+	for i := start; i < len(raw); i++ {
+		b := bytes.Clone(raw)
+		b[i] ^= 1 << (i % 8)
+		if err := os.WriteFile(flipped, b, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		c, err := New(plan, WithShards(3), WithCheckpoint(flipped))
+		if err == nil {
+			_, _, done := c.Counts()
+			c.Close()
+			t.Fatalf("bit %d of byte %d (frame offset %d of %d) flipped: resumed with %d shards done, want refusal",
+				i%8, i, i-start, len(raw)-start, done)
+		}
 	}
 }
 

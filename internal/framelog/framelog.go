@@ -1,0 +1,131 @@
+// Package framelog is the one on-disk log format of the sweep engine: an
+// append-only file of checksummed gob frames. The dispatch checkpoint
+// journal and the result store are its two users; each keeps its own frame
+// types, header check, durability rule and policy for a bad frame.
+//
+// A frame is [uint32 body length][uint32 CRC32-IEEE of body][gob body],
+// big-endian. Each body is an independent gob stream, so appends from
+// successive processes never share encoder state (concatenated streams
+// from independent encoders do not decode). The checksum is what lets a
+// bit flip read as corruption instead of decoding to plausible garbage:
+// gob alone decodes many single-bit corruptions.
+//
+// A crash mid-append leaves a torn tail: the file ends inside its last
+// frame. The scanner tells that apart from corruption, and Trim cuts the
+// tear so new frames land behind the last whole one, never behind garbage
+// the next scan would misread as a length spanning into them.
+package framelog
+
+import (
+	"bufio"
+	"bytes"
+	"encoding/binary"
+	"encoding/gob"
+	"errors"
+	"fmt"
+	"hash/crc32"
+	"io"
+	"os"
+)
+
+// prefixLen is the frame prefix: body length, then body checksum.
+const prefixLen = 8
+
+var (
+	// ErrTorn means the input ends inside a frame: the mark a crash
+	// mid-append leaves.
+	ErrTorn = errors.New("framelog: torn frame")
+	// ErrCorrupt means a whole frame is present but its checksum fails or
+	// its body does not decode.
+	ErrCorrupt = errors.New("framelog: corrupt frame")
+)
+
+// Append gob-encodes v as one frame and writes it to w in a single Write,
+// returning the bytes written. The caller decides whether to fsync.
+func Append(w io.Writer, v any) (int, error) {
+	var buf bytes.Buffer
+	var pre [prefixLen]byte
+	buf.Write(pre[:])
+	if err := gob.NewEncoder(&buf).Encode(v); err != nil {
+		return 0, err
+	}
+	frame := buf.Bytes()
+	body := frame[prefixLen:]
+	binary.BigEndian.PutUint32(frame[:4], uint32(len(body)))
+	binary.BigEndian.PutUint32(frame[4:prefixLen], crc32.ChecksumIEEE(body))
+	return w.Write(frame)
+}
+
+// Scanner reads frames in order from the start of a log.
+type Scanner struct {
+	r    *bufio.Reader
+	size int64 // bytes in the log
+	n    int64 // bytes consumed
+	end  int64 // offset just past the last frame Next returned
+}
+
+// NewScanner scans the size bytes r yields.
+func NewScanner(r io.Reader, size int64) *Scanner {
+	return &Scanner{r: bufio.NewReader(r), size: size}
+}
+
+// End is the offset just past the last whole frame Next decoded: where
+// Trim should cut.
+func (s *Scanner) End() int64 { return s.end }
+
+// Next decodes the next frame into v, a pointer to the caller's frame
+// type. It returns io.EOF at a clean end, an error wrapping ErrTorn when
+// the log ends inside a frame, and one wrapping ErrCorrupt for a whole
+// frame that fails its checksum or does not decode. After any error the
+// scan is over.
+func (s *Scanner) Next(v any) error {
+	var pre [prefixLen]byte
+	if err := s.read(pre[:]); err != nil {
+		if err == io.EOF {
+			return io.EOF
+		}
+		return fmt.Errorf("%w: short %d-byte prefix", ErrTorn, prefixLen)
+	}
+	n := int64(binary.BigEndian.Uint32(pre[:4]))
+	sum := binary.BigEndian.Uint32(pre[4:])
+	if left := s.size - s.n; n > left {
+		// Rejected before allocating, so a garbage prefix cannot cost up
+		// to 4 GiB. A real tear holds only part of the body it promises,
+		// so the bytes left cannot match the checksum; when they do, the
+		// body is whole and its length prefix is what was damaged.
+		crc := crc32.NewIEEE()
+		if _, err := io.CopyN(crc, s.r, left); err == nil && crc.Sum32() == sum {
+			return fmt.Errorf("%w: length prefix %d overruns a whole %d-byte body", ErrCorrupt, n, left)
+		}
+		return fmt.Errorf("%w: body of %d bytes, %d left", ErrTorn, n, left)
+	}
+	body := make([]byte, n)
+	if err := s.read(body); err != nil {
+		return fmt.Errorf("%w: body of %d bytes", ErrTorn, n)
+	}
+	if crc32.ChecksumIEEE(body) != sum {
+		return fmt.Errorf("%w: checksum mismatch", ErrCorrupt)
+	}
+	if err := gob.NewDecoder(bytes.NewReader(body)).Decode(v); err != nil {
+		return fmt.Errorf("%w: %v", ErrCorrupt, err)
+	}
+	s.end = s.n
+	return nil
+}
+
+func (s *Scanner) read(p []byte) error {
+	n, err := io.ReadFull(s.r, p)
+	s.n += int64(n)
+	return err
+}
+
+// Trim truncates f to end, the offset just past its last whole frame, and
+// positions it there for appends, so a torn or corrupt tail never sits
+// between old frames and new ones.
+func Trim(f *os.File, end int64) error {
+	if err := f.Truncate(end); err != nil {
+		return err
+	}
+	_, err := f.Seek(end, io.SeekStart)
+	return err
+}

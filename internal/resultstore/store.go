@@ -11,22 +11,17 @@
 // the whole invalidation story: stale results are never *served*, they are
 // merely unreachable bytes in the file.
 //
-// The file reuses the dispatch journal's torn-tail discipline with one
-// addition: every frame carries a CRC32 of its body, and any frame that
-// fails the checksum — or tears at the tail — is a cache miss, never data.
-// A bad frame stops the scan; the file is truncated back to the last whole
-// frame so appends never land behind garbage. Unlike the journal there is
-// no fsync per append: losing the tail of a cache on power cut costs a few
+// The file is a log of checksummed gob frames (internal/framelog), the
+// dispatch journal's format. Any frame that fails its checksum, does not
+// decode or tears at the tail is a cache miss, never data: it stops the
+// scan, and the file is trimmed back to the last whole frame so appends
+// never land behind garbage. Unlike the journal there is no fsync per
+// append: losing the tail of a cache on power cut costs a few
 // re-simulations, not correctness.
 package resultstore
 
 import (
-	"bytes"
-	"encoding/binary"
-	"encoding/gob"
-	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"os"
 	"path/filepath"
@@ -34,6 +29,7 @@ import (
 	"sync/atomic"
 
 	"turbulence/internal/core"
+	"turbulence/internal/framelog"
 	"turbulence/internal/obs"
 	"turbulence/internal/wire"
 )
@@ -130,7 +126,7 @@ func Open(dir string, opts ...Option) (*Store, error) {
 	}
 	if info.Size() == 0 {
 		h := storeHeader{Magic: storeMagic, Wire: wire.Version, Engine: wire.EngineVersion}
-		n, err := writeFrame(f, storeFrame{Header: &h})
+		n, err := framelog.Append(f, storeFrame{Header: &h})
 		if err != nil {
 			f.Close()
 			return nil, fmt.Errorf("resultstore: cannot write store header to %s: %w", path, err)
@@ -149,34 +145,23 @@ func Open(dir string, opts ...Option) (*Store, error) {
 		f.Close()
 		return nil, err
 	}
-	// Cut any tear or corrupt tail so appends land behind the last whole
-	// frame, never behind garbage the next scan would misread.
-	if end != info.Size() {
-		if err := f.Truncate(end); err != nil {
-			f.Close()
-			return nil, fmt.Errorf("resultstore: cannot trim %s to its last whole frame: %w", path, err)
-		}
-	}
-	if _, err := f.Seek(end, io.SeekStart); err != nil {
+	if err := framelog.Trim(f, end); err != nil {
 		f.Close()
-		return nil, fmt.Errorf("resultstore: %w", err)
+		return nil, fmt.Errorf("resultstore: cannot trim %s to its last whole frame: %w", path, err)
 	}
 	s.bytes.Store(uint64(end))
 	return s, nil
 }
 
-// load scans the file from the start, verifying the header and indexing
-// every whole, checksum-clean entry frame of a file of the given size.
-// Returns the offset just past the last good frame. A header that does not
-// verify is an error; a bad entry frame is a miss — counted, logged, and
-// the scan stops there.
+// load scans the freshly opened file from the start, verifying the header
+// and indexing every whole, checksum-clean entry frame of a file of the
+// given size. Returns the offset just past the last good frame. A header
+// that does not verify is an error; a bad entry frame is a miss — counted,
+// logged, and the scan stops there.
 func (s *Store) load(path string, size int64) (int64, error) {
-	if _, err := s.f.Seek(0, io.SeekStart); err != nil {
-		return 0, fmt.Errorf("resultstore: %w", err)
-	}
-	cr := &countingReader{r: s.f, size: size}
-	first, err := readFrame(cr)
-	if err != nil {
+	sc := framelog.NewScanner(s.f, size)
+	var first storeFrame
+	if err := sc.Next(&first); err != nil {
 		return 0, fmt.Errorf("resultstore: %s: unreadable header: %v", path, err)
 	}
 	h := first.Header
@@ -187,15 +172,16 @@ func (s *Store) load(path string, size int64) (int64, error) {
 		return 0, fmt.Errorf("resultstore: %s holds results from wire v%d / engine v%d; this build produces wire v%d / engine v%d — use a fresh directory",
 			path, h.Wire, h.Engine, wire.Version, wire.EngineVersion)
 	}
-	end := cr.n
+	end := sc.End()
 	for {
-		fr, err := readFrame(cr)
+		var fr storeFrame
+		err := sc.Next(&fr)
 		if err == io.EOF {
 			return end, nil
 		}
 		if err != nil {
-			// Torn tail or failed checksum: a miss, never data. Everything
-			// before it is good; the caller truncates the rest away.
+			// A torn or corrupt frame: a miss, never data. Everything
+			// before it is good; the caller trims the rest away.
 			s.corrupt.Add(1)
 			s.logf("resultstore: dropping corrupt tail of %s (%v); cells re-simulate", path, err)
 			return end, nil
@@ -207,7 +193,7 @@ func (s *Store) load(path string, size int64) (int64, error) {
 		}
 		cmp := fr.Entry.Comparison
 		s.entries[fr.Entry.Digest] = &cmp
-		end = cr.n
+		end = sc.End()
 	}
 }
 
@@ -271,7 +257,7 @@ func (s *Store) Insert(digest string, cmp *core.Comparison) {
 	if s.dead || s.f == nil {
 		return
 	}
-	n, err := writeFrame(s.f, storeFrame{Entry: &storeEntry{Digest: digest, Comparison: c}})
+	n, err := framelog.Append(s.f, storeFrame{Entry: &storeEntry{Digest: digest, Comparison: c}})
 	if err != nil {
 		s.dead = true
 		s.logf("resultstore: append failed, persistence disabled for this run: %v", err)
@@ -328,76 +314,3 @@ func (s *Store) InsertResult(pair core.PairKey, opts core.Options, seed int64, c
 }
 
 var _ core.ResultStore = (*Store)(nil)
-
-// Frame format: [uint32 body length][uint32 CRC32-IEEE of body][gob body].
-// Each frame is an independent gob stream (appends from successive
-// processes never share encoder state), and the checksum is what lets a
-// *middle-of-file* bit flip read as "cache miss" instead of decoding to
-// plausible garbage — gob alone would happily decode many single-bit
-// corruptions.
-
-// errBadFrame covers both tears and checksum failures: for a cache the
-// distinction does not matter, the frame is simply not data.
-var errBadFrame = errors.New("bad frame")
-
-func writeFrame(w io.Writer, fr storeFrame) (int, error) {
-	var body bytes.Buffer
-	if err := gob.NewEncoder(&body).Encode(fr); err != nil {
-		return 0, err
-	}
-	var pre [8]byte
-	binary.BigEndian.PutUint32(pre[:4], uint32(body.Len()))
-	binary.BigEndian.PutUint32(pre[4:], crc32.ChecksumIEEE(body.Bytes()))
-	if _, err := w.Write(pre[:]); err != nil {
-		return 0, err
-	}
-	if _, err := w.Write(body.Bytes()); err != nil {
-		return 0, err
-	}
-	return len(pre) + body.Len(), nil
-}
-
-// readFrame decodes the next frame. io.EOF = clean end; errBadFrame = the
-// file ends inside a frame, the checksum fails, or the body does not
-// decode.
-func readFrame(r *countingReader) (storeFrame, error) {
-	var fr storeFrame
-	var pre [8]byte
-	if _, err := io.ReadFull(r, pre[:]); err != nil {
-		if err == io.EOF {
-			return fr, io.EOF
-		}
-		return fr, fmt.Errorf("%w: torn length prefix", errBadFrame)
-	}
-	// A length past the end of the file is a torn body; rejecting it
-	// before allocating keeps a garbage prefix from costing up to 4 GiB.
-	n := binary.BigEndian.Uint32(pre[:4])
-	if int64(n) > r.size-r.n {
-		return fr, fmt.Errorf("%w: torn body", errBadFrame)
-	}
-	body := make([]byte, n)
-	if _, err := io.ReadFull(r, body); err != nil {
-		return fr, fmt.Errorf("%w: torn body", errBadFrame)
-	}
-	if crc32.ChecksumIEEE(body) != binary.BigEndian.Uint32(pre[4:]) {
-		return fr, fmt.Errorf("%w: checksum mismatch", errBadFrame)
-	}
-	if err := gob.NewDecoder(bytes.NewReader(body)).Decode(&fr); err != nil {
-		return fr, fmt.Errorf("%w: %v", errBadFrame, err)
-	}
-	return fr, nil
-}
-
-// countingReader tracks consumed bytes so load can report where the last
-// whole frame ends, and so readFrame can bound a frame by the bytes left.
-type countingReader struct {
-	r    io.Reader
-	n    int64
-	size int64 // file size
-}
-
-func (cr *countingReader) Read(p []byte) (int, error) {
-	n, err := cr.r.Read(p)
-	cr.n += int64(n)
-	return n, err
-}

@@ -3,7 +3,9 @@ package resultstore
 import (
 	"bytes"
 	"encoding/binary"
+	"encoding/gob"
 	"fmt"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -13,6 +15,7 @@ import (
 	"testing"
 
 	"turbulence/internal/core"
+	"turbulence/internal/framelog"
 	"turbulence/internal/media"
 	"turbulence/internal/netem"
 	"turbulence/internal/obs"
@@ -243,7 +246,7 @@ func TestStoreForeignRefusal(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := writeFrame(f, storeFrame{Header: &h}); err != nil {
+		if _, err := framelog.Append(f, storeFrame{Header: &h}); err != nil {
 			t.Fatal(err)
 		}
 		f.Close()
@@ -271,6 +274,50 @@ func TestStoreForeignRefusal(t *testing.T) {
 	}
 	if _, err := Open(dir); err == nil {
 		t.Error("Open accepted an arbitrary file")
+	}
+}
+
+// TestStoreFrameLayout pins the on-disk frame byte for byte: a store file
+// built by hand as [uint32 len][uint32 CRC32-IEEE][gob body] per frame —
+// the layout every existing store has — equals what the frame codec
+// writes, and opens with every entry served as a hit.
+func TestStoreFrameLayout(t *testing.T) {
+	frames := []storeFrame{
+		{Header: &storeHeader{Magic: storeMagic, Wire: wire.Version, Engine: wire.EngineVersion}},
+		{Entry: &storeEntry{Digest: "d0", Comparison: *cmpFor(0)}},
+		{Entry: &storeEntry{Digest: "d1", Comparison: *cmpFor(1)}},
+	}
+	var byHand, appended bytes.Buffer
+	for _, fr := range frames {
+		var body bytes.Buffer
+		if err := gob.NewEncoder(&body).Encode(fr); err != nil {
+			t.Fatal(err)
+		}
+		byHand.Write(binary.BigEndian.AppendUint32(nil, uint32(body.Len())))
+		byHand.Write(binary.BigEndian.AppendUint32(nil, crc32.ChecksumIEEE(body.Bytes())))
+		byHand.Write(body.Bytes())
+		if _, err := framelog.Append(&appended, fr); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !bytes.Equal(appended.Bytes(), byHand.Bytes()) {
+		t.Fatalf("frame codec writes\n%x\nwant the hand-built\n%x", appended.Bytes(), byHand.Bytes())
+	}
+
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, storeFile), byHand.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	s := open(t, dir)
+	defer s.Close()
+	for i := 0; i < 2; i++ {
+		got, ok := s.Lookup("d" + strconv.Itoa(i))
+		if !ok || *got != *cmpFor(i) {
+			t.Fatalf("entry d%d: got %+v (hit %v), want %+v", i, got, ok, cmpFor(i))
+		}
+	}
+	if st := s.Stats(); st.Hits != 2 || st.CorruptFrames != 0 || st.Bytes != uint64(byHand.Len()) {
+		t.Fatalf("hand-built store stats = %+v, want 2 hits, 0 corrupt, %d bytes", st, byHand.Len())
 	}
 }
 

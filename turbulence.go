@@ -380,10 +380,11 @@ func WithDispatchLogf(f func(format string, args ...any)) DispatchOption {
 	return dispatch.WithLogf(f)
 }
 
-// WithDispatchCheckpoint journals every completed shard to path (gob
-// frames, fsync'd) so a crashed coordinator can be rebuilt with
-// ResumeCoordinator — or by re-running Serve with the same path — and
-// re-lease only the unfinished shards.
+// WithDispatchCheckpoint journals every completed shard to path
+// (checksummed gob frames, fsync'd) so a crashed coordinator can be
+// rebuilt with ResumeCoordinator — or by re-running Serve with the same
+// path — and re-lease only the unfinished shards. A checkpoint written by
+// an older build, before frames carried checksums, is refused.
 func WithDispatchCheckpoint(path string) DispatchOption { return dispatch.WithCheckpoint(path) }
 
 // WithDispatchHeartbeat sets a worker's lease-renewal interval while a
