@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test vet lint check bench bench-quick bench-compare cover clean
+.PHONY: all build test vet lint check loc bench bench-quick bench-compare cover clean
 
 all: build vet test
 
@@ -43,6 +43,11 @@ lint:
 
 # The full local gate: what CI would run.
 check: build lint test
+
+# Non-test Go lines outside perfbench: the size figure CHANGES.md and
+# ROADMAP.md track from change to change.
+loc:
+	@find . -name '*.go' ! -name '*_test.go' ! -path './perfbench/*' -exec cat {} + | wc -l
 
 # Full benchmark sweep in benchstat-compatible format. Writes the run to
 # BENCH_current.txt (gitignored) so it can be diffed against the committed

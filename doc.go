@@ -26,8 +26,8 @@
 // cancellable (checked between simulation events, so ctrl-C lands
 // mid-run), WithProgress(fn) observes each completion, and
 // WithTraceRetention selects what each completed run keeps. Results come
-// back collected in canonical order (Run) or streamed in completion order
-// (Stream, or Seq to range over):
+// back collected in canonical order (Run) or in completion order as an
+// iterator to range over (Seq):
 //
 //	plan := turbulence.NewPlan(2002).UnderScenarios(turbulence.Scenarios()...)
 //	r := turbulence.NewRunner(turbulence.WithWorkers(0),
@@ -280,15 +280,18 @@
 // # Testbed reuse
 //
 // A Runner does not rebuild the apparatus per cell: each worker owns a
-// testbed cache, and every layer a cell touches — the event scheduler,
+// testbed cache holding one testbed per shape, built bare on the shape's
+// first cell and armed for every cell, that one included, by
+// Testbed.Reset(seed). Every layer a cell touches — the event scheduler,
 // netsim's hosts and hops, netem model state, the protocol stacks,
-// capture — has a Reset(seed) path that restores post-construction state
-// without reallocating, so cells after the first replay into a recycled
-// testbed. The caches are retained on the Runner across Run/Stream/Seq
-// calls, so repeated sweeps start warm. Output is byte-identical to
-// building fresh (pinned by test, along with the golden digests); the
-// build-per-cell path survives only as that test's oracle. Every cell's
-// scheduler is the same 4-ary heap. BENCH_heap.json records the paper's
+// capture — arms its per-run state only in its Reset, which its
+// constructor ends in, so a built testbed and a reused one are the same
+// state and reuse reallocates nothing. The caches are retained on the
+// Runner across Run/Seq/RunPair calls, so repeated sweeps start warm, and
+// a dispatch worker keeps one Runner for its life, so its testbeds
+// outlive each lease. Output is byte-identical either way (pinned by
+// test, along with the golden digests). Every cell's scheduler is the
+// same 4-ary heap. BENCH_heap.json records the paper's
 // full 13-pair online sweep in this configuration at one and two cores;
 // PERFORMANCE.md ("Testbed reuse & the timing wheel") has the history,
 // and WithSweepStats or a metrics sink exposes the economy (testbeds

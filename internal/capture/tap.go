@@ -212,106 +212,6 @@ func (m *FlowMetrics) BurstRatio() float64 {
 // Span returns the flow's first and last packet times.
 func (m *FlowMetrics) Span() (first, last time.Duration) { return m.firstAt, m.lastAt }
 
-// RateAccumulator reduces observed packets into the same bits-per-second
-// curve FlowTrace.BandwidthSeries produces, with O(buckets) state instead
-// of O(packets).
-type RateAccumulator struct {
-	Width time.Duration // bucket width; BandwidthSeries' parameter
-
-	sums  []float64
-	maxAt time.Duration
-	seen  bool
-}
-
-// Observe adds one packet's wire bits to its bucket.
-func (ra *RateAccumulator) Observe(r *Record) {
-	if ra.Width <= 0 {
-		ra.Width = time.Second
-	}
-	i := int(r.At / ra.Width)
-	if i < 0 {
-		i = 0
-	}
-	for i >= len(ra.sums) {
-		ra.sums = append(ra.sums, 0)
-	}
-	ra.sums[i] += float64(r.WireLen * 8)
-	if r.At > ra.maxAt || !ra.seen {
-		ra.maxAt = r.At
-		ra.seen = true
-	}
-}
-
-// Series renders the accumulated buckets as a rate-per-second curve,
-// matching FlowTrace.BandwidthSeries exactly (integer bit sums, identical
-// bucket count).
-func (ra *RateAccumulator) Series() []stats.Point {
-	if !ra.seen {
-		return nil
-	}
-	n := int(ra.maxAt/ra.Width) + 1
-	out := make([]stats.Point, n)
-	sec := ra.Width.Seconds()
-	for i := range out {
-		sum := 0.0
-		if i < len(ra.sums) {
-			sum = ra.sums[i]
-		}
-		out[i] = stats.Point{X: (time.Duration(i) * ra.Width).Seconds(), Y: sum / sec}
-	}
-	return out
-}
-
-// TrainTally accumulates fragment-train lengths in arrival order —
-// FlowTrace.TrainLengths computed online, O(datagrams) output state.
-type TrainTally struct {
-	lengths []int
-	count   int
-}
-
-// Observe extends or starts a train.
-func (tt *TrainTally) Observe(r *Record) {
-	if r.FragOff == 0 {
-		if tt.count > 0 {
-			tt.lengths = append(tt.lengths, tt.count)
-		}
-		tt.count = 1
-	} else {
-		tt.count++
-	}
-}
-
-// Lengths returns the train lengths observed so far, the in-progress train
-// included — exactly TrainLengths over the same records.
-func (tt *TrainTally) Lengths() []int {
-	out := append([]int(nil), tt.lengths...)
-	if tt.count > 0 {
-		out = append(out, tt.count)
-	}
-	return out
-}
-
-// SequenceWindow collects (time, packet index) points for arrivals inside
-// [From, To) — FlowTrace.SequencePoints computed online.
-type SequenceWindow struct {
-	From, To time.Duration
-
-	next   int
-	points []stats.Point
-}
-
-// Observe indexes one packet and records it if it falls in the window.
-func (sw *SequenceWindow) Observe(r *Record) {
-	i := sw.next
-	sw.next++
-	if r.At >= sw.From && r.At < sw.To {
-		sw.points = append(sw.points, stats.Point{X: r.At.Seconds(), Y: float64(i)})
-	}
-}
-
-// Points returns the collected points.
-func (sw *SequenceWindow) Points() []stats.Point { return sw.points }
-
 // FlowStream is one flow being analysed online by a FlowDemux.
 type FlowStream struct {
 	Flow    inet.Flow

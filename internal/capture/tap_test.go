@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"reflect"
+	"slices"
 	"testing"
 	"time"
 
@@ -212,71 +213,16 @@ func metricsEqual(a, b *FlowMetrics) bool {
 		af == bf && al == bl
 }
 
-// TestRateAccumulatorMatchesBandwidthSeries pins the online bucketing
-// against FlowTrace.BandwidthSeries exactly.
-func TestRateAccumulatorMatchesBandwidthSeries(t *testing.T) {
-	rng := eventsim.NewRNG(5)
-	tr := randomTrace(t, rng, 400)
-	for _, f := range tr.SplitFlows() {
-		ra := &RateAccumulator{Width: time.Second}
-		f.Replay(ra)
-		got, want := ra.Series(), f.BandwidthSeries(time.Second)
-		if len(got) != len(want) {
-			t.Fatalf("buckets: %d vs %d", len(got), len(want))
-		}
-		for i := range got {
-			if got[i] != want[i] {
-				t.Fatalf("bucket %d: %+v vs %+v", i, got[i], want[i])
-			}
-		}
-	}
-}
-
-// TestTrainTallyMatchesTrainLengths pins the online train-length tally.
-func TestTrainTallyMatchesTrainLengths(t *testing.T) {
-	rng := eventsim.NewRNG(6)
-	tr := randomTrace(t, rng, 400)
-	for _, f := range tr.SplitFlows() {
-		tt := &TrainTally{}
-		f.Replay(tt)
-		got, want := tt.Lengths(), f.TrainLengths()
-		if len(got) != len(want) {
-			t.Fatalf("trains: %d vs %d", len(got), len(want))
-		}
-		for i := range got {
-			if got[i] != want[i] {
-				t.Fatalf("train %d: %d vs %d", i, got[i], want[i])
-			}
-		}
-	}
-}
-
-// TestSequenceWindowMatchesSequencePoints pins the online sequence view.
-func TestSequenceWindowMatchesSequencePoints(t *testing.T) {
-	rng := eventsim.NewRNG(8)
-	tr := randomTrace(t, rng, 400)
-	from, to := 500*time.Millisecond, 3*time.Second
-	for _, f := range tr.SplitFlows() {
-		sw := &SequenceWindow{From: from, To: to}
-		f.Replay(sw)
-		got, want := sw.Points(), f.SequencePoints(from, to)
-		if len(got) != len(want) {
-			t.Fatalf("points: %d vs %d", len(got), len(want))
-		}
-		for i := range got {
-			if got[i] != want[i] {
-				t.Fatalf("point %d: %+v vs %+v", i, got[i], want[i])
-			}
-		}
-	}
-}
-
 // TestDemuxExtraAnalyzers checks the per-flow Extra factory wiring.
 func TestDemuxExtraAnalyzers(t *testing.T) {
 	rng := eventsim.NewRNG(11)
 	tr := randomTrace(t, rng, 200)
 	dx := NewFlowDemux()
-	dx.Extra = func(inet.Flow) Tap { return &TrainTally{} }
+	dx.Extra = func(f inet.Flow) Tap {
+		fr := &FlowRecorder{}
+		fr.Reset(f)
+		return fr
+	}
 	n := tr.Len()
 	for i := 0; i < n; i++ {
 		r := tr.At(i)
@@ -284,9 +230,9 @@ func TestDemuxExtraAnalyzers(t *testing.T) {
 	}
 	for i, fs := range dx.Flows() {
 		want := tr.SplitFlows()[i].TrainLengths()
-		got := fs.Extra.(*TrainTally).Lengths()
-		if len(got) != len(want) {
-			t.Fatalf("flow %v extra tally: %d vs %d trains", fs.Flow, len(got), len(want))
+		got := fs.Extra.(*FlowRecorder).FlowTrace().TrainLengths()
+		if !slices.Equal(got, want) {
+			t.Fatalf("flow %v extra recorder: trains %v, want %v", fs.Flow, got, want)
 		}
 	}
 }

@@ -460,12 +460,6 @@ func TestRunnerFailFast(t *testing.T) {
 	if len(results) != 1 || results[0].Err == nil {
 		t.Fatalf("fail-fast sweep delivered %d cells, want just the failure", len(results))
 	}
-	// The zero Runner value must work too (all-cores pool, no context).
-	var zero Runner
-	ok, err := zero.Run(NewPlan(7).ForPairs(PairKey{1, media.Low}))
-	if err != nil || len(ok) != 1 || ok[0].Run == nil {
-		t.Fatalf("zero Runner: %d results, err %v", len(ok), err)
-	}
 }
 
 // traceDigest folds a run's full capture — wire bytes included — into one

@@ -81,16 +81,15 @@ type RunResult struct {
 	Err error
 }
 
-// Runner executes Plans. The zero configuration (NewRunner with no
-// options) runs sequentially with no cancellation or progress and
-// retains traces. (A zero Runner value also works; lacking the
-// constructor's default it fans out across all cores.) Configuration is fixed at construction by functional
+// Runner executes Plans. Build one with NewRunner: the zero configuration
+// (no options) runs sequentially with no cancellation or progress and
+// retains traces. Configuration is fixed at construction by functional
 // options. A Runner is safe for concurrent use; its only mutable state is
 // the pool of per-worker testbed caches it retains between executions, so
 // back-to-back sweeps on one Runner start with the previous sweep's warm
 // testbeds and arenas instead of rebuilding them (each cache is handed to
-// at most one worker at a time; output is unaffected — reuse is pinned
-// byte-identical to construction).
+// at most one worker at a time; output is unaffected — a testbed is only
+// ever armed by Reset, built or reused).
 type Runner struct {
 	workers    int
 	ctx        context.Context
@@ -103,8 +102,8 @@ type Runner struct {
 }
 
 // tallyPool holds the worker tallies a Runner retains across executions.
-// It lives behind a pointer so the shallow Runner copies Seq makes share
-// it, and so the zero Runner (nil pool, nothing retained) stays valid.
+// It lives behind a pointer so shallow Runner copies (Seq's cancellable
+// one, a dispatch worker's per-lease one) share it.
 type tallyPool struct {
 	mu    sync.Mutex
 	spare []*workerTally
@@ -125,17 +124,15 @@ type workerTally struct {
 // to this execution's start.
 func (r *Runner) acquireTallies(n int) []*workerTally {
 	ts := make([]*workerTally, n)
-	if r.pool != nil {
-		r.pool.mu.Lock()
-		for i := range ts {
-			if m := len(r.pool.spare); m > 0 {
-				ts[i] = r.pool.spare[m-1]
-				r.pool.spare[m-1] = nil
-				r.pool.spare = r.pool.spare[:m-1]
-			}
+	r.pool.mu.Lock()
+	for i := range ts {
+		if m := len(r.pool.spare); m > 0 {
+			ts[i] = r.pool.spare[m-1]
+			r.pool.spare[m-1] = nil
+			r.pool.spare = r.pool.spare[:m-1]
 		}
-		r.pool.mu.Unlock()
 	}
+	r.pool.mu.Unlock()
 	for i, t := range ts {
 		if t == nil {
 			t = &workerTally{cache: NewTestbedCache()}
@@ -148,11 +145,8 @@ func (r *Runner) acquireTallies(n int) []*workerTally {
 }
 
 // releaseTallies returns an execution's tallies to the pool for the next
-// sweep. The zero Runner retains nothing.
+// sweep.
 func (r *Runner) releaseTallies(ts []*workerTally) {
-	if r.pool == nil {
-		return
-	}
 	r.pool.mu.Lock()
 	r.pool.spare = append(r.pool.spare, ts...)
 	r.pool.mu.Unlock()
@@ -177,14 +171,6 @@ type SweepStats struct {
 type ResultStore interface {
 	LookupResult(pair PairKey, opts Options, seed int64) (*Comparison, bool)
 	InsertResult(pair PairKey, opts Options, seed int64, cmp *Comparison)
-}
-
-// context is the nil-safe accessor keeping the zero Runner usable.
-func (r *Runner) context() context.Context {
-	if r.ctx == nil {
-		return context.Background()
-	}
-	return r.ctx
 }
 
 // RunnerOption configures a Runner at construction.
@@ -294,7 +280,7 @@ func (p *Plan) cells() []cell {
 // never started, or that were interrupted mid-simulation by cancellation,
 // are not emitted — completed work only.
 func (r *Runner) execute(cells []cell, emit func(RunResult) bool) {
-	ctx := r.context()
+	ctx := r.ctx
 	workers := r.workers
 	if workers == 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -431,7 +417,7 @@ func (r *Runner) Run(p *Plan) ([]RunResult, error) {
 		return true
 	})
 	out = MergeRuns(out)
-	if err := r.context().Err(); err != nil {
+	if err := r.ctx.Err(); err != nil {
 		return out, err
 	}
 	for _, res := range out {
@@ -461,45 +447,35 @@ func (r *Runner) RunPair(seed int64, set int, class media.Class, opts Options) (
 		return true
 	})
 	if res == nil { // cancelled before or during the run
-		return nil, r.context().Err()
+		return nil, r.ctx.Err()
 	}
 	return res.Run, res.Err
 }
 
-// Stream executes the plan and delivers completed cells in completion
-// order on the returned channel, which closes when the sweep finishes or
-// the context is cancelled. Consumption is the backpressure: at most one
+// Seq executes the plan as a range-over-func iterator: results arrive in
+// completion order, and the loop body is the backpressure — at most one
 // finished cell per worker is in flight, so huge sweeps never hold all
 // traces at once (pair with StreamProfiles to hold no trace at all).
-// Consumers that may abandon the channel early must install a cancellable
-// WithContext and cancel it, or workers block forever on the send.
-func (r *Runner) Stream(p *Plan) <-chan RunResult {
-	ch := make(chan RunResult)
-	done := r.context().Done()
-	go func() {
-		defer close(ch)
-		r.execute(p.cells(), func(res RunResult) bool {
-			select {
-			case ch <- res:
-				return true
-			case <-done:
-				return false
-			}
-		})
-	}()
-	return ch
-}
-
-// Seq is Stream as a range-over-func iterator: results arrive in
-// completion order, and breaking out of the loop cancels the remaining
-// work and returns once in-flight cells wind down.
+// Breaking out of the loop cancels the remaining work and returns once
+// in-flight cells wind down; so does cancelling the Runner's context.
 func (r *Runner) Seq(p *Plan) iter.Seq[RunResult] {
 	return func(yield func(RunResult) bool) {
-		ctx, cancel := context.WithCancel(r.context())
+		ctx, cancel := context.WithCancel(r.ctx)
 		defer cancel()
 		sub := *r
 		sub.ctx = ctx
-		ch := sub.Stream(p)
+		ch := make(chan RunResult)
+		go func() {
+			defer close(ch)
+			sub.execute(p.cells(), func(res RunResult) bool {
+				select {
+				case ch <- res:
+					return true
+				case <-ctx.Done():
+					return false
+				}
+			})
+		}()
 		for res := range ch {
 			if !yield(res) {
 				cancel()

@@ -148,8 +148,9 @@ func WithScenario(sc *netem.Scenario) TestbedOption {
 	return func(p *SiteProfile) { p.Scenario = sc }
 }
 
-// NewTestbed builds the network, client, all six sites, and registers
-// every Table 1 clip at its site's servers.
+// NewTestbed builds the network, client and all six sites, registers
+// every Table 1 clip at its site's servers, and arms the testbed for seed
+// with Reset.
 func NewTestbed(seed int64, opts ...TestbedOption) *Testbed {
 	n := netsim.New(seed)
 	client := n.AddHost(ClientAddr)
@@ -178,6 +179,7 @@ func NewTestbed(seed int64, opts ...TestbedOption) *Testbed {
 			}
 		}
 	}
+	tb.Reset(seed)
 	return tb
 }
 
@@ -190,18 +192,16 @@ func (tb *Testbed) Site(set int) *Site {
 	return s
 }
 
-// Reset rewinds the testbed to its post-NewTestbed state for seed without
-// reallocating anything: the network drains and reseeds, every host and hop
-// rewinds, and both stacks at every site re-arm on their freshly cleared
-// hosts. Construction draws from the root RNG exactly once per site (the
-// RDT server's stream split), in Sites() order — Reset replays the same
-// sequence in the same order, which is what makes a reset testbed
-// byte-identical to a newly built one under the same seed.
+// Reset arms the testbed for a run under seed without reallocating
+// anything: the network drains and reseeds, every host and hop rewinds,
+// and both stacks at every site re-arm on their freshly cleared hosts,
+// splitting their streams from the root RNG in Sites() order. It is the
+// only code that arms per-run state: NewTestbed ends in it, so a newly
+// built testbed and a reused one are the same state.
 //
 // Topology and clip registration are construction-time and retained; the
 // per-run ablation switches (unit cap, uncapped burst, scaling) revert to
-// their defaults, so callers reapply Options per run exactly as runPair
-// does on a fresh testbed.
+// their defaults, so callers reapply Options per run, as runPair does.
 func (tb *Testbed) Reset(seed int64) {
 	tb.Net.Reset(seed)
 	for _, prof := range Sites() {
@@ -243,11 +243,12 @@ func (sh testbedShape) options() []TestbedOption {
 }
 
 // TestbedCache reuses testbeds across the runs of one worker. The first
-// run of each shape builds a testbed; subsequent runs Reset it to the new
-// seed instead of reconstructing the whole apparatus, which removes the
-// dominant allocation cost of a sweep (building six sites' paths, hosts and
-// stacks per cell). A cache is single-goroutine, like the runs it serves:
-// the Runner creates one per worker.
+// run of each shape builds a testbed; every run, that one included,
+// Resets it to the run's seed, so no cell reconstructs the whole
+// apparatus, which removes the dominant allocation cost of a sweep
+// (building six sites' paths, hosts and stacks per cell). A cache is
+// single-goroutine, like the runs it serves: the Runner creates one per
+// worker.
 //
 // The cache also owns the worker's online-analysis scratch (the capture
 // flow demux and RetainFlows' two flow recorders) and one RealServer
@@ -269,21 +270,22 @@ func NewTestbedCache() *TestbedCache {
 	return &TestbedCache{tbs: make(map[testbedShape]*Testbed), pkts: &rdt.PacketPool{}}
 }
 
-// Get returns a testbed for the run's shape, reset to seed: a cached one
-// when the shape was seen before, a newly built one otherwise.
+// Get returns the cache's testbed for the run's shape, built on the
+// shape's first run, reset to seed.
 func (c *TestbedCache) Get(seed int64, set int, opts Options) *Testbed {
 	sh := shapeFor(set, opts)
-	if tb, ok := c.tbs[sh]; ok {
+	tb, ok := c.tbs[sh]
+	if ok {
 		c.reused++
-		tb.Reset(seed)
-		return tb
+	} else {
+		tb = NewTestbed(seed, sh.options()...)
+		for _, site := range tb.Sites {
+			site.RDT.UsePacketPool(c.pkts)
+		}
+		c.built++
+		c.tbs[sh] = tb
 	}
-	tb := NewTestbed(seed, sh.options()...)
-	for _, site := range tb.Sites {
-		site.RDT.UsePacketPool(c.pkts)
-	}
-	c.built++
-	c.tbs[sh] = tb
+	tb.Reset(seed)
 	return tb
 }
 

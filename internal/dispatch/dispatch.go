@@ -64,6 +64,24 @@ type Queue interface {
 // abort it and pull a fresh lease.
 var ErrLeaseLost = errors.New("dispatch: lease lost")
 
+// Fixed dispatcher limits.
+const (
+	// requestTimeout bounds one HTTP round trip on the Client, so a
+	// partitioned coordinator (connected but blackholed) turns into a
+	// retriable error instead of a worker hung past every ctrl-C. Bodies
+	// are profiles, a few KB per cell, so 60s is generous.
+	requestTimeout = time.Minute
+	// drainGrace is how long Serve keeps accepting completions after a
+	// cancellation drain, so workers finishing their current shard (the
+	// graceful half of their own ctrl-C handling) can still land it
+	// before the socket dies.
+	drainGrace = 15 * time.Second
+	// eventRing is the capacity of the shard-lifecycle event ring behind
+	// GET /events: at five or so transitions per shard, enough to hold a
+	// mid-sized sweep's full history.
+	eventRing = 1024
+)
+
 // Config collects the dispatcher knobs; Options adjust it. One Config type
 // serves Coordinator, Worker and Client — each reads the fields that
 // concern it.
@@ -114,11 +132,6 @@ type Config struct {
 	// Transport overrides the client's HTTP transport. Tests wrap the
 	// default in a fault-injecting chaos transport here.
 	Transport http.RoundTripper
-	// RequestTimeout bounds one HTTP round trip on the Client, so a
-	// partitioned coordinator (connected but blackholed) turns into a
-	// retriable error instead of a worker hung past every ctrl-C. Bodies
-	// are profiles, a few KB per cell, so the default 60s is generous.
-	RequestTimeout time.Duration
 	// RunWorkers is the worker's Runner pool size per shard (0 = all
 	// cores).
 	RunWorkers int
@@ -132,20 +145,11 @@ type Config struct {
 	// so workers sleeping through a wait hint observe Done instead of a
 	// dead socket. Default 1s.
 	Linger time.Duration
-	// DrainGrace is how long Serve keeps accepting completions after a
-	// cancellation drain, so workers finishing their current shard (the
-	// graceful half of their own ctrl-C handling) can still land it
-	// before the socket dies. Default 15s.
-	DrainGrace time.Duration
 	// Pprof mounts net/http/pprof on the coordinator's mux (under
 	// /debug/pprof/). Off by default: profiles expose goroutine stacks
 	// and heap contents, so enable it only on an address you'd let an
 	// operator shell into.
 	Pprof bool
-	// EventRing is the capacity of the shard-lifecycle event ring behind
-	// GET /events. Default 1024 — at five or so transitions per shard,
-	// enough to hold a mid-sized sweep's full history.
-	EventRing int
 	// Store is the content-addressed result store (nil = off). On the
 	// coordinator it is consulted at plan-carve time — fully-cached shards
 	// are journalled done and never leased; partially-cached shards ship
@@ -190,9 +194,6 @@ func WithMaxBodyBytes(n int64) Option { return func(c *Config) { c.MaxBodyBytes 
 // WithTransport overrides the client's HTTP transport (chaos tests).
 func WithTransport(rt http.RoundTripper) Option { return func(c *Config) { c.Transport = rt } }
 
-// WithRequestTimeout bounds one client HTTP round trip.
-func WithRequestTimeout(d time.Duration) Option { return func(c *Config) { c.RequestTimeout = d } }
-
 // WithRunWorkers sets the per-shard Runner pool size (0 = all cores).
 func WithRunWorkers(n int) Option { return func(c *Config) { c.RunWorkers = n } }
 
@@ -205,15 +206,9 @@ func WithName(name string) Option { return func(c *Config) { c.Name = name } }
 // WithLinger sets how long Serve answers after completion.
 func WithLinger(d time.Duration) Option { return func(c *Config) { c.Linger = d } }
 
-// WithDrainGrace sets how long Serve accepts completions after a drain.
-func WithDrainGrace(d time.Duration) Option { return func(c *Config) { c.DrainGrace = d } }
-
 // WithPprof mounts net/http/pprof on the coordinator's mux (see
 // Config.Pprof for the exposure caveat).
 func WithPprof(on bool) Option { return func(c *Config) { c.Pprof = on } }
-
-// WithEventRing sets the lifecycle event ring's capacity.
-func WithEventRing(n int) Option { return func(c *Config) { c.EventRing = n } }
 
 // WithLogf installs a progress logger.
 func WithLogf(f func(format string, args ...any)) Option { return func(c *Config) { c.Logf = f } }
@@ -228,7 +223,6 @@ func newConfig(opts []Option) Config {
 		Retry:            200 * time.Millisecond,
 		MaxAttempts:      8,
 		MaxElapsed:       2 * time.Minute,
-		RequestTimeout:   time.Minute,
 		RunContext:       context.Background(),
 		Name:             "worker",
 		Linger:           time.Second,
@@ -250,20 +244,11 @@ func newConfig(opts []Option) Config {
 	if c.MaxElapsed <= 0 {
 		c.MaxElapsed = 2 * time.Minute
 	}
-	if c.RequestTimeout <= 0 {
-		c.RequestTimeout = time.Minute
-	}
-	if c.DrainGrace <= 0 {
-		c.DrainGrace = 15 * time.Second
-	}
 	if c.MaxShardFailures == 0 {
 		c.MaxShardFailures = 5
 	}
 	if c.MaxBodyBytes <= 0 {
 		c.MaxBodyBytes = 64 << 20
-	}
-	if c.EventRing <= 0 {
-		c.EventRing = 1024
 	}
 	if c.Logf == nil {
 		c.Logf = func(string, ...any) {}
@@ -407,7 +392,7 @@ func New(plan *core.Plan, opts ...Option) (*Coordinator, error) {
 		finished:    make(chan struct{}),
 	}
 	c.commitDone = sync.NewCond(&c.mu)
-	c.m = newCoordMetrics(c, cfg.EventRing)
+	c.m = newCoordMetrics(c)
 	if cfg.Store != nil {
 		cfg.Store.Register(c.m.reg)
 	}

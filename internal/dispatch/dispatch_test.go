@@ -136,6 +136,48 @@ func TestDispatchedSweepMatchesUnsharded(t *testing.T) {
 	}
 }
 
+// TestWorkerKeepsTestbedsAcrossLeases pins a worker's testbed lifecycle:
+// one worker running one cell per lease builds each testbed shape once
+// for its whole life and re-arms it by Reset for every later lease, and
+// the reuse leaves the merge byte-identical to an unsharded run.
+func TestWorkerKeepsTestbedsAcrossLeases(t *testing.T) {
+	plan := testPlan(t) // two testbed shapes: faithful and dsl
+	want := unshardedGob(t, plan)
+	c, err := New(plan, WithShards(plan.Size()), WithLeaseTTL(time.Minute))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
+	defer cancel()
+	done := make(chan error, 1)
+	go func() {
+		_, err := NewWorker(Loopback(c), WithName("solo"), WithRunWorkers(1)).Run(ctx)
+		done <- err
+	}()
+	merged, err := c.Wait(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+
+	var buf bytes.Buffer
+	if err := wire.WriteGob(&buf, merged); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(buf.Bytes(), want) {
+		t.Fatalf("sweep with reused testbeds differs from unsharded run (%d vs %d bytes)", buf.Len(), len(want))
+	}
+	_, labeled := scrapeURL(t, &http.Client{Transport: loopbackTransport{h: c.Handler()}}, "http://loopback")
+	built := labeled["turbulence_dispatch_worker_testbeds_built_total"][`worker="solo"`]
+	reused := labeled["turbulence_dispatch_worker_testbeds_reused_total"][`worker="solo"`]
+	if built != 2 || reused != float64(plan.Size()-2) {
+		t.Fatalf("worker built %v testbeds and reused %v over %d one-cell leases, want 2 built (one per shape) and %d reused",
+			built, reused, plan.Size(), plan.Size()-2)
+	}
+}
+
 // TestLeaseExpiryAndLateCompletion pins the lease lifecycle corner cases:
 // expired leases requeue their shard, a late completion on an expired
 // lease is still accepted when the shard is open (work is not wasted), a

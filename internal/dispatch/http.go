@@ -248,11 +248,10 @@ func (cl *Client) Retries() uint64 { return cl.retries.Load() }
 
 // NewClient builds a client for a coordinator at base ("http://host:port";
 // a bare "host:port" gets the scheme prepended). Relevant options:
-// WithRetry, WithMaxAttempts, WithRetryBudget, WithRequestTimeout,
-// WithTransport, WithLogf.
+// WithRetry, WithMaxAttempts, WithRetryBudget, WithTransport, WithLogf.
 func NewClient(base string, opts ...Option) *Client {
 	cfg := newConfig(opts)
-	hc := &http.Client{Timeout: cfg.RequestTimeout, Transport: cfg.Transport}
+	hc := &http.Client{Timeout: requestTimeout, Transport: cfg.Transport}
 	return &Client{base: NormalizeBase(base), hc: hc, cfg: cfg}
 }
 
@@ -476,7 +475,7 @@ func ServeListener(ctx context.Context, ln net.Listener, plan *core.Plan, opts .
 		// are finishing a shard right now — keep accepting completions
 		// until the outstanding leases resolve (or the grace runs out),
 		// then re-merge so those landed shards make it into the output.
-		deadline := time.Now().Add(c.cfg.DrainGrace)
+		deadline := time.Now().Add(drainGrace)
 		for time.Now().Before(deadline) {
 			if _, leased, _ := c.Counts(); leased == 0 {
 				break

@@ -339,6 +339,45 @@ func TestCheckpointRefusesBitFlips(t *testing.T) {
 	}
 }
 
+// TestCheckpointRefusesLengthFlipBeforeLastFrame flips bit 0 of the first
+// completion frame's length, with a second completion behind it: the
+// grown length overruns the file, but a whole body that checks out sits
+// in the bytes left, which a crash mid-append cannot leave. Resume must
+// refuse rather than read it as a torn tail and trim the finished shards
+// behind it away.
+func TestCheckpointRefusesLengthFlipBeforeLastFrame(t *testing.T) {
+	plan := testPlan(t)
+	ckpt := filepath.Join(t.TempDir(), "sweep.ckpt")
+	c1, err := New(plan, WithShards(3), WithCheckpoint(ckpt))
+	if err != nil {
+		t.Fatal(err)
+	}
+	completeShards(t, c1, plan, 2)
+	c1.Close()
+	raw, err := os.ReadFile(ckpt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	first := 8 + int(binary.BigEndian.Uint32(raw)) // past the header frame
+	raw[first] ^= 0x01
+	if err := os.WriteFile(ckpt, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	if c, err := New(plan, WithShards(3), WithCheckpoint(ckpt)); err == nil {
+		_, _, done := c.Counts()
+		c.Close()
+		t.Fatalf("length flip before the last frame resumed with %d shards done, want refusal", done)
+	}
+	st, err := os.Stat(ckpt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Size() != int64(len(raw)) {
+		t.Fatalf("refused checkpoint shrank from %d to %d bytes", len(raw), st.Size())
+	}
+}
+
 // TestCheckpointRefusesDuplicateCell pins replay's use of the collector's
 // validator: a completion frame whose batch has the right count but
 // repeats a cell Index is corruption, refused at resume rather than

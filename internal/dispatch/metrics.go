@@ -58,7 +58,7 @@ type coordMetrics struct {
 // newCoordMetrics registers the dispatcher metric set. The gauges close
 // over c and read its fields directly — see the locking note on
 // coordMetrics.
-func newCoordMetrics(c *Coordinator, ringSize int) *coordMetrics {
+func newCoordMetrics(c *Coordinator) *coordMetrics {
 	reg := obs.NewRegistry()
 	reg.SetSnapshotLock(func() func() {
 		c.mu.Lock()
@@ -66,7 +66,7 @@ func newCoordMetrics(c *Coordinator, ringSize int) *coordMetrics {
 	})
 	m := &coordMetrics{
 		reg:  reg,
-		ring: obs.NewRing(ringSize),
+		ring: obs.NewRing(eventRing),
 
 		granted:   reg.Counter("turbulence_dispatch_leases_granted_total", "Shard leases handed to workers."),
 		renewed:   reg.Counter("turbulence_dispatch_leases_renewed_total", "Successful lease renewals (heartbeats)."),

@@ -30,19 +30,34 @@ type RetryCounter interface {
 }
 
 // Worker is the dumb half of the dispatcher: pull a lease, run the shard,
-// ship the results, repeat until the coordinator says Done. It holds no
-// state between shards — everything it needs to execute arrives in the
-// lease grant — which is what makes workers interchangeable and safe to
-// kill.
+// ship the results, repeat until the coordinator says Done. Everything it
+// needs to execute arrives in the lease grant — which is what makes
+// workers interchangeable and safe to kill. The one thing it keeps between
+// shards is its Runner's pool of testbeds, built once per shape for the
+// worker's life and re-armed by Reset for every cell, which never changes
+// a result.
 type Worker struct {
-	q   Queue
-	cfg Config
+	q      Queue
+	cfg    Config
+	runner *core.Runner
 }
 
 // NewWorker builds a worker pulling from q. Relevant options: WithName,
-// WithRunWorkers, WithRetry, WithHeartbeat, WithRunContext, WithLogf.
+// WithRunWorkers, WithRetry, WithHeartbeat, WithRunContext, WithLogf,
+// WithResultStore.
 func NewWorker(q Queue, opts ...Option) *Worker {
-	return &Worker{q: q, cfg: newConfig(opts)}
+	cfg := newConfig(opts)
+	runnerOpts := []core.RunnerOption{
+		core.WithWorkers(cfg.RunWorkers),
+		core.WithTraceRetention(core.StreamProfiles),
+	}
+	if cfg.Store != nil {
+		// Local read-through cache: cells this worker (or a co-located
+		// sweep) has already simulated are served from disk even when the
+		// coordinator is remote and has no store of its own.
+		runnerOpts = append(runnerOpts, core.WithResultStore(cfg.Store))
+	}
+	return &Worker{q: q, cfg: cfg, runner: core.NewRunner(runnerOpts...)}
 }
 
 // Run pulls and executes shards until the coordinator reports Done,
@@ -181,22 +196,15 @@ func (w *Worker) runShard(grant wire.LeaseGrant) (runs []wire.Run, orphaned bool
 	var renewals atomic.Int64
 	stopHeartbeat := w.heartbeat(grant, &lost, cancelRun, &renewals)
 
-	runnerOpts := []core.RunnerOption{
-		core.WithWorkers(w.cfg.RunWorkers),
-		core.WithContext(runCtx),
-		core.WithTraceRetention(core.StreamProfiles),
-		core.WithSweepStats(func(sw core.SweepStats) {
-			stats.TestbedsBuilt = sw.TestbedsBuilt
-			stats.TestbedsReused = sw.TestbedsReused
-		}),
-	}
-	if w.cfg.Store != nil {
-		// Local read-through cache: cells this worker (or a co-located
-		// sweep) has already simulated are served from disk even when the
-		// coordinator is remote and has no store of its own.
-		runnerOpts = append(runnerOpts, core.WithResultStore(w.cfg.Store))
-	}
-	runner := core.NewRunner(runnerOpts...)
+	// The lease's Runner is a shallow copy of the worker's, so it shares
+	// the worker's testbed pool; only the context and the stats hook are
+	// the lease's own.
+	runner := *w.runner
+	core.WithContext(runCtx)(&runner)
+	core.WithSweepStats(func(sw core.SweepStats) {
+		stats.TestbedsBuilt = sw.TestbedsBuilt
+		stats.TestbedsReused = sw.TestbedsReused
+	})(&runner)
 	// A cell error is a result, not a transport failure: the batch ships
 	// with the Err run inside (fail-fast leaves it short, which the
 	// coordinator accepts exactly because the error explains the gap), so

@@ -20,9 +20,9 @@ func NewRNG(seed int64) *RNG {
 
 // Reseed rewinds the generator to the deterministic stream for seed, as if
 // freshly constructed by NewRNG(seed), without allocating. This is the RNG
-// half of testbed reuse: a Reset(seed) replays the exact construction-time
-// Split sequence a fresh build would perform, so child streams come out
-// identical.
+// half of testbed reuse: every Reset(seed) reseeds the root and re-splits
+// the child streams in the same order, so they come out identical run
+// after run.
 func (g *RNG) Reseed(seed int64) { g.r.Seed(seed) }
 
 // Split derives an independent child stream labelled by name. The child's
@@ -35,9 +35,8 @@ func (g *RNG) Split(name string) *RNG {
 // SplitInto is Split reusing an existing child generator: the parent
 // advances by the same single draw, and child is rewound to exactly the
 // stream Split(name) would have returned — without allocating a source
-// (math/rand sources are ~5 KB each, which matters on the testbed-reuse
-// Reset paths that replay construction splits every run). A nil child
-// falls back to Split.
+// (math/rand sources are ~5 KB each, which matters on the testbed Reset
+// paths that re-split every run). A nil child falls back to Split.
 func (g *RNG) SplitInto(name string, child *RNG) *RNG {
 	seed := g.splitSeed(name)
 	if child == nil {

@@ -91,11 +91,12 @@ func (s *Scanner) Next(v any) error {
 	if left := s.size - s.n; n > left {
 		// Rejected before allocating, so a garbage prefix cannot cost up
 		// to 4 GiB. A real tear holds only part of the body it promises,
-		// so the bytes left cannot match the checksum; when they do, the
-		// body is whole and its length prefix is what was damaged.
-		crc := crc32.NewIEEE()
-		if _, err := io.CopyN(crc, s.r, left); err == nil && crc.Sum32() == sum {
-			return fmt.Errorf("%w: length prefix %d overruns a whole %d-byte body", ErrCorrupt, n, left)
+		// and nothing after it, so no prefix of the bytes left can match
+		// the checksum; when one does, the body is whole — possibly with
+		// later frames behind it — and its length prefix is what was
+		// damaged.
+		if k, ok := s.checksumPrefix(left, sum); ok {
+			return fmt.Errorf("%w: length prefix %d overruns a whole %d-byte body", ErrCorrupt, n, k)
 		}
 		return fmt.Errorf("%w: body of %d bytes, %d left", ErrTorn, n, left)
 	}
@@ -111,6 +112,29 @@ func (s *Scanner) Next(v any) error {
 	}
 	s.end = s.n
 	return nil
+}
+
+// checksumPrefix reads the left bytes that remain and reports the length
+// of the first non-empty prefix of them whose CRC32-IEEE is sum. It steps
+// the table-driven CRC a byte at a time, so every prefix is checked, and
+// streams through a fixed buffer.
+func (s *Scanner) checksumPrefix(left int64, sum uint32) (int64, bool) {
+	var buf [4096]byte
+	crc := ^uint32(0) // the running CRC register, before the final inversion
+	for k := int64(0); k < left; {
+		m := min(int64(len(buf)), left-k)
+		if err := s.read(buf[:m]); err != nil {
+			return 0, false
+		}
+		for _, b := range buf[:m] {
+			crc = crc32.IEEETable[byte(crc)^b] ^ crc>>8
+			k++
+			if ^crc == sum {
+				return k, true
+			}
+		}
+	}
+	return 0, false
 }
 
 func (s *Scanner) read(p []byte) error {

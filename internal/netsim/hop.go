@@ -94,18 +94,19 @@ type hopState struct {
 	TTLExpired  uint64
 }
 
-// newHopState instantiates one unidirectional hop, building private netem
-// model instances from the spec's impairment factories.
+// newHopState instantiates one unidirectional hop; its reset builds the
+// hop's private netem model instances from the spec's impairment
+// factories.
 func newHopState(spec HopSpec) *hopState {
 	h := &hopState{spec: spec}
-	h.models = spec.Impair.Build(spec.Bandwidth, h.queueCap())
+	h.reset()
 	return h
 }
 
-// reset rewinds the hop to its just-connected state: queue and FIFO state,
-// cross-traffic integration, and counters zero, and the netem models are
-// rebuilt from the spec's factories — byte-identical to construction, and
-// allocation-free for unimpaired hops (a zero Impairment builds no models).
+// reset arms the hop for a run: queue and FIFO state, cross-traffic
+// integration, and counters zero, and the netem models are rebuilt from
+// the spec's factories — allocation-free for unimpaired hops (a zero
+// Impairment builds no models).
 func (h *hopState) reset() {
 	h.models = h.spec.Impair.Build(h.spec.Bandwidth, h.queueCap())
 	h.busyUntil = 0

@@ -74,16 +74,17 @@ type Host struct {
 }
 
 func newHost(n *Network, addr inet.Addr) *Host {
-	return &Host{
+	h := &Host{
 		net:         n,
 		addr:        addr,
-		mtu:         inet.DefaultMTU,
 		reasm:       inet.NewReassemblerPooled(&n.pool),
 		udpHandlers: make(map[inet.Port]UDPHandler),
 	}
+	h.reset()
+	return h
 }
 
-// reset restores the host to its just-created state without reallocating:
+// reset arms the host for a run without reallocating (newHost ends in it):
 // port bindings, taps, counters, the IP ID sequence, and half-reassembled
 // fragments all clear, while the handler map and reassembler keep their
 // backing storage (and stale fragments release their pooled wire buffers).

@@ -77,15 +77,17 @@ func deliverStep(now eventsim.Time, arg any) {
 
 type route struct{ src, dst inet.Addr }
 
-// New creates an empty network with a deterministic RNG.
+// New creates an empty network with a deterministic RNG, armed for seed
+// by Reset.
 func New(seed int64) *Network {
 	n := &Network{
 		Sched: eventsim.NewScheduler(),
-		rng:   eventsim.NewRNG(seed),
+		rng:   eventsim.NewRNG(0),
 		hosts: make(map[inet.Addr]*Host),
 		paths: make(map[route]*Path),
 	}
 	n.drainFn = n.drainEvent
+	n.Reset(seed)
 	return n
 }
 
@@ -103,13 +105,14 @@ func (n *Network) drainEvent(_ string, arg any) {
 	n.releaseTransit(t)
 }
 
-// Reset restores the network to its post-New state for the given seed
-// without reallocating: the scheduler drains (in-flight datagrams return
-// to the wire-buffer pool), the root RNG reseeds, and every host and hop
-// rewinds to its just-connected state. Topology is retained — Reset
-// rewinds state, it does not rewire hosts or paths — which is what lets a
-// testbed built once serve every cell of a sweep. Host and hop resets draw
-// nothing from the RNG, so map iteration order does not affect determinism.
+// Reset arms the network for the given seed without reallocating: the
+// scheduler drains (in-flight datagrams return to the wire-buffer pool),
+// the root RNG reseeds, and every host and hop rewinds to its
+// just-connected state. New ends in Reset, so a reset network is a new
+// one. Topology is retained — Reset rewinds state, it does not rewire
+// hosts or paths — which is what lets a testbed built once serve every
+// cell of a sweep. Host and hop resets draw nothing from the RNG, so map
+// iteration order does not affect determinism.
 func (n *Network) Reset(seed int64) {
 	n.Sched.Reset(n.drainFn)
 	n.rng.Reseed(seed)

@@ -192,28 +192,26 @@ func (p *PacketPool) put(buf []byte) { p.bufs = append(p.bufs, buf) }
 // Len reports how many buffers are free.
 func (p *PacketPool) Len() int { return len(p.bufs) }
 
-// NewServer attaches a RealServer to any transport (simulated or live).
-// The server owns its packet-buffer list until UsePacketPool shares one.
+// NewServer attaches a RealServer to any transport (simulated or live),
+// armed by Reset. The server owns its packet-buffer list until
+// UsePacketPool shares one.
 func NewServer(t transport.Transport) *Server {
 	s := &Server{
 		host:     t,
-		rng:      t.RNG("rdt.server"),
 		clips:    make(map[string]media.Clip),
 		sessions: make(map[inet.Endpoint]*session),
 		req:      Request{Headers: make(map[string]string)},
 		pkts:     &PacketPool{},
 	}
 	s.ctrlFn = s.onControl
-	t.BindUDP(inet.PortRTSPCtl, s.ctrlFn)
+	s.Reset()
 	return s
 }
 
-// Reset restores the server to its post-NewServer state: sessions clear,
-// ablation switches revert, counters zero, and the control port rebinds.
-// The server RNG re-splits from the transport's (already reseeded) root —
-// the same construction-time draw a fresh build performs, in the same
-// order, which is what keeps reused runs byte-identical to fresh ones.
-// Registered clips are retained.
+// Reset arms the server for a run (NewServer ends in it): sessions clear,
+// ablation switches revert, counters zero, the server RNG splits from the
+// transport's root, and the control port binds. Registered clips are
+// retained.
 func (s *Server) Reset() {
 	for _, sess := range s.sessions {
 		sess.done = true

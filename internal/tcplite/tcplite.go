@@ -61,24 +61,23 @@ type connKey struct {
 	remote inet.Endpoint
 }
 
-// NewStack attaches a TCP stack to any transport (simulated or live).
+// NewStack attaches a TCP stack to any transport (simulated or live),
+// armed by Reset.
 func NewStack(t transport.Transport) *Stack {
 	s := &Stack{
-		host:          t,
-		listeners:     make(map[inet.Port]*Listener),
-		conns:         make(map[connKey]*Conn),
-		nextEphemeral: 49152,
+		host:      t,
+		listeners: make(map[inet.Port]*Listener),
+		conns:     make(map[connKey]*Conn),
 	}
 	s.segFn = s.onSegment
-	t.OnTCP(s.segFn)
+	s.Reset()
 	return s
 }
 
-// Reset restores the stack to its post-NewStack state without
-// reallocating: listeners and connections clear (their retransmission
-// timers were already drained by the owning scheduler's reset), the
-// ephemeral port sequence rewinds, and the segment consumer rebinds on the
-// freshly reset transport.
+// Reset arms the stack for a run without reallocating (NewStack ends in
+// it): listeners and connections clear (their retransmission timers were
+// already drained by the owning scheduler's reset), the ephemeral port
+// sequence rewinds, and the segment consumer binds on the transport.
 func (s *Stack) Reset() {
 	clear(s.listeners)
 	clear(s.conns)

@@ -518,10 +518,8 @@ func (t *Live) Ticker(interval time.Duration, name string, fn func(now eventsim.
 // Cancel revokes a pending timer.
 func (t *Live) Cancel(tm eventsim.Timer) { t.sched.Cancel(tm) }
 
-// RNG derives the labelled stream from the transport's seeded root.
-func (t *Live) RNG(label string) *eventsim.RNG { return t.rng.Split(label) }
-
-// RNGInto is RNG rewinding child in place; see Transport.
+// RNGInto derives the labelled stream from the transport's seeded root
+// into child; see Transport.
 func (t *Live) RNGInto(label string, child *eventsim.RNG) *eventsim.RNG {
 	return t.rng.SplitInto(label, child)
 }

@@ -70,13 +70,8 @@ func (s *Sim) Ticker(interval time.Duration, name string, fn func(now eventsim.T
 // Cancel revokes a pending timer.
 func (s *Sim) Cancel(t eventsim.Timer) { s.h.Network().Sched.Cancel(t) }
 
-// RNG splits the labelled stream off the network's root RNG — the same
-// call (and therefore the same draws) the stacks made directly.
-func (s *Sim) RNG(label string) *eventsim.RNG { return s.h.Network().RNG().Split(label) }
-
-// RNGInto is RNG rewinding child in place (same draws, no source
-// allocation); the stacks' Reset paths use it to replay construction
-// splits on reused testbeds.
+// RNGInto splits the labelled stream off the network's root RNG into
+// child; see Transport.
 func (s *Sim) RNGInto(label string, child *eventsim.RNG) *eventsim.RNG {
 	return s.h.Network().RNG().SplitInto(label, child)
 }

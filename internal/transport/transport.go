@@ -77,14 +77,10 @@ type Transport interface {
 	Ticker(interval time.Duration, name string, fn func(now eventsim.Time) bool) (stop func())
 	Cancel(t eventsim.Timer)
 
-	// RNG derives the labelled deterministic stream for a protocol
-	// component (Sim: the network root RNG's Split; Live: a private
-	// seeded root's Split).
-	RNG(label string) *eventsim.RNG
-
-	// RNGInto is RNG rewinding an existing generator in place instead of
-	// allocating a new source — the stacks' Reset paths replay their
-	// construction-time splits through it so reused testbeds stay
-	// allocation-free. Identical draws to RNG; nil child allocates.
+	// RNGInto derives the labelled deterministic stream for a protocol
+	// component (Sim: a split of the network root RNG; Live: a split of
+	// a private seeded root), rewinding child in place instead of
+	// allocating a new source, so a stack's Reset re-arms its stream
+	// allocation-free. A nil child allocates.
 	RNGInto(label string, child *eventsim.RNG) *eventsim.RNG
 }

@@ -83,7 +83,7 @@ type session struct {
 }
 
 // NewServer attaches a WMS server to any transport (simulated or live),
-// listening on the MMS control port.
+// listening on the MMS control port once Reset arms it.
 func NewServer(t transport.Transport) *Server {
 	s := &Server{
 		host:     t,
@@ -91,16 +91,16 @@ func NewServer(t transport.Transport) *Server {
 		sessions: make(map[inet.Endpoint]*session),
 	}
 	s.ctrlFn = s.onControl
-	t.BindUDP(inet.PortMMSCtl, s.ctrlFn)
+	s.Reset()
 	return s
 }
 
-// Reset restores the server to its post-NewServer state without
-// reallocating: sessions clear (their pending timers were already drained
-// by the owning scheduler's reset), the ablation switches revert, counters
-// zero, and the control port rebinds on the freshly reset transport.
-// Registered clips are retained — registration is part of construction and
-// identical across runs.
+// Reset arms the server for a run without reallocating (NewServer ends in
+// it): sessions clear (their pending timers were already drained by the
+// owning scheduler's reset), the ablation switches revert, counters zero,
+// and the control port binds on the transport. Registered clips are
+// retained — registration is part of construction and identical across
+// runs.
 func (s *Server) Reset() {
 	clear(s.sessions)
 	s.unitCap = 0

@@ -409,10 +409,6 @@ func WithMaxShardFailures(n int) DispatchOption { return dispatch.WithMaxShardFa
 // opt-in for operators who need them.
 func WithDispatchPprof(on bool) DispatchOption { return dispatch.WithPprof(on) }
 
-// WithDispatchEventRing sizes the coordinator's shard-lifecycle event
-// ring behind GET /events (default 1024; oldest events are overwritten).
-func WithDispatchEventRing(n int) DispatchOption { return dispatch.WithEventRing(n) }
-
 // WithDispatchResultStore installs a result store on the dispatcher. On a
 // coordinator it is consulted once at plan-carve time — fully-cached
 // shards are journalled done and never leased, partially-cached shards
