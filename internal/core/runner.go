@@ -1,9 +1,11 @@
 package core
 
 import (
+	"cmp"
 	"context"
 	"iter"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -177,8 +179,10 @@ type ResultStore interface {
 type RunnerOption func(*Runner)
 
 // WithWorkers sets the worker-pool size for independent cells: 1 runs
-// sequentially on the calling goroutine, 0 uses GOMAXPROCS. Because every
-// cell's seed comes from Plan.Seed regardless of which worker executes it,
+// sequentially on the calling goroutine, in canonical order; 0 uses
+// GOMAXPROCS. A parallel pool starts the costliest cells first (see
+// execute), so the workers finish together. Because every cell's seed
+// comes from Plan.Seed regardless of which worker executes it or when,
 // results are byte-identical for any value; only wall-clock time changes.
 func WithWorkers(n int) RunnerOption {
 	return func(r *Runner) {
@@ -270,15 +274,51 @@ func (p *Plan) cells() []cell {
 	return out
 }
 
+// pairCost predicts a cell's simulation cost from its pair alone: the
+// kilobits its two Table 1 clips stream, encoded rate × duration. Events
+// per cell grow with the packets sent, so this ranks the costly cells,
+// which decide when a parallel sweep ends, as their wall times rank
+// (6/very-high streams 30% of a sweep's kilobits and takes 30% of its
+// time); only cells under 20 ms swap places. A pair outside Table 1
+// costs 0; its cell fails as soon as it starts.
+func pairCost(k PairKey) float64 {
+	p, ok := media.FindPair(k.Set, k.Class)
+	if !ok {
+		return 0
+	}
+	return p.Real.EncodedKbps*p.Real.Duration.Seconds() +
+		p.WindowsMedia.EncodedKbps*p.WindowsMedia.Duration.Seconds()
+}
+
+// longestFirst returns the order a parallel sweep starts its cells in:
+// indexes into cells by descending pairCost, ties (one pair under several
+// scenarios or variants) in canonical order. This is Graham's
+// longest-processing-time-first rule: a long cell started last would
+// leave every other worker idle while it finishes alone.
+func longestFirst(cells []cell) []int {
+	cost := make([]float64, len(cells))
+	order := make([]int, len(cells))
+	for i, c := range cells {
+		cost[i] = pairCost(c.key.Pair)
+		order[i] = i
+	}
+	slices.SortStableFunc(order, func(a, b int) int { return cmp.Compare(cost[b], cost[a]) })
+	return order
+}
+
 // execute runs every cell on the worker pool, delivering each completed
-// cell to emit exactly once. The progress callback is serialised
-// under a mutex; emit is NOT — it may be invoked from several workers at
-// once (and, for streaming, may block on the consumer without stalling the
-// other workers), so collectors must do their own locking. emit returning
-// false stops delivery. A cell error stops further cells from starting
-// (fail-fast; in-flight cells still finish and are delivered). Cells that
-// never started, or that were interrupted mid-simulation by cancellation,
-// are not emitted — completed work only.
+// cell to emit exactly once. A sequential pool (workers <= 1) runs the
+// cells in the order given, canonical for a Plan; a parallel pool starts
+// them in longestFirst order. Output does not depend on the order: each
+// cell is seeded by its key and runs on a freshly Reset testbed. The
+// progress callback is serialised under a mutex; emit is NOT — it may be
+// invoked from several workers at once (and, for streaming, may block on
+// the consumer without stalling the other workers), so collectors must do
+// their own locking. emit returning false stops delivery. A cell error
+// stops further cells from starting (fail-fast; in-flight cells still
+// finish and are delivered). Cells that never started, or that were
+// interrupted mid-simulation by cancellation, are not emitted — completed
+// work only.
 func (r *Runner) execute(cells []cell, emit func(RunResult) bool) {
 	ctx := r.ctx
 	workers := r.workers
@@ -381,6 +421,7 @@ func (r *Runner) execute(cells []cell, emit func(RunResult) bool) {
 		}
 		return
 	}
+	order := longestFirst(cells)
 	var next atomic.Int64
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
@@ -389,10 +430,10 @@ func (r *Runner) execute(cells []cell, emit func(RunResult) bool) {
 			defer wg.Done()
 			for {
 				i := int(next.Add(1)) - 1
-				if i >= len(cells) {
+				if i >= len(order) {
 					return
 				}
-				if !runCell(cells[i], t) {
+				if !runCell(cells[order[i]], t) {
 					return
 				}
 			}
@@ -453,9 +494,11 @@ func (r *Runner) RunPair(seed int64, set int, class media.Class, opts Options) (
 }
 
 // Seq executes the plan as a range-over-func iterator: results arrive in
-// completion order, and the loop body is the backpressure — at most one
-// finished cell per worker is in flight, so huge sweeps never hold all
-// traces at once (pair with StreamProfiles to hold no trace at all).
+// completion order, which is canonical order with one worker; with more,
+// the costliest cells start first (see execute). The loop body is the
+// backpressure — at most one finished cell per worker is in flight, so
+// huge sweeps never hold all traces at once (pair with StreamProfiles to
+// hold no trace at all).
 // Breaking out of the loop cancels the remaining work and returns once
 // in-flight cells wind down; so does cancelling the Runner's context.
 func (r *Runner) Seq(p *Plan) iter.Seq[RunResult] {

@@ -77,8 +77,7 @@ type SimCounters struct {
 
 // Clips returns the pair's clips (Real, WindowsMedia).
 func (r *PairRun) Clips() (media.Clip, media.Clip) {
-	set, _ := media.FindSet(r.Set)
-	p := set.Pairs[r.Class]
+	p, _ := media.FindPair(r.Set, r.Class)
 	return p.Real, p.WindowsMedia
 }
 
@@ -138,13 +137,9 @@ type Options struct {
 // and the pooled analysis scratch. The run's bytes are identical either
 // way: reuse is pinned equal to construction.
 func runPair(ctx context.Context, seed int64, set int, class media.Class, opts Options, retention TraceRetention, sink *obs.Sink, cache *TestbedCache) (*PairRun, *Comparison, error) {
-	clipSet, ok := media.FindSet(set)
+	pair, ok := media.FindPair(set, class)
 	if !ok {
-		return nil, nil, fmt.Errorf("core: unknown data set %d", set)
-	}
-	pair, ok := clipSet.Pairs[class]
-	if !ok {
-		return nil, nil, fmt.Errorf("core: set %d has no %v pair", set, class)
+		return nil, nil, fmt.Errorf("core: Table 1 has no set %d / %v pair", set, class)
 	}
 	tb := cache.Get(seed, set, opts)
 	site := tb.Site(set)
@@ -223,9 +218,10 @@ func runPair(ctx context.Context, seed int64, set int, class media.Class, opts O
 
 	// Post-run ping, fired once both players finish.
 	var pingAfter *probe.Pinger
-	horizon := checksLead + clipSet.Duration + 3*time.Minute + opts.Scenario.Slack()
+	dur := pair.Real.Duration // both clips of a set run the same length
+	horizon := checksLead + dur + 3*time.Minute + opts.Scenario.Slack()
 	if opts.Sequential {
-		horizon += clipSet.Duration + 3*time.Minute
+		horizon += dur + 3*time.Minute
 	}
 	stopWatch := tb.Net.Sched.Ticker(time.Second, "session.watch", func(now eventsim.Time) bool {
 		if wmpDone && realDone && pingAfter == nil {

@@ -243,12 +243,12 @@ func (sh testbedShape) options() []TestbedOption {
 }
 
 // TestbedCache reuses testbeds across the runs of one worker. The first
-// run of each shape builds a testbed; every run, that one included,
-// Resets it to the run's seed, so no cell reconstructs the whole
-// apparatus, which removes the dominant allocation cost of a sweep
-// (building six sites' paths, hosts and stacks per cell). A cache is
-// single-goroutine, like the runs it serves: the Runner creates one per
-// worker.
+// run of each shape builds a testbed, armed for its seed by NewTestbed;
+// every later run Resets it to the run's seed, so no cell reconstructs
+// the whole apparatus, which removes the dominant allocation cost of a
+// sweep (building six sites' paths, hosts and stacks per cell). A cache
+// is single-goroutine, like the runs it serves: the Runner creates one
+// per worker.
 //
 // The cache also owns the worker's online-analysis scratch (the capture
 // flow demux and RetainFlows' two flow recorders) and one RealServer
@@ -271,21 +271,22 @@ func NewTestbedCache() *TestbedCache {
 }
 
 // Get returns the cache's testbed for the run's shape, built on the
-// shape's first run, reset to seed.
+// shape's first run, reset to seed exactly once: a cached testbed by
+// Reset, a new one by NewTestbed's own Reset (UsePacketPool only moves
+// free buffers, which arms nothing).
 func (c *TestbedCache) Get(seed int64, set int, opts Options) *Testbed {
 	sh := shapeFor(set, opts)
-	tb, ok := c.tbs[sh]
-	if ok {
+	if tb, ok := c.tbs[sh]; ok {
 		c.reused++
-	} else {
-		tb = NewTestbed(seed, sh.options()...)
-		for _, site := range tb.Sites {
-			site.RDT.UsePacketPool(c.pkts)
-		}
-		c.built++
-		c.tbs[sh] = tb
+		tb.Reset(seed)
+		return tb
 	}
-	tb.Reset(seed)
+	tb := NewTestbed(seed, sh.options()...)
+	for _, site := range tb.Sites {
+		site.RDT.UsePacketPool(c.pkts)
+	}
+	c.built++
+	c.tbs[sh] = tb
 	return tb
 }
 

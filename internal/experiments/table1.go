@@ -25,15 +25,15 @@ func table1(ctx *Context) (*Result, error) {
 		return nil, err
 	}
 	for _, run := range runs {
-		set, _ := media.FindSet(run.Set)
+		clip, _ := media.FindClip(run.Set, media.Real, run.Class)
 		label := fmt.Sprintf("R-%s/M-%s", run.Class.Suffix(), run.Class.Suffix())
 		rates := fmt.Sprintf("%.1f/%.1f", run.Real.EncodedKbps(), run.WMP.EncodedKbps())
 		res.Rows = append(res.Rows, []string{
 			fmt.Sprintf("%d", run.Set),
 			label,
 			rates,
-			set.Content.String(),
-			fmt.Sprintf("%d:%02d", int(set.Duration.Minutes()), int(set.Duration.Seconds())%60),
+			clip.Content.String(),
+			fmt.Sprintf("%d:%02d", int(clip.Duration.Minutes()), int(clip.Duration.Seconds())%60),
 		})
 	}
 	// The paper's §3.B observation about Table 1.

@@ -90,32 +90,35 @@ func Library() []ClipSet {
 	}
 }
 
+// table is Table 1 built once, the source of every lookup below. Its maps
+// never leave the package: FindPair and FindClip return values, AllClips
+// copies the clips out, and Library builds a fresh table for each caller.
+var table = Library()
+
 // AllClips flattens the library into its 26 clips.
 func AllClips() []Clip {
 	var out []Clip
-	for _, s := range Library() {
+	for _, s := range table {
 		out = append(out, s.Clips()...)
 	}
 	return out
 }
 
-// FindSet returns the library set with the given number, or a zero set.
-func FindSet(set int) (ClipSet, bool) {
-	for _, s := range Library() {
-		if s.Set == set {
-			return s, true
+// FindPair returns the (Real, WindowsMedia) clip pair of a set and class,
+// or false when the library holds no such pair. It allocates nothing.
+func FindPair(set int, class Class) (Pair, bool) {
+	for i := range table {
+		if table[i].Set == set {
+			p, ok := table[i].Pairs[class]
+			return p, ok
 		}
 	}
-	return ClipSet{}, false
+	return Pair{}, false
 }
 
 // FindClip locates a clip by set, format and class.
 func FindClip(set int, f Format, class Class) (Clip, bool) {
-	s, ok := FindSet(set)
-	if !ok {
-		return Clip{}, false
-	}
-	p, ok := s.Pairs[class]
+	p, ok := FindPair(set, class)
 	if !ok {
 		return Clip{}, false
 	}

@@ -4,6 +4,8 @@ import (
 	"math"
 	"testing"
 	"time"
+
+	"turbulence/internal/racecheck"
 )
 
 func TestLibraryMatchesTable1(t *testing.T) {
@@ -76,9 +78,9 @@ func TestDurationsMatchTable1(t *testing.T) {
 		6: 2*time.Minute + 27*time.Second,
 	}
 	for set, want := range wants {
-		s, ok := FindSet(set)
-		if !ok || s.Duration != want {
-			t.Fatalf("set %d duration=%v, want %v", set, s.Duration, want)
+		p, ok := FindPair(set, Low)
+		if !ok || p.Real.Duration != want || p.WindowsMedia.Duration != want {
+			t.Fatalf("set %d durations=%v/%v, want %v", set, p.Real.Duration, p.WindowsMedia.Duration, want)
 		}
 	}
 	// Every duration is within the paper's 30 s - 5 min selection rule.
@@ -208,14 +210,48 @@ func TestNamesAndStrings(t *testing.T) {
 }
 
 func TestFindMisses(t *testing.T) {
-	if _, ok := FindSet(99); ok {
-		t.Fatal("found ghost set")
+	if _, ok := FindPair(99, Low); ok {
+		t.Fatal("found ghost pair")
 	}
 	if _, ok := FindClip(99, Real, Low); ok {
 		t.Fatal("found ghost clip")
 	}
 	if _, ok := FindClip(1, Real, VeryHigh); ok {
 		t.Fatal("set 1 has no very-high pair")
+	}
+}
+
+// TestLookupsAllocFree pins that pair and clip lookups read the Table 1
+// built once at package init instead of rebuilding the library per call:
+// the Runner looks a pair up for every cell it orders and runs.
+func TestLookupsAllocFree(t *testing.T) {
+	if racecheck.Enabled {
+		t.Skip("allocation pin: race instrumentation inflates counts")
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		if _, ok := FindPair(6, VeryHigh); !ok {
+			t.Fatal("6/very-high missing")
+		}
+		if _, ok := FindClip(1, WindowsMedia, Low); !ok {
+			t.Fatal("M-1l missing")
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("a pair and a clip lookup allocate %.0f objects, want 0", allocs)
+	}
+}
+
+// TestLibraryCopiesAreIsolated pins that no caller can edit the shared
+// lookup table through the library it is handed.
+func TestLibraryCopiesAreIsolated(t *testing.T) {
+	lib := Library()
+	delete(lib[0].Pairs, Low)
+	lib[5].Pairs[VeryHigh] = Pair{}
+	if _, ok := FindPair(1, Low); !ok {
+		t.Fatal("deleting from a Library copy removed 1/low from the lookups")
+	}
+	if p, _ := FindPair(6, VeryHigh); p.Real.EncodedKbps != 636.9 {
+		t.Fatalf("editing a Library copy changed 6/very-high to %+v", p)
 	}
 }
 

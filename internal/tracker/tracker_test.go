@@ -119,14 +119,13 @@ func TestSimultaneousTrackers(t *testing.T) {
 	// The paper's core methodology: identical content, both formats,
 	// streamed to one client at the same time.
 	n, c, wsrv, rsrv := testbed(t, 53)
-	set, _ := media.FindSet(5)
-	pair := set.Pairs[media.High]
+	pair, _ := media.FindPair(5, media.High)
 	wsrv.Register(pair.WindowsMedia.Name(), pair.WindowsMedia)
 	rsrv.Register(pair.Real.Name(), pair.Real)
 	var wr, rr *Report
 	StartMediaTracker(c, wsrv, pair.WindowsMedia.Name(), 4001, 4002, func(r *Report) { wr = r })
 	StartRealTracker(c, rsrv, pair.Real.Name(), 5001, 5002, func(r *Report) { rr = r })
-	n.Run(eventsim.At(set.Duration.Seconds() + 90))
+	n.Run(eventsim.At(pair.WindowsMedia.Duration.Seconds() + 90))
 	if wr == nil || rr == nil {
 		t.Fatal("trackers incomplete")
 	}

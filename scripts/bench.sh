@@ -22,6 +22,9 @@
 #   scripts/bench.sh figures    same for the flow-retention record at -cpu 2
 #                               (BENCH_figures.json; it also holds -cpu 1 and
 #                               the parent commit's numbers)
+#   scripts/bench.sh order      same for the longest-first cell-order record
+#                               at -cpu 2 (BENCH_order.json; it also holds
+#                               -cpu 1 and the parent commit's numbers)
 #
 # The tracked benchmarks run at the machine's GOMAXPROCS. To measure the
 # parallel sweep's scaling, rerun the headline benchmark at fixed counts:
@@ -63,6 +66,9 @@ heap)
     ;;
 figures)
     exec go run ./scripts/benchjson BENCH_figures.json
+    ;;
+order)
+    exec go run ./scripts/benchjson BENCH_order.json
     ;;
 smoke)
     exec go test -run=NONE -bench="$TRACKED" -benchmem -benchtime=1x -count=1 .

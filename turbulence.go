@@ -238,8 +238,9 @@ func NewPlan(baseSeed int64) *Plan { return core.NewPlan(baseSeed) }
 // with no cancellation.
 func NewRunner(opts ...RunnerOption) *Runner { return core.NewRunner(opts...) }
 
-// WithWorkers sets the Runner's worker-pool size (1 = sequential, 0 = all
-// cores). Output is byte-identical for any value; only wall-clock changes.
+// WithWorkers sets the Runner's worker-pool size (1 = sequential, in
+// canonical order; 0 = all cores, costliest cells started first). Output
+// is byte-identical for any value; only wall-clock changes.
 func WithWorkers(n int) RunnerOption { return core.WithWorkers(n) }
 
 // WithContext installs a cancellation context, checked before each run and
