@@ -515,7 +515,7 @@ func BenchmarkUDPBuildParse(b *testing.B) {
 				}
 				var whole *inet.Datagram
 				for _, f := range frags {
-					if whole, err = reasm.Add(f); err != nil {
+					if whole, err = reasm.Add(f, 0); err != nil {
 						b.Fatal(err)
 					}
 				}

@@ -188,3 +188,67 @@ func TestSharedPacketPoolBounded(t *testing.T) {
 		t.Fatalf("shared pool holds %d buffers after %d shapes, want one window (%d) to %d", n, len(scenarios), rdt.ResendWindow, bound)
 	}
 }
+
+// TestWireBuffersConserved pins that a worker's wire-buffer pool gets
+// every buffer back: after each cell, one per named scenario on one
+// cache, every WireBuf and Datagram struct the pool ever made is on its
+// free lists — fragment trains a lost fragment left half-built, and
+// trains the reassembly timeout abandoned mid-cell, included. A leak
+// leaves the free count short of the made count; a double put overshoots
+// it.
+func TestWireBuffersConserved(t *testing.T) {
+	ctx := context.Background()
+	cache := NewTestbedCache()
+	key := PairKey{Set: 2, Class: media.High}
+	var timeouts uint64
+	for _, sc := range netem.All() {
+		opts := Options{Scenario: sc}
+		if _, _, err := runPair(ctx, SeedFor(2002, key), key.Set, key.Class, opts, StreamProfiles, nil, cache); err != nil {
+			t.Fatalf("%s: %v", sc.Name, err)
+		}
+		timeouts += cache.tbs[shapeFor(key.Set, opts)].Client.ReassemblyTimeouts
+		c := cache.bufs.Census()
+		if c.Bufs == 0 || c.Datagrams == 0 {
+			t.Fatalf("%s: the cell drew nothing from the worker's pool (%+v)", sc.Name, c)
+		}
+		if c.FreeBufs != c.Bufs || c.FreeDatagrams != c.Datagrams {
+			t.Fatalf("%s: pool census %+v after the cell, want every buffer and datagram free", sc.Name, c)
+		}
+	}
+	if timeouts == 0 {
+		t.Fatal("no cell abandoned a train by timeout; the test no longer covers that path")
+	}
+}
+
+// TestSharedBufPoolBounded pins that the worker's wire-buffer pool does
+// not grow per shape: after the costliest cell of every data set over the
+// faithful testbed and every named scenario, the pool has made about one
+// cell's working set, because no testbed keeps half-built trains between
+// its cells and no train outlives the reassembly timeout within one. The
+// census is deterministic: 346 buffers and 884 datagram structs. Without
+// the end-of-cell release it reads 472 and 1,774; without the timeout,
+// 708 and 2,913; with neither, 2,633 and 10,410, nearly all pinned.
+func TestSharedBufPoolBounded(t *testing.T) {
+	if testing.Short() {
+		t.Skip("60 cells in -short mode")
+	}
+	ctx := context.Background()
+	cache := NewTestbedCache()
+	scenarios := append([]*netem.Scenario{nil}, netem.All()...)
+	for _, sc := range scenarios {
+		for _, set := range media.Library() {
+			classes := set.Classes()
+			class := classes[len(classes)-1]
+			seed := SeedFor(2002, PairKey{Set: set.Set, Class: class})
+			if _, _, err := runPair(ctx, seed, set.Set, class, Options{Scenario: sc}, StreamProfiles, nil, cache); err != nil {
+				t.Fatalf("%d/%v under %v: %v", set.Set, class, sc, err)
+			}
+		}
+	}
+	if cache.Built() != len(scenarios) {
+		t.Fatalf("cache built %d testbeds, want one per shape (%d)", cache.Built(), len(scenarios))
+	}
+	if c := cache.bufs.Census(); c.Bufs > 384 || c.Datagrams > 960 {
+		t.Fatalf("shared pool made %d buffers and %d datagrams over %d shapes, want at most 384 and 960", c.Bufs, c.Datagrams, len(scenarios))
+	}
+}

@@ -245,9 +245,11 @@ func runPair(ctx context.Context, seed int64, set int, class media.Class, opts O
 	}
 	// The event loop has fully drained — nothing can deliver to the
 	// players anymore — so their pooled assembly state can recycle for
-	// the next run.
+	// the next run, and so can the wire buffers of fragment trains that
+	// lost a fragment, on every host.
 	realTrk.Player().ReleaseResources()
 	wmpTrk.Player().ReleaseResources()
+	tb.Net.ReleaseFragments()
 
 	run.PingBefore = pingBefore.Report()
 	if pingAfter != nil {

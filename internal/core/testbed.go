@@ -251,16 +251,19 @@ func (sh testbedShape) options() []TestbedOption {
 // per worker.
 //
 // The cache also owns the worker's online-analysis scratch (the capture
-// flow demux and RetainFlows' two flow recorders) and one RealServer
-// packet-buffer pool that every RDT server of every testbed it builds
-// shares, pooled for the same reason: a testbed of a new shape streams
-// from the buffers the previous cell's sessions returned instead of
-// filling a resend window of fresh ones. Only one of the cache's
-// testbeds runs at a time, so the shared pool needs no lock.
+// flow demux and RetainFlows' two flow recorders) and two pools that every
+// testbed it builds shares: the wire-buffer pool (inet.BufPool) behind
+// every network's datagrams and reassembly, and the RealServer
+// packet-buffer pool (rdt.PacketPool) behind every RDT server. They are
+// pooled for the same reason: a testbed of a new shape streams from the
+// buffers the previous cell returned instead of filling a working set of
+// fresh ones, and a testbed that sits idle pins none. Only one of the
+// cache's testbeds runs at a time, so the shared pools need no lock.
 type TestbedCache struct {
 	tbs           map[testbedShape]*Testbed
 	dx            *capture.FlowDemux
 	recs          dataFlowRecorders
+	bufs          inet.BufPool
 	pkts          *rdt.PacketPool
 	built, reused int
 }
@@ -272,8 +275,8 @@ func NewTestbedCache() *TestbedCache {
 
 // Get returns the cache's testbed for the run's shape, built on the
 // shape's first run, reset to seed exactly once: a cached testbed by
-// Reset, a new one by NewTestbed's own Reset (UsePacketPool only moves
-// free buffers, which arms nothing).
+// Reset, a new one by NewTestbed's own Reset (UseBufPool and
+// UsePacketPool only switch pools, which arms nothing).
 func (c *TestbedCache) Get(seed int64, set int, opts Options) *Testbed {
 	sh := shapeFor(set, opts)
 	if tb, ok := c.tbs[sh]; ok {
@@ -282,6 +285,7 @@ func (c *TestbedCache) Get(seed int64, set int, opts Options) *Testbed {
 		return tb
 	}
 	tb := NewTestbed(seed, sh.options()...)
+	tb.Net.UseBufPool(&c.bufs)
 	for _, site := range tb.Sites {
 		site.RDT.UsePacketPool(c.pkts)
 	}

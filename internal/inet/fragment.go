@@ -2,6 +2,7 @@ package inet
 
 import (
 	"fmt"
+	"time"
 )
 
 // Fragment splits a datagram into MTU-sized fragments per RFC 791. The
@@ -99,6 +100,13 @@ func FragmentTrainLen(udpPayload, mtu int) int {
 	return n
 }
 
+// reassemblyTimeout is how long a partially assembled datagram waits for
+// its missing fragments before the reassembler abandons it, as Linux's
+// ipfrag_time (RFC 791 suggests 15 s, RFC 1122 60-120 s). The fragments
+// of a completed train in this simulator arrive within about 2 s of each
+// other, so the timeout only ever reaps trains that lost a fragment.
+const reassemblyTimeout = 30 * time.Second
+
 // reassemblyKey identifies one datagram's fragment set.
 type reassemblyKey struct {
 	src, dst Addr
@@ -107,16 +115,29 @@ type reassemblyKey struct {
 }
 
 type reassemblyBuf struct {
+	key     reassemblyKey
 	frags   []*Datagram
 	gotLast bool
+	// opened is the arrival time of the train's first fragment; prev and
+	// next link the pending trains in the order they opened.
+	opened     time.Duration
+	prev, next *reassemblyBuf
 }
 
 // Reassembler collects fragments and reconstitutes original datagrams, as
 // the receiving host's IP layer does. It is the component that makes a lost
 // fragment discard the whole application frame — the goodput hazard the
 // paper highlights (§3.C, citing [FF99]).
+//
+// A train still incomplete reassemblyTimeout after its first fragment
+// arrived is abandoned, and its fragments release their wire buffers. The
+// expiry is lazy: each Add first reaps the expired trains at the old end
+// of the opening order, so it schedules nothing and costs one comparison
+// when nothing is due.
 type Reassembler struct {
 	pending map[reassemblyKey]*reassemblyBuf
+	// oldest and newest are the ends of the pending trains' opening order.
+	oldest, newest *reassemblyBuf
 	// freeBufs recycles reassembly buffers between fragment sets, so a
 	// steady stream of fragmented datagrams does not allocate per train.
 	freeBufs []*reassemblyBuf
@@ -125,22 +146,46 @@ type Reassembler struct {
 	// transport handler returns.
 	pool *BufPool
 	// Completed counts successfully reassembled datagrams; Discarded counts
-	// datagrams flushed while incomplete.
+	// trains abandoned by the reassembly timeout.
 	Completed, Discarded int
 }
 
-// getBuf returns an empty reassembly buffer, recycled when possible.
-func (r *Reassembler) getBuf() *reassemblyBuf {
+// open starts a train for key at now, with a recycled buffer when
+// possible, at the new end of the opening order.
+func (r *Reassembler) open(key reassemblyKey, now time.Duration) *reassemblyBuf {
+	var buf *reassemblyBuf
 	if n := len(r.freeBufs); n > 0 {
-		buf := r.freeBufs[n-1]
+		buf = r.freeBufs[n-1]
 		r.freeBufs = r.freeBufs[:n-1]
-		return buf
+	} else {
+		buf = &reassemblyBuf{}
 	}
-	return &reassemblyBuf{}
+	buf.key, buf.opened, buf.prev = key, now, r.newest
+	if r.newest != nil {
+		r.newest.next = buf
+	} else {
+		r.oldest = buf
+	}
+	r.newest = buf
+	r.pending[key] = buf
+	return buf
 }
 
-// putBuf releases a buffer's fragments and recycles it.
+// putBuf ends a train: it leaves the pending set and the opening order,
+// its fragments release their wire buffers, and its buffer recycles.
 func (r *Reassembler) putBuf(buf *reassemblyBuf) {
+	delete(r.pending, buf.key)
+	if buf.prev != nil {
+		buf.prev.next = buf.next
+	} else {
+		r.oldest = buf.next
+	}
+	if buf.next != nil {
+		buf.next.prev = buf.prev
+	} else {
+		r.newest = buf.prev
+	}
+	buf.prev, buf.next = nil, nil
 	for _, f := range buf.frags {
 		f.Release()
 	}
@@ -162,21 +207,30 @@ func NewReassemblerPooled(p *BufPool) *Reassembler {
 	return r
 }
 
+// UsePool makes the reassembler draw assembled payloads from p. Buffered
+// fragments keep their own buffers' pools.
+func (r *Reassembler) UsePool(p *BufPool) { r.pool = p }
+
 // PendingDatagrams reports how many datagrams are partially assembled.
 func (r *Reassembler) PendingDatagrams() int { return len(r.pending) }
 
-// Add offers one received datagram. If it is not a fragment it is returned
-// immediately. If it completes a fragment set, the reassembled datagram is
-// returned. Otherwise nil is returned and the fragment is buffered.
-func (r *Reassembler) Add(d *Datagram) (*Datagram, error) {
+// Add offers one datagram received at now, which must not precede the
+// previous Add's. Trains that have waited reassemblyTimeout are abandoned
+// first. If d is not a fragment it is returned immediately. If it
+// completes a fragment set, the reassembled datagram is returned.
+// Otherwise nil is returned and the fragment is buffered.
+func (r *Reassembler) Add(d *Datagram, now time.Duration) (*Datagram, error) {
+	for r.oldest != nil && now-r.oldest.opened >= reassemblyTimeout {
+		r.putBuf(r.oldest)
+		r.Discarded++
+	}
 	if !d.Header.IsFragment() {
 		return d, nil
 	}
 	key := reassemblyKey{src: d.Header.Src, dst: d.Header.Dst, proto: d.Header.Protocol, id: d.Header.ID}
 	buf := r.pending[key]
 	if buf == nil {
-		buf = r.getBuf()
-		r.pending[key] = buf
+		buf = r.open(key, now)
 	}
 	buf.frags = append(buf.frags, d)
 	if !d.Header.MoreFragments() {
@@ -189,7 +243,6 @@ func (r *Reassembler) Add(d *Datagram) (*Datagram, error) {
 	if !ok {
 		return nil, nil // still missing a middle fragment
 	}
-	delete(r.pending, key)
 	// The fragments' bytes are spliced into the whole datagram; their
 	// shared wire buffer can recycle, as can the buffer that collected them.
 	r.putBuf(buf)
@@ -197,32 +250,21 @@ func (r *Reassembler) Add(d *Datagram) (*Datagram, error) {
 	return whole, nil
 }
 
-// Reset restores the reassembler to its freshly constructed state without
-// reallocating: pending fragments release their wire buffers back to the
-// pool, the pending map is cleared in place, and the counters zero. Unlike
-// FlushIncomplete, discarded fragments are not counted — Reset rewinds
-// state between runs rather than accounting for the end of one.
-func (r *Reassembler) Reset() {
-	for k, buf := range r.pending {
-		r.putBuf(buf)
-		delete(r.pending, k)
+// Release abandons every pending train without counting it, in the order
+// the trains opened, so its fragments' wire buffers return to their pool.
+// A host's network calls it when a run ends and when it resets.
+func (r *Reassembler) Release() {
+	for r.oldest != nil {
+		r.putBuf(r.oldest)
 	}
-	r.Completed = 0
-	r.Discarded = 0
 }
 
-// FlushIncomplete drops all partially assembled datagrams (e.g. at end of
-// trace or on a reassembly timeout) and returns how many were discarded.
-func (r *Reassembler) FlushIncomplete() int {
-	n := len(r.pending)
-	for _, buf := range r.pending {
-		for _, f := range buf.frags {
-			f.Release()
-		}
-	}
-	r.pending = make(map[reassemblyKey]*reassemblyBuf)
-	r.Discarded += n
-	return n
+// Reset restores the reassembler to its freshly constructed state without
+// reallocating: Release empties it and the counters zero.
+func (r *Reassembler) Reset() {
+	r.Release()
+	r.Completed = 0
+	r.Discarded = 0
 }
 
 // tryAssemble attempts to splice a fragment list into the original

@@ -2,8 +2,10 @@ package inet
 
 import (
 	"bytes"
+	"encoding/binary"
 	"testing"
 	"testing/quick"
+	"time"
 )
 
 func buildTestUDP(t testing.TB, payloadLen int) *Datagram {
@@ -91,7 +93,7 @@ func TestFragmentReassembleIdentity(t *testing.T) {
 	r := NewReassembler()
 	var whole *Datagram
 	for i, f := range frags {
-		got, err := r.Add(f)
+		got, err := r.Add(f, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -128,7 +130,7 @@ func TestReassembleOutOfOrder(t *testing.T) {
 	r := NewReassembler()
 	var whole *Datagram
 	for i := len(frags) - 1; i >= 0; i-- {
-		got, err := r.Add(frags[i])
+		got, err := r.Add(frags[i], 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -141,38 +143,197 @@ func TestReassembleOutOfOrder(t *testing.T) {
 	}
 }
 
+// pooledTrain builds a pooled UDP datagram and fragments it at the
+// default MTU the way a host's send path does.
+func pooledTrain(t *testing.T, pool *BufPool, id uint16, payload []byte) []*Datagram {
+	t.Helper()
+	d, err := BuildUDPPooled(pool, srcEP, dstEP, id, payload)
+	if err != nil {
+		t.Fatal(err)
+	}
+	frags, err := AppendFragments(nil, d, DefaultMTU)
+	if err != nil {
+		t.Fatal(err)
+	}
+	SetFragmentRefs(frags)
+	d.Recycle()
+	return frags
+}
+
+// allFree fails unless every buffer and struct pool made is back on its
+// free lists.
+func allFree(t *testing.T, pool *BufPool) {
+	t.Helper()
+	if c := pool.Census(); c.FreeBufs != c.Bufs || c.FreeDatagrams != c.Datagrams {
+		t.Fatalf("pool census %+v: not every buffer and datagram came back", c)
+	}
+}
+
+// TestReassembleMissingFragmentDiscards pins the reassembly timer: a
+// train missing a fragment is abandoned reassemblyTimeout after its first
+// fragment arrived, at the first Add from then on, its wire buffer
+// returns to the pool, and Discarded counts it.
 func TestReassembleMissingFragmentDiscards(t *testing.T) {
-	d := buildTestUDP(t, 5000)
-	frags, _ := Fragment(d, DefaultMTU)
-	r := NewReassembler()
-	// Drop a middle fragment: the datagram must never complete.
+	var pool BufPool
+	r := NewReassemblerPooled(&pool)
+	frags := pooledTrain(t, &pool, 7, make([]byte, 5000))
+	opened := time.Second
 	for i, f := range frags {
 		if i == 1 {
+			f.Release() // lost in transit
 			continue
 		}
-		got, err := r.Add(f)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got != nil {
-			t.Fatal("completed despite missing fragment")
+		if got, err := r.Add(f, opened+time.Duration(i)*time.Millisecond); err != nil || got != nil {
+			t.Fatalf("fragment %d: %v, %v", i, got, err)
 		}
 	}
 	if r.PendingDatagrams() != 1 {
-		t.Fatalf("pending=%d", r.PendingDatagrams())
+		t.Fatalf("pending=%d, want 1", r.PendingDatagrams())
 	}
-	if n := r.FlushIncomplete(); n != 1 {
-		t.Fatalf("flushed=%d", n)
+	whole := buildTestUDP(t, 100)
+	if _, err := r.Add(whole, opened+reassemblyTimeout-1); err != nil {
+		t.Fatal(err)
 	}
-	if r.Discarded != 1 || r.PendingDatagrams() != 0 {
-		t.Fatal("discard accounting wrong")
+	if r.PendingDatagrams() != 1 || r.Discarded != 0 {
+		t.Fatalf("train expired early: pending=%d discarded=%d", r.PendingDatagrams(), r.Discarded)
 	}
+	if _, err := r.Add(whole, opened+reassemblyTimeout); err != nil {
+		t.Fatal(err)
+	}
+	if r.PendingDatagrams() != 0 || r.Discarded != 1 || r.Completed != 0 {
+		t.Fatalf("after the timeout: pending=%d discarded=%d completed=%d, want 0, 1, 0",
+			r.PendingDatagrams(), r.Discarded, r.Completed)
+	}
+	allFree(t, &pool)
+}
+
+// TestReassemblyIDReuseAfterTimeout pins what the timer buys a host whose
+// 16-bit IP ID wrapped: a datagram reusing a stale train's (src, dst,
+// proto, id) key after the timeout assembles from its own fragments
+// instead of joining the stale ones.
+func TestReassemblyIDReuseAfterTimeout(t *testing.T) {
+	var pool BufPool
+	r := NewReassemblerPooled(&pool)
+	stale := pooledTrain(t, &pool, 9, make([]byte, 5000))
+	for i, f := range stale {
+		if i == len(stale)-1 {
+			f.Release() // the tail is lost
+			continue
+		}
+		if _, err := r.Add(f, 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	payload := make([]byte, 5000)
+	for i := range payload {
+		payload[i] = byte(i * 7)
+	}
+	var got *Datagram
+	for _, f := range pooledTrain(t, &pool, 9, payload) {
+		whole, err := r.Add(f, 40*time.Second)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if whole != nil {
+			got = whole
+		}
+	}
+	if got == nil {
+		t.Fatal("the reused ID's datagram never assembled")
+	}
+	if _, app, err := got.UDP(); err != nil || !bytes.Equal(app, payload) {
+		t.Fatalf("reassembled payload differs (err %v)", err)
+	}
+	got.Release()
+	if r.Discarded != 1 || r.Completed != 1 || r.PendingDatagrams() != 0 {
+		t.Fatalf("discarded=%d completed=%d pending=%d, want 1, 1, 0", r.Discarded, r.Completed, r.PendingDatagrams())
+	}
+	allFree(t, &pool)
+}
+
+// fuzzRecordLen is the size of one FuzzReassembly plan record: a train id
+// byte, then the fragment's offset and length in 8-byte units and its
+// arrival delay in milliseconds after the previous fragment, each two
+// bytes big-endian.
+const fuzzRecordLen = 7
+
+// FuzzReassembly feeds arbitrary timed fragment sets through a pooled
+// Reassembler. payload is the source datagram's IP payload; train id k
+// carries it XORed with k, so up to four trains interleave. Each plan
+// record cuts one fragment of its train's source, at any offset and
+// length (gaps, overlaps and duplicates included), and delivers it after
+// its delay. It checks that nothing panics, that every datagram the
+// reassembler returns equals its source bytes, that no pending train is
+// older than the timeout after an Add, and that after Reset every buffer
+// and datagram struct is back in the pool. The seed corpus holds the
+// golden pair run's first Windows Media fragment train with its arrival
+// gaps, whole and with a fragment lost and the train resent.
+func FuzzReassembly(f *testing.F) {
+	f.Add([]byte("0123456789abcdefghijklmnopqrstuv"), []byte{0, 0, 0, 0, 1, 0, 0, 0, 0, 2, 0, 1, 0, 1})
+	f.Add([]byte("0123456789abcdefghijklmnopqrstuv"), []byte{1, 0, 0, 0, 1, 0, 0, 1, 0, 1, 0, 1, 0x75, 0x30})
+	f.Fuzz(func(t *testing.T, payload, plan []byte) {
+		if len(payload) == 0 || len(payload) > 1<<15 || len(plan) > 256*fuzzRecordLen {
+			return
+		}
+		var src [4][]byte
+		for k := range src {
+			src[k] = make([]byte, len(payload))
+			for i, b := range payload {
+				src[k][i] = b ^ byte(k)
+			}
+		}
+		units := (len(payload) + 7) / 8
+		var pool BufPool
+		r := NewReassemblerPooled(&pool)
+		var now time.Duration
+		for ; len(plan) >= fuzzRecordLen; plan = plan[fuzzRecordLen:] {
+			k := int(plan[0] & 3)
+			off := int(binary.BigEndian.Uint16(plan[1:])) % units
+			n := int(binary.BigEndian.Uint16(plan[3:]))%(units-off) + 1
+			now += time.Duration(binary.BigEndian.Uint16(plan[5:])) * time.Millisecond
+			start, end := off*8, min((off+n)*8, len(payload))
+			wb := pool.get(end - start)
+			wb.b = append(wb.b, src[k][start:end]...)
+			d := pool.getDatagram()
+			d.Header = IPv4Header{ID: uint16(k), TTL: DefaultTTL, Protocol: ProtoUDP, Src: srcEP.Addr, Dst: dstEP.Addr, FragOff: uint16(off)}
+			if end < len(payload) {
+				d.Header.Flags = FlagMoreFrags
+			}
+			d.Payload, d.owner = wb.b, wb
+			d.Header.TotalLen = uint16(d.Len())
+			whole, err := r.Add(d, now)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if whole != nil {
+				if !bytes.Equal(whole.Payload, src[whole.Header.ID]) {
+					t.Fatalf("train %d reassembled to %d bytes that differ from its source", whole.Header.ID, len(whole.Payload))
+				}
+				whole.Release()
+			}
+			linked := 0
+			for buf := r.oldest; buf != nil; buf = buf.next {
+				if r.pending[buf.key] != buf {
+					t.Fatalf("train %+v in the opening order is not pending", buf.key)
+				}
+				if now-buf.opened >= reassemblyTimeout {
+					t.Fatalf("train opened at %v still pending at %v", buf.opened, now)
+				}
+				linked++
+			}
+			if linked != len(r.pending) {
+				t.Fatalf("%d trains pending, %d in the opening order", len(r.pending), linked)
+			}
+		}
+		r.Reset()
+		allFree(t, &pool)
+	})
 }
 
 func TestReassemblerPassesWholeDatagrams(t *testing.T) {
 	d := buildTestUDP(t, 100)
 	r := NewReassembler()
-	got, err := r.Add(d)
+	got, err := r.Add(d, 0)
 	if err != nil || got != d {
 		t.Fatalf("whole datagram not passed through: %v %v", got, err)
 	}
@@ -195,7 +356,7 @@ func TestInterleavedTrains(t *testing.T) {
 	for i := 0; i < len(f1) || i < len(f2); i++ {
 		for _, fs := range [][]*Datagram{f1, f2} {
 			if i < len(fs) {
-				if got, err := r.Add(fs[i]); err != nil {
+				if got, err := r.Add(fs[i], 0); err != nil {
 					t.Fatal(err)
 				} else if got != nil {
 					done = append(done, got)
@@ -272,7 +433,7 @@ func TestFragmentReassemblyProperty(t *testing.T) {
 			if fr.Header.FragOff != 0 && int(fr.Header.FragOff)*8%8 != 0 {
 				return false
 			}
-			got, err := r.Add(fr)
+			got, err := r.Add(fr, 0)
 			if err != nil {
 				return false
 			}

@@ -4,8 +4,9 @@ package inet
 // builds each datagram's bytes into one; Fragment makes every fragment of
 // the datagram share it (their payloads are disjoint sub-slices), with the
 // reference count tracking how many fragments are still alive. When the
-// last fragment dies — dropped at a hop, unroutable, or consumed by the
-// receiving host's reassembly — the buffer returns to its pool and the
+// last fragment dies — dropped at a hop, unroutable, consumed by the
+// receiving host's reassembly, or its train abandoned by the reassembly
+// timeout or at the end of a run — the buffer returns to its pool and the
 // next send reuses it, which is what keeps steady-state streaming from
 // allocating per packet.
 //
@@ -19,11 +20,32 @@ type WireBuf struct {
 }
 
 // BufPool recycles WireBufs and the Datagram structs that carry them. A
-// pool belongs to one single-threaded simulation (the Network owns it); it
-// is not safe for concurrent use. The zero value is ready.
+// pool serves one goroutine's simulations: a sweep worker's testbed cache
+// owns one and hands it to every network it builds, which never run at
+// the same time, and a network built on its own makes its own. It is not
+// safe for concurrent use. The zero value is ready.
 type BufPool struct {
 	free  []*WireBuf
 	freeD []*Datagram
+	// made and madeD count the buffers and structs the pool ever
+	// allocated, for Census.
+	made, madeD int
+}
+
+// PoolCensus is a BufPool's inventory: how many wire buffers and datagram
+// structs it has made, and how many of each sit on its free lists.
+type PoolCensus struct {
+	Bufs, FreeBufs           int
+	Datagrams, FreeDatagrams int
+}
+
+// Census reports the pool's inventory. Once no datagram is in flight,
+// buffered for reassembly or held by a caller, a pool that leaks nothing
+// and frees nothing twice has every buffer and struct it made back on its
+// free lists: a leak shows as a free count below the made count, a double
+// put as one above it.
+func (p *BufPool) Census() PoolCensus {
+	return PoolCensus{Bufs: p.made, FreeBufs: len(p.free), Datagrams: p.madeD, FreeDatagrams: len(p.freeD)}
 }
 
 // getDatagram returns a zeroed Datagram struct, recycled when possible.
@@ -33,6 +55,7 @@ func (p *BufPool) getDatagram() *Datagram {
 		p.freeD = p.freeD[:n-1]
 		return d
 	}
+	p.madeD++
 	return &Datagram{}
 }
 
@@ -57,6 +80,7 @@ func (p *BufPool) get(n int) *WireBuf {
 			wb.b = make([]byte, 0, roundCap(n))
 		}
 	} else {
+		p.made++
 		wb = &WireBuf{pool: p, b: make([]byte, 0, roundCap(n))}
 	}
 	wb.b = wb.b[:0]

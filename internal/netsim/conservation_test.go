@@ -62,12 +62,14 @@ func checkConservation(t *testing.T, dir string, p *Path, sent, delivered uint64
 // TestHopConservationAcrossScenarios runs every named netem scenario to
 // idle with a media stream offered above the bottleneck rate in one
 // direction and traceroute-style TTL-limited pings in the other, then
-// checks packet conservation on both paths. The backbone is thinner than
-// the testbed's so that congested-peering's cross traffic fills its RED
-// hop: across the scenarios, every drop cause occurs.
+// checks packet conservation on both paths and wire-buffer conservation
+// in the network's pool. The backbone is thinner than the testbed's so
+// that congested-peering's cross traffic fills its RED hop: across the
+// scenarios, every drop cause occurs, and so do reassembly timeouts.
 func TestHopConservationAcrossScenarios(t *testing.T) {
 	const hops = 10
 	var all PathStats
+	var timeouts uint64
 	for _, sc := range netem.All() {
 		sc := sc
 		t.Run(sc.Name, func(t *testing.T) {
@@ -111,10 +113,21 @@ func TestHopConservationAcrossScenarios(t *testing.T) {
 			}
 			all.Add(ds)
 			all.Add(us)
+			// Trains that lost a fragment were abandoned by the reassembly
+			// timeout during the run, or are released now: either way,
+			// every wire buffer comes back.
+			timeouts += c.ReassemblyTimeouts
+			n.ReleaseFragments()
+			if pc := n.pool.Census(); pc.FreeBufs != pc.Bufs || pc.FreeDatagrams != pc.Datagrams {
+				t.Errorf("wire-buffer pool census %+v after release, want every buffer and datagram free", pc)
+			}
 		})
 	}
 	if all.DroppedLoss == 0 || all.DroppedFull == 0 || all.DroppedAQM == 0 || all.TTLExpired == 0 {
 		t.Fatalf("some drop cause never occurred across the scenarios: %+v", all)
+	}
+	if timeouts == 0 {
+		t.Fatal("no fragment train timed out across the scenarios")
 	}
 }
 

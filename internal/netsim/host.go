@@ -71,13 +71,16 @@ type Host struct {
 	Unroutable        uint64
 	UndeliveredPort   uint64
 	ChecksumErrors    uint64
+	// ReassemblyTimeouts counts fragment trains abandoned because a
+	// fragment never arrived within the reassembly timeout.
+	ReassemblyTimeouts uint64
 }
 
 func newHost(n *Network, addr inet.Addr) *Host {
 	h := &Host{
 		net:         n,
 		addr:        addr,
-		reasm:       inet.NewReassemblerPooled(&n.pool),
+		reasm:       inet.NewReassemblerPooled(n.pool),
 		udpHandlers: make(map[inet.Port]UDPHandler),
 	}
 	h.reset()
@@ -104,6 +107,7 @@ func (h *Host) reset() {
 	h.Unroutable = 0
 	h.UndeliveredPort = 0
 	h.ChecksumErrors = 0
+	h.ReassemblyTimeouts = 0
 }
 
 // Addr returns the host's address.
@@ -190,7 +194,7 @@ func (h *Host) nextID() uint16 {
 // allocate per datagram.
 func (h *Host) SendUDP(srcPort inet.Port, dst inet.Endpoint, payload []byte) (int, error) {
 	src := inet.Endpoint{Addr: h.addr, Port: srcPort}
-	d, err := inet.BuildUDPPooled(&h.net.pool, src, dst, h.nextID(), payload)
+	d, err := inet.BuildUDPPooled(h.net.pool, src, dst, h.nextID(), payload)
 	if err != nil {
 		return 0, err
 	}
@@ -243,7 +247,9 @@ func (h *Host) deliver(d *inet.Datagram, now eventsim.Time) {
 	for _, tap := range h.taps {
 		tap(now, Recv, d)
 	}
-	whole, err := h.reasm.Add(d)
+	discarded := h.reasm.Discarded
+	whole, err := h.reasm.Add(d, time.Duration(now))
+	h.ReassemblyTimeouts += uint64(h.reasm.Discarded - discarded)
 	if err != nil {
 		d.Release()
 		return

@@ -22,10 +22,10 @@ type Network struct {
 
 	// pool recycles UDP wire-payload buffers across the whole simulation:
 	// a buffer returns when its datagram's last fragment is dropped or
-	// reassembled (capture copies what it keeps), so steady-state
-	// streaming reuses a small working set instead of allocating per
-	// packet.
-	pool inet.BufPool
+	// reassembled, or its train is abandoned (capture copies what it
+	// keeps), so steady-state streaming reuses a small working set instead
+	// of allocating per packet. New makes one; UseBufPool shares another.
+	pool *inet.BufPool
 
 	// drainFn is the bound scheduler-drain callback, created once so Reset
 	// does not allocate a method value per call.
@@ -85,6 +85,7 @@ func New(seed int64) *Network {
 		rng:   eventsim.NewRNG(0),
 		hosts: make(map[inet.Addr]*Host),
 		paths: make(map[route]*Path),
+		pool:  &inet.BufPool{},
 	}
 	n.drainFn = n.drainEvent
 	n.Reset(seed)
@@ -123,6 +124,28 @@ func (n *Network) Reset(seed int64) {
 		for _, hop := range p.hops {
 			hop.reset()
 		}
+	}
+}
+
+// UseBufPool makes the network and its hosts' reassemblers draw wire
+// buffers from p, which the network then shares with whoever else uses p,
+// such as the other testbeds of one sweep worker. The networks sharing a
+// pool must never run at the same time. Call it between runs; buffers
+// already in flight or buffered return to the pool that made them.
+func (n *Network) UseBufPool(p *inet.BufPool) {
+	n.pool = p
+	for _, h := range n.hosts {
+		h.reasm.UsePool(p)
+	}
+}
+
+// ReleaseFragments returns every host's half-reassembled fragment trains
+// to the wire-buffer pool. A run calls it once its event loop has drained,
+// so a testbed that sits idle until its next run pins no buffers; Reset
+// releases the same way, through each host's reset.
+func (n *Network) ReleaseFragments() {
+	for _, h := range n.hosts {
+		h.reasm.Release()
 	}
 }
 

@@ -6,13 +6,16 @@
 // unit, the first few segment lists of each player, every RTSP response
 // the client received, lists of RealPlayer data-packet sequence numbers
 // (NAK "Seqs" headers), the first RDT data-channel packet of each kind
-// (a data packet, a probe, the end marker) and three small trace files
-// cut from the capture (its first records, the first Windows Media
-// fragment train, the first RealPlayer data packet), in the
-// `go test fuzz v1` format, to
+// (a data packet, a probe, the end marker), the first Windows Media
+// fragment train as timed fragment sets (whole, and with a fragment lost
+// and the train resent after the reassembly timeout) and three small
+// trace files cut from the capture (its first records, that fragment
+// train, the first RealPlayer data packet), in the `go test fuzz v1`
+// format, to
 //
 //	internal/inet/testdata/fuzz/FuzzChecksum/
 //	internal/inet/testdata/fuzz/FuzzParseUDP/
+//	internal/inet/testdata/fuzz/FuzzReassembly/
 //	internal/segment/testdata/fuzz/FuzzDecodeListInto/
 //	internal/rdt/testdata/fuzz/FuzzParseRTSP/
 //	internal/rdt/testdata/fuzz/FuzzSeqList/
@@ -35,6 +38,7 @@ import (
 	"log"
 	"os"
 	"path/filepath"
+	"time"
 
 	"turbulence/internal/capture"
 	"turbulence/internal/core"
@@ -72,12 +76,13 @@ func main() {
 		seqs     []uint32
 	)
 	for i := 0; i < run.Trace.Len(); i++ {
-		d, err := inet.ParseDatagram(run.Trace.At(i).Raw())
+		rec := run.Trace.At(i)
+		d, err := inet.ParseDatagram(rec.Raw())
 		if err != nil || d.Header.Protocol != inet.ProtoUDP {
 			continue
 		}
 		fragmented := d.Header.IsFragment()
-		if d, err = reasm.Add(d); err != nil || d == nil {
+		if d, err = reasm.Add(d, rec.At); err != nil || d == nil {
 			continue
 		}
 		h, payload, err := inet.ParseUDP(d.Header.Src, d.Header.Dst, d.Payload)
@@ -151,37 +156,82 @@ func main() {
 		log.Fatalf("found %d of the 4 RDT data-channel packet kinds", len(rdtData))
 	}
 	write("internal/rdt/testdata/fuzz/FuzzParseData", rdtData)
-	write("internal/capture/testdata/fuzz/FuzzReadFile", traceFiles(run.Trace))
+	train := firstFragmentTrain(run.Trace)
+	write("internal/inet/testdata/fuzz/FuzzReassembly", reassemblyPlans(train))
+	write("internal/capture/testdata/fuzz/FuzzReadFile", traceFiles(run.Trace, train))
 }
 
 // headRecords is how many leading capture records the first trace-file
 // seed holds: the ping, tracert and RTSP exchanges that open a run.
 const headRecords = 8
 
+// firstFragmentTrain returns the golden capture's first Windows Media
+// fragment train: its first fragment plus the continuations, matched by
+// IP ID.
+func firstFragmentTrain(tr *capture.Trace) []capture.Record {
+	var train []capture.Record
+	for i := 0; i < tr.Len(); i++ {
+		r := tr.At(i)
+		switch {
+		case train == nil && r.MoreFrag && r.FragOff == 0 && r.SrcPort == inet.PortMMSData:
+			train = append(train, r)
+		case train != nil && train[len(train)-1].MoreFrag && r.FragOff != 0 && r.IPID == train[0].IPID:
+			train = append(train, r)
+		}
+	}
+	if len(train) < 2 || train[len(train)-1].MoreFrag {
+		log.Fatal("golden capture lacks a complete fragment train")
+	}
+	return train
+}
+
+// reassemblyPlans turns the golden capture's first fragment train into
+// FuzzReassembly inputs: the train's IP payload and one plan record per
+// fragment (train 0, the fragment's offset and length in 8-byte units, its
+// arrival gap in milliseconds), once whole and once with its second
+// fragment lost and the whole train resent after the reassembly timeout,
+// under the same IP ID.
+func reassemblyPlans(train []capture.Record) map[string][]any {
+	var payload, plan []byte
+	prev := train[0].At
+	for _, r := range train {
+		d, err := inet.ParseDatagram(r.Raw())
+		if err != nil {
+			log.Fatal(err)
+		}
+		payload = append(payload, d.Payload...)
+		plan = append(plan, 0)
+		plan = binary.BigEndian.AppendUint16(plan, r.FragOff)
+		plan = binary.BigEndian.AppendUint16(plan, uint16((len(d.Payload)+7)/8-1))
+		plan = binary.BigEndian.AppendUint16(plan, uint16((r.At-prev)/time.Millisecond))
+		prev = r.At
+	}
+	const recordLen = 7
+	resent := bytes.Clone(plan)
+	binary.BigEndian.PutUint16(resent[5:], 30000)
+	lost := append(append(bytes.Clone(plan[:recordLen]), plan[2*recordLen:]...), resent...)
+	return map[string][]any{
+		"golden-wmp-fragment-train":            {payload, plan},
+		"golden-wmp-fragment-lost-then-resent": {payload, lost},
+	}
+}
+
 // traceFiles cuts three trace files from the golden capture: its first
-// headRecords records, the first Windows Media fragment train (first
-// fragment plus its continuations, matched by IP ID) and the first
-// RealPlayer data packet.
-func traceFiles(tr *capture.Trace) map[string][]any {
-	var head, train, rdtPkt []capture.Record
-	trainID := -1
+// headRecords records, its first Windows Media fragment train and the
+// first RealPlayer data packet.
+func traceFiles(tr *capture.Trace, train []capture.Record) map[string][]any {
+	var head, rdtPkt []capture.Record
 	for i := 0; i < tr.Len(); i++ {
 		r := tr.At(i)
 		if i < headRecords {
 			head = append(head, r)
 		}
-		switch {
-		case trainID < 0 && r.MoreFrag && r.FragOff == 0 && r.SrcPort == inet.PortMMSData:
-			trainID = int(r.IPID)
-			train = append(train, r)
-		case trainID >= 0 && train[len(train)-1].MoreFrag && r.FragOff != 0 && int(r.IPID) == trainID:
-			train = append(train, r)
-		case rdtPkt == nil && r.HasPorts && r.SrcPort == inet.PortRDTData && rdtPacketName(r.Wire()[inet.UDPHeaderLen:]) == "golden-rdt-data":
+		if rdtPkt == nil && r.HasPorts && r.SrcPort == inet.PortRDTData && rdtPacketName(r.Wire()[inet.UDPHeaderLen:]) == "golden-rdt-data" {
 			rdtPkt = append(rdtPkt, r)
 		}
 	}
-	if len(train) < 2 || train[len(train)-1].MoreFrag || rdtPkt == nil {
-		log.Fatal("golden capture lacks a complete fragment train or a RealPlayer data packet")
+	if rdtPkt == nil {
+		log.Fatal("golden capture lacks a RealPlayer data packet")
 	}
 	out := map[string][]any{}
 	for name, recs := range map[string][]capture.Record{"golden-head": head, "golden-wmp-fragment-train": train, "golden-rdt-data": rdtPkt} {
