@@ -10,6 +10,7 @@ import (
 	"turbulence/internal/media"
 	"turbulence/internal/netsim"
 	"turbulence/internal/rdt"
+	"turbulence/internal/segment"
 	"turbulence/internal/transport"
 	"turbulence/internal/wms"
 )
@@ -43,7 +44,7 @@ func WMSPayloadDigest(clip media.Clip) (digest string, units int, err error) {
 		DataUnit: func(_ eventsim.Time, seq uint32, payload []byte) { dig.Add(seq, payload) },
 	})
 	player.Start()
-	horizon := eventsim.Time(clip.Duration + wms.Preroll + time.Minute)
+	horizon := eventsim.Time(clip.Duration + segment.Preroll + time.Minute)
 	if err := n.Run(horizon); err != nil {
 		return "", 0, err
 	}

@@ -208,11 +208,11 @@ func TestWireBuffersConserved(t *testing.T) {
 		}
 		timeouts += cache.tbs[shapeFor(key.Set, opts)].Client.ReassemblyTimeouts
 		c := cache.bufs.Census()
-		if c.Bufs == 0 || c.Datagrams == 0 {
+		if c.Bufs == 0 || c.Datagrams == 0 || c.Trains == 0 {
 			t.Fatalf("%s: the cell drew nothing from the worker's pool (%+v)", sc.Name, c)
 		}
-		if c.FreeBufs != c.Bufs || c.FreeDatagrams != c.Datagrams {
-			t.Fatalf("%s: pool census %+v after the cell, want every buffer and datagram free", sc.Name, c)
+		if !c.Balanced() {
+			t.Fatalf("%s: pool census %+v after the cell, want every buffer, datagram and reassembly buffer free", sc.Name, c)
 		}
 	}
 	if timeouts == 0 {
@@ -225,9 +225,10 @@ func TestWireBuffersConserved(t *testing.T) {
 // faithful testbed and every named scenario, the pool has made about one
 // cell's working set, because no testbed keeps half-built trains between
 // its cells and no train outlives the reassembly timeout within one. The
-// census is deterministic: 346 buffers and 884 datagram structs. Without
-// the end-of-cell release it reads 472 and 1,774; without the timeout,
-// 708 and 2,913; with neither, 2,633 and 10,410, nearly all pinned.
+// census is deterministic: 346 buffers, 884 datagram structs and 202
+// reassembly buffers, all back on the free lists. Without the end-of-cell
+// release the first two read 472 and 1,774; without the timeout, 708 and
+// 2,913; with neither, 2,633 and 10,410, nearly all pinned.
 func TestSharedBufPoolBounded(t *testing.T) {
 	if testing.Short() {
 		t.Skip("60 cells in -short mode")
@@ -248,7 +249,12 @@ func TestSharedBufPoolBounded(t *testing.T) {
 	if cache.Built() != len(scenarios) {
 		t.Fatalf("cache built %d testbeds, want one per shape (%d)", cache.Built(), len(scenarios))
 	}
-	if c := cache.bufs.Census(); c.Bufs > 384 || c.Datagrams > 960 {
-		t.Fatalf("shared pool made %d buffers and %d datagrams over %d shapes, want at most 384 and 960", c.Bufs, c.Datagrams, len(scenarios))
+	c := cache.bufs.Census()
+	if c.Bufs > 384 || c.Datagrams > 960 || c.Trains > 224 {
+		t.Fatalf("shared pool made %d buffers, %d datagrams and %d reassembly buffers over %d shapes, want at most 384, 960 and 224",
+			c.Bufs, c.Datagrams, c.Trains, len(scenarios))
+	}
+	if !c.Balanced() {
+		t.Fatalf("pool census %+v after the sweep, want every buffer, datagram and reassembly buffer free", c)
 	}
 }

@@ -247,8 +247,8 @@ func runPair(ctx context.Context, seed int64, set int, class media.Class, opts O
 	// players anymore — so their pooled assembly state can recycle for
 	// the next run, and so can the wire buffers of fragment trains that
 	// lost a fragment, on every host.
-	realTrk.Player().ReleaseResources()
-	wmpTrk.Player().ReleaseResources()
+	realTrk.Player().Release()
+	wmpTrk.Player().Release()
 	tb.Net.ReleaseFragments()
 
 	run.PingBefore = pingBefore.Report()

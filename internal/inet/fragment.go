@@ -122,6 +122,9 @@ type reassemblyBuf struct {
 	// next link the pending trains in the order they opened.
 	opened     time.Duration
 	prev, next *reassemblyBuf
+	// pool is the BufPool the buffer came from and returns to; nil for a
+	// reassembler without one.
+	pool *BufPool
 }
 
 // Reassembler collects fragments and reconstitutes original datagrams, as
@@ -138,28 +141,20 @@ type Reassembler struct {
 	pending map[reassemblyKey]*reassemblyBuf
 	// oldest and newest are the ends of the pending trains' opening order.
 	oldest, newest *reassemblyBuf
-	// freeBufs recycles reassembly buffers between fragment sets, so a
-	// steady stream of fragmented datagrams does not allocate per train.
-	freeBufs []*reassemblyBuf
-	// pool, when set, supplies the assembled datagrams' payload buffers;
-	// the consumer (the host's delivery path) releases them after the
-	// transport handler returns.
+	// pool, when set, supplies the assembled datagrams' payload buffers,
+	// which the consumer (the host's delivery path) releases after the
+	// transport handler returns, and the reassembly buffers, so a steady
+	// stream of fragmented datagrams does not allocate per train.
 	pool *BufPool
 	// Completed counts successfully reassembled datagrams; Discarded counts
 	// trains abandoned by the reassembly timeout.
 	Completed, Discarded int
 }
 
-// open starts a train for key at now, with a recycled buffer when
-// possible, at the new end of the opening order.
+// open starts a train for key at now, with a buffer from the pool, at
+// the new end of the opening order.
 func (r *Reassembler) open(key reassemblyKey, now time.Duration) *reassemblyBuf {
-	var buf *reassemblyBuf
-	if n := len(r.freeBufs); n > 0 {
-		buf = r.freeBufs[n-1]
-		r.freeBufs = r.freeBufs[:n-1]
-	} else {
-		buf = &reassemblyBuf{}
-	}
+	buf := r.pool.getReassembly()
 	buf.key, buf.opened, buf.prev = key, now, r.newest
 	if r.newest != nil {
 		r.newest.next = buf
@@ -172,7 +167,8 @@ func (r *Reassembler) open(key reassemblyKey, now time.Duration) *reassemblyBuf 
 }
 
 // putBuf ends a train: it leaves the pending set and the opening order,
-// its fragments release their wire buffers, and its buffer recycles.
+// its fragments release their wire buffers, and its buffer returns to the
+// pool it came from.
 func (r *Reassembler) putBuf(buf *reassemblyBuf) {
 	delete(r.pending, buf.key)
 	if buf.prev != nil {
@@ -191,7 +187,7 @@ func (r *Reassembler) putBuf(buf *reassemblyBuf) {
 	}
 	buf.frags = buf.frags[:0]
 	buf.gotLast = false
-	r.freeBufs = append(r.freeBufs, buf)
+	buf.pool.putReassembly(buf)
 }
 
 // NewReassembler returns an empty reassembler.
@@ -207,8 +203,9 @@ func NewReassemblerPooled(p *BufPool) *Reassembler {
 	return r
 }
 
-// UsePool makes the reassembler draw assembled payloads from p. Buffered
-// fragments keep their own buffers' pools.
+// UsePool makes the reassembler draw assembled payloads and reassembly
+// buffers from p. Pending trains and their fragments keep their own
+// buffers' pools.
 func (r *Reassembler) UsePool(p *BufPool) { r.pool = p }
 
 // PendingDatagrams reports how many datagrams are partially assembled.

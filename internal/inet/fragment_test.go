@@ -164,8 +164,8 @@ func pooledTrain(t *testing.T, pool *BufPool, id uint16, payload []byte) []*Data
 // free lists.
 func allFree(t *testing.T, pool *BufPool) {
 	t.Helper()
-	if c := pool.Census(); c.FreeBufs != c.Bufs || c.FreeDatagrams != c.Datagrams {
-		t.Fatalf("pool census %+v: not every buffer and datagram came back", c)
+	if c := pool.Census(); !c.Balanced() {
+		t.Fatalf("pool census %+v: not every buffer, datagram and reassembly buffer came back", c)
 	}
 }
 

@@ -27,16 +27,20 @@ type WireBuf struct {
 type BufPool struct {
 	free  []*WireBuf
 	freeD []*Datagram
-	// made and madeD count the buffers and structs the pool ever
-	// allocated, for Census.
-	made, madeD int
+	// freeR holds the reassemblers' buffers for fragment trains.
+	freeR []*reassemblyBuf
+	// made, madeD and madeR count the buffers, structs and reassembly
+	// buffers the pool ever allocated, for Census.
+	made, madeD, madeR int
 }
 
-// PoolCensus is a BufPool's inventory: how many wire buffers and datagram
-// structs it has made, and how many of each sit on its free lists.
+// PoolCensus is a BufPool's inventory: how many wire buffers, datagram
+// structs and reassembly buffers it has made, and how many of each sit on
+// its free lists.
 type PoolCensus struct {
 	Bufs, FreeBufs           int
 	Datagrams, FreeDatagrams int
+	Trains, FreeTrains       int
 }
 
 // Census reports the pool's inventory. Once no datagram is in flight,
@@ -45,7 +49,39 @@ type PoolCensus struct {
 // free lists: a leak shows as a free count below the made count, a double
 // put as one above it.
 func (p *BufPool) Census() PoolCensus {
-	return PoolCensus{Bufs: p.made, FreeBufs: len(p.free), Datagrams: p.madeD, FreeDatagrams: len(p.freeD)}
+	return PoolCensus{
+		Bufs: p.made, FreeBufs: len(p.free),
+		Datagrams: p.madeD, FreeDatagrams: len(p.freeD),
+		Trains: p.madeR, FreeTrains: len(p.freeR),
+	}
+}
+
+// Balanced reports whether every buffer, struct and reassembly buffer the
+// pool made is back on its free lists.
+func (c PoolCensus) Balanced() bool {
+	return c.FreeBufs == c.Bufs && c.FreeDatagrams == c.Datagrams && c.FreeTrains == c.Trains
+}
+
+// getReassembly returns an empty reassembly buffer, recycled when
+// possible. A nil pool allocates one that putReassembly then drops.
+func (p *BufPool) getReassembly() *reassemblyBuf {
+	if p == nil {
+		return &reassemblyBuf{}
+	}
+	if n := len(p.freeR); n > 0 {
+		buf := p.freeR[n-1]
+		p.freeR = p.freeR[:n-1]
+		return buf
+	}
+	p.madeR++
+	return &reassemblyBuf{pool: p}
+}
+
+// putReassembly recycles an emptied reassembly buffer.
+func (p *BufPool) putReassembly(buf *reassemblyBuf) {
+	if p != nil {
+		p.freeR = append(p.freeR, buf)
+	}
 }
 
 // getDatagram returns a zeroed Datagram struct, recycled when possible.

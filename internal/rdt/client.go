@@ -48,12 +48,6 @@ func (s State) String() string {
 	}
 }
 
-// Preroll is the delay buffer RealPlayer fills before starting playout.
-// The same media depth as the MediaPlayer model — but the buffering burst
-// fills it roughly three times faster, so RealPlayer starts sooner (paper
-// §3.F).
-const Preroll = 5 * time.Second
-
 // probeTimeout bounds how long the client waits for the SETUP probe train.
 const probeTimeout = 2 * time.Second
 
@@ -85,16 +79,19 @@ type PlayerEvents struct {
 	Done         func(now eventsim.Time)
 }
 
-// Player is the RealOne Player model.
+// Player is the RealOne Player model: RTSP control, packet-train probe,
+// NAK recovery and reception reports. The delay buffer and playout clock
+// are the embedded segment.Playout, the same code MediaPlayer's model
+// plays through; it supplies FramesPlayed, FramesExpected,
+// AchievedFPS and Release.
 type Player struct {
+	segment.Playout
+
 	host     transport.Transport
 	server   inet.Addr
 	url      string // rtsp://server/clipRef, formatted once
 	ctlPort  inet.Port
 	dataPort inet.Port
-	// segScratch is the per-packet segment-decode buffer, reused so the
-	// receive path does not allocate per data packet.
-	segScratch []segment.Segment
 	// Request scratch, reused so the periodic REPORT and the NAK timer
 	// do not allocate: reqBuf holds the encoded request, hdrBuf its header
 	// value, nakSeqs the sorted batch of missing sequence numbers.
@@ -113,16 +110,14 @@ type Player struct {
 	// the PLAY request's Bandwidth header (bits/second).
 	BandwidthEstimate float64
 
-	asm      *segment.Assembler
 	nextSeq  uint32
 	missing  map[uint32]bool
 	nakArmed bool
 	endSeq   uint32
 	sawEnd   bool
 
-	stopPlay   func()
-	playSecond int
-	retries    int
+	stopPlay func()
+	retries  int
 
 	// Reception-report interval accounting for media scaling.
 	stopReport func()
@@ -134,8 +129,6 @@ type Player struct {
 	PacketsLost      int
 	PacketsRecovered int
 	BytesReceived    int
-	FramesPlayed     int
-	FramesExpected   int
 	StartedAt        eventsim.Time
 	PlayBeganAt      eventsim.Time
 	FinishedAt       eventsim.Time
@@ -151,18 +144,8 @@ func NewPlayer(t transport.Transport, server inet.Addr, clipRef string, ctlPort,
 		ctlPort:  ctlPort,
 		dataPort: dataPort,
 		events:   ev,
-		asm:      segment.NewAssembler(),
+		Playout:  segment.NewPlayout(),
 		missing:  make(map[uint32]bool),
-	}
-}
-
-// ReleaseResources recycles the player's pooled assembly state. Call only
-// after the event loop has fully drained: a datagram delivered afterwards
-// would touch recycled state (and now panics loudly instead).
-func (p *Player) ReleaseResources() {
-	if p.asm != nil {
-		p.asm.Release()
-		p.asm = nil
 	}
 }
 
@@ -274,6 +257,7 @@ func (p *Player) onControl(now eventsim.Time, from inet.Endpoint, payload []byte
 			Duration:    time.Duration(resp.IntHeader("Duration-Ms", 0)) * time.Millisecond,
 			TotalFrames: resp.IntHeader("Total-Frames", 0),
 		}
+		p.SetClock(p.meta.FrameRate, p.meta.TotalFrames, p.meta.Duration)
 		p.retries = 0
 		p.setState(SettingUp)
 		p.sendSetup()
@@ -409,13 +393,8 @@ func (p *Player) onMediaPacket(now eventsim.Time, payload []byte) {
 	if p.events.OSPacket != nil {
 		p.events.OSPacket(now, h.Seq, 1)
 	}
-	segs, err := segment.DecodeListInto(p.segScratch[:0], segPayload)
-	if err != nil {
+	if p.Receive(segPayload) != nil {
 		return
-	}
-	p.segScratch = segs
-	for _, s := range segs {
-		p.asm.Add(s)
 	}
 	p.maybeStartPlayout(now)
 }
@@ -472,53 +451,29 @@ func (p *Player) onEnd(finalSeq uint32) {
 	p.maybeStartPlayout(p.host.Now())
 }
 
-// bufferedMedia estimates buffered content from completed frames.
-func (p *Player) bufferedMedia() time.Duration {
-	if p.meta.FrameRate == 0 {
-		return 0
-	}
-	sec := float64(p.asm.CompletedFrames) / p.meta.FrameRate
-	return time.Duration(sec * float64(time.Second))
-}
-
 func (p *Player) maybeStartPlayout(now eventsim.Time) {
 	if p.state != Buffering {
 		return
 	}
-	if p.bufferedMedia() < Preroll && !p.sawEnd {
+	if p.Buffered() < segment.Preroll && !p.sawEnd {
 		return
 	}
 	p.PlayBeganAt = now
 	p.setState(Playing)
-	p.stopPlay = p.host.Ticker(time.Second, "rdt.playclock", func(now eventsim.Time) bool {
-		return p.playOneSecond(now)
-	})
+	p.stopPlay = p.host.Ticker(time.Second, "rdt.playclock", p.playOneSecond)
 }
 
+// playOneSecond is one playout clock tick.
 func (p *Player) playOneSecond(now eventsim.Time) bool {
 	if p.state != Playing {
 		return false
 	}
-	fps := p.meta.FrameRate
-	from := int(float64(p.playSecond) * fps)
-	to := int(float64(p.playSecond+1) * fps)
-	if total := p.meta.TotalFrames; to > total {
-		to = total
-	}
-	played := 0
-	for f := from; f < to; f++ {
-		if p.asm.Complete(uint32(f)) {
-			played++
-		}
-		p.asm.Drop(uint32(f))
-	}
-	p.FramesPlayed += played
-	p.FramesExpected += to - from
+	second := p.Second()
+	played, expected, done := p.PlaySecond()
 	if p.events.SecondPlayed != nil {
-		p.events.SecondPlayed(now, p.playSecond, played, to-from)
+		p.events.SecondPlayed(now, second, played, expected)
 	}
-	p.playSecond++
-	if float64(p.playSecond) >= p.meta.Duration.Seconds() || from >= to {
+	if done {
 		p.finish(now)
 		return false
 	}
@@ -569,12 +524,4 @@ func (p *Player) LossRate() float64 {
 		return 0
 	}
 	return float64(p.PacketsLost) / float64(total)
-}
-
-// AchievedFPS reports the mean played frame rate.
-func (p *Player) AchievedFPS() float64 {
-	if p.playSecond == 0 {
-		return 0
-	}
-	return float64(p.FramesPlayed) / float64(p.playSecond)
 }

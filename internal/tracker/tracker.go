@@ -4,8 +4,11 @@
 // records what the paper lists in §2.B: encoded bit rate, playback
 // bandwidth, application packets received/lost/recovered, frame rate,
 // transport protocol and reception quality, plus the two-layer packet
-// arrival times behind Figure 12. Playlists automate multi-clip runs, as
-// both original tools did.
+// arrival times behind Figure 12. Both players count frames through the
+// same playout clock (segment.Playout), so a gap between their reports
+// comes from the protocols, not from the recorder. Multi-clip playlists,
+// which both original tools supported, are cmd/tracker's: it chains one
+// tracker per entry on a shared testbed.
 package tracker
 
 import (

@@ -157,65 +157,6 @@ func TestReportCSV(t *testing.T) {
 	}
 }
 
-func TestPlaylistRunsSequentially(t *testing.T) {
-	n, c, wsrv, rsrv := testbed(t, 55)
-	c1, _ := media.FindClip(3, media.WindowsMedia, media.Low) // 60 s
-	c2, _ := media.FindClip(3, media.Real, media.Low)
-	wsrv.Register(c1.Name(), c1)
-	rsrv.Register(c2.Name(), c2)
-	var all []*Report
-	pl := NewPlaylist(c, wsrv, rsrv, []PlaylistEntry{
-		{ClipRef: c1.Name(), Format: media.WindowsMedia},
-		{ClipRef: c2.Name(), Format: media.Real},
-	}, func(rs []*Report) { all = rs })
-	pl.Start()
-	n.Run(eventsim.At(300))
-	if all == nil {
-		t.Fatal("playlist never completed")
-	}
-	if len(all) != 2 {
-		t.Fatalf("reports=%d", len(all))
-	}
-	if all[0].Tool != "MediaTracker" || all[1].Tool != "RealTracker" {
-		t.Fatalf("tools: %s, %s", all[0].Tool, all[1].Tool)
-	}
-	// Sequential: the second session started after the first finished.
-	if all[1].StartedAt < all[0].FinishedAt {
-		t.Fatal("playlist entries overlapped")
-	}
-	if len(pl.Reports()) != 2 {
-		t.Fatal("Reports accessor")
-	}
-}
-
-func TestPlaylistPanics(t *testing.T) {
-	n, c, wsrv, _ := testbed(t, 56)
-	_ = n
-	pl := NewPlaylist(c, wsrv, nil, []PlaylistEntry{{ClipRef: "x", Format: media.Real}}, nil)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("missing server did not panic")
-		}
-	}()
-	pl.Start()
-}
-
-func TestPlaylistDoubleStartPanics(t *testing.T) {
-	n, c, wsrv, rsrv := testbed(t, 57)
-	clip, _ := media.FindClip(3, media.WindowsMedia, media.Low)
-	wsrv.Register(clip.Name(), clip)
-	pl := NewPlaylist(c, wsrv, rsrv, []PlaylistEntry{{ClipRef: clip.Name(), Format: media.WindowsMedia}}, nil)
-	pl.SetGap(time.Second)
-	pl.Start()
-	defer func() {
-		if recover() == nil {
-			t.Fatal("double start did not panic")
-		}
-	}()
-	pl.Start()
-	_ = n
-}
-
 func TestFig12InterleavingVisibleInReport(t *testing.T) {
 	// Figure 12's signature: OS packets arrive steadily; application
 	// packets arrive in once-per-second batches.

@@ -42,12 +42,6 @@ func (s State) String() string {
 	}
 }
 
-// Preroll is the delay buffer MediaPlayer fills before starting playout.
-// Because the WMS server streams at exactly the playout rate, the user
-// waits approximately this long (paper §3.F: with equal buffer sizes,
-// MediaPlayer starts later than RealPlayer).
-const Preroll = 5 * time.Second
-
 // InterleaveFlush is the application delivery period: the client delivers
 // received data units to the application in one batch per second —
 // Figure 12's "groups of 10, once per second" at the nominal 100 ms tick.
@@ -79,31 +73,31 @@ type PlayerEvents struct {
 	Done func(now eventsim.Time)
 }
 
-// Player is the MediaPlayer model: control handshake, interleaved
-// delivery, delay buffer and playout clock.
+// Player is the MediaPlayer model: control handshake, loss accounting,
+// interleaved delivery and media feedback. The delay buffer and playout
+// clock are the embedded segment.Playout, the same code RealPlayer's
+// model plays through; it supplies FramesPlayed, FramesExpected,
+// AchievedFPS and Release.
 type Player struct {
+	segment.Playout
+
 	host     transport.Transport
 	server   inet.Addr
 	clipRef  string
 	ctlPort  inet.Port
 	dataPort inet.Port
-	// segScratch is the per-packet segment-decode buffer, reused so the
-	// receive path does not allocate per data unit.
-	segScratch []segment.Segment
-	events     PlayerEvents
+	events   PlayerEvents
 
 	state State
 	meta  DescribeResp
 
-	asm          *segment.Assembler
 	interleave   []uint32 // unit seqs awaiting app delivery
 	noInterleave bool
 	stopFlush    func()
 	stopPlay     func()
 
-	nextSeq    uint32
-	playSecond int
-	retries    int
+	nextSeq uint32
+	retries int
 
 	// Feedback interval accounting for media scaling.
 	stopFeedback func()
@@ -111,15 +105,13 @@ type Player struct {
 	fbLastLost   int
 
 	// Stats MediaTracker reads.
-	UnitsReceived  int
-	UnitsLost      int
-	SendErrors     int
-	BytesReceived  int
-	FramesPlayed   int
-	FramesExpected int
-	StartedAt      eventsim.Time
-	PlayBeganAt    eventsim.Time
-	FinishedAt     eventsim.Time
+	UnitsReceived int
+	UnitsLost     int
+	SendErrors    int
+	BytesReceived int
+	StartedAt     eventsim.Time
+	PlayBeganAt   eventsim.Time
+	FinishedAt    eventsim.Time
 }
 
 // handshakeRetry is the control-message retransmit interval.
@@ -139,17 +131,7 @@ func NewPlayer(t transport.Transport, server inet.Addr, clipRef string, ctlPort,
 		ctlPort:  ctlPort,
 		dataPort: dataPort,
 		events:   ev,
-		asm:      segment.NewAssembler(),
-	}
-}
-
-// ReleaseResources recycles the player's pooled assembly state. Call only
-// after the event loop has fully drained: a data unit delivered afterwards
-// would touch recycled state (and now panics loudly instead).
-func (p *Player) ReleaseResources() {
-	if p.asm != nil {
-		p.asm.Release()
-		p.asm = nil
+		Playout:  segment.NewPlayout(),
 	}
 }
 
@@ -247,6 +229,7 @@ func (p *Player) onControl(now eventsim.Time, from inet.Endpoint, payload []byte
 			return
 		}
 		p.meta = m
+		p.SetClock(m.FrameRate(), int(m.TotalFrames), m.Duration())
 		p.retries = 0
 		p.sendPlay()
 	case MsgPlayResp:
@@ -327,13 +310,8 @@ func (p *Player) onData(now eventsim.Time, from inet.Endpoint, payload []byte) {
 	if p.events.OSPacket != nil {
 		p.events.OSPacket(now, h.Seq, 1)
 	}
-	segs, err := segment.DecodeListInto(p.segScratch[:0], segPayload)
-	if err != nil {
+	if p.Receive(segPayload) != nil {
 		return
-	}
-	p.segScratch = segs
-	for _, s := range segs {
-		p.asm.Add(s)
 	}
 	if p.noInterleave {
 		if p.events.AppPacket != nil {
@@ -356,56 +334,29 @@ func (p *Player) flushInterleave(now eventsim.Time) {
 	p.interleave = p.interleave[:0]
 }
 
-// bufferedMedia estimates how much media is in the delay buffer: completed
-// frames convert to seconds at the encoded frame rate.
-func (p *Player) bufferedMedia() time.Duration {
-	if p.meta.FrameMilli == 0 {
-		return 0
-	}
-	sec := float64(p.asm.CompletedFrames) / p.meta.FrameRate()
-	return time.Duration(sec * float64(time.Second))
-}
-
 func (p *Player) maybeStartPlayout(now eventsim.Time) {
 	if p.state != Buffering {
 		return
 	}
-	if p.bufferedMedia() < Preroll && p.asm.CompletedFrames < int(p.meta.TotalFrames) {
+	if p.Buffered() < segment.Preroll && p.CompletedFrames() < int(p.meta.TotalFrames) {
 		return
 	}
 	p.PlayBeganAt = now
 	p.setState(Playing)
-	p.stopPlay = p.host.Ticker(time.Second, "wms.playclock", func(now eventsim.Time) bool {
-		return p.playOneSecond(now)
-	})
+	p.stopPlay = p.host.Ticker(time.Second, "wms.playclock", p.playOneSecond)
 }
 
-// playOneSecond advances the playout clock, counting frames that arrived
-// complete in time.
+// playOneSecond is one playout clock tick.
 func (p *Player) playOneSecond(now eventsim.Time) bool {
 	if p.state != Playing {
 		return false
 	}
-	fps := p.meta.FrameRate()
-	from := int(float64(p.playSecond) * fps)
-	to := int(float64(p.playSecond+1) * fps)
-	if total := int(p.meta.TotalFrames); to > total {
-		to = total
-	}
-	played := 0
-	for f := from; f < to; f++ {
-		if p.asm.Complete(uint32(f)) {
-			played++
-		}
-		p.asm.Drop(uint32(f))
-	}
-	p.FramesPlayed += played
-	p.FramesExpected += to - from
+	second := p.Second()
+	played, expected, done := p.PlaySecond()
 	if p.events.SecondPlayed != nil {
-		p.events.SecondPlayed(now, p.playSecond, played, to-from)
+		p.events.SecondPlayed(now, second, played, expected)
 	}
-	p.playSecond++
-	if float64(p.playSecond) >= p.meta.Duration().Seconds() || from >= to {
+	if done {
 		p.finish(now)
 		return false
 	}
@@ -458,16 +409,4 @@ func (p *Player) LossRate() float64 {
 		return 0
 	}
 	return float64(p.UnitsLost) / float64(total)
-}
-
-// AchievedFPS reports the mean played frame rate.
-func (p *Player) AchievedFPS() float64 {
-	if p.PlayBeganAt == 0 && p.FramesPlayed == 0 {
-		return 0
-	}
-	secs := float64(p.playSecond)
-	if secs == 0 {
-		return 0
-	}
-	return float64(p.FramesPlayed) / secs
 }

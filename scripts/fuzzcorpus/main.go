@@ -6,9 +6,10 @@
 // unit, the first few segment lists of each player, every RTSP response
 // the client received, lists of RealPlayer data-packet sequence numbers
 // (NAK "Seqs" headers), the first RDT data-channel packet of each kind
-// (a data packet, a probe, the end marker), the first Windows Media
-// fragment train as timed fragment sets (whole, and with a fragment lost
-// and the train resent after the reassembly timeout) and three small
+// (a data packet, a probe, the end marker), every Windows Media control
+// message the client received and its first data unit, the first Windows
+// Media fragment train as timed fragment sets (whole, and with a fragment
+// lost and the train resent after the reassembly timeout) and three small
 // trace files cut from the capture (its first records, that fragment
 // train, the first RealPlayer data packet), in the `go test fuzz v1`
 // format, to
@@ -20,6 +21,7 @@
 //	internal/rdt/testdata/fuzz/FuzzParseRTSP/
 //	internal/rdt/testdata/fuzz/FuzzSeqList/
 //	internal/rdt/testdata/fuzz/FuzzParseData/
+//	internal/wms/testdata/fuzz/FuzzWMSProtocol/
 //	internal/capture/testdata/fuzz/FuzzReadFile/
 //
 // The golden run loses no RealPlayer packet, so the RDT corpus takes its
@@ -73,6 +75,7 @@ func main() {
 		seglists = map[string][]any{}
 		rtsp     = map[string][]any{}
 		rdtData  = map[string][]any{}
+		wmsProto = map[string][]any{}
 		seqs     []uint32
 	)
 	for i := 0; i < run.Trace.Len(); i++ {
@@ -108,6 +111,12 @@ func main() {
 			lists[h.SrcPort]++
 		}
 		switch h.SrcPort {
+		case inet.PortMMSCtl:
+			wmsProto[fmt.Sprintf("golden-control-%d", len(wmsProto))] = []any{payload}
+		case inet.PortMMSData:
+			if wmsProto["golden-data"] == nil {
+				wmsProto["golden-data"] = []any{payload}
+			}
 		case inet.PortRTSPCtl:
 			rtsp[fmt.Sprintf("golden-response-%d", len(rtsp))] = []any{payload}
 		case inet.PortRDTData:
@@ -141,6 +150,7 @@ func main() {
 	write("internal/segment/testdata/fuzz/FuzzDecodeListInto", seglists)
 	write("internal/rdt/testdata/fuzz/FuzzParseRTSP", rtsp)
 	write("internal/rdt/testdata/fuzz/FuzzSeqList", seqlists)
+	write("internal/wms/testdata/fuzz/FuzzWMSProtocol", wmsProto)
 	flashCrowd, err := netem.Find("flash-crowd")
 	if err != nil {
 		log.Fatal(err)

@@ -373,7 +373,6 @@ func DispatchLoopback(c *Coordinator, opts ...DispatchOption) *DispatchClient {
 // Dispatch knob constructors, re-exported for Serve/Work callers.
 func WithDispatchShards(n int) DispatchOption           { return dispatch.WithShards(n) }
 func WithLeaseTTL(d time.Duration) DispatchOption       { return dispatch.WithLeaseTTL(d) }
-func WithDispatchRetry(d time.Duration) DispatchOption  { return dispatch.WithRetry(d) }
 func WithRunWorkers(n int) DispatchOption               { return dispatch.WithRunWorkers(n) }
 func WithRunContext(ctx context.Context) DispatchOption { return dispatch.WithRunContext(ctx) }
 func WithWorkerName(name string) DispatchOption         { return dispatch.WithName(name) }
@@ -387,11 +386,6 @@ func WithDispatchLogf(f func(format string, args ...any)) DispatchOption {
 // path — and re-lease only the unfinished shards. A checkpoint written by
 // an older build, before frames carried checksums, is refused.
 func WithDispatchCheckpoint(path string) DispatchOption { return dispatch.WithCheckpoint(path) }
-
-// WithDispatchHeartbeat sets a worker's lease-renewal interval while a
-// shard simulates (0 derives TTL/3 from the grant). Renewal is what lets
-// LeaseTTL sit far below a slow shard's runtime without double-running it.
-func WithDispatchHeartbeat(d time.Duration) DispatchOption { return dispatch.WithHeartbeat(d) }
 
 // WithDispatchRetryBudget caps one client call's total elapsed retrying:
 // past it the coordinator counts as unreachable and the worker drains
