@@ -141,10 +141,12 @@
 // options, seed, engine generation — never the plan's labels or cell
 // index, so any plan that contains an equivalent cell hits, whatever
 // shape the sweep around it takes. Entries are appended to a single
-// file as length-prefixed, checksummed gob frames behind a version
-// header; a torn or corrupt tail is counted, logged, truncated and
-// re-simulated — corruption is always a miss, never data — and a store
-// written by a different wire or engine generation is refused at open.
+// file as length-prefixed, checksummed frames, each one fixed-width
+// binary record, behind a header naming the store format and the wire
+// and engine generations; a torn or corrupt tail is counted, logged,
+// truncated and re-simulated — corruption is always a miss, never data
+// — and a store in another format (the older gob frames included) or
+// from a different wire or engine generation is refused at open.
 //
 // A Runner with WithResultStore serves cached cells without building a
 // testbed and inserts fresh ones on the way out; merged output stays

@@ -1,6 +1,8 @@
 package dispatch
 
 import (
+	"bytes"
+	"encoding/gob"
 	"errors"
 	"fmt"
 	"io"
@@ -14,7 +16,8 @@ import (
 )
 
 // The checkpoint journal is the coordinator's crash insurance: an
-// append-only file of checksummed gob frames (internal/framelog) — one
+// append-only file of checksummed frames (internal/framelog), each body
+// an independent gob stream of one journalFrame — one
 // header naming the sweep (PlanSpec, its digest, the shard carve), then
 // one completion frame per collected shard — fsync'd after every append.
 // A coordinator restarted with Resume (or New with the same WithCheckpoint
@@ -54,6 +57,31 @@ type journalComplete struct {
 	Runs  []wire.Run
 }
 
+// writeFrame gob-encodes fr as one frame body, its own gob stream, so
+// appends from successive processes never share encoder state
+// (concatenated streams from independent encoders do not decode).
+func writeFrame(w io.Writer, fr journalFrame) (int, error) {
+	var body bytes.Buffer
+	if err := gob.NewEncoder(&body).Encode(fr); err != nil {
+		return 0, err
+	}
+	return framelog.Append(w, body.Bytes())
+}
+
+// readFrame decodes the scanner's next frame. A checksum-clean body that
+// does not decode is corruption, like one that fails its checksum.
+func readFrame(sc *framelog.Scanner) (journalFrame, error) {
+	var fr journalFrame
+	body, err := sc.Next()
+	if err != nil {
+		return fr, err
+	}
+	if err := gob.NewDecoder(bytes.NewReader(body)).Decode(&fr); err != nil {
+		return fr, fmt.Errorf("%w: %v", framelog.ErrCorrupt, err)
+	}
+	return fr, nil
+}
+
 // journal is the open append handle. Nil receiver = checkpointing off.
 // Appends serialise on the journal's own mutex, not the coordinator's, so
 // an fsync to a slow disk never stalls lease and renew traffic.
@@ -83,7 +111,7 @@ func (j *journal) appendFrame(fr journalFrame) {
 	if j.dead {
 		return
 	}
-	if _, err := framelog.Append(j.f, fr); err != nil {
+	if _, err := writeFrame(j.f, fr); err != nil {
 		j.fail("append", err)
 		return
 	}
@@ -130,8 +158,8 @@ func readJournal(path string) (h *journalHeader, done []journalComplete, end int
 		return nil, nil, 0, err
 	}
 	sc := framelog.NewScanner(f, info.Size())
-	var first journalFrame
-	if err := sc.Next(&first); err != nil {
+	first, err := readFrame(sc)
+	if err != nil {
 		return nil, nil, 0, fmt.Errorf("dispatch: checkpoint %s: unreadable header: %w", path, err)
 	}
 	h = first.Header
@@ -142,8 +170,7 @@ func readJournal(path string) (h *journalHeader, done []journalComplete, end int
 		return nil, nil, 0, fmt.Errorf("dispatch: checkpoint %s was written by wire version %d, this build speaks %d", path, h.Version, wire.Version)
 	}
 	for {
-		var fr journalFrame
-		err := sc.Next(&fr)
+		fr, err := readFrame(sc)
 		if err == io.EOF || errors.Is(err, framelog.ErrTorn) {
 			// A torn tail is a crash mid-append: everything before it is good.
 			return h, done, sc.End(), nil

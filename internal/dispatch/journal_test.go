@@ -11,7 +11,6 @@ import (
 	"testing"
 
 	"turbulence/internal/core"
-	"turbulence/internal/framelog"
 	"turbulence/internal/media"
 	"turbulence/internal/racecheck"
 	"turbulence/internal/wire"
@@ -157,7 +156,7 @@ func TestCheckpointTornTailTolerated(t *testing.T) {
 
 	// The crash: a completion frame cut three bytes into its body.
 	var whole bytes.Buffer
-	if _, err := framelog.Append(&whole, journalFrame{Complete: &journalComplete{Shard: 2, Runs: batchFor(plan, 2, 3)}}); err != nil {
+	if _, err := writeFrame(&whole, journalFrame{Complete: &journalComplete{Shard: 2, Runs: batchFor(plan, 2, 3)}}); err != nil {
 		t.Fatal(err)
 	}
 	appendRaw(t, ckpt, whole.Bytes()[:8+3])

@@ -1,14 +1,14 @@
 // Package framelog is the one on-disk log format of the sweep engine: an
-// append-only file of checksummed gob frames. The dispatch checkpoint
-// journal and the result store are its two users; each keeps its own frame
-// types, header check, durability rule and policy for a bad frame.
+// append-only file of checksummed byte frames. The dispatch checkpoint
+// journal and the result store are its two users; each owns the encoding
+// of its frame bodies (the journal gob-encodes each body as its own
+// stream, the store writes fixed-width binary records), its header check,
+// its durability rule and its policy for a body that does not decode.
 //
-// A frame is [uint32 body length][uint32 CRC32-IEEE of body][gob body],
-// big-endian. Each body is an independent gob stream, so appends from
-// successive processes never share encoder state (concatenated streams
-// from independent encoders do not decode). The checksum is what lets a
-// bit flip read as corruption instead of decoding to plausible garbage:
-// gob alone decodes many single-bit corruptions.
+// A frame is [uint32 body length][uint32 CRC32-IEEE of body][body],
+// big-endian. The checksum is what lets a bit flip read as corruption
+// instead of decoding to plausible garbage: neither gob nor a fixed-width
+// record can tell a flipped bit in a number from a real value.
 //
 // A crash mid-append leaves a torn tail: the file ends inside its last
 // frame. The scanner tells that apart from corruption, and Trim cuts the
@@ -18,9 +18,7 @@ package framelog
 
 import (
 	"bufio"
-	"bytes"
 	"encoding/binary"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"hash/crc32"
@@ -35,33 +33,27 @@ var (
 	// ErrTorn means the input ends inside a frame: the mark a crash
 	// mid-append leaves.
 	ErrTorn = errors.New("framelog: torn frame")
-	// ErrCorrupt means a whole frame is present but its checksum fails or
-	// its body does not decode.
+	// ErrCorrupt means a whole frame is present but its checksum fails.
+	// Callers wrap it too for a checksum-clean body they cannot decode.
 	ErrCorrupt = errors.New("framelog: corrupt frame")
 )
 
-// Append gob-encodes v as one frame and writes it to w in a single Write,
-// returning the bytes written. The caller decides whether to fsync.
-func Append(w io.Writer, v any) (int, error) {
-	var buf bytes.Buffer
-	var pre [prefixLen]byte
-	buf.Write(pre[:])
-	if err := gob.NewEncoder(&buf).Encode(v); err != nil {
-		return 0, err
-	}
-	frame := buf.Bytes()
-	body := frame[prefixLen:]
+// Append writes body as one frame to w in a single Write, returning the
+// bytes written. The caller decides whether to fsync.
+func Append(w io.Writer, body []byte) (int, error) {
+	frame := make([]byte, prefixLen, prefixLen+len(body))
 	binary.BigEndian.PutUint32(frame[:4], uint32(len(body)))
-	binary.BigEndian.PutUint32(frame[4:prefixLen], crc32.ChecksumIEEE(body))
-	return w.Write(frame)
+	binary.BigEndian.PutUint32(frame[4:], crc32.ChecksumIEEE(body))
+	return w.Write(append(frame, body...))
 }
 
 // Scanner reads frames in order from the start of a log.
 type Scanner struct {
 	r    *bufio.Reader
-	size int64 // bytes in the log
-	n    int64 // bytes consumed
-	end  int64 // offset just past the last frame Next returned
+	size int64  // bytes in the log
+	n    int64  // bytes consumed
+	end  int64  // offset just past the last frame Next returned
+	body []byte // the buffer Next reads every body into
 }
 
 // NewScanner scans the size bytes r yields.
@@ -69,22 +61,22 @@ func NewScanner(r io.Reader, size int64) *Scanner {
 	return &Scanner{r: bufio.NewReader(r), size: size}
 }
 
-// End is the offset just past the last whole frame Next decoded: where
+// End is the offset just past the last whole frame Next returned: where
 // Trim should cut.
 func (s *Scanner) End() int64 { return s.end }
 
-// Next decodes the next frame into v, a pointer to the caller's frame
-// type. It returns io.EOF at a clean end, an error wrapping ErrTorn when
-// the log ends inside a frame, and one wrapping ErrCorrupt for a whole
-// frame that fails its checksum or does not decode. After any error the
-// scan is over.
-func (s *Scanner) Next(v any) error {
+// Next returns the next frame's body once its checksum holds. The body
+// is only valid until the following call: the scanner reuses its buffer.
+// Next returns io.EOF at a clean end, an error wrapping ErrTorn when the
+// log ends inside a frame, and one wrapping ErrCorrupt for a whole frame
+// that fails its checksum. After any error the scan is over.
+func (s *Scanner) Next() ([]byte, error) {
 	var pre [prefixLen]byte
 	if err := s.read(pre[:]); err != nil {
 		if err == io.EOF {
-			return io.EOF
+			return nil, io.EOF
 		}
-		return fmt.Errorf("%w: short %d-byte prefix", ErrTorn, prefixLen)
+		return nil, fmt.Errorf("%w: short %d-byte prefix", ErrTorn, prefixLen)
 	}
 	n := int64(binary.BigEndian.Uint32(pre[:4]))
 	sum := binary.BigEndian.Uint32(pre[4:])
@@ -96,22 +88,22 @@ func (s *Scanner) Next(v any) error {
 		// later frames behind it — and its length prefix is what was
 		// damaged.
 		if k, ok := s.checksumPrefix(left, sum); ok {
-			return fmt.Errorf("%w: length prefix %d overruns a whole %d-byte body", ErrCorrupt, n, k)
+			return nil, fmt.Errorf("%w: length prefix %d overruns a whole %d-byte body", ErrCorrupt, n, k)
 		}
-		return fmt.Errorf("%w: body of %d bytes, %d left", ErrTorn, n, left)
+		return nil, fmt.Errorf("%w: body of %d bytes, %d left", ErrTorn, n, left)
 	}
-	body := make([]byte, n)
+	if int64(cap(s.body)) < n {
+		s.body = make([]byte, n)
+	}
+	body := s.body[:n]
 	if err := s.read(body); err != nil {
-		return fmt.Errorf("%w: body of %d bytes", ErrTorn, n)
+		return nil, fmt.Errorf("%w: body of %d bytes", ErrTorn, n)
 	}
 	if crc32.ChecksumIEEE(body) != sum {
-		return fmt.Errorf("%w: checksum mismatch", ErrCorrupt)
-	}
-	if err := gob.NewDecoder(bytes.NewReader(body)).Decode(v); err != nil {
-		return fmt.Errorf("%w: %v", ErrCorrupt, err)
+		return nil, fmt.Errorf("%w: checksum mismatch", ErrCorrupt)
 	}
 	s.end = s.n
-	return nil
+	return body, nil
 }
 
 // checksumPrefix reads the left bytes that remain and reports the length

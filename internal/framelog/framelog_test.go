@@ -4,38 +4,47 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"hash/crc32"
 	"io"
 	"reflect"
 	"testing"
 )
 
-// testFrame mirrors the callers' frame shape: exactly one field set.
-type testFrame struct {
-	Header *testHeader
-	Entry  *testEntry
-}
-
-type testHeader struct {
-	Magic   string
-	Version int
-}
-
-type testEntry struct {
-	Key  string
-	Vals []int
-}
-
-// scan decodes frames from b until the first error, returning them, the
-// scanner's end offset and that error.
-func scan(b []byte) ([]testFrame, int64, error) {
+// scan reads frame bodies from b until the first error, returning copies
+// of them, the scanner's end offset and that error.
+func scan(b []byte) ([][]byte, int64, error) {
 	sc := NewScanner(bytes.NewReader(b), int64(len(b)))
-	var frames []testFrame
+	var bodies [][]byte
 	for {
-		var fr testFrame
-		if err := sc.Next(&fr); err != nil {
-			return frames, sc.End(), err
+		body, err := sc.Next()
+		if err != nil {
+			return bodies, sc.End(), err
 		}
-		frames = append(frames, fr)
+		bodies = append(bodies, bytes.Clone(body))
+	}
+}
+
+// TestFrameLayout pins a frame byte for byte: [uint32 len][uint32
+// CRC32-IEEE][body], big-endian, and a scan hands the bodies back in order,
+// including an empty one, even though the scanner reuses its buffer.
+func TestFrameLayout(t *testing.T) {
+	bodies := [][]byte{[]byte("header"), {}, []byte("a longer second body")}
+	var log, byHand bytes.Buffer
+	for _, body := range bodies {
+		n, err := Append(&log, body)
+		if err != nil || n != prefixLen+len(body) {
+			t.Fatalf("Append = %d, %v; want %d bytes", n, err, prefixLen+len(body))
+		}
+		byHand.Write(binary.BigEndian.AppendUint32(nil, uint32(len(body))))
+		byHand.Write(binary.BigEndian.AppendUint32(nil, crc32.ChecksumIEEE(body)))
+		byHand.Write(body)
+	}
+	if !bytes.Equal(log.Bytes(), byHand.Bytes()) {
+		t.Fatalf("Append writes\n%x\nwant\n%x", log.Bytes(), byHand.Bytes())
+	}
+	got, end, err := scan(log.Bytes())
+	if err != io.EOF || end != int64(log.Len()) || !reflect.DeepEqual(got, [][]byte{bodies[0], {}, bodies[2]}) {
+		t.Fatalf("scan = %q, end %d, %v; want %q, end %d, io.EOF", got, end, err, bodies, log.Len())
 	}
 }
 
@@ -47,18 +56,18 @@ func scan(b []byte) ([]testFrame, int64, error) {
 func FuzzFrames(f *testing.F) {
 	var log bytes.Buffer
 	var lastFrame int // offset of the last frame
-	for _, fr := range []testFrame{
-		{Header: &testHeader{Magic: "turbulence-test", Version: 3}},
-		{Entry: &testEntry{Key: "a", Vals: []int{1, 2, 3}}},
-		{Entry: &testEntry{Key: "b"}},
+	for _, body := range []string{
+		"turbulence-test header v3",
+		"entry a: a body long enough to tear in the middle",
+		"entry b",
 	} {
 		lastFrame = log.Len()
-		if _, err := Append(&log, fr); err != nil {
+		if _, err := Append(&log, []byte(body)); err != nil {
 			f.Fatal(err)
 		}
 	}
 	whole := log.Bytes()
-	last := len(whole) - 20 // inside the last frame's body
+	last := len(whole) - 4 // inside the last frame's body
 
 	oversized := bytes.Clone(whole)
 	oversized = binary.BigEndian.AppendUint32(oversized, 0xFFFFFFF0)

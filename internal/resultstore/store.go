@@ -11,16 +11,22 @@
 // the whole invalidation story: stale results are never *served*, they are
 // merely unreachable bytes in the file.
 //
-// The file is a log of checksummed gob frames (internal/framelog), the
-// dispatch journal's format. Any frame that fails its checksum, does not
-// decode or tears at the tail is a cache miss, never data: it stops the
-// scan, and the file is trimmed back to the last whole frame so appends
-// never land behind garbage. Unlike the journal there is no fsync per
-// append: losing the tail of a cache on power cut costs a few
-// re-simulations, not correctness.
+// The file is a log of checksummed frames (internal/framelog), the
+// dispatch journal's format, each holding one fixed-width binary record
+// (record.go): first a header naming the magic, the store format, the wire
+// version and the engine generation, then one entry per cached cell. Any
+// frame that fails its checksum, is not a well-formed entry record or
+// tears at the tail is a cache miss, never data: it stops the scan, and
+// the file is trimmed back to the last whole frame so appends never land
+// behind garbage. Unlike the journal there is no fsync per append: losing
+// the tail of a cache on power cut costs a few re-simulations, not
+// correctness. A store of another format — including the gob frames of
+// format 1 — is refused at Open, like one of another engine generation:
+// point the new build at a fresh directory.
 package resultstore
 
 import (
+	"bytes"
 	"fmt"
 	"io"
 	"os"
@@ -40,29 +46,6 @@ const storeMagic = "turbulence-resultstore"
 
 // storeFile is the single append-only file inside the store directory.
 const storeFile = "results.store"
-
-// storeFrame is the one frame shape; exactly one field is set.
-type storeFrame struct {
-	Header *storeHeader
-	Entry  *storeEntry
-}
-
-// storeHeader is the first frame: which result generation this store
-// holds. Wire guards the gob shape of Comparison (it changes only with
-// protocol bumps); Engine guards the simulation's output generation. A
-// mismatch on either refuses the whole file loudly — foreign results must
-// never be served as this build's.
-type storeHeader struct {
-	Magic  string
-	Wire   int
-	Engine int
-}
-
-// storeEntry is one cached cell.
-type storeEntry struct {
-	Digest     string
-	Comparison core.Comparison
-}
 
 // Stats is a point-in-time snapshot of the store's counters.
 type Stats struct {
@@ -99,9 +82,10 @@ func WithLogf(fn func(format string, args ...any)) Option {
 }
 
 // Open opens (creating if needed) the result store in dir. A file written
-// by a different wire or engine generation is refused with an error — point
-// different generations at different directories. Corrupt tail frames are
-// counted, logged, truncated away and otherwise treated as misses.
+// in a different store format or by a different wire or engine generation
+// is refused with an error — point different generations at different
+// directories. Corrupt tail frames are counted, logged, truncated away
+// and otherwise treated as misses.
 func Open(dir string, opts ...Option) (*Store, error) {
 	s := &Store{
 		entries: make(map[string]*core.Comparison),
@@ -125,8 +109,8 @@ func Open(dir string, opts ...Option) (*Store, error) {
 		return nil, fmt.Errorf("resultstore: %w", err)
 	}
 	if info.Size() == 0 {
-		h := storeHeader{Magic: storeMagic, Wire: wire.Version, Engine: wire.EngineVersion}
-		n, err := framelog.Append(f, storeFrame{Header: &h})
+		h := storeHeader{Magic: storeMagic, Format: storeFormat, Wire: wire.Version, Engine: wire.EngineVersion}
+		n, err := framelog.Append(f, appendHeader(nil, h))
 		if err != nil {
 			f.Close()
 			return nil, fmt.Errorf("resultstore: cannot write store header to %s: %w", path, err)
@@ -160,24 +144,33 @@ func Open(dir string, opts ...Option) (*Store, error) {
 // logged, and the scan stops there.
 func (s *Store) load(path string, size int64) (int64, error) {
 	sc := framelog.NewScanner(s.f, size)
-	var first storeFrame
-	if err := sc.Next(&first); err != nil {
+	body, err := sc.Next()
+	if err != nil {
 		return 0, fmt.Errorf("resultstore: %s: unreadable header: %v", path, err)
 	}
-	h := first.Header
-	if h == nil || h.Magic != storeMagic {
+	h, err := decodeHeader(body)
+	if err != nil && bytes.Contains(body, []byte(storeMagic)) {
+		// Format 1 framed a gob stream, which spells the magic out.
+		return 0, fmt.Errorf("resultstore: %s holds results in the gob store format; this build reads store format %d — use a fresh directory",
+			path, storeFormat)
+	}
+	if err != nil || h.Magic != storeMagic {
 		return 0, fmt.Errorf("resultstore: %s is not a turbulence result store", path)
 	}
-	if h.Wire != wire.Version || h.Engine != wire.EngineVersion {
-		return 0, fmt.Errorf("resultstore: %s holds results from wire v%d / engine v%d; this build produces wire v%d / engine v%d — use a fresh directory",
-			path, h.Wire, h.Engine, wire.Version, wire.EngineVersion)
+	if h.Format != storeFormat || h.Wire != wire.Version || h.Engine != wire.EngineVersion {
+		return 0, fmt.Errorf("resultstore: %s holds results in store format %d from wire v%d / engine v%d; this build uses store format %d, wire v%d / engine v%d — use a fresh directory",
+			path, h.Format, h.Wire, h.Engine, storeFormat, wire.Version, wire.EngineVersion)
 	}
 	end := sc.End()
 	for {
-		var fr storeFrame
-		err := sc.Next(&fr)
+		body, err := sc.Next()
 		if err == io.EOF {
 			return end, nil
+		}
+		var cmp core.Comparison
+		var digest string
+		if err == nil {
+			digest, err = decodeEntry(body, &cmp)
 		}
 		if err != nil {
 			// A torn or corrupt frame: a miss, never data. Everything
@@ -186,13 +179,7 @@ func (s *Store) load(path string, size int64) (int64, error) {
 			s.logf("resultstore: dropping corrupt tail of %s (%v); cells re-simulate", path, err)
 			return end, nil
 		}
-		if fr.Entry == nil {
-			s.corrupt.Add(1)
-			s.logf("resultstore: dropping unexpected non-entry frame in %s; cells re-simulate", path)
-			return end, nil
-		}
-		cmp := fr.Entry.Comparison
-		s.entries[fr.Entry.Digest] = &cmp
+		s.entries[digest] = &cmp
 		end = sc.End()
 	}
 }
@@ -257,7 +244,7 @@ func (s *Store) Insert(digest string, cmp *core.Comparison) {
 	if s.dead || s.f == nil {
 		return
 	}
-	n, err := framelog.Append(s.f, storeFrame{Entry: &storeEntry{Digest: digest, Comparison: c}})
+	n, err := framelog.Append(s.f, appendEntry(nil, digest, &c))
 	if err != nil {
 		s.dead = true
 		s.logf("resultstore: append failed, persistence disabled for this run: %v", err)

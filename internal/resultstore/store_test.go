@@ -6,6 +6,7 @@ import (
 	"encoding/gob"
 	"fmt"
 	"hash/crc32"
+	"math"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -198,6 +199,52 @@ func TestStoreCorruptFrameIsMiss(t *testing.T) {
 	}
 }
 
+// TestStoreMalformedRecordIsMiss appends checksum-clean frames whose
+// bodies are not well-formed entry records, each behind a good entry and
+// followed by another: the malformed frame is counted, the scan stops
+// there, the file is trimmed back to the good entry, and the entry after
+// the malformed frame is dropped with it.
+func TestStoreMalformedRecordIsMiss(t *testing.T) {
+	good := appendEntry(nil, "after", cmpFor(3))
+	for name, body := range map[string][]byte{
+		"trailing byte": append(appendEntry(nil, "bad", cmpFor(2)), 0),
+		"bool byte 2":   func() []byte { b := appendEntry(nil, "bad", cmpFor(2)); b[len(b)-1] = 2; return b }(),
+		"header again":  appendHeader(nil, storeHeader{Magic: storeMagic, Format: storeFormat, Wire: wire.Version, Engine: wire.EngineVersion}),
+	} {
+		dir := t.TempDir()
+		s := open(t, dir)
+		s.Insert("keep", cmpFor(1))
+		s.Close()
+		path := filepath.Join(dir, storeFile)
+		info, err := os.Stat(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
+		if err != nil {
+			t.Fatal(err)
+		}
+		framelog.Append(f, body)
+		framelog.Append(f, good)
+		f.Close()
+
+		s = open(t, dir)
+		_, kept := s.Lookup("keep")
+		_, bad := s.Lookup("bad")
+		_, after := s.Lookup("after")
+		if !kept || bad || after {
+			t.Errorf("%s: hits keep %v, bad %v, after %v; want only keep", name, kept, bad, after)
+		}
+		if st := s.Stats(); st.CorruptFrames != 1 || st.Entries != 1 {
+			t.Errorf("%s: stats = %+v, want 1 corrupt frame and 1 entry", name, st)
+		}
+		s.Close()
+		if after, err := os.Stat(path); err != nil || after.Size() != info.Size() {
+			t.Errorf("%s: file not trimmed to its last good frame (err %v)", name, err)
+		}
+	}
+}
+
 // TestStoreOversizedFramePrefix appends a frame whose length prefix
 // promises almost 4 GiB: the frame is a corrupt tail like any other tear,
 // and opening the store must reject it from the file size rather than
@@ -235,35 +282,40 @@ func TestStoreOversizedFramePrefix(t *testing.T) {
 	}
 }
 
-// TestStoreForeignRefusal pins the refuse-loudly cases: a file written by
-// a different engine generation, a different wire version, or not a
-// result store at all.
-func TestStoreForeignRefusal(t *testing.T) {
-	writeHeader := func(t *testing.T, h storeHeader) string {
-		t.Helper()
-		dir := t.TempDir()
-		f, err := os.Create(filepath.Join(dir, storeFile))
-		if err != nil {
+// writeStore writes a store file in a fresh directory from raw frame
+// bodies and returns the directory.
+func writeStore(t *testing.T, bodies ...[]byte) string {
+	t.Helper()
+	var log bytes.Buffer
+	for _, body := range bodies {
+		if _, err := framelog.Append(&log, body); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := framelog.Append(f, storeFrame{Header: &h}); err != nil {
-			t.Fatal(err)
-		}
-		f.Close()
-		return dir
 	}
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, storeFile), log.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return dir
+}
 
+// TestStoreForeignRefusal pins the refuse-loudly cases: a file written in
+// a different store format, by a different engine generation or wire
+// version, or not a result store at all.
+func TestStoreForeignRefusal(t *testing.T) {
 	cases := []struct {
-		name string
-		h    storeHeader
+		name, want string
+		h          storeHeader
 	}{
-		{"foreign engine", storeHeader{Magic: storeMagic, Wire: wire.Version, Engine: wire.EngineVersion + 1}},
-		{"foreign wire", storeHeader{Magic: storeMagic, Wire: wire.Version + 1, Engine: wire.EngineVersion}},
-		{"wrong magic", storeHeader{Magic: "something-else", Wire: wire.Version, Engine: wire.EngineVersion}},
+		{"foreign format", "use a fresh directory", storeHeader{Magic: storeMagic, Format: storeFormat + 1, Wire: wire.Version, Engine: wire.EngineVersion}},
+		{"foreign engine", "use a fresh directory", storeHeader{Magic: storeMagic, Format: storeFormat, Wire: wire.Version, Engine: wire.EngineVersion + 1}},
+		{"foreign wire", "use a fresh directory", storeHeader{Magic: storeMagic, Format: storeFormat, Wire: wire.Version + 1, Engine: wire.EngineVersion}},
+		{"wrong magic", "not a turbulence result store", storeHeader{Magic: "something-else", Format: storeFormat, Wire: wire.Version, Engine: wire.EngineVersion}},
 	}
 	for _, tc := range cases {
-		if _, err := Open(writeHeader(t, tc.h)); err == nil {
-			t.Errorf("%s: Open accepted a foreign store", tc.name)
+		dir := writeStore(t, appendHeader(nil, tc.h))
+		if _, err := Open(dir); err == nil || !strings.Contains(err.Error(), tc.want) || !strings.Contains(err.Error(), dir) {
+			t.Errorf("%s: Open = %v, want an error naming the path and saying %q", tc.name, err, tc.want)
 		}
 	}
 
@@ -277,38 +329,118 @@ func TestStoreForeignRefusal(t *testing.T) {
 	}
 }
 
-// TestStoreFrameLayout pins the on-disk frame byte for byte: a store file
-// built by hand as [uint32 len][uint32 CRC32-IEEE][gob body] per frame —
-// the layout every existing store has — equals what the frame codec
-// writes, and opens with every entry served as a hit.
-func TestStoreFrameLayout(t *testing.T) {
-	frames := []storeFrame{
+// TestStoreRefusesGobFormat builds a store in the gob layout of store
+// format 1 — each frame body a gob stream of the frame type below — and
+// requires Open to refuse it, naming the path and asking for a fresh
+// directory, and to leave the file as it was.
+func TestStoreRefusesGobFormat(t *testing.T) {
+	type storeHeader struct {
+		Magic  string
+		Wire   int
+		Engine int
+	}
+	type storeEntry struct {
+		Digest     string
+		Comparison core.Comparison
+	}
+	type storeFrame struct {
+		Header *storeHeader
+		Entry  *storeEntry
+	}
+	var bodies [][]byte
+	for _, fr := range []storeFrame{
 		{Header: &storeHeader{Magic: storeMagic, Wire: wire.Version, Engine: wire.EngineVersion}},
 		{Entry: &storeEntry{Digest: "d0", Comparison: *cmpFor(0)}},
-		{Entry: &storeEntry{Digest: "d1", Comparison: *cmpFor(1)}},
-	}
-	var byHand, appended bytes.Buffer
-	for _, fr := range frames {
+	} {
 		var body bytes.Buffer
 		if err := gob.NewEncoder(&body).Encode(fr); err != nil {
 			t.Fatal(err)
 		}
-		byHand.Write(binary.BigEndian.AppendUint32(nil, uint32(body.Len())))
-		byHand.Write(binary.BigEndian.AppendUint32(nil, crc32.ChecksumIEEE(body.Bytes())))
-		byHand.Write(body.Bytes())
-		if _, err := framelog.Append(&appended, fr); err != nil {
-			t.Fatal(err)
-		}
+		bodies = append(bodies, body.Bytes())
 	}
-	if !bytes.Equal(appended.Bytes(), byHand.Bytes()) {
-		t.Fatalf("frame codec writes\n%x\nwant the hand-built\n%x", appended.Bytes(), byHand.Bytes())
+	dir := writeStore(t, bodies...)
+	path := filepath.Join(dir, storeFile)
+	before, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = Open(dir)
+	if err == nil || !strings.Contains(err.Error(), path) || !strings.Contains(err.Error(), "gob store format") ||
+		!strings.Contains(err.Error(), "use a fresh directory") {
+		t.Fatalf("Open of a gob-format store = %v, want an error naming %s, the gob format and a fresh directory", err, path)
+	}
+	if after, err := os.ReadFile(path); err != nil || !bytes.Equal(after, before) {
+		t.Fatalf("refused gob-format store was modified (err %v)", err)
+	}
+}
+
+// be64 appends v as 8 big-endian bytes.
+func be64(b []byte, v uint64) []byte { return binary.BigEndian.AppendUint64(b, v) }
+
+// TestStoreFrameLayout pins the on-disk layout byte for byte: a store file
+// built by hand, frame by frame [uint32 len][uint32 CRC32-IEEE][record],
+// with the header record (magic, store format, wire version, engine
+// generation) and then entry records (tag, digest, then every
+// Comparison and FlowProfile field in declaration order; ints and
+// lengths 8-byte big-endian, floats as IEEE bits, bools one byte), equals
+// what the store writes, and opens with every entry served as a hit.
+func TestStoreFrameLayout(t *testing.T) {
+	str := func(b []byte, s string) []byte { return append(be64(b, uint64(len(s))), s...) }
+	profile := func(b []byte, packets int, meanSize float64, cbr bool) []byte {
+		b = be64(b, uint64(packets))            // Packets
+		b = be64(b, 0)                          // Datagrams
+		b = be64(b, math.Float64bits(meanSize)) // MeanSize
+		for i := 0; i < 5; i++ {
+			b = be64(b, 0) // SizeCV, MeanInterarrival, InterarrivalCV, FragShare, MeanTrain
+		}
+		b = be64(b, 0) // MaxWireSize
+		b = be64(b, 0) // AvgRateBps
+		b = be64(b, 0) // BurstRatio
+		if cbr {
+			return append(b, 1)
+		}
+		return append(b, 0)
+	}
+	var header []byte
+	header = str(header, "turbulence-resultstore")
+	header = be64(header, 2)
+	header = be64(header, uint64(wire.Version))
+	header = be64(header, uint64(wire.EngineVersion))
+	bodies := [][]byte{header}
+	for i := 0; i < 2; i++ {
+		entry := []byte{'E'}
+		entry = str(entry, "d"+strconv.Itoa(i))
+		entry = be64(entry, uint64(i))
+		entry = str(entry, "low")
+		entry = profile(entry, i, float64(i)*1.5, false)
+		entry = profile(entry, i*2, 0, true)
+		bodies = append(bodies, entry)
+	}
+	var byHand bytes.Buffer
+	for _, body := range bodies {
+		byHand.Write(binary.BigEndian.AppendUint32(nil, uint32(len(body))))
+		byHand.Write(binary.BigEndian.AppendUint32(nil, crc32.ChecksumIEEE(body)))
+		byHand.Write(body)
 	}
 
 	dir := t.TempDir()
+	s := open(t, dir)
+	s.Insert("d0", cmpFor(0))
+	s.Insert("d1", cmpFor(1))
+	s.Close()
+	written, err := os.ReadFile(filepath.Join(dir, storeFile))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(written, byHand.Bytes()) {
+		t.Fatalf("store writes\n%x\nwant the hand-built\n%x", written, byHand.Bytes())
+	}
+
+	dir = t.TempDir()
 	if err := os.WriteFile(filepath.Join(dir, storeFile), byHand.Bytes(), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	s := open(t, dir)
+	s = open(t, dir)
 	defer s.Close()
 	for i := 0; i < 2; i++ {
 		got, ok := s.Lookup("d" + strconv.Itoa(i))

@@ -78,13 +78,13 @@ func (pl *Playout) Second() int { return pl.second }
 // the fractional rate's share, truncated at the clip's frame count —
 // count as played if complete and are then forgotten, so a frame that
 // completes late never counts. done reports that the clip's duration or
-// its frames have run out.
+// its frames have run out. A second that starts past the last frame is
+// due none, so the tallies never shrink when a described duration
+// outlasts the described frames.
 func (pl *Playout) PlaySecond() (played, expected int, done bool) {
 	from := int(float64(pl.second) * pl.fps)
 	to := int(float64(pl.second+1) * pl.fps)
-	if to > pl.totalFrames {
-		to = pl.totalFrames
-	}
+	to = max(min(to, pl.totalFrames), from)
 	for f := from; f < to; f++ {
 		if pl.asm.Complete(uint32(f)) {
 			played++

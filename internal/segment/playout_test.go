@@ -69,6 +69,18 @@ func TestPlayoutSeconds(t *testing.T) {
 			achieved: 20.0 / 3,
 		},
 		{
+			// A described duration outlasting the frames: the frames run
+			// out inside second 2, and the next second, which starts past
+			// the last frame, is due none and ends the clip. The tallies
+			// read 10, 20, 25, 25.
+			name: "duration outlasts frames", fps: 10, total: 25, duration: 10 * time.Second,
+			before: []func(*testing.T, *Playout){
+				func(t *testing.T, pl *Playout) { deliver(t, pl, 0, 25) },
+			},
+			want:     []second{{10, 10, false}, {10, 10, false}, {5, 5, false}, {0, 0, true}},
+			achieved: 25.0 / 4,
+		},
+		{
 			// Frames remain, but the clip's duration is over.
 			name: "ends at duration", fps: 25, total: 3000, duration: 2 * time.Second,
 			before: []func(*testing.T, *Playout){
@@ -113,6 +125,9 @@ func TestPlayoutSeconds(t *testing.T) {
 				}
 				played += p
 				expected += e
+				if pl.FramesPlayed != played || pl.FramesExpected != expected {
+					t.Fatalf("after second %d: tallies %d/%d, want %d/%d", i, pl.FramesPlayed, pl.FramesExpected, played, expected)
+				}
 			}
 			if pl.FramesPlayed != played || pl.FramesExpected != expected {
 				t.Fatalf("tallies %d/%d, want %d/%d", pl.FramesPlayed, pl.FramesExpected, played, expected)

@@ -25,6 +25,11 @@
 #   scripts/bench.sh order      same for the longest-first cell-order record
 #                               at -cpu 2 (BENCH_order.json; it also holds
 #                               -cpu 1 and the parent commit's numbers)
+#   scripts/bench.sh store      same for the result-store record
+#                               (BENCH_store.json; it also holds the parent
+#                               commit's numbers). Its benchmarks live in
+#                               internal/resultstore:
+#                               go test -run=NONE -bench=Store -benchmem ./internal/resultstore
 #
 # The tracked benchmarks run at the machine's GOMAXPROCS. To measure the
 # parallel sweep's scaling, rerun the headline benchmark at fixed counts:
@@ -69,6 +74,9 @@ figures)
     ;;
 order)
     exec go run ./scripts/benchjson BENCH_order.json
+    ;;
+store)
+    exec go run ./scripts/benchjson BENCH_store.json
     ;;
 smoke)
     exec go test -run=NONE -bench="$TRACKED" -benchmem -benchtime=1x -count=1 .

@@ -2,8 +2,11 @@
 // fuzz targets from a golden pair run: the set 2 / high pair at the
 // reference seed 2002, the run TestPairRunGoldenDigest pins. It captures
 // the run's packets, reassembles fragment trains, and writes the first
-// datagram of every UDP flow, the first reassembled Windows Media data
-// unit, the first few segment lists of each player, every RTSP response
+// captured datagram of each kind (ICMP echo reply and time exceeded, a
+// whole UDP datagram, a first and a continuation fragment) with a TCP
+// segment carrying the first RTSP response (the run has no TCP), the
+// first datagram of every UDP flow, the first reassembled Windows Media
+// data unit, the first few segment lists of each player, every RTSP response
 // the client received, lists of RealPlayer data-packet sequence numbers
 // (NAK "Seqs" headers), the first RDT data-channel packet of each kind
 // (a data packet, a probe, the end marker), every Windows Media control
@@ -14,6 +17,7 @@
 // train, the first RealPlayer data packet), in the `go test fuzz v1`
 // format, to
 //
+//	internal/inet/testdata/fuzz/FuzzIPv4Parsers/
 //	internal/inet/testdata/fuzz/FuzzChecksum/
 //	internal/inet/testdata/fuzz/FuzzParseUDP/
 //	internal/inet/testdata/fuzz/FuzzReassembly/
@@ -76,12 +80,20 @@ func main() {
 		rtsp     = map[string][]any{}
 		rdtData  = map[string][]any{}
 		wmsProto = map[string][]any{}
+		ipv4     = map[string][]any{}
 		seqs     []uint32
 	)
 	for i := 0; i < run.Trace.Len(); i++ {
 		rec := run.Trace.At(i)
-		d, err := inet.ParseDatagram(rec.Raw())
-		if err != nil || d.Header.Protocol != inet.ProtoUDP {
+		raw := rec.Raw()
+		d, err := inet.ParseDatagram(raw)
+		if err != nil {
+			continue
+		}
+		if name := datagramKind(d); name != "" && ipv4[name] == nil {
+			ipv4[name] = []any{raw}
+		}
+		if d.Header.Protocol != inet.ProtoUDP {
 			continue
 		}
 		fragmented := d.Header.IsFragment()
@@ -118,6 +130,9 @@ func main() {
 				wmsProto["golden-data"] = []any{payload}
 			}
 		case inet.PortRTSPCtl:
+			if len(rtsp) == 0 {
+				ipv4["golden-tcp-rtsp-response"] = []any{tcpDatagram(d, h, payload)}
+			}
 			rtsp[fmt.Sprintf("golden-response-%d", len(rtsp))] = []any{payload}
 		case inet.PortRDTData:
 			if dh, _, err := rdt.ParseData(payload); err == nil && len(seqs) < rdtSeqs {
@@ -140,6 +155,10 @@ func main() {
 		}
 		seqlists["golden-rdt-seqs-"+name] = []any{rdt.FormatSeqList(list), raw}
 	}
+	if len(ipv4) != 6 {
+		log.Fatalf("found %d of the 6 IPv4 datagram kinds", len(ipv4))
+	}
+	write("internal/inet/testdata/fuzz/FuzzIPv4Parsers", ipv4)
 	write("internal/inet/testdata/fuzz/FuzzParseUDP", udp)
 	sums := map[string][]any{}
 	for name, args := range udp {
@@ -169,6 +188,46 @@ func main() {
 	train := firstFragmentTrain(run.Trace)
 	write("internal/inet/testdata/fuzz/FuzzReassembly", reassemblyPlans(train))
 	write("internal/capture/testdata/fuzz/FuzzReadFile", traceFiles(run.Trace, train))
+}
+
+// datagramKind names a captured datagram's FuzzIPv4Parsers corpus entry
+// by its kind ("" for a kind the corpus does not take).
+func datagramKind(d *inet.Datagram) string {
+	switch {
+	case d.Header.Protocol == inet.ProtoICMP:
+		switch m, err := inet.ParseICMP(d.Payload); {
+		case err != nil:
+		case m.Type == inet.ICMPEchoReply:
+			return "golden-icmp-echo-reply"
+		case m.Type == inet.ICMPTimeExceeded:
+			return "golden-icmp-time-exceeded"
+		}
+	case d.Header.Protocol != inet.ProtoUDP:
+	case !d.Header.IsFragment():
+		return "golden-udp"
+	case d.Header.FragOff == 0:
+		return "golden-udp-first-fragment"
+	default:
+		return "golden-udp-continuation-fragment"
+	}
+	return ""
+}
+
+// tcpDatagram returns the IP wire bytes of a TCP segment between the
+// endpoints of the UDP datagram d (header h) that carries payload.
+func tcpDatagram(d *inet.Datagram, h inet.UDPHeader, payload []byte) []byte {
+	seg, err := inet.BuildTCP(
+		inet.Endpoint{Addr: d.Header.Src, Port: h.SrcPort},
+		inet.Endpoint{Addr: d.Header.Dst, Port: h.DstPort},
+		d.Header.ID, inet.TCPHeader{Seq: 1, Ack: 1, Flags: inet.TCPPsh | inet.TCPAck, Window: 17520}, payload)
+	if err != nil {
+		log.Fatal(err)
+	}
+	b, err := seg.Marshal()
+	if err != nil {
+		log.Fatal(err)
+	}
+	return b
 }
 
 // headRecords is how many leading capture records the first trace-file
