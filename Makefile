@@ -41,8 +41,11 @@ lint:
 		echo "$$hits"; exit 1; \
 	fi
 
-# The full local gate: what CI would run.
+# The full local gate: what CI would run. perfbench is its own module, so
+# `go test ./...` never compiles it; vetting and testing it here catches a
+# program change that breaks a name the benchmark uses.
 check: build lint test
+	cd perfbench && $(GO) vet ./... && $(GO) test .
 
 # Non-test Go lines outside perfbench: the size figure CHANGES.md and
 # ROADMAP.md track from change to change.

@@ -246,10 +246,10 @@
 // # Live transport
 //
 // The protocol stacks (wms, rdt, tcplite) are written against the
-// Transport seam rather than the simulated host directly, and the seam
-// has two implementations. SimTransport adapts a simulated host — every
-// method is a one-line delegation, so a stack running over it is
-// byte-identical to the pre-seam code, pinned by the golden-digest tests.
+// Transport seam, and a *Host or a *LiveTransport is the Transport. A
+// simulated Host implements the seam itself, each method a one-line call
+// into its network's scheduler, RNG or IP layer, so the simulated runs
+// stay byte-identical, pinned by the golden-digest tests.
 // LiveTransport carries the same stacks over real net.UDPConn sockets: a
 // single run-loop goroutine owns a private event scheduler and all
 // protocol state (the simulator's single-threaded discipline transplanted

@@ -37,10 +37,10 @@ func WMSPayloadDigest(clip media.Clip) (digest string, units int, err error) {
 		{Addr: inet.MakeAddr(10, 99, 0, 1), Bandwidth: 100e6, PropDelay: time.Millisecond},
 		{Addr: inet.MakeAddr(10, 99, 0, 2), Bandwidth: 100e6, PropDelay: time.Millisecond},
 	})
-	server := wms.NewServer(transport.NewSim(srv))
+	server := wms.NewServer(srv)
 	server.Register(clip.Name(), clip)
 	var dig wms.UnitDigest
-	player := wms.NewPlayer(transport.NewSim(client), liveServerAddr, clip.Name(), WMPCtlPort, WMPDataPort, wms.PlayerEvents{
+	player := wms.NewPlayer(client, liveServerAddr, clip.Name(), WMPCtlPort, WMPDataPort, wms.PlayerEvents{
 		DataUnit: func(_ eventsim.Time, seq uint32, payload []byte) { dig.Add(seq, payload) },
 	})
 	player.Start()

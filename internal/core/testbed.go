@@ -18,7 +18,6 @@ import (
 	"turbulence/internal/netem"
 	"turbulence/internal/netsim"
 	"turbulence/internal/rdt"
-	"turbulence/internal/transport"
 	"turbulence/internal/wms"
 )
 
@@ -164,8 +163,8 @@ func NewTestbed(seed int64, opts ...TestbedOption) *Testbed {
 		site := &Site{
 			Profile: prof,
 			Host:    host,
-			WMS:     wms.NewServer(transport.NewSim(host)),
-			RDT:     rdt.NewServer(transport.NewSim(host)),
+			WMS:     wms.NewServer(host),
+			RDT:     rdt.NewServer(host),
 		}
 		tb.Sites[prof.Set] = site
 	}

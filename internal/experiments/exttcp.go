@@ -11,7 +11,6 @@ import (
 	"turbulence/internal/netsim"
 	"turbulence/internal/stats"
 	"turbulence/internal/tcplite"
-	"turbulence/internal/transport"
 	"turbulence/internal/wms"
 )
 
@@ -84,11 +83,11 @@ func extTCPPath(seed int64, loss float64) (*netsim.Network, *netsim.Host, *netsi
 // flow from the client capture.
 func extTCPRunUDP(seed int64, clip media.Clip, loss float64) (*capture.FlowTrace, error) {
 	n, client, server := extTCPPath(seed, loss)
-	srv := wms.NewServer(transport.NewSim(server))
+	srv := wms.NewServer(server)
 	srv.Register(clip.Name(), clip)
 	sniff := capture.Attach(client)
 	sniff.RecvOnly = true
-	p := wms.NewPlayer(transport.NewSim(client), server.Addr(), clip.Name(), 4001, 4002, wms.PlayerEvents{})
+	p := wms.NewPlayer(client, server.Addr(), clip.Name(), 4001, 4002, wms.PlayerEvents{})
 	p.Start()
 	if err := n.Run(eventsim.At(clip.Duration.Seconds() + 60)); err != nil {
 		return nil, err
@@ -101,8 +100,8 @@ func extTCPRunUDP(seed int64, clip media.Clip, loss float64) (*capture.FlowTrace
 // returns the client-side data flow.
 func extTCPRunTCP(seed int64, clip media.Clip, loss float64) (*capture.FlowTrace, error) {
 	n, client, server := extTCPPath(seed, loss)
-	clientStack := tcplite.NewStack(transport.NewSim(client))
-	serverStack := tcplite.NewStack(transport.NewSim(server))
+	clientStack := tcplite.NewStack(client)
+	serverStack := tcplite.NewStack(server)
 	sniff := capture.Attach(client)
 	sniff.RecvOnly = true
 
@@ -112,7 +111,7 @@ func extTCPRunTCP(seed int64, clip media.Clip, loss float64) (*capture.FlowTrace
 	serverStack.Listen(inet.PortMMSData, func(conn *tcplite.Conn) {
 		sent := 0
 		chunk := make([]byte, bytesPerTick)
-		server.Network().Sched.Ticker(100*time.Millisecond, "tcp.mediaWriter", func(eventsim.Time) bool {
+		server.Ticker(100*time.Millisecond, "tcp.mediaWriter", func(eventsim.Time) bool {
 			if sent >= totalBytes || conn.State() == tcplite.Closed {
 				conn.Close()
 				return false

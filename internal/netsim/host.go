@@ -294,8 +294,9 @@ func (h *Host) deliver(d *inet.Datagram, now eventsim.Time) {
 	}
 }
 
-// After schedules fn on the shared event loop, a convenience for model code
-// holding only a Host.
+// After schedules fn on the shared event loop. With AfterArg, Ticker,
+// Cancel and RNGInto it makes the host a transport.Transport: the protocol
+// stacks run on a *Host directly.
 func (h *Host) After(d time.Duration, name string, fn func(now eventsim.Time)) eventsim.Timer {
 	return h.net.Sched.After(d, name, fn)
 }
@@ -304,4 +305,19 @@ func (h *Host) After(d time.Duration, name string, fn func(now eventsim.Time)) e
 // code that schedules on a per-packet cadence.
 func (h *Host) AfterArg(d time.Duration, name string, fn func(now eventsim.Time, arg any), arg any) eventsim.Timer {
 	return h.net.Sched.AfterArg(d, name, fn, arg)
+}
+
+// Ticker repeats fn on the shared event loop until fn returns false or
+// stop is called.
+func (h *Host) Ticker(interval time.Duration, name string, fn func(now eventsim.Time) bool) (stop func()) {
+	return h.net.Sched.Ticker(interval, name, fn)
+}
+
+// Cancel revokes a pending timer on the shared event loop.
+func (h *Host) Cancel(t eventsim.Timer) { h.net.Sched.Cancel(t) }
+
+// RNGInto splits the labelled stream off the network's root RNG into
+// child, rewinding child in place; a nil child allocates.
+func (h *Host) RNGInto(label string, child *eventsim.RNG) *eventsim.RNG {
+	return h.net.rng.SplitInto(label, child)
 }

@@ -55,11 +55,11 @@ func (c *ctlTap) SendUDP(src inet.Port, dst inet.Endpoint, payload []byte) (int,
 func streamingSession(t *testing.T) (*Player, *Server, *session, *dataSink, *ctlTap) {
 	t.Helper()
 	n, c, _ := testbed(t, 5, 10e6, 0)
-	sink := &dataSink{Transport: transport.NewSim(n.Host(serverAddr))}
+	sink := &dataSink{Transport: n.Host(serverAddr)}
 	srv := NewServer(sink)
 	clip, _ := media.FindClip(6, media.Real, media.VeryHigh)
 	srv.Register(clip.Name(), clip)
-	tap := &ctlTap{Transport: transport.NewSim(c)}
+	tap := &ctlTap{Transport: c}
 	p := NewPlayer(tap, serverAddr, clip.Name(), 5001, 5002, PlayerEvents{})
 	p.Start()
 	if err := n.Run(eventsim.At(5)); err != nil {

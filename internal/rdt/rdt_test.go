@@ -11,7 +11,6 @@ import (
 	"turbulence/internal/media"
 	"turbulence/internal/netsim"
 	"turbulence/internal/stats"
-	"turbulence/internal/transport"
 )
 
 var (
@@ -32,7 +31,7 @@ func testbed(t *testing.T, seed int64, bottleneck float64, loss float64) (*netsi
 		{Addr: inet.MakeAddr(10, 2, 0, 3), Bandwidth: 45e6, PropDelay: 2 * time.Millisecond, JitterMax: 300 * time.Microsecond},
 	}
 	n.ConnectDuplex(clientAddr, serverAddr, specs)
-	return n, c, NewServer(transport.NewSim(s))
+	return n, c, NewServer(s)
 }
 
 func TestRTSPRoundTrips(t *testing.T) {
@@ -198,7 +197,7 @@ func streamClip(t *testing.T, clip media.Clip, seed int64, bottleneck float64) (
 	srv.Register(clip.Name(), clip)
 	sniff := capture.Attach(c)
 	var done bool
-	p := NewPlayer(transport.NewSim(c), serverAddr, clip.Name(), 5001, 5002, PlayerEvents{
+	p := NewPlayer(c, serverAddr, clip.Name(), 5001, 5002, PlayerEvents{
 		Done: func(eventsim.Time) { done = true },
 	})
 	p.Start()
@@ -319,7 +318,7 @@ func TestRealStartsPlayoutQuickly(t *testing.T) {
 	n, c, srv := testbed(t, 36, 900e3, 0)
 	srv.Register(clip.Name(), clip)
 	var playStart eventsim.Time
-	p := NewPlayer(transport.NewSim(c), serverAddr, clip.Name(), 5001, 5002, PlayerEvents{
+	p := NewPlayer(c, serverAddr, clip.Name(), 5001, 5002, PlayerEvents{
 		StateChange: func(now eventsim.Time, s State) {
 			if s == Playing {
 				playStart = now
@@ -364,7 +363,7 @@ func TestNAKRecoversLoss(t *testing.T) {
 	n, c, srv := testbed(t, 39, 900e3, 0.03) // 3% loss at the bottleneck
 	srv.Register(clip.Name(), clip)
 	var done bool
-	p := NewPlayer(transport.NewSim(c), serverAddr, clip.Name(), 5001, 5002, PlayerEvents{
+	p := NewPlayer(c, serverAddr, clip.Name(), 5001, 5002, PlayerEvents{
 		Done: func(eventsim.Time) { done = true },
 	})
 	p.Start()
@@ -387,7 +386,7 @@ func TestNAKRecoversLoss(t *testing.T) {
 func TestUnknownClip404(t *testing.T) {
 	n, c, _ := testbed(t, 40, 900e3, 0)
 	var done bool
-	p := NewPlayer(transport.NewSim(c), serverAddr, "ghost", 5001, 5002, PlayerEvents{
+	p := NewPlayer(c, serverAddr, "ghost", 5001, 5002, PlayerEvents{
 		Done: func(eventsim.Time) { done = true },
 	})
 	p.Start()
@@ -402,7 +401,7 @@ func TestHandshakeSurvivesControlLoss(t *testing.T) {
 	n, c, srv := testbed(t, 41, 900e3, 0.25)
 	srv.Register(clip.Name(), clip)
 	var reached State
-	p := NewPlayer(transport.NewSim(c), serverAddr, clip.Name(), 5001, 5002, PlayerEvents{
+	p := NewPlayer(c, serverAddr, clip.Name(), 5001, 5002, PlayerEvents{
 		StateChange: func(_ eventsim.Time, s State) {
 			if s > reached && s != Done {
 				reached = s
@@ -426,7 +425,7 @@ func TestSessionTeardownFreesServer(t *testing.T) {
 	clip, _ := media.FindClip(3, media.Real, media.Low)
 	n, c, srv := testbed(t, 43, 900e3, 0)
 	srv.Register(clip.Name(), clip)
-	p := NewPlayer(transport.NewSim(c), serverAddr, clip.Name(), 5001, 5002, PlayerEvents{})
+	p := NewPlayer(c, serverAddr, clip.Name(), 5001, 5002, PlayerEvents{})
 	p.Start()
 	n.Run(eventsim.At(clip.Duration.Seconds() + 90))
 	if srv.ActiveSessions() != 0 {
@@ -449,7 +448,7 @@ func TestDoubleStartPanics(t *testing.T) {
 	n, c, srv := testbed(t, 44, 900e3, 0)
 	clip, _ := media.FindClip(3, media.Real, media.Low)
 	srv.Register(clip.Name(), clip)
-	p := NewPlayer(transport.NewSim(c), serverAddr, clip.Name(), 5001, 5002, PlayerEvents{})
+	p := NewPlayer(c, serverAddr, clip.Name(), 5001, 5002, PlayerEvents{})
 	p.Start()
 	defer func() {
 		if recover() == nil {

@@ -8,7 +8,6 @@ import (
 	"turbulence/internal/eventsim"
 	"turbulence/internal/inet"
 	"turbulence/internal/netsim"
-	"turbulence/internal/transport"
 )
 
 var (
@@ -27,7 +26,7 @@ func buildNet(t *testing.T, seed int64, loss float64, bw float64) (*netsim.Netwo
 		{Addr: inet.MakeAddr(10, 7, 0, 3), Bandwidth: 45e6, PropDelay: 3 * time.Millisecond},
 	}
 	n.ConnectDuplex(clientAddr, serverAddr, specs)
-	return n, NewStack(transport.NewSim(c)), NewStack(transport.NewSim(s))
+	return n, NewStack(c), NewStack(s)
 }
 
 func TestHandshakeAndTransfer(t *testing.T) {
@@ -154,7 +153,7 @@ func TestCloseHandshake(t *testing.T) {
 func TestConnectTimeoutToNowhere(t *testing.T) {
 	n := netsim.New(5)
 	c := n.AddHost(clientAddr)
-	cs := NewStack(transport.NewSim(c))
+	cs := NewStack(c)
 	var closed bool
 	conn, err := cs.Dial(0, inet.Endpoint{Addr: serverAddr, Port: 80}, nil)
 	if err != nil {
@@ -188,7 +187,7 @@ func TestSegmentsNeverFragment(t *testing.T) {
 	n, cs, ss := buildNet(t, 7, 0, 10e6)
 	ss.Listen(80, func(c *Conn) { c.OnData(func(eventsim.Time, []byte) {}) })
 	frags := 0
-	ss.Host().(*transport.Sim).Host().Tap(func(_ eventsim.Time, dir netsim.Direction, d *inet.Datagram) {
+	ss.Host().(*netsim.Host).Tap(func(_ eventsim.Time, dir netsim.Direction, d *inet.Datagram) {
 		if dir == netsim.Recv && d.Header.IsFragment() {
 			frags++
 		}

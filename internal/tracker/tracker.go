@@ -21,7 +21,6 @@ import (
 	"turbulence/internal/netsim"
 	"turbulence/internal/rdt"
 	"turbulence/internal/stats"
-	"turbulence/internal/transport"
 	"turbulence/internal/wms"
 )
 
@@ -172,7 +171,7 @@ func (c *common) rel(now eventsim.Time) time.Duration { return now.Sub(c.epoch) 
 // startPolling samples application bandwidth once per second from a bytes
 // counter getter.
 func (c *common) startPolling(bytesSoFar func() int) {
-	c.stopPoll = c.host.Network().Sched.Ticker(time.Second, "tracker.poll", func(now eventsim.Time) bool {
+	c.stopPoll = c.host.Ticker(time.Second, "tracker.poll", func(now eventsim.Time) bool {
 		cur := bytesSoFar()
 		delta := cur - c.lastBytes
 		c.lastBytes = cur
@@ -222,7 +221,7 @@ func StartMediaTracker(host *netsim.Host, server *wms.Server, clipRef string, ct
 		},
 		Done: func(now eventsim.Time) { t.complete(now) },
 	}
-	t.player = wms.NewPlayer(transport.NewSim(host), server.Host().Addr(), clipRef,
+	t.player = wms.NewPlayer(host, server.Host().Addr(), clipRef,
 		toPort(ctlPort), toPort(dataPort), ev)
 	t.player.Start()
 	c.startPolling(func() int { return t.player.BytesReceived })
@@ -273,7 +272,7 @@ func StartRealTracker(host *netsim.Host, server *rdt.Server, clipRef string, ctl
 		},
 		Done: func(now eventsim.Time) { t.complete(now) },
 	}
-	t.player = rdt.NewPlayer(transport.NewSim(host), server.Host().Addr(), clipRef,
+	t.player = rdt.NewPlayer(host, server.Host().Addr(), clipRef,
 		toPort(ctlPort), toPort(dataPort), ev)
 	t.player.Start()
 	c.startPolling(func() int { return t.player.BytesReceived })

@@ -9,14 +9,15 @@ import (
 	"turbulence/internal/netsim"
 )
 
-// The conformance harness abstracts the one thing Sim and Live differ on:
-// how the world makes progress. Everything a stack does between runs —
-// bind, rebind, unbind, rebind again — must behave identically on both,
-// because the servers rebind their ports between sessions and a semantic
-// drift here would only surface as a live-only hang.
+// The conformance harness abstracts the one thing the simulated host and
+// Live differ on: how the world makes progress. Everything a stack does
+// between runs — bind, rebind, unbind, rebind again — must behave
+// identically on both, because the servers rebind their ports between
+// sessions and a semantic drift here would only surface as a live-only
+// hang.
 type confEnv struct {
 	// do runs fn in the transport's execution context (the run loop for
-	// Live, directly for the single-threaded Sim).
+	// Live, directly for the single-threaded simulated host).
 	do func(fn func())
 	// send transmits payload from the sender to the receiver's test port.
 	send func(payload []byte)
@@ -68,12 +69,11 @@ func TestRebindSemanticsSim(t *testing.T) {
 	n := netsim.New(1)
 	src := inet.MakeAddr(10, 0, 0, 1)
 	dst := inet.MakeAddr(10, 0, 0, 2)
-	hSrc := n.AddHost(src)
-	hDst := n.AddHost(dst)
+	a := n.AddHost(src)
+	b := n.AddHost(dst)
 	n.ConnectDuplex(src, dst, []netsim.HopSpec{
 		{Addr: inet.MakeAddr(10, 0, 1, 1), Bandwidth: 100e6, PropDelay: time.Millisecond},
 	})
-	a, b := NewSim(hSrc), NewSim(hDst)
 
 	horizon := eventsim.Time(0)
 	env := &confEnv{
@@ -144,4 +144,149 @@ func TestRebindSemanticsLive(t *testing.T) {
 		}
 	}
 	testRebindSemantics(t, env)
+}
+
+// timerEnv drives the timer and RNG half of the seam on one transport.
+type timerEnv struct {
+	// tr is the transport under test; twin is a second transport seeded
+	// like tr, used only for RNGInto.
+	tr, twin Transport
+	// do and doTwin run fn in tr's and twin's execution contexts.
+	do, doTwin func(fn func())
+	// await advances time until check (evaluated in tr's context) holds,
+	// failing the test if it never does; idle lets a grace period pass.
+	await func(check func() bool)
+	idle  func()
+}
+
+// confTick is the timer cadence of the scenario: about 10 ms keeps the
+// live run short.
+const confTick = 10 * time.Millisecond
+
+// testTimerSemantics drives the shared timer and RNG scenario.
+func testTimerSemantics(t *testing.T, env *timerEnv) {
+	tr := env.tr
+
+	// RNGInto rewinds a non-nil child in place to the stream a nil child
+	// gets from an identically seeded transport.
+	child := eventsim.NewRNG(99)
+	var got, want [4]float64
+	env.do(func() {
+		if r := tr.RNGInto("conf.rng", child); r != child {
+			t.Errorf("RNGInto returned %p, want the child %p", r, child)
+		}
+		for i := range got {
+			got[i] = child.Float64()
+		}
+	})
+	env.doTwin(func() {
+		ref := env.twin.RNGInto("conf.rng", nil)
+		for i := range want {
+			want[i] = ref.Float64()
+		}
+	})
+	if got != want {
+		t.Errorf("RNGInto child draws %v, want %v", got, want)
+	}
+
+	// A ticker whose callback returns false on its third tick fires
+	// exactly three times.
+	var ticks int
+	env.do(func() {
+		tr.Ticker(confTick, "conf.tick", func(eventsim.Time) bool {
+			ticks++
+			return ticks < 3
+		})
+	})
+	env.await(func() bool { return ticks >= 3 })
+	env.idle()
+	env.do(func() {
+		if ticks != 3 {
+			t.Errorf("ticker fired %d times, want 3", ticks)
+		}
+	})
+
+	// A timer cancelled before its deadline never fires.
+	var fired, cancelled bool
+	env.do(func() {
+		victim := tr.After(5*confTick, "conf.victim", func(eventsim.Time) { fired = true })
+		tr.After(confTick, "conf.cancel", func(eventsim.Time) {
+			tr.Cancel(victim)
+			cancelled = true
+		})
+	})
+	env.await(func() bool { return cancelled })
+	env.idle()
+	env.do(func() {
+		if fired {
+			t.Error("cancelled timer fired")
+		}
+	})
+}
+
+func TestTimerSemanticsSim(t *testing.T) {
+	addr := inet.MakeAddr(10, 0, 0, 1)
+	n := netsim.New(1)
+	h := n.AddHost(addr)
+	twin := netsim.New(1).AddHost(addr)
+
+	horizon := eventsim.Time(0)
+	advance := func() {
+		horizon = horizon.Add(confTick)
+		if err := n.Run(horizon); err != nil {
+			t.Fatal(err)
+		}
+	}
+	direct := func(fn func()) { fn() }
+	testTimerSemantics(t, &timerEnv{
+		tr: h, twin: twin, do: direct, doTwin: direct,
+		await: func(check func() bool) {
+			for i := 0; !check(); i++ {
+				if i == 100 {
+					t.Fatal("sim await: condition never held")
+				}
+				advance()
+			}
+		},
+		idle: func() {
+			for i := 0; i < 20; i++ {
+				advance()
+			}
+		},
+	})
+}
+
+func TestTimerSemanticsLive(t *testing.T) {
+	lo := inet.MakeAddr(127, 0, 0, 1)
+	a, err := NewLive(Config{BindIP: lo, Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer a.Close()
+	twin, err := NewLive(Config{BindIP: lo, Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer twin.Close()
+
+	do := func(fn func()) { a.DoWait(func(eventsim.Time) { fn() }) }
+	testTimerSemantics(t, &timerEnv{
+		tr: a, twin: twin, do: do,
+		doTwin: func(fn func()) { twin.DoWait(func(eventsim.Time) { fn() }) },
+		await: func(check func() bool) {
+			deadline := time.Now().Add(5 * time.Second)
+			for {
+				var ok bool
+				do(func() { ok = check() })
+				if ok {
+					return
+				}
+				if time.Now().After(deadline) {
+					t.Fatal("live await: condition never held")
+				}
+				time.Sleep(confTick / 2)
+			}
+		},
+		idle: func() { time.Sleep(20 * confTick) },
+	})
 }

@@ -1,11 +1,11 @@
 // Package transport is the seam between the protocol stacks (wms, rdt,
 // tcplite) and the thing that carries their packets. The stacks speak the
-// small Transport interface — exactly what they used of *netsim.Host —
-// and two implementations plug in underneath:
+// small Transport interface — exactly what they use of *netsim.Host —
+// and *netsim.Host or *transport.Live is the Transport:
 //
-//   - Sim adapts a *netsim.Host: every call delegates to the host and the
-//     network's shared scheduler, so behaviour is byte-identical to the
-//     stacks' pre-seam wiring (pinned by the repo's golden digests).
+//   - *netsim.Host implements it directly: every method is the host's own
+//     IP layer or a one-line call into the network's shared scheduler and
+//     root RNG, so simulated runs are pinned by the repo's golden digests.
 //   - Live drives real net.UDPConn sockets: a private event loop mirrors
 //     the simulator's single-threaded discipline over wall-clock time, so
 //     the same protocol code streams over localhost — or a real network —
@@ -35,12 +35,14 @@ type UDPHandler = netsim.UDPHandler
 // transport and demultiplexes by port internally.
 type TCPHandler = netsim.TCPHandler
 
+var _ Transport = (*netsim.Host)(nil)
+
 // Transport is what the protocol stacks use of a host: UDP send and port
 // binding, the raw-TCP seam tcplite needs, a clock, timers on the owning
 // event loop, and a labelled deterministic RNG. All methods must be called
-// from the transport's event loop (simulation callbacks on Sim; the run
-// loop on Live — use Live.Do to get there), which is what keeps protocol
-// state single-threaded and runs deterministic.
+// from the transport's event loop (simulation callbacks on a netsim.Host;
+// the run loop on Live — use Live.Do to get there), which is what keeps
+// protocol state single-threaded and runs deterministic.
 type Transport interface {
 	// Addr returns the local address.
 	Addr() inet.Addr
@@ -49,7 +51,7 @@ type Transport interface {
 	// the kernel does the actual fragmenting).
 	MTU() int
 	// Now returns the current time on the transport's clock: simulated
-	// time on Sim, wall time since the transport started on Live.
+	// time on a netsim.Host, wall time since the transport started on Live.
 	Now() eventsim.Time
 
 	// SendUDP transmits payload from srcPort to dst and reports the
@@ -78,8 +80,8 @@ type Transport interface {
 	Cancel(t eventsim.Timer)
 
 	// RNGInto derives the labelled deterministic stream for a protocol
-	// component (Sim: a split of the network root RNG; Live: a split of
-	// a private seeded root), rewinding child in place instead of
+	// component (netsim.Host: a split of the network root RNG; Live: a
+	// split of a private seeded root), rewinding child in place instead of
 	// allocating a new source, so a stack's Reset re-arms its stream
 	// allocation-free. A nil child allocates.
 	RNGInto(label string, child *eventsim.RNG) *eventsim.RNG

@@ -35,11 +35,11 @@ func TestSendPathAllocFree(t *testing.T) {
 		t.Skip("allocation pins are unreliable under -race")
 	}
 	n, c, _ := testbed(t, 5)
-	sink := &dataSink{Transport: transport.NewSim(n.Host(serverAddr))}
+	sink := &dataSink{Transport: n.Host(serverAddr)}
 	srv := NewServer(sink)
 	clip, _ := media.FindClip(1, media.WindowsMedia, media.High)
 	srv.Register(clip.Name(), clip)
-	p := NewPlayer(transport.NewSim(c), serverAddr, clip.Name(), 4001, 4002, PlayerEvents{})
+	p := NewPlayer(c, serverAddr, clip.Name(), 4001, 4002, PlayerEvents{})
 	p.Start()
 	if err := n.Run(eventsim.At(5)); err != nil {
 		t.Fatal(err)

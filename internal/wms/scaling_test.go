@@ -8,7 +8,6 @@ import (
 	"turbulence/internal/inet"
 	"turbulence/internal/media"
 	"turbulence/internal/netsim"
-	"turbulence/internal/transport"
 )
 
 // constrainedTestbed builds a path whose bottleneck sits below the clip's
@@ -24,7 +23,7 @@ func constrainedTestbed(t *testing.T, seed int64, bottleneck float64) (*netsim.N
 		{Addr: inet.MakeAddr(10, 9, 0, 3), Bandwidth: 45e6, PropDelay: 2 * time.Millisecond},
 	}
 	n.ConnectDuplex(clientAddr, serverAddr, specs)
-	return n, c, NewServer(transport.NewSim(s))
+	return n, c, NewServer(s)
 }
 
 func runConstrained(t *testing.T, seed int64, scalingOn bool) *Player {
@@ -33,7 +32,7 @@ func runConstrained(t *testing.T, seed int64, scalingOn bool) *Player {
 	n, c, srv := constrainedTestbed(t, seed, 250e3)              // starved
 	srv.Register(clip.Name(), clip)
 	srv.EnableScaling(scalingOn)
-	p := NewPlayer(transport.NewSim(c), serverAddr, clip.Name(), 4001, 4002, PlayerEvents{})
+	p := NewPlayer(c, serverAddr, clip.Name(), 4001, 4002, PlayerEvents{})
 	p.Start()
 	n.Run(eventsim.At(clip.Duration.Seconds() + 60))
 	return p
@@ -66,7 +65,7 @@ func TestScalingServerCountsSteps(t *testing.T) {
 	n, c, srv := constrainedTestbed(t, 73, 250e3)
 	srv.Register(clip.Name(), clip)
 	srv.EnableScaling(true)
-	p := NewPlayer(transport.NewSim(c), serverAddr, clip.Name(), 4001, 4002, PlayerEvents{})
+	p := NewPlayer(c, serverAddr, clip.Name(), 4001, 4002, PlayerEvents{})
 	p.Start()
 	n.Run(eventsim.At(60))
 	if srv.ThinSteps == 0 {
@@ -78,7 +77,7 @@ func TestScalingOffByDefault(t *testing.T) {
 	clip, _ := media.FindClip(1, media.WindowsMedia, media.High)
 	n, c, srv := constrainedTestbed(t, 74, 250e3)
 	srv.Register(clip.Name(), clip)
-	p := NewPlayer(transport.NewSim(c), serverAddr, clip.Name(), 4001, 4002, PlayerEvents{})
+	p := NewPlayer(c, serverAddr, clip.Name(), 4001, 4002, PlayerEvents{})
 	p.Start()
 	n.Run(eventsim.At(60))
 	if srv.ThinSteps != 0 {
@@ -107,7 +106,7 @@ func TestScalingDoesNotDisturbCleanPaths(t *testing.T) {
 		n, c, srv := testbed(t, 75)
 		srv.Register(clip.Name(), clip)
 		srv.EnableScaling(scalingOn)
-		p := NewPlayer(transport.NewSim(c), serverAddr, clip.Name(), 4001, 4002, PlayerEvents{})
+		p := NewPlayer(c, serverAddr, clip.Name(), 4001, 4002, PlayerEvents{})
 		p.Start()
 		n.Run(eventsim.At(clip.Duration.Seconds() + 60))
 		return p

@@ -4,7 +4,9 @@
 // (BENCH_baseline.json by default, or the file named as the first
 // argument, e.g. BENCH_netem.json) as benchstat-compatible benchmark
 // lines, so a committed record can feed straight into
-// `benchstat <(scripts/bench.sh baseline) BENCH_current.txt`.
+// `benchstat <(scripts/bench.sh baseline) BENCH_current.txt`. The pkg
+// line is the record's "pkg" field, turbulence when it has none, so
+// benchstat pairs a record only with runs of the package it measured.
 //
 // Compare mode (`benchjson compare BENCH_current.txt [record.json...]`)
 // parses a fresh `go test -bench` output and prints it side by side with
@@ -41,7 +43,10 @@ type entry struct {
 type baseline struct {
 	Goos   string `json:"goos"`
 	Goarch string `json:"goarch"`
-	CPU    string `json:"cpu"`
+	// Pkg is the import path the benchmarks live in; empty means the
+	// root package, turbulence.
+	Pkg string `json:"pkg,omitempty"`
+	CPU string `json:"cpu"`
 	// GOMAXPROCS and core count of the run; zero in records that predate them.
 	Gomaxprocs int              `json:"gomaxprocs,omitempty"`
 	Cores      int              `json:"cores,omitempty"`
@@ -73,7 +78,10 @@ func main() {
 		file = os.Args[1]
 	}
 	b := load(file)
-	fmt.Printf("goos: %s\ngoarch: %s\npkg: turbulence\ncpu: %s\n", b.Goos, b.Goarch, b.CPU)
+	if b.Pkg == "" {
+		b.Pkg = "turbulence"
+	}
+	fmt.Printf("goos: %s\ngoarch: %s\npkg: %s\ncpu: %s\n", b.Goos, b.Goarch, b.Pkg, b.CPU)
 	if b.Gomaxprocs > 0 {
 		fmt.Printf("gomaxprocs: %d\ncores: %d\n", b.Gomaxprocs, b.Cores)
 	}

@@ -167,15 +167,13 @@ type (
 	// LiveTransport.Do/DoWait callbacks receive it.
 	SimTime = eventsim.Time
 
-	// Host is one simulated endpoint of a netsim network.
+	// Host is one simulated endpoint of a netsim network, and itself a
+	// Transport.
 	Host = netsim.Host
 	// Transport is the seam between the protocol stacks and the thing
-	// that carries their packets — simulated (SimTransport) or real UDP
-	// sockets (LiveTransport).
+	// that carries their packets: a *Host or a *LiveTransport is the
+	// Transport (simulated hosts or real UDP sockets).
 	Transport = transport.Transport
-	// SimTransport adapts a simulated Host to the Transport interface
-	// (byte-identical to the stacks' pre-seam wiring).
-	SimTransport = transport.Sim
 	// LiveTransport drives the protocol stacks over real net.UDPConn
 	// sockets with a wall-clock event loop.
 	LiveTransport = transport.Live
@@ -427,9 +425,6 @@ func FindClip(set int, f Format, class Class) (Clip, bool) {
 // ParseClass resolves a class from its name ("low", "high", "very-high")
 // or Table 1 suffix ("l", "h", "v").
 func ParseClass(s string) (Class, bool) { return media.ParseClass(s) }
-
-// NewSimTransport wraps a simulated host in the Transport interface.
-func NewSimTransport(h *Host) *SimTransport { return transport.NewSim(h) }
 
 // NewLiveTransport opens a live (real-socket) transport and starts its
 // run loop. Close it when done.
