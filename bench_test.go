@@ -6,18 +6,22 @@
 package turbulence_test
 
 import (
+	"bytes"
 	"fmt"
+	"sync"
 	"testing"
 	"time"
 
 	"turbulence"
 	"turbulence/internal/capture"
+	"turbulence/internal/dispatch"
 	"turbulence/internal/eventsim"
 	"turbulence/internal/inet"
 	"turbulence/internal/netem"
 	"turbulence/internal/netsim"
 	"turbulence/internal/racecheck"
 	"turbulence/internal/segment"
+	"turbulence/internal/wire"
 )
 
 // benchExperiment runs one registered experiment per iteration with a
@@ -530,28 +534,31 @@ func BenchmarkUDPBuildParse(b *testing.B) {
 	}
 }
 
+// segmentCases are the data packets the segment-list benchmarks encode and
+// decode: a ~1 KB RealPlayer packet closing one frame and opening the
+// next, and a 16 KiB Windows Media data unit spanning four frames.
+var segmentCases = []struct {
+	name string
+	segs []segment.Segment
+}{
+	{"real-1KB", []segment.Segment{
+		{FrameIndex: 7, Offset: 2600, Length: 380, Last: true},
+		{FrameIndex: 8, Length: 600},
+	}},
+	{"wmp-16KB", []segment.Segment{
+		{FrameIndex: 30, Offset: 1000, Length: 3000, Last: true},
+		{FrameIndex: 31, Length: 4100, Key: true, Last: true},
+		{FrameIndex: 32, Length: 4100, Last: true},
+		{FrameIndex: 33, Length: 5142},
+	}},
+}
+
 // BenchmarkSegmentAppendList measures encoding one data packet's segment
 // list straight after its protocol header into a reused buffer, as the
-// send paths do: a ~1 KB RealPlayer packet closing one frame and opening
-// the next, and a 16 KiB Windows Media data unit spanning four frames.
-// Reports payload MB/s.
+// send paths do, for each of segmentCases. Reports payload MB/s.
 func BenchmarkSegmentAppendList(b *testing.B) {
 	header := make([]byte, 11)
-	for _, c := range []struct {
-		name string
-		segs []segment.Segment
-	}{
-		{"real-1KB", []segment.Segment{
-			{FrameIndex: 7, Offset: 2600, Length: 380, Last: true},
-			{FrameIndex: 8, Length: 600},
-		}},
-		{"wmp-16KB", []segment.Segment{
-			{FrameIndex: 30, Offset: 1000, Length: 3000, Last: true},
-			{FrameIndex: 31, Length: 4100, Key: true, Last: true},
-			{FrameIndex: 32, Length: 4100, Last: true},
-			{FrameIndex: 33, Length: 5142},
-		}},
-	} {
+	for _, c := range segmentCases {
 		b.Run(c.name, func(b *testing.B) {
 			buf := make([]byte, 0, len(header)+segment.ListWireSize(c.segs))
 			b.SetBytes(int64(segment.ListWireSize(c.segs)))
@@ -560,5 +567,108 @@ func BenchmarkSegmentAppendList(b *testing.B) {
 				buf = segment.AppendList(append(buf[:0], header...), c.segs)
 			}
 		})
+	}
+}
+
+// BenchmarkSegmentDecodeListInto is BenchmarkSegmentAppendList's receive
+// side: decoding each of segmentCases' encoded lists into one reused
+// scratch slice, as both players' playout sinks do per data packet.
+// Reports payload MB/s.
+func BenchmarkSegmentDecodeListInto(b *testing.B) {
+	for _, c := range segmentCases {
+		b.Run(c.name, func(b *testing.B) {
+			enc := segment.AppendList(nil, c.segs)
+			scratch := make([]segment.Segment, 0, len(c.segs))
+			b.SetBytes(int64(len(enc)))
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				segs, err := segment.DecodeListInto(scratch[:0], enc)
+				if err != nil || len(segs) != len(c.segs) {
+					b.Fatalf("decoded %d segments, %v", len(segs), err)
+				}
+			}
+		})
+	}
+}
+
+// paperBatch is the paper sweep's 13 cells at seed 2002 under
+// StreamProfiles, flattened to wire runs: what a worker ships for a
+// one-shard lease of the default plan. Simulated once per test binary and
+// shared by the wire and dispatch benchmarks, which time no simulation.
+var paperBatch = sync.OnceValues(func() ([]wire.Run, error) {
+	runner := turbulence.NewRunner(
+		turbulence.WithWorkers(0),
+		turbulence.WithTraceRetention(turbulence.StreamProfiles),
+	)
+	results, err := runner.Run(turbulence.NewPlan(2002))
+	if err != nil {
+		return nil, err
+	}
+	runs := wire.FromResults(results)
+	for _, r := range runs {
+		if r.Comparison == nil {
+			return nil, fmt.Errorf("cell %d carries no profiles", r.Index)
+		}
+	}
+	return runs, nil
+})
+
+// BenchmarkWireBatchGob measures the wire layer's shard-batch codec: one
+// wire.WriteGob and one wire.ReadGob of the 13-cell paperBatch, with a
+// fresh encoder and decoder per op as each Complete has. Reports the
+// batch's encoded size.
+func BenchmarkWireBatchGob(b *testing.B) {
+	runs, err := paperBatch()
+	if err != nil {
+		b.Fatal(err)
+	}
+	var buf bytes.Buffer
+	encoded := 0
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		buf.Reset()
+		if err := wire.WriteGob(&buf, runs); err != nil {
+			b.Fatal(err)
+		}
+		encoded = buf.Len()
+		got, err := wire.ReadGob(&buf)
+		if err != nil || len(got) != len(runs) {
+			b.Fatalf("decoded %d runs, %v", len(got), err)
+		}
+	}
+	b.ReportMetric(float64(encoded), "batch-B")
+}
+
+// BenchmarkLoopbackRoundTrip measures one dispatch round trip over
+// dispatch.Loopback, the full wire path with no sockets: a Lease of the
+// default plan as one shard, then a CompleteStats delivering the
+// precomputed 13-run paperBatch with worker stats. Each op gets a fresh
+// coordinator, built with the timer stopped.
+func BenchmarkLoopbackRoundTrip(b *testing.B) {
+	runs, err := paperBatch()
+	if err != nil {
+		b.Fatal(err)
+	}
+	plan := turbulence.NewPlan(2002)
+	stats := &wire.WorkerStats{Version: wire.StatsVersion, Worker: "bench", Cells: len(runs)}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		c, err := dispatch.New(plan, dispatch.WithShards(1))
+		if err != nil {
+			b.Fatal(err)
+		}
+		cl := dispatch.Loopback(c)
+		b.StartTimer()
+		grant, err := cl.Lease("bench")
+		if err != nil || grant.LeaseID == "" {
+			b.Fatalf("lease %+v: %v", grant, err)
+		}
+		if err := cl.CompleteStats(grant.LeaseID, runs, stats); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

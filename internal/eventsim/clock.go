@@ -38,22 +38,6 @@ func (t Time) After(u Time) bool { return t > u }
 // String formats the time like "12.345s".
 func (t Time) String() string { return time.Duration(t).String() }
 
-// Since is a convenience for now.Sub(start) that reads like time.Since.
-func Since(now, start Time) Duration { return now.Sub(start) }
-
-// Clock exposes the current simulated time. The Scheduler implements Clock;
-// components hold a Clock so tests can substitute a fixed time.
-type Clock interface {
-	// Now returns the current simulated time.
-	Now() Time
-}
-
-// FixedClock is a Clock pinned to a single instant, for tests.
-type FixedClock Time
-
-// Now implements Clock.
-func (c FixedClock) Now() Time { return Time(c) }
-
 // At builds a Time from floating-point seconds since the epoch.
 func At(seconds float64) Time {
 	return Time(time.Duration(seconds * float64(time.Second)))

@@ -12,7 +12,7 @@ import (
 type Event struct {
 	when  Time
 	seq   uint64 // tiebreak: FIFO among events at the same instant
-	index int32  // position in the heap; -1 removed; -2 in-flight
+	index int32  // position in the heap; -1 when not queued
 	gen   uint32 // incremented on every recycle; validates Timer handles
 	name  string
 
@@ -22,11 +22,6 @@ type Event struct {
 	afn func(now Time, arg any)
 	arg any
 }
-
-// inFlight marks an event popped into the current dispatch batch but not yet
-// fired. Such events are in no queue, so Cancel must neutralise them in
-// place rather than remove them.
-const inFlight = -2
 
 // Timer is a cancellable handle to a scheduled event. The zero Timer is
 // valid and behaves as an already-fired event. Because events are pooled,
@@ -41,28 +36,6 @@ type Timer struct {
 // Cancelled reports whether the timer's event is no longer pending (fired,
 // cancelled, or never scheduled).
 func (t Timer) Cancelled() bool { return t.e == nil || t.e.gen != t.gen }
-
-// When returns the simulated time the event is due (zero if no longer
-// pending).
-func (t Timer) When() Time {
-	if t.Cancelled() {
-		return 0
-	}
-	return t.e.when
-}
-
-// Name returns the diagnostic label given at scheduling time ("" if no
-// longer pending).
-func (t Timer) Name() string {
-	if t.Cancelled() {
-		return ""
-	}
-	return t.e.name
-}
-
-// ErrStopped is returned by Run when the simulation was halted by Stop
-// rather than by draining the event queue or reaching the horizon.
-var ErrStopped = errors.New("eventsim: stopped")
 
 // ErrInterrupted is returned by Run when the interrupt poll installed via
 // SetInterrupt reported true between events (typically: a context was
@@ -81,18 +54,19 @@ const interruptStride = 2048
 // repository happens one level up: independent experiment runs each own a
 // private Scheduler and fan out across OS threads.)
 //
-// The pending queue is a 4-ary heap: shallower than a binary heap, so the
-// common churn of scheduling and firing touches fewer cache lines per
-// operation. Fired and cancelled events return to a free list, making the
-// steady-state schedule/fire cycle allocation-free.
+// Run is the only loop that fires events, whether a simulation drains the
+// queue in one call or the live transport's socket loop calls it once per
+// wake-up with a wall-clock horizon. The pending queue is a 4-ary heap:
+// shallower than a binary heap, so the common churn of scheduling and
+// firing touches fewer cache lines per operation. Fired and cancelled
+// events return to a free list, making the steady-state schedule/fire
+// cycle allocation-free.
 type Scheduler struct {
 	now       Time
 	q         heapQueue
 	free      []*Event
-	batch     []*Event // reused same-timestamp dispatch buffer
 	seq       uint64
 	done      uint64 // events due at now with a lower seq have fired
-	stopped   bool
 	fired     uint64
 	peak      int
 	interrupt func() bool
@@ -101,7 +75,7 @@ type Scheduler struct {
 // NewScheduler returns a scheduler positioned at the epoch.
 func NewScheduler() *Scheduler { return &Scheduler{} }
 
-// Now implements Clock.
+// Now returns the current simulated time.
 func (s *Scheduler) Now() Time { return s.now }
 
 // Len reports the number of pending events.
@@ -138,11 +112,11 @@ func (s *Scheduler) PeakQueue() int { return s.peak }
 
 // Reset returns the scheduler to its post-NewScheduler state — clock at the
 // epoch, no pending events, counters zeroed — while retaining the event
-// free list, dispatch buffer, and queue backing arrays, so a reset
-// scheduler schedules its next million events without allocating. Pending
-// events are discarded; drain, if non-nil, observes each one first so
-// owners of pooled per-event payloads (netsim's in-flight datagrams) can
-// reclaim them.
+// free list and the queue's backing array, so a reset scheduler schedules
+// its next million events without allocating. Pending events are
+// discarded; drain, if non-nil, observes each one first so owners of
+// pooled per-event payloads (netsim's in-flight datagrams) can reclaim
+// them.
 func (s *Scheduler) Reset(drain func(name string, arg any)) {
 	for {
 		e := s.q.popMin()
@@ -159,7 +133,6 @@ func (s *Scheduler) Reset(drain func(name string, arg any)) {
 	s.seq = 0
 	s.done = 0
 	s.fired = 0
-	s.stopped = false
 	s.peak = 0
 	s.interrupt = nil
 }
@@ -237,49 +210,20 @@ func (s *Scheduler) AfterArg(d Duration, name string, fn func(now Time, arg any)
 
 // Cancel removes a pending event. Cancelling a timer whose event already
 // fired or was already cancelled is a no-op, even if the underlying event
-// has since been recycled for other work. An event popped into the current
-// dispatch batch but not yet fired is neutralised in place: it will be
-// skipped and recycled when the batch reaches it.
+// has since been recycled for other work. An event is released before its
+// callback runs, so a callback cancelling its own timer is a no-op too.
 func (s *Scheduler) Cancel(t Timer) {
 	if t.Cancelled() {
 		return
 	}
-	e := t.e
-	if e.index == inFlight {
-		e.gen++ // stales every handle now; the later release bumps again, harmlessly
-		e.fn = nil
-		e.afn = nil
-		e.arg = nil
-		return
-	}
-	s.q.remove(e)
-	s.release(e)
-}
-
-// Step runs the single earliest pending event, advancing the clock to its
-// due time. It reports false if the queue was empty.
-func (s *Scheduler) Step() bool {
-	e := s.q.popMin()
-	if e == nil {
-		return false
-	}
-	s.now = e.when
-	s.done = e.seq + 1
-	s.fired++
-	fn, afn, arg := e.fn, e.afn, e.arg
-	s.release(e)
-	if afn != nil {
-		afn(s.now, arg)
-	} else if fn != nil {
-		fn(s.now)
-	}
-	return true
+	s.q.remove(t.e)
+	s.release(t.e)
 }
 
 // NextEventAt reports the due time of the earliest pending event. The
 // second result is false when the queue is empty. This is the peek a
-// wall-clock-driven loop needs: drain events due by now with Step, then
-// sleep exactly until the next one (or until external input arrives).
+// wall-clock-driven loop needs: Run to the wall clock's now, then sleep
+// exactly until the next event (or until external input arrives).
 func (s *Scheduler) NextEventAt() (Time, bool) {
 	e := s.q.peek()
 	if e == nil {
@@ -295,27 +239,25 @@ func (s *Scheduler) NextEventAt() (Time, bool) {
 // mid-run when its context is cancelled.
 func (s *Scheduler) SetInterrupt(fn func() bool) { s.interrupt = fn }
 
-// Run executes events until the queue drains or the clock passes horizon
-// (horizon <= 0 means no horizon). It returns ErrStopped if Stop was called
-// from inside a callback, and ErrInterrupted if an installed interrupt poll
-// fired.
+// Run fires events in (when, seq) order until the queue drains or the
+// next event is due after horizon (horizon <= 0 means no horizon). An
+// event due exactly at horizon fires, as do the events its callbacks
+// schedule at that instant. Run returns ErrInterrupted, leaving the
+// pending queue intact, if an installed interrupt poll reports true.
 //
-// Dispatch is batched: all events sharing the earliest due time are popped
-// in one queue operation and fired back-to-back in (when, seq) order, so a
-// burst of simultaneous timers costs one head access, not one per event.
-// Events a callback schedules at the current instant carry later sequence
-// numbers and fire in the next batch at the same timestamp, exactly as the
-// unbatched loop ordered them.
+// On return by horizon or drain the clock reads horizon (with no horizon,
+// the last fired event's time), and everything scheduled so far that is
+// due by then counts as fired under Dispatched. So a run sliced into
+// Run(h1), Run(h2), ... over horizons that never fall before Now fires
+// exactly the events, in exactly the order, that one Run(0) would: the
+// live transport relies on this when it runs to the wall clock on every
+// wake-up.
 func (s *Scheduler) Run(horizon Time) error {
-	s.stopped = false
-	sincePoll := uint64(0)
+	sincePoll := 0
 	for {
 		head := s.q.peek()
 		if head == nil {
 			break
-		}
-		if s.stopped {
-			return ErrStopped
 		}
 		if s.interrupt != nil && sincePoll >= interruptStride {
 			sincePoll = 0
@@ -328,25 +270,9 @@ func (s *Scheduler) Run(horizon Time) error {
 			s.done = s.seq
 			return nil
 		}
-		s.batch = s.q.popRun(s.batch[:0])
-		s.now = head.when
-		sincePoll += uint64(len(s.batch))
-		for i, e := range s.batch {
-			s.batch[i] = nil
-			if s.stopped {
-				s.requeue(s.batch[i:], e)
-				return ErrStopped
-			}
-			s.done = e.seq + 1
-			s.fired++
-			fn, afn, arg := e.fn, e.afn, e.arg
-			s.release(e)
-			if afn != nil {
-				afn(s.now, arg)
-			} else if fn != nil {
-				fn(s.now)
-			}
-		}
+		s.q.popMin()
+		s.fire(head)
+		sincePoll++
 	}
 	if horizon > 0 && s.now < horizon {
 		s.now = horizon
@@ -355,47 +281,19 @@ func (s *Scheduler) Run(horizon Time) error {
 	return nil
 }
 
-// requeue returns the unfired remainder of a dispatch batch to the queue
-// after Stop halted Run mid-batch. Sequence numbers are preserved, so a
-// subsequent Run resumes in exactly the order the batch would have fired.
-func (s *Scheduler) requeue(rest []*Event, first *Event) {
-	if first.fn == nil && first.afn == nil {
-		s.release(first) // cancelled in flight
-	} else {
-		s.q.push(first)
+// fire advances the clock to e, counts it, releases it (staling every
+// handle to it) and runs its callback. It is the only place events fire.
+func (s *Scheduler) fire(e *Event) {
+	s.now = e.when
+	s.done = e.seq + 1
+	s.fired++
+	fn, afn, arg := e.fn, e.afn, e.arg
+	s.release(e)
+	if afn != nil {
+		afn(s.now, arg)
+	} else if fn != nil {
+		fn(s.now)
 	}
-	for i, e := range rest {
-		if e == nil {
-			continue
-		}
-		rest[i] = nil
-		if e.fn == nil && e.afn == nil {
-			s.release(e)
-			continue
-		}
-		s.q.push(e)
-	}
-}
-
-// RunUntilIdle executes events until none remain, with no horizon.
-func (s *Scheduler) RunUntilIdle() error { return s.Run(0) }
-
-// Stop halts Run after the currently executing event returns.
-func (s *Scheduler) Stop() { s.stopped = true }
-
-// Advance moves the clock forward by d without running events, panicking if
-// doing so would skip over a pending event. It exists for tests that need
-// to position the clock between events.
-func (s *Scheduler) Advance(d Duration) {
-	CheckNonNegative(d)
-	target := s.now.Add(d)
-	if e := s.q.peek(); e != nil && e.when < target {
-		panic(fmt.Sprintf("eventsim: Advance(%v) would skip event %q at %v", d, e.name, e.when))
-	}
-	if target > s.now {
-		s.done = 0 // nothing due at the new instant has fired
-	}
-	s.now = target
 }
 
 // Ticker invokes fn every interval starting at the next interval boundary
@@ -458,7 +356,7 @@ func (h *heapQueue) push(e *Event) {
 	h.siftUp(len(h.q) - 1)
 }
 
-// popMin removes the earliest pending event and returns it in flight, or nil.
+// popMin removes the earliest pending event and returns it, or nil.
 func (h *heapQueue) popMin() *Event {
 	q := h.q
 	if len(q) == 0 {
@@ -473,22 +371,8 @@ func (h *heapQueue) popMin() *Event {
 	if n > 0 {
 		h.siftDown(0)
 	}
-	e.index = inFlight
+	e.index = -1
 	return e
-}
-
-// popRun removes every event sharing the earliest due time, appending them
-// to batch in (when, seq) order.
-func (h *heapQueue) popRun(batch []*Event) []*Event {
-	e := h.popMin()
-	if e == nil {
-		return batch
-	}
-	batch = append(batch, e)
-	for len(h.q) > 0 && h.q[0].when == e.when {
-		batch = append(batch, h.popMin())
-	}
-	return batch
 }
 
 // remove deletes event e, which must be resident at heap position e.index.

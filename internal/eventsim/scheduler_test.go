@@ -14,7 +14,7 @@ func TestSchedulerRunsInTimeOrder(t *testing.T) {
 	for _, sec := range []float64{3, 1, 2, 0.5, 2.5} {
 		s.At(At(sec), "e", func(now Time) { got = append(got, now) })
 	}
-	if err := s.RunUntilIdle(); err != nil {
+	if err := s.Run(0); err != nil {
 		t.Fatal(err)
 	}
 	if !sort.SliceIsSorted(got, func(i, j int) bool { return got[i] < got[j] }) {
@@ -35,7 +35,7 @@ func TestSchedulerFIFOAtSameInstant(t *testing.T) {
 		i := i
 		s.At(At(1), "same", func(Time) { order = append(order, i) })
 	}
-	s.RunUntilIdle()
+	s.Run(0)
 	for i, v := range order {
 		if v != i {
 			t.Fatalf("same-instant events not FIFO: %v", order)
@@ -46,7 +46,7 @@ func TestSchedulerFIFOAtSameInstant(t *testing.T) {
 func TestSchedulerPastPanics(t *testing.T) {
 	s := NewScheduler()
 	s.At(At(1), "x", func(Time) {})
-	s.Step()
+	s.Run(0)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("scheduling in the past did not panic")
@@ -62,7 +62,7 @@ func TestSchedulerCancel(t *testing.T) {
 	s.Cancel(e)
 	s.Cancel(e)       // double cancel is a no-op
 	s.Cancel(Timer{}) // zero handle is a no-op
-	s.RunUntilIdle()
+	s.Run(0)
 	if fired {
 		t.Fatal("cancelled event fired")
 	}
@@ -77,7 +77,7 @@ func TestSchedulerCancelFromCallback(t *testing.T) {
 	var victim Timer
 	s.At(At(1), "killer", func(Time) { s.Cancel(victim) })
 	victim = s.At(At(2), "victim", func(Time) { fired = true })
-	s.RunUntilIdle()
+	s.Run(0)
 	if fired {
 		t.Fatal("victim fired despite cancellation from earlier event")
 	}
@@ -113,40 +113,6 @@ func TestSchedulerHorizonAdvancesIdleClock(t *testing.T) {
 	}
 }
 
-func TestSchedulerStop(t *testing.T) {
-	s := NewScheduler()
-	count := 0
-	for i := 1; i <= 10; i++ {
-		s.At(At(float64(i)), "e", func(Time) {
-			count++
-			if count == 3 {
-				s.Stop()
-			}
-		})
-	}
-	if err := s.RunUntilIdle(); err != ErrStopped {
-		t.Fatalf("Run returned %v, want ErrStopped", err)
-	}
-	if count != 3 {
-		t.Fatalf("fired %d events, want 3", count)
-	}
-}
-
-func TestSchedulerAfterAndAdvance(t *testing.T) {
-	s := NewScheduler()
-	s.After(2*time.Second, "later", func(Time) {})
-	s.Advance(time.Second)
-	if s.Now() != At(1) {
-		t.Fatalf("clock %v after Advance, want 1s", s.Now())
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Advance over a pending event did not panic")
-		}
-	}()
-	s.Advance(5 * time.Second)
-}
-
 func TestSchedulerReentrantScheduling(t *testing.T) {
 	// Events scheduled from inside callbacks at the current instant run in
 	// the same pass, after already-queued same-instant events.
@@ -157,7 +123,7 @@ func TestSchedulerReentrantScheduling(t *testing.T) {
 		s.At(now, "c", func(Time) { order = append(order, "c") })
 	})
 	s.At(At(1), "b", func(Time) { order = append(order, "b") })
-	s.RunUntilIdle()
+	s.Run(0)
 	want := []string{"a", "b", "c"}
 	for i := range want {
 		if i >= len(order) || order[i] != want[i] {
@@ -173,7 +139,7 @@ func TestTicker(t *testing.T) {
 		ticks = append(ticks, now)
 		return len(ticks) < 4
 	})
-	s.RunUntilIdle()
+	s.Run(0)
 	if len(ticks) != 4 {
 		t.Fatalf("got %d ticks, want 4", len(ticks))
 	}
@@ -222,7 +188,7 @@ func TestSchedulerOrderingProperty(t *testing.T) {
 			at := Time(time.Duration(off) * time.Millisecond)
 			s.At(at, "p", func(now Time) { fired = append(fired, rec{now, i}) })
 		}
-		s.RunUntilIdle()
+		s.Run(0)
 		if len(fired) != len(offsets) {
 			return false
 		}
@@ -246,11 +212,11 @@ func TestStaleTimerDoesNotCancelRecycledEvent(t *testing.T) {
 	// be reissued for unrelated work. A stale handle must not cancel it.
 	s := NewScheduler()
 	first := s.At(At(1), "first", func(Time) {})
-	s.RunUntilIdle() // first fires; its Event returns to the pool
+	s.Run(0) // first fires; its Event returns to the pool
 	fired := false
 	s.At(At(2), "second", func(Time) { fired = true })
 	s.Cancel(first) // stale: must be a no-op even if the Event was recycled
-	s.RunUntilIdle()
+	s.Run(0)
 	if !fired {
 		t.Fatal("stale Cancel killed a recycled event")
 	}
@@ -265,7 +231,7 @@ func TestAtArg(t *testing.T) {
 	bump := func(_ Time, arg any) { *arg.(*int) += 2 }
 	s.AtArg(At(1), "arg", bump, &got)
 	s.AfterArg(2*time.Second, "arg", bump, &got)
-	s.RunUntilIdle()
+	s.Run(0)
 	if got != 4 {
 		t.Fatalf("arg callbacks produced %d, want 4", got)
 	}
@@ -282,10 +248,14 @@ func TestSchedulerSteadyStateAllocFree(t *testing.T) {
 		}
 	}
 	s.After(time.Millisecond, "tick", tick)
-	s.Step() // warm the pool
-	allocs := testing.AllocsPerRun(50, func() { s.Step() })
+	horizon := Time(time.Millisecond)
+	s.Run(horizon) // warm the pool
+	allocs := testing.AllocsPerRun(50, func() {
+		horizon = horizon.Add(time.Millisecond)
+		s.Run(horizon)
+	})
 	if allocs > 0 {
-		t.Fatalf("steady-state Step allocates %.1f times per event, want 0", allocs)
+		t.Fatalf("steady-state Run allocates %.1f times per event, want 0", allocs)
 	}
 }
 
@@ -303,12 +273,6 @@ func TestTimeHelpers(t *testing.T) {
 	}
 	if a.Seconds() != 1.5 {
 		t.Fatalf("Seconds: %v", a.Seconds())
-	}
-	if got := Since(b, a); got != 500*time.Millisecond {
-		t.Fatalf("Since: %v", got)
-	}
-	if FixedClock(a).Now() != a {
-		t.Fatal("FixedClock")
 	}
 }
 
@@ -329,7 +293,7 @@ func TestSchedulerFiredCounter(t *testing.T) {
 	for i := 0; i < 7; i++ {
 		s.After(time.Duration(i)*time.Millisecond, "e", func(Time) {})
 	}
-	s.RunUntilIdle()
+	s.Run(0)
 	if s.Fired() != 7 {
 		t.Fatalf("Fired()=%d, want 7", s.Fired())
 	}
@@ -338,12 +302,6 @@ func TestSchedulerFiredCounter(t *testing.T) {
 func TestEventAccessors(t *testing.T) {
 	s := NewScheduler()
 	e := s.At(At(3), "named", func(Time) {})
-	if e.When() != At(3) {
-		t.Fatalf("When=%v", e.When())
-	}
-	if e.Name() != "named" {
-		t.Fatalf("Name=%q", e.Name())
-	}
 	if e.Cancelled() {
 		t.Fatal("fresh event reports cancelled")
 	}
@@ -366,7 +324,7 @@ func TestHeapRandomCancel(t *testing.T) {
 	if s.Len() != 32 {
 		t.Fatalf("Len=%d after cancelling half, want 32", s.Len())
 	}
-	s.RunUntilIdle()
+	s.Run(0)
 	if s.Len() != 0 {
 		t.Fatalf("queue not drained: %d", s.Len())
 	}
@@ -385,7 +343,7 @@ func TestSchedulerInterrupt(t *testing.T) {
 	}
 	tripAt := interruptStride / 2
 	s.SetInterrupt(func() bool { return fired > tripAt })
-	if err := s.RunUntilIdle(); err != ErrInterrupted {
+	if err := s.Run(0); err != ErrInterrupted {
 		t.Fatalf("Run returned %v, want ErrInterrupted", err)
 	}
 	if fired <= tripAt || fired > tripAt+interruptStride {
@@ -395,7 +353,7 @@ func TestSchedulerInterrupt(t *testing.T) {
 		t.Fatalf("pending queue %d, want %d", s.Len(), total-fired)
 	}
 	s.SetInterrupt(nil)
-	if err := s.RunUntilIdle(); err != nil {
+	if err := s.Run(0); err != nil {
 		t.Fatal(err)
 	}
 	if fired != total {
@@ -442,7 +400,7 @@ func TestPeakQueueAndReset(t *testing.T) {
 	if s.PeakQueue() != 10 {
 		t.Fatalf("PeakQueue %d with 10 pending events, want 10", s.PeakQueue())
 	}
-	s.RunUntilIdle()
+	s.Run(0)
 	if s.PeakQueue() != 10 {
 		t.Fatalf("PeakQueue %d after draining, want 10", s.PeakQueue())
 	}
@@ -453,7 +411,7 @@ func TestPeakQueueAndReset(t *testing.T) {
 	var got []Time
 	s.After(Duration(2*time.Millisecond), "b", func(now Time) { got = append(got, now) })
 	s.After(Duration(time.Millisecond), "a", func(now Time) { got = append(got, now) })
-	s.RunUntilIdle()
+	s.Run(0)
 	if len(got) != 2 || got[0] != Time(time.Millisecond) || got[1] != Time(2*time.Millisecond) {
 		t.Fatalf("post-Reset firing order wrong: %v", got)
 	}
@@ -462,35 +420,130 @@ func TestPeakQueueAndReset(t *testing.T) {
 	}
 }
 
-// TestBatchedDispatchStopResumes pins the Stop-mid-batch contract: the
-// unfired remainder of a same-instant batch is requeued with sequence
-// numbers intact, so a subsequent Run resumes in the exact order the batch
-// would have fired.
-func TestBatchedDispatchStopResumes(t *testing.T) {
-	s := NewScheduler()
-	var got []int
-	at := Time(time.Millisecond)
-	for i := 0; i < 5; i++ {
-		s.At(at, "batch", func(Time) {
-			got = append(got, i)
-			if i == 1 {
-				s.Stop()
+// firing is one entry of a recorded firing sequence.
+type firing struct {
+	at   Time
+	name string
+}
+
+// slicedWorkload schedules a seeded random workload on s and returns the
+// firing record it appends to: self-rescheduling AfterArg chains whose
+// delays include zero and a coarse 250 µs grid (so same-instant ties are
+// common), victims that callbacks cancel, and a Ticker that a chain stops.
+// The workload draws from rng inside callbacks, so two runs record the
+// same sequence only if they fire the same events in the same order.
+func slicedWorkload(s *Scheduler, seed int64) *[]firing {
+	rng := rand.New(rand.NewSource(seed))
+	rec := new([]firing)
+	delay := func() Duration {
+		if rng.Intn(4) == 0 {
+			return 0
+		}
+		return Duration(rng.Intn(12)) * 250 * time.Microsecond
+	}
+	var victims []Timer
+	var stopTicker func()
+	names := []string{"chain0", "chain1", "chain2", "chain3", "chain4", "chain5"}
+	left := make([]int, len(names))
+	var step func(now Time, arg any)
+	step = func(now Time, arg any) {
+		i := arg.(int)
+		*rec = append(*rec, firing{now, names[i]})
+		switch rng.Intn(6) {
+		case 0:
+			victims = append(victims, s.After(delay(), "victim", func(now Time) {
+				*rec = append(*rec, firing{now, "victim"})
+			}))
+		case 1:
+			if len(victims) > 0 {
+				k := rng.Intn(len(victims))
+				s.Cancel(victims[k]) // may already have fired: then a no-op
+				victims = append(victims[:k], victims[k+1:]...)
 			}
-		})
+		case 2:
+			if stopTicker != nil && rng.Intn(20) == 0 {
+				stopTicker()
+			}
+		}
+		if left[i]--; left[i] > 0 {
+			s.AfterArg(delay(), names[i], step, i)
+		}
 	}
-	if err := s.Run(0); err != ErrStopped {
-		t.Fatalf("Run returned %v, want ErrStopped", err)
+	for i := range names {
+		left[i] = 50 + rng.Intn(100)
+		s.AtArg(Time(Duration(rng.Intn(8))*250*time.Microsecond), names[i], step, i)
 	}
-	if err := s.Run(0); err != nil {
-		t.Fatalf("resume Run returned %v", err)
-	}
-	want := []int{0, 1, 2, 3, 4}
-	if len(got) != len(want) {
-		t.Fatalf("fired %v, want %v", got, want)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("fired %v, want %v", got, want)
+	ticks := 0
+	stopTicker = s.Ticker(time.Millisecond, "tick", func(now Time) bool {
+		*rec = append(*rec, firing{now, "tick"})
+		ticks++
+		return ticks < 40
+	})
+	return rec
+}
+
+// TestSlicedRunEqualsOneRun pins what the live transport's loop relies on:
+// running to a sequence of increasing horizons, some landing exactly on a
+// pending event's time, fires exactly what one Run(0) fires, in the same
+// order, with the same Fired and Scheduled counts.
+func TestSlicedRunEqualsOneRun(t *testing.T) {
+	for seed := int64(1); seed <= 20; seed++ {
+		whole := NewScheduler()
+		want := slicedWorkload(whole, seed)
+		if err := whole.Run(0); err != nil {
+			t.Fatal(err)
+		}
+
+		sliced := NewScheduler()
+		got := slicedWorkload(sliced, seed)
+		pick := rand.New(rand.NewSource(-seed))
+		var horizon Time
+		slices := 0
+		for sliced.Len() > 0 {
+			next, _ := sliced.NextEventAt()
+			switch pick.Intn(3) {
+			case 0:
+				horizon = next // exactly on an event
+			case 1:
+				horizon += Time(pick.Intn(100)) * Time(time.Microsecond) // often short of the next event
+			default:
+				horizon = next.Add(Duration(pick.Intn(5000)) * time.Microsecond)
+			}
+			if horizon < sliced.Now() {
+				horizon = sliced.Now()
+			}
+			if horizon == 0 {
+				horizon = 1 // Run(0) means no horizon
+			}
+			if err := sliced.Run(horizon); err != nil {
+				t.Fatal(err)
+			}
+			if sliced.Now() != horizon {
+				t.Fatalf("seed %d: Run(%v) left the clock at %v", seed, horizon, sliced.Now())
+			}
+			slices++
+		}
+
+		if len(*got) != len(*want) {
+			t.Fatalf("seed %d: %d slices fired %d events, one Run fired %d", seed, slices, len(*got), len(*want))
+		}
+		for i := range *want {
+			if (*got)[i] != (*want)[i] {
+				t.Fatalf("seed %d: firing %d is %v in slices, %v in one Run", seed, i, (*got)[i], (*want)[i])
+			}
+		}
+		if sliced.Fired() != whole.Fired() || sliced.Scheduled() != whole.Scheduled() {
+			t.Fatalf("seed %d: sliced fired/scheduled %d/%d, one Run %d/%d",
+				seed, sliced.Fired(), sliced.Scheduled(), whole.Fired(), whole.Scheduled())
+		}
+		ties := 0
+		for i := 1; i < len(*want); i++ {
+			if (*want)[i].at == (*want)[i-1].at {
+				ties++
+			}
+		}
+		if slices < 50 || ties < 50 {
+			t.Fatalf("seed %d: %d slices, %d same-instant ties; the workload is too tame to test slicing", seed, slices, ties)
 		}
 	}
 }
@@ -533,21 +586,22 @@ func TestDispatchedSameInstantTies(t *testing.T) {
 	})
 }
 
-// TestDispatchedZeroDelayInBatch covers a stamp due at the current instant,
-// taken mid-batch (zero serialisation time): it sorts after every event of
-// the running batch and before the next batch at the same instant.
-func TestDispatchedZeroDelayInBatch(t *testing.T) {
+// TestDispatchedZeroDelaySameInstant covers a stamp due at the current
+// instant (zero serialisation time): it sorts after every event already
+// queued for that instant and before one a callback schedules there after
+// taking it.
+func TestDispatchedZeroDelaySameInstant(t *testing.T) {
 	onHeap(t, func(t *testing.T, s *Scheduler) {
 		at := Time(2 * time.Millisecond)
 		var stamp uint64
 		var got []bool
 		for i := 0; i < 4; i++ {
 			i := i
-			s.At(at, "batch", func(now Time) {
+			s.At(at, "queued", func(now Time) {
 				switch {
 				case i == 1:
 					stamp = s.Scheduled()
-					s.At(now, "next-batch", func(Time) { got = append(got, s.Dispatched(now, stamp)) })
+					s.At(now, "rescheduled", func(Time) { got = append(got, s.Dispatched(now, stamp)) })
 				case i > 1:
 					got = append(got, s.Dispatched(now, stamp))
 				}
@@ -604,59 +658,6 @@ func TestDispatchedAfterRunReturns(t *testing.T) {
 	})
 }
 
-// TestDispatchedAfterStopMidBatch: Stop leaves dispatch at the event that
-// called it; the requeued remainder of the batch has not fired, and
-// resuming fires it in order.
-func TestDispatchedAfterStopMidBatch(t *testing.T) {
-	onHeap(t, func(t *testing.T, s *Scheduler) {
-		at := Time(time.Millisecond)
-		seqs := make([]uint64, 4)
-		var resumed []bool
-		for i := range seqs {
-			i := i
-			seqs[i] = s.Scheduled()
-			s.At(at, "batch", func(Time) {
-				if i == 1 {
-					s.Stop()
-				}
-				if i == 2 {
-					resumed = append(resumed, s.Dispatched(at, seqs[2]), s.Dispatched(at, seqs[3]))
-				}
-			})
-		}
-		if err := s.Run(0); err != ErrStopped {
-			t.Fatalf("Run returned %v, want ErrStopped", err)
-		}
-		if !s.Dispatched(at, seqs[1]) {
-			t.Fatal("the stopping event does not count as fired")
-		}
-		if s.Dispatched(at, seqs[2]) || s.Dispatched(at, seqs[3]) {
-			t.Fatal("the requeued remainder counts as fired")
-		}
-		if err := s.Run(0); err != nil {
-			t.Fatal(err)
-		}
-		// An event's own stamp sorts just before it, so it reads as fired.
-		if len(resumed) != 2 || !resumed[0] || resumed[1] {
-			t.Fatalf("while resuming: fired(own, next) = %v, want [true false]", resumed)
-		}
-	})
-}
-
-// TestDispatchedAfterStep covers the wall-clock loop's single-event path.
-func TestDispatchedAfterStep(t *testing.T) {
-	s := NewScheduler()
-	at := Time(time.Millisecond)
-	first := s.Scheduled()
-	s.At(at, "a", func(Time) {})
-	second := s.Scheduled()
-	s.At(at, "b", func(Time) {})
-	s.Step()
-	if !s.Dispatched(at, first) || s.Dispatched(at, second) {
-		t.Fatal("Step did not advance dispatch by exactly one event")
-	}
-}
-
 // TestDispatchedAfterReset: Reset rewinds dispatch with the clock.
 func TestDispatchedAfterReset(t *testing.T) {
 	onHeap(t, func(t *testing.T, s *Scheduler) {
@@ -672,17 +673,4 @@ func TestDispatchedAfterReset(t *testing.T) {
 			t.Fatalf("Reset left dispatch state: next seq %d, epoch stamp fired %t", s.Scheduled(), s.Dispatched(0, 0))
 		}
 	})
-}
-
-// TestDispatchedAfterAdvance: moving the clock forward by hand fires
-// nothing at the new instant.
-func TestDispatchedAfterAdvance(t *testing.T) {
-	s := NewScheduler()
-	stamp := s.Scheduled()
-	s.At(0, "a", func(Time) {})
-	s.Run(0)
-	s.Advance(time.Millisecond)
-	if s.Dispatched(Time(time.Millisecond), stamp) {
-		t.Fatal("stamp due at the advanced-to instant counts as fired")
-	}
 }

@@ -59,13 +59,47 @@ func checkConservation(t *testing.T, dir string, p *Path, sent, delivered uint64
 	}
 }
 
+// wirePacket names one UDP wire packet (a whole datagram or one fragment)
+// by its IP identification and fragment offset.
+type wirePacket struct{ id, fragOff uint16 }
+
+// udpTap returns a tap recording, in order, every UDP wire packet the host
+// moves in direction dir.
+func udpTap(dir Direction, into *[]wirePacket) TapFunc {
+	return func(_ eventsim.Time, d Direction, dg *inet.Datagram) {
+		if d == dir && dg.Header.Protocol == inet.ProtoUDP {
+			*into = append(*into, wirePacket{dg.Header.ID, dg.Header.FragOff})
+		}
+	}
+}
+
+// checkFIFO asserts that a path delivered in send order: the received
+// packets are a subsequence of the sent ones (drops allowed, no packet
+// overtaking another).
+func checkFIFO(t *testing.T, dir string, sent, received []wirePacket) {
+	t.Helper()
+	i := 0
+	for k, r := range received {
+		for i < len(sent) && sent[i] != r {
+			i++
+		}
+		if i == len(sent) {
+			t.Errorf("%s: received packet %d %+v is out of send order (or was never sent)", dir, k, r)
+			return
+		}
+		i++
+	}
+}
+
 // TestHopConservationAcrossScenarios runs every named netem scenario to
 // idle with a media stream offered above the bottleneck rate in one
 // direction and traceroute-style TTL-limited pings in the other, then
-// checks packet conservation on both paths and wire-buffer conservation
-// in the network's pool. The backbone is thinner than the testbed's so
-// that congested-peering's cross traffic fills its RED hop: across the
-// scenarios, every drop cause occurs, and so do reassembly timeouts.
+// checks packet conservation on both paths, FIFO delivery of the
+// downlink's UDP wire packets (ICMP is exempt, and the uplink carries
+// nothing else) and wire-buffer conservation in the network's pool. The
+// backbone is thinner than the testbed's so that congested-peering's
+// cross traffic fills its RED hop: across the scenarios, every drop cause
+// occurs, and so do reassembly timeouts.
 func TestHopConservationAcrossScenarios(t *testing.T) {
 	const hops = 10
 	var all PathStats
@@ -78,6 +112,9 @@ func TestHopConservationAcrossScenarios(t *testing.T) {
 			s := n.AddHost(serverAddr)
 			up, down := n.ConnectDuplex(clientAddr, serverAddr, scenarioSpecs(sc, hops))
 			c.BindUDP(2, func(eventsim.Time, inet.Endpoint, []byte) {})
+			var sentDown, recvDown []wirePacket
+			s.Tap(udpTap(Send, &sentDown))
+			c.Tap(udpTap(Recv, &recvDown))
 			var timeExceeded uint64
 			c.OnICMP(func(_ eventsim.Time, _ inet.Addr, m inet.ICMPMessage) {
 				if m.Type == inet.ICMPTimeExceeded {
@@ -107,6 +144,10 @@ func TestHopConservationAcrossScenarios(t *testing.T) {
 
 			checkConservation(t, "downlink", down, s.SentDatagrams, c.ReceivedDatagrams-timeExceeded)
 			checkConservation(t, "uplink", up, c.SentDatagrams, s.ReceivedDatagrams)
+			checkFIFO(t, "downlink", sentDown, recvDown)
+			if len(recvDown) == 0 {
+				t.Fatalf("downlink delivered none of %d UDP wire packets: nothing to order", len(sentDown))
+			}
 			ds, us := down.Stats(), up.Stats()
 			if ds.Forwarded == 0 || ds.Dropped() == 0 || us.TTLExpired == 0 {
 				t.Fatalf("traffic exercised too little: downlink %+v, uplink %+v", ds, us)

@@ -248,22 +248,14 @@ func (t *Live) Close() error {
 
 // --- run loop ---
 
-// drainDue fires every timer due by wall-now and advances the loop clock
-// to wall-now. Safe by construction: after draining, no pending event
-// precedes the advance target.
-func (t *Live) drainDue() {
-	now := t.wallNow()
-	for {
-		next, ok := t.sched.NextEventAt()
-		if !ok || next > now {
-			break
-		}
-		t.sched.Step()
-	}
-	if d := now.Sub(t.sched.Now()); d > 0 {
-		t.sched.Advance(d)
-	}
-}
+// drainDue fires every timer due by wall-now and leaves the loop clock at
+// wall-now: one Run with the wall reading as its horizon. wallNow reads
+// the monotonic clock against a fixed epoch, so successive horizons never
+// decrease and never fall before Now(), and a Run sliced this way fires
+// what one long Run would, in the same order. The reading is positive past
+// the epoch, so it is never Run's "no horizon" 0, and the loop installs no
+// interrupt, so Run cannot fail.
+func (t *Live) drainDue() { t.sched.Run(t.wallNow()) }
 
 func (t *Live) loop() {
 	defer close(t.loopDone)

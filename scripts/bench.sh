@@ -46,7 +46,7 @@ set -euo pipefail
 
 cd "$(dirname "$0")/.."
 
-TRACKED='BenchmarkPairRun$|BenchmarkPairRunNetem|BenchmarkProfileFlow$|BenchmarkFilterMatch$|BenchmarkRunAllSequential$|BenchmarkRunAllParallel$|BenchmarkPlanStream$|BenchmarkPlanStreamOnline$|BenchmarkTestbedReset$|BenchmarkSchedulerDense|BenchmarkHopForward|BenchmarkUDPBuildParse|BenchmarkSegmentAppendList|BenchmarkNAKRecovery$|BenchmarkFlowDemuxObserve$|BenchmarkFig07NormalizedSizePDF$|BenchmarkExtNetemScenarios$'
+TRACKED='BenchmarkPairRun$|BenchmarkPairRunNetem|BenchmarkProfileFlow$|BenchmarkFilterMatch$|BenchmarkRunAllSequential$|BenchmarkRunAllParallel$|BenchmarkPlanStream$|BenchmarkPlanStreamOnline$|BenchmarkTestbedReset$|BenchmarkSchedulerDense|BenchmarkHopForward|BenchmarkUDPBuildParse|BenchmarkSegmentAppendList|BenchmarkSegmentDecodeListInto|BenchmarkWireBatchGob$|BenchmarkLoopbackRoundTrip$|BenchmarkNAKRecovery$|BenchmarkFlowDemuxObserve$|BenchmarkFig07NormalizedSizePDF$|BenchmarkExtNetemScenarios$'
 
 case "${1:-}" in
 baseline)
