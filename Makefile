@@ -52,7 +52,9 @@ check: build lint test
 loc:
 	@find . -name '*.go' ! -name '*_test.go' ! -path './perfbench/*' -exec cat {} + | wc -l
 
-# Full benchmark sweep in benchstat-compatible format. Writes the run to
+# Full benchmark sweep in benchstat-compatible format, each tracked
+# benchmark run for 1s (-benchtime=1s) so nanosecond benchmarks measure
+# their steady state, not their warm-up. Writes the run to
 # BENCH_current.txt (gitignored) so it can be diffed against the committed
 # baseline in BENCH_baseline.json (or the netem record in BENCH_netem.json
 # via `scripts/bench.sh netem`):

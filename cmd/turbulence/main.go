@@ -5,7 +5,6 @@
 //
 //	turbulence [-seed N] [-experiment id] [-parallel N] [-scenario name]
 //	           [-shard i/n] [-progress] [-metrics addr] [-pprof]
-//	           [-result-store dir]
 //	           [-json] [-csv dir] [-points] [-list] [-list-scenarios]
 //	turbulence -serve addr [-seed N] [-pairs list] [-scenario name]
 //	           [-serve-shards N] [-lease-ttl d] [-checkpoint file] [-pprof]
@@ -100,19 +99,19 @@
 // than mixed in, as is one with a corrupt frame or one written by an older
 // build, before frames carried checksums.
 //
-// -result-store dir makes sweeps incremental: completed cell results are
-// appended to a content-addressed store in dir — keyed by a digest over
-// pair, scenario, variant, seed and engine version — and a later -serve
-// or -work sweep whose cells match is served from the store without
-// simulating them, byte-identical to a fresh run. On -serve the
-// coordinator consults the store when it carves the plan (fully-cached
-// shards are never leased; partially-cached shards tell workers which
-// cells to skip) and inserts what workers ship back; on -work it is the
-// worker's local read-through cache; on a plain experiment sweep it is
-// populated only: every pair run inserts its turbulence profiles, but
-// experiments reduce full player reports and packet flows the store does
-// not hold, so they never read from it. A corrupted store
-// frame is detected by checksum, counted on /metrics
+// -result-store dir makes dispatched sweeps incremental: completed cell
+// results are appended to a content-addressed store in dir — keyed by a
+// digest over pair, scenario, variant, seed and engine version — and a
+// later sweep whose cells match is served from the store without
+// simulating them, byte-identical to a fresh run. It has exactly two
+// meanings. On -serve it is the coordinator's store: the coordinator
+// consults it when it carves the plan (fully-cached shards are never
+// leased; partially-cached shards tell workers which cells to skip) and
+// inserts what workers ship back. On -work it is the worker's
+// read-through cache. A -serve and a -work may share one directory. It
+// needs -serve or -work: experiments reduce full player reports and packet
+// flows the store does not hold, so a plain sweep has no use for it. A
+// corrupted store frame is detected by checksum, counted on /metrics
 // (turbulence_cache_corrupt_frames_total) and recomputed — never served.
 package main
 
@@ -153,7 +152,7 @@ func main() {
 	serveShards := flag.Int("serve-shards", 0, "-serve lease granularity: how many shard slices the plan is carved into (0 = one per cell, capped at 256)")
 	leaseTTL := flag.Duration("lease-ttl", 2*time.Minute, "-serve: how long a leased shard may stay unrenewed before it is re-issued to another worker (workers heartbeat while simulating)")
 	checkpoint := flag.String("checkpoint", "", "-serve: journal completed shards to this file as checksummed gob frames; re-running with the same sweep flags and path resumes, re-leasing only unfinished shards (a checkpoint from an older build is refused)")
-	resultStore := flag.String("result-store", "", "content-addressed result store directory: completed cells are appended, and later -serve/-work sweeps serve matching cells from it without simulating (plain sweeps only populate it)")
+	resultStore := flag.String("result-store", "", "content-addressed result store directory: with -serve the coordinator's store, with -work the worker's read-through cache; completed cells are appended and later sweeps serve matching cells from it without simulating")
 	metricsAddr := flag.String("metrics", "", "serve a live Prometheus meter of the local sweep on this address (host:port) at /metrics; the -serve coordinator has its own /metrics and does not combine with this")
 	pprofFlag := flag.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/ on the -metrics server or the -serve coordinator (off by default: profiling endpoints expose internals and cost CPU when scraped)")
 	listen := flag.String("listen", "", "serve the streaming protocol stacks over real UDP sockets bound to this IPv4 address (e.g. 127.0.0.1); -metrics adds the per-socket transport counters")
@@ -224,17 +223,6 @@ func main() {
 	}()
 
 	ctx := turbulence.NewExperimentContext(*seed).SetParallel(*parallel).SetCancel(sigCtx)
-	var store *turbulence.ResultStore
-	if *resultStore != "" {
-		var err error
-		store, err = turbulence.OpenResultStore(*resultStore, logf)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "turbulence:", err)
-			os.Exit(1)
-		}
-		defer store.Close()
-		ctx.SetResultStore(store)
-	}
 	if *progress {
 		ctx.SetProgress(func(p turbulence.Progress) {
 			status := "ok"
@@ -247,9 +235,6 @@ func main() {
 	if *metricsAddr != "" {
 		reg := turbulence.NewMetricsRegistry()
 		ctx.SetMetrics(turbulence.NewMetricsSink(reg))
-		if store != nil {
-			store.Register(reg)
-		}
 		if err := serveMetrics(*metricsAddr, reg, *pprofFlag); err != nil {
 			fmt.Fprintln(os.Stderr, "turbulence:", err)
 			os.Exit(1)
@@ -499,8 +484,8 @@ func modeConflicts(serve, work, experiment, shard, pairs, scenario, checkpoint, 
 		return errors.New("-scenario does not combine with -work (the plan arrives in lease grants; set it on -serve)")
 	case checkpoint != "" && serve == "":
 		return errors.New("-checkpoint requires -serve (the journal is coordinator state; workers are stateless)")
-	case (listen != "" || play != "") && resultStore != "":
-		return errors.New("-result-store does not combine with -listen/-play (live transport carries real traffic; there are no simulated cells to cache)")
+	case resultStore != "" && serve == "" && work == "":
+		return errors.New("-result-store requires -serve or -work (it is the coordinator's store or the worker's cache; experiments reduce full runs the store does not hold)")
 	}
 	return nil
 }

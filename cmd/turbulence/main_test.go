@@ -114,8 +114,8 @@ func TestModeConflicts(t *testing.T) {
 	live("", "", "", "1/3", "", "127.0.0.1", "", "-shard")
 	live("", "", "", "0/2", "", "", "127.0.0.1", "-shard")
 
-	// The result store caches simulated cells, so it needs a mode that
-	// simulates them.
+	// The result store is the coordinator's store or a worker's cache, so
+	// it needs one of the two service modes.
 	cache := func(serve, work, listen, play, resultStore string, want string) {
 		t.Helper()
 		err := modeConflicts(serve, work, "", "", "", "", "", "", false, listen, play, resultStore)
@@ -127,12 +127,11 @@ func TestModeConflicts(t *testing.T) {
 				serve, work, listen, play, resultStore, err, want)
 		}
 	}
-	// A plain experiment sweep populates the store (its pair runs insert
-	// their profiles), and either service mode caches as well.
-	cache("", "", "", "", "cache", "")
 	cache(":8080", "", "", "", "cache", "")
 	cache("", "host:8080", "", "", "cache", "")
-	// Live transport has no simulated cells to cache.
+	// A plain experiment sweep reduces full runs the store does not hold,
+	// and live transport has no simulated cells to cache.
+	cache("", "", "", "", "cache", "-serve or -work")
 	cache("", "", "127.0.0.1", "", "cache", "-result-store")
 	cache("", "", "", "127.0.0.1", "cache", "-result-store")
 }

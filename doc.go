@@ -164,19 +164,13 @@
 //	# overlapping cells served from the store (cache_hits on /metrics),
 //	# only the new cells simulate; output identical to a cold sweep
 //
-// Local experiment sweeps take -result-store too, write-through only:
-// every pair run the experiments make inserts its Comparison (a Runner
-// inserts whenever a cell yields one, under StreamProfiles and
-// RetainFlows alike, and looks up only under StreamProfiles), but
-// experiments reduce the full player reports and flows a Comparison does
-// not hold, so the context's own runs populate the store for later
-// Comparison-space consumers rather than serve from it. Cache traffic is metered as
+// Cache traffic is metered as
 // turbulence_cache_{hits,misses,bytes,corrupt_frames}_total wherever a
-// registry is attached. The CI
-// cache-smoke job pins the whole story over real sockets: a warm
-// superset rerun must report every previously-computed cell as a hit,
-// simulate only the new ones, merge to the committed golden digest, and
-// recompute — not serve — a deliberately torn store frame.
+// registry is attached. The CI cache-smoke job pins the whole story over
+// real sockets: a warm superset rerun must report every
+// previously-computed cell as a hit, simulate only the new ones, merge to
+// the committed golden digest, and recompute — not serve — a deliberately
+// torn store frame.
 //
 // # Observability
 //

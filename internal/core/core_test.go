@@ -270,7 +270,7 @@ func TestModelFromPair(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	realM, wmpM := ModelFromPair(run)
+	realM, wmpM := FitModel(run.RealFlow), FitModel(run.WMPFlow)
 	if len(realM.SizeCDF) == 0 || len(wmpM.SizeCDF) == 0 {
 		t.Fatal("models missing size CDFs")
 	}

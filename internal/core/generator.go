@@ -155,8 +155,3 @@ func emitTrain(tr *capture.Trace, at time.Duration, flow inet.Flow, ipID uint16,
 		tr.Append(mkRecord(time.Duration(i)*serGap, wire, uint16(i)*chunk, !last, i == 0))
 	}
 }
-
-// ModelFromPair fits the Section IV models for both flows of a pair run.
-func ModelFromPair(run *PairRun) (realModel, wmpModel FlowModel) {
-	return FitModel(run.RealFlow), FitModel(run.WMPFlow)
-}

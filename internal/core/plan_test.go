@@ -177,8 +177,9 @@ func oneOffRuns(t *testing.T, plan *Plan) []*PairRun {
 
 // TestRunnerMatchesLegacyEntryPoints is the acceptance pin for the Plan
 // API: a Runner executing the default Plan reproduces the one-off RunPair
-// of every cell byte for byte at workers ∈ {1, 4, all}, and RunMatrix
-// groups a scenario Plan's cells into the right rows the same way.
+// of every cell byte for byte at workers ∈ {1, 4, all}, and a scenario
+// Plan's cells, projected by PairRuns, land in scenario-major rows the
+// same way.
 func TestRunnerMatchesLegacyEntryPoints(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full sweeps in -short mode")
@@ -203,21 +204,24 @@ func TestRunnerMatchesLegacyEntryPoints(t *testing.T) {
 
 	keys := []PairKey{{1, media.High}, {4, media.Low}}
 	scenarios := []*netem.Scenario{mustScenario(t, "dsl"), mustScenario(t, "lossy-wifi")}
-	matrixRef := oneOffRuns(t, NewPlan(7).ForPairs(keys...).UnderScenarios(scenarios...))
+	matrix := NewPlan(7).ForPairs(keys...).UnderScenarios(scenarios...)
+	matrixRef := oneOffRuns(t, matrix)
 	for _, workers := range []int{1, 4, 0} {
-		rows, err := NewRunner(WithWorkers(workers)).RunMatrix(7, keys, scenarios)
+		results, err := NewRunner(WithWorkers(workers)).Run(matrix)
 		if err != nil {
 			t.Fatalf("matrix workers=%d: %v", workers, err)
 		}
-		if len(rows) != len(scenarios) {
-			t.Fatalf("matrix workers=%d: %d rows, want %d", workers, len(rows), len(scenarios))
+		if len(results) != len(scenarios)*len(keys) {
+			t.Fatalf("matrix workers=%d: %d cells, want %d", workers, len(results), len(scenarios)*len(keys))
 		}
-		for i, row := range rows {
-			if row.Scenario != scenarios[i] || len(row.Runs) != len(keys) {
-				t.Fatalf("matrix workers=%d row %d: scenario %v with %d runs", workers, i, row.Scenario, len(row.Runs))
-			}
-			for j, run := range row.Runs {
-				runsIdentical(t, fmt.Sprintf("%s/%v", row.Scenario.Name, keys[j]), matrixRef[i*len(keys)+j], run)
+		runs := PairRuns(results)
+		for i, sc := range scenarios {
+			for j := range keys {
+				c := i*len(keys) + j
+				if k := results[c].Key; k.Scenario != sc || k.ScenarioIndex != i || k.Pair != keys[j] {
+					t.Fatalf("matrix workers=%d cell %d: key %v", workers, c, k)
+				}
+				runsIdentical(t, fmt.Sprintf("%s/%v", sc.Name, keys[j]), matrixRef[c], runs[c])
 			}
 		}
 	}

@@ -240,8 +240,7 @@ func WithSweepStats(fn func(SweepStats)) RunnerOption {
 // the store does not hold, so they never look up rather than silently
 // degrade the result shape. Callers that consume RunResult.Run (player
 // reports) under StreamProfiles must not install a store with a lookup
-// path; the experiments harness wraps its store insert-only for exactly
-// this reason. RetainTraces cells carry no Comparison and insert nothing.
+// path. RetainTraces cells carry no Comparison and insert nothing.
 // Errored cells are never cached.
 func WithResultStore(s ResultStore) RunnerOption {
 	return func(r *Runner) { r.store = s }

@@ -121,23 +121,26 @@ func TestScenarioMatrixCompletes(t *testing.T) {
 			scenarios = append(scenarios, sc)
 		}
 	}
-	rows, err := NewRunner(WithWorkers(0)).RunMatrix(2002, AllPairs(), scenarios)
+	pairs := AllPairs()
+	results, err := NewRunner(WithWorkers(0)).Run(NewPlan(2002).ForPairs(pairs...).UnderScenarios(scenarios...))
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, row := range rows {
-		if len(row.Runs) != len(AllPairs()) {
-			t.Fatalf("%s: %d runs", row.Scenario.Name, len(row.Runs))
-		}
-		for _, run := range row.Runs {
-			if run.Scenario != row.Scenario.Name {
-				t.Fatalf("run labelled %q under %q", run.Scenario, row.Scenario.Name)
+	runs := PairRuns(results)
+	if len(runs) != len(scenarios)*len(pairs) {
+		t.Fatalf("%d runs, want %d scenarios x %d pairs", len(runs), len(scenarios), len(pairs))
+	}
+	for i, sc := range scenarios {
+		row := runs[i*len(pairs) : (i+1)*len(pairs)]
+		for _, run := range row {
+			if run.Scenario != sc.Name {
+				t.Fatalf("run labelled %q under %q", run.Scenario, sc.Name)
 			}
 			if !run.WMP.Completed || !run.Real.Completed {
-				t.Fatalf("%s %d/%v: incomplete playback", row.Scenario.Name, run.Set, run.Class)
+				t.Fatalf("%s %d/%v: incomplete playback", sc.Name, run.Set, run.Class)
 			}
 			if run.Downlink.Forwarded == 0 {
-				t.Fatalf("%s %d/%v: empty downlink stats", row.Scenario.Name, run.Set, run.Class)
+				t.Fatalf("%s %d/%v: empty downlink stats", sc.Name, run.Set, run.Class)
 			}
 		}
 	}

@@ -318,50 +318,6 @@ func SeedFor(base int64, k PairKey) int64 {
 	return base*1000003 + int64(k.Set)*101 + int64(k.Class)*13
 }
 
-// ScenarioRuns couples one scenario with its pair-run results, in key
-// order. The runs keep what the executing Runner's TraceRetention keeps:
-// under StreamProfiles (the experiments harness's Context.Matrix) they
-// carry no Trace, WMPFlow or RealFlow, while player reports and path
-// stats are the same as under RetainTraces.
-type ScenarioRuns struct {
-	Scenario *netem.Scenario
-	Runs     []*PairRun
-}
-
-// RunMatrix executes the (pairs × scenarios) plan on r and groups the
-// results into one ScenarioRuns row per scenario — the matrix-shaped view
-// of a Runner sweep, honouring whatever workers/context/progress the
-// Runner carries.
-func (r *Runner) RunMatrix(baseSeed int64, keys []PairKey, scenarios []*netem.Scenario) ([]ScenarioRuns, error) {
-	if len(scenarios) == 0 {
-		return nil, nil
-	}
-	if keys == nil {
-		keys = []PairKey{}
-	}
-	plan := NewPlan(baseSeed).ForPairs(keys...).UnderScenarios(scenarios...)
-	results, err := r.Run(plan)
-	if err != nil {
-		// Attribute the first failure (canonical order — results are
-		// sorted) to its scenario, as the per-scenario engine did; a
-		// faithful (nil-scenario) row's error passes through unwrapped.
-		for _, res := range results {
-			if res.Err != nil {
-				if res.Key.Scenario != nil {
-					return nil, fmt.Errorf("scenario %s: %w", res.Key.Scenario.Name, res.Err)
-				}
-				break
-			}
-		}
-		return nil, err
-	}
-	out := make([]ScenarioRuns, len(scenarios))
-	for i, sc := range scenarios {
-		out[i] = ScenarioRuns{Scenario: sc, Runs: PairRuns(results[i*len(keys) : (i+1)*len(keys)])}
-	}
-	return out, nil
-}
-
 // DataEndpointWMP returns the client data endpoint for MediaPlayer flows.
 func DataEndpointWMP() inet.Endpoint {
 	return inet.Endpoint{Addr: ClientAddr, Port: WMPDataPort}

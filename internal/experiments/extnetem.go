@@ -178,7 +178,7 @@ func extNetemScenarios(ctx *Context) (*Result, error) {
 			scenarios = append(scenarios, sc)
 		}
 	}
-	rows, err := ctx.Matrix(ctx.Seed+803, keys, scenarios)
+	rows, err := scenarioRows(ctx, core.NewPlan(ctx.Seed+803).ForPairs(keys...).UnderScenarios(scenarios...))
 	if err != nil {
 		return nil, err
 	}
@@ -187,10 +187,10 @@ func extNetemScenarios(ctx *Context) (*Result, error) {
 		Title:   "Scenario matrix: all high-rate pairs under every named scenario",
 		Columns: []string{"scenario", "Real loss %", "WMP loss %", "Real fps", "WMP fps", "model drops", "queue drops", "aqm drops"},
 	}
-	for _, row := range rows {
+	for si, runs := range rows {
 		var realLoss, wmpLoss, realFPS, wmpFPS float64
 		var modelDrops, queueDrops, aqmDrops uint64
-		for _, run := range row.Runs {
+		for _, run := range runs {
 			realLoss += run.Real.LossRate()
 			wmpLoss += run.WMP.LossRate()
 			realFPS += run.Real.AvgFPS
@@ -199,9 +199,9 @@ func extNetemScenarios(ctx *Context) (*Result, error) {
 			queueDrops += run.Downlink.DroppedFull
 			aqmDrops += run.Downlink.DroppedAQM
 		}
-		n := float64(len(row.Runs))
+		n := float64(len(runs))
 		res.Rows = append(res.Rows, []string{
-			row.Scenario.Name,
+			scenarios[si].Name,
 			fmtF(realLoss / n * 100),
 			fmtF(wmpLoss / n * 100),
 			fmtF(realFPS / n),
@@ -214,4 +214,26 @@ func extNetemScenarios(ctx *Context) (*Result, error) {
 	res.AddNote("%d scenarios x %d pairs, common random numbers: row differences are the impairments, not sampling noise", len(scenarios), len(keys))
 	res.AddNote("identical seed reproduces this table byte for byte at any -parallel setting")
 	return res, nil
+}
+
+// scenarioRows runs a plan whose scenario axis lists named scenarios on
+// the context's streaming Runner and groups the runs by Key.ScenarioIndex:
+// one row per scenario, in axis order, each in the plan's pair order. The
+// runs carry no Trace, WMPFlow or RealFlow. A failed cell's error (the
+// first in canonical order) names its scenario.
+func scenarioRows(ctx *Context, plan *core.Plan) ([][]*core.PairRun, error) {
+	results, err := ctx.streamRunner().Run(plan)
+	if err != nil {
+		for _, res := range results {
+			if res.Err != nil {
+				return nil, fmt.Errorf("scenario %s: %w", res.Key.Scenario.Name, res.Err)
+			}
+		}
+		return nil, err
+	}
+	rows := make([][]*core.PairRun, len(plan.Scenarios))
+	for _, res := range results {
+		rows[res.Key.ScenarioIndex] = append(rows[res.Key.ScenarioIndex], res.Run)
+	}
+	return rows, nil
 }

@@ -72,8 +72,8 @@ func TestExtNetemScenarios(t *testing.T) {
 			t.Fatalf("scenario %s missing from matrix: %v", name, res.Rows)
 		}
 	}
-	// The whole report, byte for byte, as the retaining matrix rendered
-	// it before Context.Matrix streamed its cells.
+	// The whole report, byte for byte, as the matrix rendered it while
+	// its cells still retained whole captures.
 	const wantDigest = "3a45c3a1ae2b21a484627c4833e7b0b1e46dc96deb39458baa809f3999755cab"
 	sum := sha256.Sum256([]byte(res.String()))
 	if got := hex.EncodeToString(sum[:]); got != wantDigest {

@@ -110,8 +110,8 @@ func (r *Result) String() string {
 // regeneration. Every pair run the context executes — cached Table 1
 // runs and one-offs alike — keeps the two media flows payload-free
 // (core.RetainFlows) and no whole capture: the figures reduce arrival
-// times, sizes and fragment fields, never a payload byte. Matrix sweeps
-// stream (core.StreamProfiles).
+// times, sizes and fragment fields, never a payload byte. Scenario-matrix
+// sweeps stream (core.StreamProfiles; see streamRunner).
 type Context struct {
 	Seed    int64
 	workers int
@@ -122,7 +122,6 @@ type Context struct {
 	cancel   context.Context
 	progress func(core.Progress)
 	sink     *obs.Sink
-	store    core.ResultStore
 
 	// scenario, when set, streams every cached Table 1 pair run under a
 	// netem scenario, turning the whole regenerated evaluation into a
@@ -184,33 +183,12 @@ func (c *Context) SetProgress(fn func(core.Progress)) *Context {
 }
 
 // SetMetrics installs an obs.Sink on the underlying Runner: every
-// uncached pair run — Table 1 cells, one-offs (RunOne) and Matrix cells —
-// feeds cell timing, simulator counters, capture volume, and netem drop
-// causes into it. Results are unaffected — the
+// uncached pair run — Table 1 cells, one-offs (RunOne) and streamed
+// scenario-matrix cells — feeds cell timing, simulator counters, capture
+// volume, and netem drop causes into it. Results are unaffected — the
 // sink observes the sweep, it does not steer it.
 func (c *Context) SetMetrics(s *obs.Sink) *Context {
 	return c.set(func() { c.sink = s })
-}
-
-// SetResultStore installs a content-addressed result store on the
-// underlying Runner, write-through only: every completed pair run — Table
-// 1 cells, one-offs and Matrix cells — inserts its Comparison, so later
-// Comparison-space sweeps (a dispatched rerun, a Runner with
-// WithResultStore) hit on them, but the context's own runs never serve
-// from the store — experiments reduce the full player reports and packet
-// flows of a PairRun, which the store's Comparisons do not hold, so a
-// cache hit here would leave the experiment nothing to regenerate from.
-func (c *Context) SetResultStore(s core.ResultStore) *Context {
-	return c.set(func() { c.store = s })
-}
-
-// insertOnly adapts a ResultStore to the harness's write-through
-// discipline: every lookup misses locally (without touching the store's
-// hit/miss counters), every insert persists.
-type insertOnly struct{ core.ResultStore }
-
-func (insertOnly) LookupResult(core.PairKey, core.Options, int64) (*core.Comparison, bool) {
-	return nil, false
 }
 
 // runner assembles a Runner from the context's settings; extra options
@@ -225,9 +203,6 @@ func (c *Context) runner(extra ...core.RunnerOption) *core.Runner {
 	}
 	if c.sink != nil {
 		opts = append(opts, core.WithMetrics(c.sink))
-	}
-	if c.store != nil {
-		opts = append(opts, core.WithResultStore(insertOnly{c.store}))
 	}
 	opts = append(opts, extra...)
 	return core.NewRunner(opts...)
@@ -272,26 +247,22 @@ func (c *Context) execute(keys []core.PairKey) error {
 // through the Runner the Table 1 runs use (core.Runner.RunPair), so it
 // reuses their testbeds: it honours SetCancel (ctrl-C lands
 // mid-simulation in every experiment, not just the cached sweep),
-// SetProgress (a 1-of-1 sweep), SetMetrics and SetResultStore. The run
-// keeps its media flows payload-free, as the Table 1 runs do, and no
-// whole capture.
+// SetProgress (a 1-of-1 sweep) and SetMetrics. The run keeps its media
+// flows payload-free, as the Table 1 runs do, and no whole capture.
 func (c *Context) RunOne(seed int64, set int, class media.Class, opts core.Options) (*core.PairRun, error) {
 	return c.flowRunner().RunPair(seed, set, class, opts)
 }
 
-// Matrix executes a (pairs × scenarios) sweep through the context's
-// Runner, honouring SetParallel, SetCancel, SetProgress, SetMetrics and
-// SetResultStore. Its cells stream through online profiles
-// (core.StreamProfiles): the rows' runs carry no Trace, WMPFlow or
-// RealFlow, while their player reports and path stats equal those
-// core.Runner.RunMatrix returns under RetainTraces at the same seed.
-// Matrix consumers reduce reports and drop counters only, so a sweep
-// holds O(workers) analyzer state instead of every cell's capture.
-func (c *Context) Matrix(seed int64, keys []core.PairKey, scenarios []*netem.Scenario) ([]core.ScenarioRuns, error) {
+// streamRunner returns a Runner built from the context's settings that
+// streams its cells through online profiles (core.StreamProfiles): its
+// runs carry no Trace, WMPFlow or RealFlow, while their player reports and
+// path stats equal a retaining Runner's at the same seed. Scenario-matrix
+// consumers reduce reports and drop counters only, so such a sweep holds
+// O(workers) analyzer state instead of every cell's capture.
+func (c *Context) streamRunner() *core.Runner {
 	c.mu.Lock()
-	r := c.runner(core.WithTraceRetention(core.StreamProfiles))
-	c.mu.Unlock()
-	return r.RunMatrix(seed, keys, scenarios)
+	defer c.mu.Unlock()
+	return c.runner(core.WithTraceRetention(core.StreamProfiles))
 }
 
 // SetScenario streams the context's Table 1 pair runs under a netem

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"reflect"
 	"strings"
-	"sync"
 	"testing"
 
 	"turbulence/internal/capture"
@@ -13,7 +12,6 @@ import (
 	"turbulence/internal/media"
 	"turbulence/internal/netem"
 	"turbulence/internal/obs"
-	"turbulence/internal/resultstore"
 	"turbulence/internal/stats"
 )
 
@@ -218,67 +216,9 @@ func TestSetterAfterRunTakesEffect(t *testing.T) {
 	}
 }
 
-// TestResultStoreWriteThroughOnly pins the harness's store discipline:
-// experiments reduce full PairRuns (player reports, packet flows), which
-// the store's Comparisons cannot reconstruct, so a default context must
-// populate the store without ever serving its own sweeps from it — a warm
-// rerun against a full store still regenerates every experiment, run
-// data intact.
-func TestResultStoreWriteThroughOnly(t *testing.T) {
-	st, err := resultstore.Open(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer st.Close()
-
-	cold := NewContext(55).SetResultStore(st)
-	coldRes, err := Run(cold, "table1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	entries := st.Stats().Entries
-	if entries == 0 {
-		t.Fatal("cold experiment sweep inserted nothing into the store")
-	}
-
-	// Warm context, same seed, same (now fully covering) store: the
-	// lookup path must not be taken — every run needs its full reports.
-	warm := NewContext(55).SetResultStore(st)
-	warmRes, err := Run(warm, "table1")
-	if err != nil {
-		t.Fatalf("warm experiment sweep against a populated store: %v", err)
-	}
-	if len(warmRes.Rows) != len(coldRes.Rows) {
-		t.Fatalf("warm run rendered %d rows, cold %d", len(warmRes.Rows), len(coldRes.Rows))
-	}
-	for i := range coldRes.Rows {
-		if strings.Join(warmRes.Rows[i], "|") != strings.Join(coldRes.Rows[i], "|") {
-			t.Fatalf("row %d differs warm vs cold:\n  %v\n  %v", i, warmRes.Rows[i], coldRes.Rows[i])
-		}
-	}
-	runs, err := warm.All()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, run := range runs {
-		if run == nil || run.WMP == nil || run.Real == nil {
-			t.Fatal("warm run served from the store: missing player reports")
-		}
-	}
-	// No double inserts, no hits, and crucially no store-level misses:
-	// the harness short-circuits lookups locally.
-	s := st.Stats()
-	if s.Entries != entries {
-		t.Fatalf("warm sweep changed the store: %d -> %d entries", entries, s.Entries)
-	}
-	if s.Hits != 0 {
-		t.Fatalf("harness served %d cells from the store", s.Hits)
-	}
-}
-
-// matrixFixture is the small matrix the Context.Matrix contract tests
-// sweep: two low-rate pairs under two named scenarios.
-func matrixFixture(t *testing.T) ([]core.PairKey, []*netem.Scenario) {
+// matrixFixture is the small scenario plan the streaming contract test
+// sweeps: two low-rate pairs under two named scenarios.
+func matrixFixture(t *testing.T) *core.Plan {
 	t.Helper()
 	keys := []core.PairKey{{Set: 1, Class: media.Low}, {Set: 3, Class: media.Low}}
 	var scs []*netem.Scenario
@@ -289,35 +229,37 @@ func matrixFixture(t *testing.T) ([]core.PairKey, []*netem.Scenario) {
 		}
 		scs = append(scs, sc)
 	}
-	return keys, scs
+	return core.NewPlan(2002 + 803).ForPairs(keys...).UnderScenarios(scs...)
 }
 
-// TestContextMatrixStreamsProfiles pins the Matrix contract: cells stream
-// through online profiles, so no run carries a packet capture, while the
-// player reports and path stats every matrix consumer reduces equal a
-// retaining Runner's at the same seed.
-func TestContextMatrixStreamsProfiles(t *testing.T) {
-	keys, scs := matrixFixture(t)
-	const seed = 2002 + 803
-	got, err := NewContext(2002).SetParallel(0).Matrix(seed, keys, scs)
+// TestScenarioRowsStreamProfiles pins ext-netem-scenarios' streaming
+// contract: its cells stream through online profiles, so no run carries a
+// packet capture, while the player reports and path stats every matrix
+// consumer reduces equal a retaining Runner's on the same plan.
+func TestScenarioRowsStreamProfiles(t *testing.T) {
+	plan := matrixFixture(t)
+	got, err := scenarioRows(NewContext(2002).SetParallel(0), plan)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := core.NewRunner(core.WithWorkers(1)).RunMatrix(seed, keys, scs)
+	results, err := core.NewRunner(core.WithWorkers(1), core.WithTraceRetention(core.RetainTraces)).Run(plan)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(got) != len(want) {
-		t.Fatalf("rows = %d, want %d", len(got), len(want))
+	want := core.PairRuns(results)
+	if len(got) != len(plan.Scenarios) {
+		t.Fatalf("rows = %d, want %d", len(got), len(plan.Scenarios))
 	}
-	for i := range want {
-		if got[i].Scenario != want[i].Scenario || len(got[i].Runs) != len(want[i].Runs) {
-			t.Fatalf("row %d: scenario %v with %d runs, want %v with %d",
-				i, got[i].Scenario.Name, len(got[i].Runs), want[i].Scenario.Name, len(want[i].Runs))
+	for i, row := range got {
+		if len(row) != len(plan.Pairs) {
+			t.Fatalf("row %d: %d runs, want %d", i, len(row), len(plan.Pairs))
 		}
-		for j, g := range got[i].Runs {
-			w := want[i].Runs[j]
-			where := fmt.Sprintf("%s %d/%v", want[i].Scenario.Name, keys[j].Set, keys[j].Class)
+		for j, g := range row {
+			w := want[i*len(plan.Pairs)+j]
+			where := fmt.Sprintf("%s %d/%v", plan.Scenarios[i].Name, plan.Pairs[j].Set, plan.Pairs[j].Class)
+			if g.Scenario != plan.Scenarios[i].Name || g.Set != plan.Pairs[j].Set || g.Class != plan.Pairs[j].Class {
+				t.Fatalf("%s: row holds the run of %s %d/%v", where, g.Scenario, g.Set, g.Class)
+			}
 			if g.Trace != nil || g.WMPFlow != nil || g.RealFlow != nil {
 				t.Errorf("%s: streamed run retains a capture", where)
 			}
@@ -330,55 +272,6 @@ func TestContextMatrixStreamsProfiles(t *testing.T) {
 			if g.Downlink != w.Downlink || g.Uplink != w.Uplink {
 				t.Errorf("%s: path stats differ: down %+v vs %+v, up %+v vs %+v",
 					where, g.Downlink, w.Downlink, g.Uplink, w.Uplink)
-			}
-		}
-	}
-}
-
-// countingStore is a core.ResultStore that counts calls and would serve
-// every lookup as a hit, so any lookup reaching it would replace a run.
-type countingStore struct {
-	mu               sync.Mutex
-	lookups, inserts int
-}
-
-func (s *countingStore) LookupResult(core.PairKey, core.Options, int64) (*core.Comparison, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.lookups++
-	return &core.Comparison{}, true
-}
-
-func (s *countingStore) InsertResult(_ core.PairKey, _ core.Options, _ int64, cmp *core.Comparison) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if cmp != nil {
-		s.inserts++
-	}
-}
-
-// TestContextMatrixWritesThroughStore pins the store side of streamed
-// matrix cells: each cell carries a Comparison, so a context with a result
-// store inserts exactly one per cell — under the default Table 1
-// retention too — and never serves a cell from the store.
-func TestContextMatrixWritesThroughStore(t *testing.T) {
-	keys, scs := matrixFixture(t)
-	st := &countingStore{}
-	rows, err := NewContext(2002).SetParallel(0).SetResultStore(st).Matrix(2002+803, keys, scs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cells := len(keys) * len(scs)
-	if st.inserts != cells {
-		t.Fatalf("store saw %d inserts, want one per cell (%d)", st.inserts, cells)
-	}
-	if st.lookups != 0 {
-		t.Fatalf("store saw %d lookups, want 0 (insert-only)", st.lookups)
-	}
-	for _, row := range rows {
-		for _, run := range row.Runs {
-			if run == nil || run.Real == nil || run.WMP == nil {
-				t.Fatalf("%s: cell served from the store: missing player reports", row.Scenario.Name)
 			}
 		}
 	}

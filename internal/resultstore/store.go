@@ -23,6 +23,16 @@
 // correctness. A store of another format — including the gob frames of
 // format 1 — is refused at Open, like one of another engine generation:
 // point the new build at a fresh directory.
+//
+// Several handles may share one directory — in one process or several,
+// such as a -serve coordinator and a -work worker given the same
+// -result-store. The file is opened for appending, and framelog.Append
+// writes each frame in one Write, so every handle's frames land whole at
+// the end of the file and none overwrites another's; a reopen indexes
+// them all. A handle's index holds what the file held at its Open plus its
+// own inserts, not what other handles append later. Two handles creating
+// a fresh store at the same instant may both write a header, which makes
+// the file unreadable; create the store once before sharing it.
 package resultstore
 
 import (
@@ -98,7 +108,9 @@ func Open(dir string, opts ...Option) (*Store, error) {
 		return nil, fmt.Errorf("resultstore: %w", err)
 	}
 	path := filepath.Join(dir, storeFile)
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_RDWR, 0o644)
+	// O_APPEND: other handles on this file may have appended since
+	// this one opened, so each write goes to the end, not to an offset.
+	f, err := os.OpenFile(path, os.O_CREATE|os.O_RDWR|os.O_APPEND, 0o644)
 	if err != nil {
 		return nil, fmt.Errorf("resultstore: %w", err)
 	}

@@ -126,6 +126,36 @@ func TestStoreConcurrent(t *testing.T) {
 // TestStoreTornTailReopen simulates a crash mid-append: the torn frame is
 // dropped and counted, everything before it survives, and the store keeps
 // appending cleanly from the cut.
+// TestStoreSharedDirectory pins the multi-handle guarantee: two handles
+// open on one directory (a -serve and a -work sharing a -result-store)
+// each append at the end of the file, never over the other's frames, so
+// a reopen holds every entry either inserted.
+func TestStoreSharedDirectory(t *testing.T) {
+	dir := t.TempDir()
+	a, b := open(t, dir), open(t, dir)
+	for i := 0; i < 10; i++ {
+		a.Insert("a"+strconv.Itoa(i), cmpFor(i))
+		b.Insert("b"+strconv.Itoa(i), cmpFor(i))
+	}
+	for _, s := range []*Store{a, b} {
+		if err := s.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s := open(t, dir)
+	defer s.Close()
+	if st := s.Stats(); st.Entries != 20 || st.CorruptFrames != 0 {
+		t.Fatalf("reopened shared store: %d entries, %d corrupt frames; want 20 and 0", st.Entries, st.CorruptFrames)
+	}
+	for _, p := range []string{"a", "b"} {
+		for i := 0; i < 10; i++ {
+			if got, ok := s.Lookup(p + strconv.Itoa(i)); !ok || got.Set != i {
+				t.Fatalf("Lookup(%s%d) = %+v, %v", p, i, got, ok)
+			}
+		}
+	}
+}
+
 func TestStoreTornTailReopen(t *testing.T) {
 	dir := t.TempDir()
 	s := open(t, dir)

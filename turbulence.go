@@ -49,8 +49,6 @@ type (
 	Testbed = core.Testbed
 	// PairKey identifies one pair experiment (set, class).
 	PairKey = core.PairKey
-	// ScenarioRuns couples one scenario with its pair-run results.
-	ScenarioRuns = core.ScenarioRuns
 
 	// Plan declares an experiment run space — clip pairs × scenarios ×
 	// option variants plus a seed policy — without executing anything; it
@@ -266,10 +264,11 @@ func WithSweepStats(fn func(SweepStats)) RunnerOption { return core.WithSweepSta
 func WithMetrics(s *MetricsSink) RunnerOption { return core.WithMetrics(s) }
 
 // OpenResultStore opens (creating if absent) the content-addressed result
-// store in dir. The store is safe for concurrent use by one process; a
-// torn or corrupted tail frame from a crashed writer is counted, logged
-// through logf (when non-nil) and truncated away on open — a damaged
-// store degrades to a smaller cache, never to wrong results.
+// store in dir. The store is safe for concurrent use, and several handles
+// — in one process or several — may share dir once it exists. A torn or
+// corrupted tail frame from a crashed writer is counted, logged through
+// logf (when non-nil) and truncated away on open — a damaged store
+// degrades to a smaller cache, never to wrong results.
 func OpenResultStore(dir string, logf func(format string, args ...any)) (*ResultStore, error) {
 	if logf == nil {
 		return resultstore.Open(dir)
