@@ -134,10 +134,11 @@ func BenchmarkNAKRecovery(b *testing.B) {
 		turbulence.WithTraceRetention(turbulence.StreamProfiles),
 	)
 	cell := func() (recovered int) {
-		for res := range runner.Seq(plan) {
-			if res.Err != nil {
-				b.Fatal(res.Err)
-			}
+		results, err := runner.Run(plan)
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, res := range results {
 			if res.Run.Downlink.DroppedFull == 0 || res.Run.Real.PacketsRecovered == 0 {
 				b.Fatal("cell has no queue overflow to recover from")
 			}
@@ -187,9 +188,10 @@ func BenchmarkRunAllParallel(b *testing.B) {
 
 // BenchmarkPlanStream measures the Plan/Runner engine end to end on the
 // paper's full sweep: 13 pair cells declared by the default Plan, fanned
-// across all cores, streamed in completion order with full traces
-// retained and each cell profiled from its trace by Compare — the
-// trace-based analysis that BenchmarkPlanStreamOnline replaces.
+// across all cores and collected by Run with full traces retained, each
+// cell profiled once more from its trace by Compare — the record storage
+// and trace-based analysis that BenchmarkPlanStreamOnline does without.
+// Every cell also pays for the online profiles all retentions compute.
 func BenchmarkPlanStream(b *testing.B) {
 	plan := turbulence.NewPlan(2002)
 	runner := turbulence.NewRunner(
@@ -197,21 +199,20 @@ func BenchmarkPlanStream(b *testing.B) {
 		turbulence.WithTraceRetention(turbulence.RetainTraces),
 	)
 	for i := 0; i < b.N; i++ {
-		n := 0
-		for res := range runner.Seq(plan) {
-			if res.Err != nil {
-				b.Fatal(res.Err)
-			}
+		results, err := runner.Run(plan)
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, res := range results {
 			if res.Run.Trace == nil {
 				b.Fatal("retention contract violated")
 			}
 			if c := turbulence.Compare(res.Run); c.WMP.Packets == 0 {
 				b.Fatal("empty profile")
 			}
-			n++
 		}
-		if n != plan.Size() {
-			b.Fatalf("streamed %d cells, want %d", n, plan.Size())
+		if len(results) != plan.Size() {
+			b.Fatalf("collected %d cells, want %d", len(results), plan.Size())
 		}
 	}
 }
@@ -233,18 +234,17 @@ func BenchmarkPlanStreamOnline(b *testing.B) {
 		turbulence.WithTraceRetention(turbulence.StreamProfiles),
 	)
 	for i := 0; i < b.N; i++ {
-		n := 0
-		for res := range runner.Seq(plan) {
-			if res.Err != nil {
-				b.Fatal(res.Err)
-			}
+		results, err := runner.Run(plan)
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, res := range results {
 			if res.Comparison == nil || res.Run.Trace != nil {
 				b.Fatal("retention contract violated")
 			}
-			n++
 		}
-		if n != plan.Size() {
-			b.Fatalf("streamed %d cells, want %d", n, plan.Size())
+		if len(results) != plan.Size() {
+			b.Fatalf("collected %d cells, want %d", len(results), plan.Size())
 		}
 	}
 }

@@ -17,46 +17,46 @@
 //		Run(turbulence.NewPlan(2002))
 //	if err != nil { ... }
 //	for _, res := range results {
-//		cmp := turbulence.Compare(res.Run)
-//		fmt.Println(res.Key, cmp.WMP, cmp.Real)
+//		fmt.Println(res.Key, res.Comparison.WMP, res.Comparison.Real)
 //	}
 //
 // The Runner's functional options compose: WithWorkers(n) fans cells out
 // across a pool (0 = all cores), WithContext(ctx) makes the sweep
 // cancellable (checked between simulation events, so ctrl-C lands
 // mid-run), WithProgress(fn) observes each completion, and
-// WithTraceRetention selects what each completed run keeps. Results come
-// back collected in canonical order (Run) or in completion order as an
-// iterator to range over (Seq):
+// WithTraceRetention selects what each completed run keeps. Run is the
+// one sweep call: it returns every completed cell in canonical order,
+// and WithProgress reports each one as it completes:
 //
 //	plan := turbulence.NewPlan(2002).UnderScenarios(turbulence.Scenarios()...)
 //	r := turbulence.NewRunner(turbulence.WithWorkers(0),
 //		turbulence.WithTraceRetention(turbulence.StreamProfiles))
-//	for res := range r.Seq(plan) {
+//	results, err := r.Run(plan)
+//	if err != nil { ... }
+//	for _, res := range results {
 //		fmt.Println(res.Key, res.Comparison.WMP.AvgRateBps)
 //	}
 //
 // # Trace retention
 //
-// Three retentions, one per use, each fixed by its caller; no flag or
-// setting chooses among them. RetainTraces (the Runner default), for
-// one-off captures, keeps every run's full packet capture, payload bytes
-// included — what cmd/ethereal writes and what the determinism pins
-// compare; Compare profiles a retained run. The experiments harness keeps
+// Every completed cell carries its profiles in RunResult.Comparison,
+// whatever it retains: each captured packet streams through online
+// per-flow analyzers (capture.FlowDemux routing to capture.FlowMetrics).
+// The online profiles are exactly equal to trace-derived ones —
+// ProfileFlow replays stored flows through the same accumulator — pinned
+// across all pairs, scenarios and worker counts by test. Three
+// retentions decide what a cell keeps besides, one per use, each fixed
+// by its caller; no flag or setting chooses among them. RetainTraces
+// (the Runner default), for one-off captures, keeps every run's full
+// packet capture, payload bytes included — what cmd/ethereal writes and
+// what the determinism pins compare. The experiments harness keeps
 // figure flows: its cached Table 1 runs and its one-off ablation and
-// extension runs stream through the online analyzers and keep only the
-// two media data flows, payload-free, built at capture time — arrival
-// times, wire sizes and fragment fields, all any figure reduces — pinned
-// record for record to the whole capture's flow views. StreamProfiles,
-// for sweeps (and the experiments' scenario matrix), never stores
-// records at all:
-// each captured packet streams through online per-flow analyzers
-// (capture.FlowDemux routing to capture.FlowMetrics) and is gone, so a
-// run's capture state is a few KB of accumulators and
-// RunResult.Comparison carries the profiles. The
-// online profiles are exactly equal to trace-derived ones — ProfileFlow
-// replays stored traces through the same accumulator — pinned across all
-// pairs, scenarios and worker counts by test.
+// extension runs keep only the two media data flows, payload-free,
+// built at capture time — arrival times, wire sizes and fragment fields,
+// all any figure reduces — pinned record for record to the whole
+// capture's flow views. StreamProfiles, for sweeps (and the experiments'
+// scenario matrix), never stores records at all, so a run's capture
+// state is a few KB of accumulators.
 //
 // Every run is seeded: identical plans produce byte-identical traces, for
 // any worker count, and each cell equals the one-off Runner.RunPair at
@@ -283,7 +283,7 @@
 // capture — arms its per-run state only in its Reset, which its
 // constructor ends in, so a built testbed and a reused one are the same
 // state and reuse reallocates nothing. The caches are retained on the
-// Runner across Run/Seq/RunPair calls, so repeated sweeps start warm, and
+// Runner across Run/RunPair calls, so repeated sweeps start warm, and
 // a dispatch worker keeps one Runner for its life, so its testbeds
 // outlive each lease. Output is byte-identical either way (pinned by
 // test, along with the golden digests). Every cell's scheduler is the

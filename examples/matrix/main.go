@@ -1,7 +1,7 @@
 // Matrix demonstrates the Plan/Runner API on a (scenario × pair) sweep:
-// declare the run space, stream results in completion order with bounded
-// memory, cancel cooperatively on ctrl-C, and — the distributed recipe —
-// shard the same plan across workers and merge the outputs back into the
+// declare the run space, run it with bounded memory and live progress,
+// cancel cooperatively on ctrl-C, and — the distributed recipe — shard
+// the same plan across workers and merge the outputs back into the
 // canonical order.
 package main
 
@@ -31,9 +31,10 @@ func main() {
 	plan := turbulence.NewPlan(2002).UnderScenarios(scenarios...)
 	fmt.Printf("plan: %d cells\n", plan.Size())
 
-	// Stream the sweep: all cores, ctrl-C cancels mid-run, and packets feed
+	// Run the sweep: all cores, ctrl-C cancels mid-run, and packets feed
 	// online analyzers instead of a stored capture, so memory stays bounded
-	// however large the matrix grows.
+	// however large the matrix grows. Progress reports each cell as it
+	// completes; Run returns them all in canonical order.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
 	runner := turbulence.NewRunner(
@@ -45,21 +46,15 @@ func main() {
 		}),
 	)
 
-	byIndex := make(map[int]turbulence.RunResult)
-	for res := range runner.Seq(plan) {
-		if res.Err != nil {
-			log.Fatal(res.Err)
-		}
-		byIndex[res.Key.Index] = res
-	}
-	if ctx.Err() != nil {
-		log.Fatal("interrupted")
+	results, err := runner.Run(plan)
+	if err != nil {
+		log.Fatal(err)
 	}
 
 	w := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
 	fmt.Fprintln(w, "scenario\tpair\tWMP Kbps\tReal Kbps\tWMP frag%\tdownlink drops")
-	for _, k := range plan.Keys() {
-		res := byIndex[k.Index]
+	for _, res := range results {
+		k := res.Key
 		c := res.Comparison // no trace was stored; the profiles survive
 		d := res.Run.Downlink
 		fmt.Fprintf(w, "%s\t set%d/%v\t%.0f\t%.0f\t%.0f\t%d\n",
@@ -86,8 +81,9 @@ func main() {
 	merged := turbulence.MergeRuns(parts...)
 	identical := len(merged) == plan.Size()
 	for _, res := range merged {
-		want := byIndex[res.Key.Index]
-		if res.Run.Trace.Len() == 0 || res.Key != want.Key || res.Seed != want.Seed {
+		want := results[res.Key.Index]
+		if res.Run.Trace.Len() == 0 || res.Key != want.Key || res.Seed != want.Seed ||
+			*res.Comparison != *want.Comparison {
 			identical = false
 		}
 	}

@@ -31,16 +31,13 @@ func TestNAKRecoveryAllocBounded(t *testing.T) {
 	sweep := func(seed int64) uint64 {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		n := 0
-		for res := range runner.Seq(NewPlan(seed)) {
-			if res.Err != nil {
-				t.Fatalf("seed %d: %v", seed, res.Err)
-			}
-			n++
-		}
+		results, err := runner.Run(NewPlan(seed))
 		runtime.ReadMemStats(&after)
-		if n != len(AllPairs()) {
-			t.Fatalf("seed %d: %d cells, want %d", seed, n, len(AllPairs()))
+		if err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		if len(results) != len(AllPairs()) {
+			t.Fatalf("seed %d: %d cells, want %d", seed, len(results), len(AllPairs()))
 		}
 		return after.TotalAlloc - before.TotalAlloc
 	}

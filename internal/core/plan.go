@@ -151,17 +151,9 @@ func (p *Plan) Shard(i, n int) *Plan {
 	return &q
 }
 
-// Sharded reports the plan's shard coordinates (0, 1 when unsharded).
-func (p *Plan) Sharded() (shard, shards int) {
-	if p.shards == 0 {
-		return 0, 1
-	}
-	return p.shard, p.shards
-}
-
-// IsSharded reports whether the plan is a Shard slice of a larger plan.
-// Sharded() alone cannot tell Shard(0, 1) from the unsharded plan, and a
-// dispatcher must refuse to serve a slice as if it were the whole space.
+// IsSharded reports whether the plan is a Shard slice of a larger plan,
+// Shard(0, 1) included: a dispatcher must refuse to serve a slice as if
+// it were the whole space.
 func (p *Plan) IsSharded() bool { return p.shards != 0 }
 
 // ShardSizes reports the cell count of each of the n strided shards of the

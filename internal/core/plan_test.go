@@ -348,10 +348,9 @@ func TestRunPairCancelMidSimulation(t *testing.T) {
 	}
 }
 
-// TestRunnerStreamAndRetention pins the streaming surface: Seq delivers
-// every cell exactly once in completion order, StreamProfiles replaces raw
-// captures with profiles identical to what Compare computes on a retained
-// run, and an early break terminates the sweep.
+// TestRunnerStreamAndRetention pins the streaming retention on Run:
+// StreamProfiles replaces raw captures with profiles identical to what
+// Compare computes on a retained run, and keeps everything else.
 func TestRunnerStreamAndRetention(t *testing.T) {
 	keys := []PairKey{{1, media.Low}, {3, media.Low}, {4, media.Low}}
 	plan := NewPlan(5).ForPairs(keys...)
@@ -359,15 +358,14 @@ func TestRunnerStreamAndRetention(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	seen := map[int]bool{}
-	for res := range NewRunner(WithWorkers(2), WithTraceRetention(StreamProfiles)).Seq(plan) {
-		if res.Err != nil {
-			t.Fatal(res.Err)
-		}
-		if seen[res.Key.Index] {
-			t.Fatalf("cell %d delivered twice", res.Key.Index)
-		}
-		seen[res.Key.Index] = true
+	streamed, err := NewRunner(WithWorkers(2), WithTraceRetention(StreamProfiles)).Run(plan)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(streamed) != plan.Size() {
+		t.Fatalf("stream delivered %d cells, want %d", len(streamed), plan.Size())
+	}
+	for _, res := range streamed {
 		if res.Run.Trace != nil || res.Run.WMPFlow != nil || res.Run.RealFlow != nil {
 			t.Fatal("raw traces retained under StreamProfiles")
 		}
@@ -380,21 +378,6 @@ func TestRunnerStreamAndRetention(t *testing.T) {
 		if res.Run.WMP == nil || res.Run.Downlink.Forwarded == 0 {
 			t.Fatal("non-trace results should survive streaming")
 		}
-	}
-	if len(seen) != plan.Size() {
-		t.Fatalf("stream delivered %d cells, want %d", len(seen), plan.Size())
-	}
-	// Early break cancels the remainder without deadlocking.
-	delivered := 0
-	for res := range NewRunner(WithWorkers(2), WithTraceRetention(StreamProfiles)).Seq(plan) {
-		if res.Err != nil {
-			t.Fatal(res.Err)
-		}
-		delivered++
-		break
-	}
-	if delivered != 1 {
-		t.Fatalf("broke after %d deliveries", delivered)
 	}
 }
 
@@ -420,35 +403,45 @@ func (s *countingStore) InsertResult(_ PairKey, _ Options, _ int64, cmp *Compari
 	}
 }
 
-// TestRetainFlowsWritesThroughStore pins the store rule under flow
-// retention: every cell, sweep or one-off, inserts its Comparison, and
-// none is looked up, so every run keeps its flows. The one-off reports
-// progress as a 1-of-1 sweep.
+// TestRetainFlowsWritesThroughStore pins the store rule under the two
+// retentions that keep more than profiles: every cell, sweep or one-off,
+// inserts its Comparison, and none is looked up, so every run keeps its
+// flows. The one-off reports progress as a 1-of-1 sweep.
 func TestRetainFlowsWritesThroughStore(t *testing.T) {
-	plan := NewPlan(5).ForPairs(PairKey{1, media.Low}, PairKey{3, media.Low})
-	st := &countingStore{}
-	var reports []Progress
-	r := NewRunner(WithWorkers(0), WithTraceRetention(RetainFlows), WithResultStore(st),
-		WithProgress(func(p Progress) { reports = append(reports, p) }))
-	results, err := r.Run(plan)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, res := range results {
-		if res.Run == nil || res.Run.WMPFlow == nil || res.Run.RealFlow == nil {
-			t.Fatalf("cell %v: flows missing", res.Key)
-		}
-	}
-	reports = nil
-	run, err := r.RunPair(5, 4, media.Low, Options{})
-	if err != nil || run == nil || run.WMPFlow == nil {
-		t.Fatalf("one-off: run %v, err %v", run != nil, err)
-	}
-	if len(reports) != 1 || reports[0].Done != 1 || reports[0].Total != 1 || reports[0].Key.Pair != (PairKey{4, media.Low}) {
-		t.Fatalf("one-off progress %+v, want one 1-of-1 report for 4/low", reports)
-	}
-	if want := plan.Size() + 1; st.inserts != want || st.lookups != 0 {
-		t.Fatalf("store saw %d inserts and %d lookups, want %d and 0", st.inserts, st.lookups, want)
+	for _, tc := range []struct {
+		name      string
+		retention TraceRetention
+	}{
+		{"RetainFlows", RetainFlows},
+		{"RetainTraces", RetainTraces},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			plan := NewPlan(5).ForPairs(PairKey{1, media.Low}, PairKey{3, media.Low})
+			st := &countingStore{}
+			var reports []Progress
+			r := NewRunner(WithWorkers(0), WithTraceRetention(tc.retention), WithResultStore(st),
+				WithProgress(func(p Progress) { reports = append(reports, p) }))
+			results, err := r.Run(plan)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, res := range results {
+				if res.Run == nil || res.Run.WMPFlow == nil || res.Run.RealFlow == nil {
+					t.Fatalf("cell %v: flows missing", res.Key)
+				}
+			}
+			reports = nil
+			run, err := r.RunPair(5, 4, media.Low, Options{})
+			if err != nil || run == nil || run.WMPFlow == nil {
+				t.Fatalf("one-off: run %v, err %v", run != nil, err)
+			}
+			if len(reports) != 1 || reports[0].Done != 1 || reports[0].Total != 1 || reports[0].Key.Pair != (PairKey{4, media.Low}) {
+				t.Fatalf("one-off progress %+v, want one 1-of-1 report for 4/low", reports)
+			}
+			if want := plan.Size() + 1; st.inserts != want || st.lookups != 0 {
+				t.Fatalf("store saw %d inserts and %d lookups, want %d and 0", st.inserts, st.lookups, want)
+			}
+		})
 	}
 }
 

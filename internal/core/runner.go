@@ -3,7 +3,6 @@ package core
 import (
 	"cmp"
 	"context"
-	"iter"
 	"runtime"
 	"slices"
 	"sync"
@@ -14,9 +13,10 @@ import (
 	"turbulence/internal/obs"
 )
 
-// TraceRetention selects what a Runner keeps of each completed run. There
-// is one retention per use, fixed by the caller, never by a user option:
-// whole captures for trace files and determinism pins (RetainTraces), the
+// TraceRetention selects what a Runner keeps of each completed run beyond
+// its Comparison, which every retention computes online. There is one
+// retention per use, fixed by the caller, never by a user option: whole
+// captures for trace files and determinism pins (RetainTraces), the
 // experiments harness's figure flows (RetainFlows) and sweep streaming
 // (StreamProfiles).
 type TraceRetention int
@@ -24,28 +24,24 @@ type TraceRetention int
 const (
 	// RetainTraces keeps every run's full packet capture, payload bytes
 	// included, and its flow views — the Runner default, and what
-	// writing, filtering or comparing whole captures needs (cmd/ethereal,
-	// the determinism pins).
+	// writing or filtering whole captures needs (cmd/ethereal, the
+	// determinism pins). Its records also stream through the online
+	// analyzers, like every retention's.
 	RetainTraces TraceRetention = iota
 	// StreamProfiles never stores records at all: each captured packet
 	// streams through online per-flow analyzers (capture.FlowDemux) at the
 	// client NIC and is gone, so a run's capture state is a few KB of
-	// accumulators instead of a trace. RunResult.Comparison carries the
-	// profiles — exactly equal to trace-derived ones, because ProfileFlow
-	// replays stored traces through the same analyzer — and Run keeps
-	// everything but Trace/WMPFlow/RealFlow. The shape matrix-scale sweeps
-	// run in: memory is O(workers × analyzer state), not O(workers ×
-	// trace).
+	// accumulators instead of a trace. Run keeps everything but
+	// Trace/WMPFlow/RealFlow. The shape matrix-scale sweeps run in: memory
+	// is O(workers × analyzer state), not O(workers × trace).
 	StreamProfiles
-	// RetainFlows streams records through the online analyzers as
-	// StreamProfiles does, and also keeps the two media data flows
-	// (WMPFlow, RealFlow) as payload-free capture.FlowTraces built at
-	// capture time: arrival times, wire sizes and fragment fields, which
-	// is everything the paper's figures reduce. Run.Trace is nil and
-	// RunResult.Comparison carries the online profiles. The flows equal
-	// RetainTraces' FlowTo views record for record, payload aside. The
-	// experiments harness runs its Table 1 cells and its one-off runs
-	// this way.
+	// RetainFlows stores no records either, but keeps the two media data
+	// flows (WMPFlow, RealFlow) as payload-free capture.FlowTraces built
+	// at capture time: arrival times, wire sizes and fragment fields,
+	// which is everything the paper's figures reduce. Run.Trace is nil.
+	// The flows equal RetainTraces' FlowTo views record for record,
+	// payload aside. The experiments harness runs its Table 1 cells and
+	// its one-off runs this way.
 	RetainFlows
 )
 
@@ -76,8 +72,10 @@ type RunResult struct {
 	// and RetainFlows, and without flows under StreamProfiles).
 	Run *PairRun
 	// Comparison holds both flows' turbulence profiles, accumulated online
-	// at capture time under StreamProfiles and RetainFlows. Nil under
-	// RetainTraces — call Compare on the retained run instead.
+	// at capture time under every retention (or served by the result
+	// store). It equals Compare on the retained flows, because
+	// ProfileFlow replays stored flows through the same analyzer. Nil
+	// only when Err is set.
 	Comparison *Comparison
 
 	Err error
@@ -104,8 +102,8 @@ type Runner struct {
 }
 
 // tallyPool holds the worker tallies a Runner retains across executions.
-// It lives behind a pointer so shallow Runner copies (Seq's cancellable
-// one, a dispatch worker's per-lease one) share it.
+// It lives behind a pointer so shallow Runner copies (a dispatch worker's
+// per-lease one) share it.
 type tallyPool struct {
 	mu    sync.Mutex
 	spare []*workerTally
@@ -230,18 +228,16 @@ func WithSweepStats(fn func(SweepStats)) RunnerOption {
 	return func(r *Runner) { r.sweepStats = fn }
 }
 
-// WithResultStore installs a content-addressed result cache. Every cell
-// that yields a Comparison — any completed cell under StreamProfiles or
-// RetainFlows — is inserted for later sweeps. Lookups happen only under
-// StreamProfiles: before simulating a cell the Runner consults the store,
-// and a hit becomes the cell's RunResult directly — Comparison set, Run
-// nil, merged in canonical order exactly as a fresh execution would be.
-// RetainTraces and RetainFlows promise packet captures or flows, which
-// the store does not hold, so they never look up rather than silently
-// degrade the result shape. Callers that consume RunResult.Run (player
-// reports) under StreamProfiles must not install a store with a lookup
-// path. RetainTraces cells carry no Comparison and insert nothing.
-// Errored cells are never cached.
+// WithResultStore installs a content-addressed result cache. Every
+// completed simulated cell is inserted for later sweeps; errored cells
+// are never cached. Lookups happen only under StreamProfiles: before
+// simulating a cell the Runner consults the store, and a hit becomes the
+// cell's RunResult directly — Comparison set, Run nil, merged in
+// canonical order exactly as a fresh execution would be. RetainTraces and
+// RetainFlows promise packet captures or flows, which the store does not
+// hold, so they never look up rather than silently degrade the result
+// shape. Callers that consume RunResult.Run (player reports) under
+// StreamProfiles must not install a store with a lookup path.
 func WithResultStore(s ResultStore) RunnerOption {
 	return func(r *Runner) { r.store = s }
 }
@@ -311,14 +307,12 @@ func longestFirst(cells []cell) []int {
 // them in longestFirst order. Output does not depend on the order: each
 // cell is seeded by its key and runs on a freshly Reset testbed. The
 // progress callback is serialised under a mutex; emit is NOT — it may be
-// invoked from several workers at once (and, for streaming, may block on
-// the consumer without stalling the other workers), so collectors must do
-// their own locking. emit returning false stops delivery. A cell error
-// stops further cells from starting (fail-fast; in-flight cells still
-// finish and are delivered). Cells that never started, or that were
-// interrupted mid-simulation by cancellation, are not emitted — completed
-// work only.
-func (r *Runner) execute(cells []cell, emit func(RunResult) bool) {
+// invoked from several workers at once, so collectors must do their own
+// locking. A cell error stops further cells from starting (fail-fast;
+// in-flight cells still finish and are delivered). Cells that never
+// started, or that were interrupted mid-simulation by cancellation, are
+// not emitted — completed work only.
+func (r *Runner) execute(cells []cell, emit func(RunResult)) {
 	ctx := r.ctx
 	workers := r.workers
 	if workers == 0 {
@@ -330,8 +324,8 @@ func (r *Runner) execute(cells []cell, emit func(RunResult) bool) {
 
 	var mu sync.Mutex
 	done := 0
-	var failed, stopped atomic.Bool
-	finish := func(res RunResult, start time.Time, elapsed time.Duration) bool {
+	var failed atomic.Bool
+	finish := func(res RunResult, start time.Time, elapsed time.Duration) {
 		if res.Err != nil {
 			failed.Store(true)
 		}
@@ -341,16 +335,11 @@ func (r *Runner) execute(cells []cell, emit func(RunResult) bool) {
 			r.progress(Progress{Done: done, Total: len(cells), Key: res.Key, Err: res.Err, Start: start, Elapsed: elapsed})
 		}
 		mu.Unlock()
-		if stopped.Load() {
-			return false
-		}
-		if !emit(res) {
-			stopped.Store(true)
-			return false
-		}
-		return true
+		emit(res)
 	}
 
+	// runCell runs one cell and reports whether the worker should go on
+	// to the next.
 	runCell := func(c cell, t *workerTally) bool {
 		if ctx.Err() != nil || failed.Load() {
 			return false
@@ -363,7 +352,8 @@ func (r *Runner) execute(cells []cell, emit func(RunResult) bool) {
 				if r.sink != nil {
 					r.sink.ObserveCell(elapsed.Seconds(), false)
 				}
-				return finish(RunResult{Key: k, Seed: seed, Comparison: cmp}, start, elapsed)
+				finish(RunResult{Key: k, Seed: seed, Comparison: cmp}, start, elapsed)
+				return true
 			}
 		}
 		run, cmp, err := runPair(ctx, seed, k.Pair.Set, k.Pair.Class, c.opts, r.retention, r.sink, t.cache)
@@ -381,10 +371,11 @@ func (r *Runner) execute(cells []cell, emit func(RunResult) bool) {
 					d.DroppedAQM+u.DroppedAQM, d.TTLExpired+u.TTLExpired)
 			}
 		}
-		if r.store != nil && err == nil && cmp != nil {
+		if r.store != nil && err == nil {
 			r.store.InsertResult(k.Pair, c.opts, seed, cmp)
 		}
-		return finish(RunResult{Key: k, Seed: seed, Run: run, Err: err, Comparison: cmp}, start, elapsed)
+		finish(RunResult{Key: k, Seed: seed, Run: run, Err: err, Comparison: cmp}, start, elapsed)
+		return true
 	}
 
 	// Each worker owns a testbed cache: cells reuse the worker's testbeds
@@ -450,11 +441,10 @@ func (r *Runner) execute(cells []cell, emit func(RunResult) bool) {
 func (r *Runner) Run(p *Plan) ([]RunResult, error) {
 	var mu sync.Mutex
 	var out []RunResult
-	r.execute(p.cells(), func(res RunResult) bool {
+	r.execute(p.cells(), func(res RunResult) {
 		mu.Lock()
 		out = append(out, res)
 		mu.Unlock()
-		return true
 	})
 	out = MergeRuns(out)
 	if err := r.ctx.Err(); err != nil {
@@ -482,49 +472,9 @@ func (r *Runner) Run(p *Plan) ([]RunResult, error) {
 func (r *Runner) RunPair(seed int64, set int, class media.Class, opts Options) (*PairRun, error) {
 	key := RunKey{Pair: PairKey{Set: set, Class: class}, Scenario: opts.Scenario}
 	var res *RunResult
-	r.execute([]cell{{key: key, seed: seed, opts: opts}}, func(rr RunResult) bool {
-		res = &rr
-		return true
-	})
+	r.execute([]cell{{key: key, seed: seed, opts: opts}}, func(rr RunResult) { res = &rr })
 	if res == nil { // cancelled before or during the run
 		return nil, r.ctx.Err()
 	}
 	return res.Run, res.Err
-}
-
-// Seq executes the plan as a range-over-func iterator: results arrive in
-// completion order, which is canonical order with one worker; with more,
-// the costliest cells start first (see execute). The loop body is the
-// backpressure — at most one finished cell per worker is in flight, so
-// huge sweeps never hold all traces at once (pair with StreamProfiles to
-// hold no trace at all).
-// Breaking out of the loop cancels the remaining work and returns once
-// in-flight cells wind down; so does cancelling the Runner's context.
-func (r *Runner) Seq(p *Plan) iter.Seq[RunResult] {
-	return func(yield func(RunResult) bool) {
-		ctx, cancel := context.WithCancel(r.ctx)
-		defer cancel()
-		sub := *r
-		sub.ctx = ctx
-		ch := make(chan RunResult)
-		go func() {
-			defer close(ch)
-			sub.execute(p.cells(), func(res RunResult) bool {
-				select {
-				case ch <- res:
-					return true
-				case <-ctx.Done():
-					return false
-				}
-			})
-		}()
-		for res := range ch {
-			if !yield(res) {
-				cancel()
-				for range ch { // release blocked workers
-				}
-				return
-			}
-		}
-	}
 }

@@ -116,17 +116,19 @@ type Options struct {
 // simulation events (the scheduler's interrupt seam), so a cancelled ctx
 // aborts the run promptly mid-stream and returns ctx.Err().
 //
-// Under StreamProfiles and RetainFlows the sniffer stores nothing: each
-// captured record streams through the worker's pooled online
-// flow-demultiplexing analyzer and is gone, and both flows' profiles come
-// back as a Comparison computed from the analyzer state. StreamProfiles
-// keeps no Trace or flow views; RetainFlows also records the two media
+// Under every retention each captured record streams through the
+// worker's pooled online flow-demultiplexing analyzer, and both flows'
+// profiles come back as a Comparison computed from the analyzer state.
+// The retention decides only what else the run keeps. RetainTraces has
+// the sniffer store every record too, and sets Trace with its WMPFlow and
+// RealFlow views. StreamProfiles stores nothing and keeps no Trace or
+// flow views. RetainFlows stores nothing either but records the two media
 // data flows, payload-free, through the demux's per-flow Extra tap (see
-// capture.FlowRecorder), so WMPFlow and RealFlow are set while Trace stays
-// nil. Everything else — tracker reports, probes, path stats — is
-// identical, and the profiles themselves are exactly equal to what
-// profiling a retained trace yields, because ProfileFlow replays stored
-// traces through the same analyzer.
+// capture.FlowRecorder), so WMPFlow and RealFlow are set while Trace
+// stays nil. Everything else — tracker reports, probes, path stats — is
+// identical, and the profiles are exactly equal to what profiling the
+// retained flows yields, because ProfileFlow replays stored flows through
+// the same analyzer.
 //
 // A non-nil sink attaches a capture.CounterTap to the sniffer (packet and
 // byte volume, two atomic adds per record — the tap path's allocation pin
@@ -160,21 +162,16 @@ func runPair(ctx context.Context, seed int64, set int, class media.Class, opts O
 
 	sniff := capture.Attach(tb.Client)
 	sniff.RecvOnly = true
+	sniff.SetStore(retention == RetainTraces)
 	if sink != nil {
 		sniff.AddTap(&capture.CounterTap{Records: sink.Packets, Bytes: sink.Bytes})
 	}
-	var demux *capture.FlowDemux
-	if retention != RetainTraces {
-		// Online analysis: records stream through the flow demultiplexer's
-		// per-flow accumulators and are never stored whole.
-		sniff.SetStore(false)
-		demux = cache.demux()
-		demux.Extra = nil
-		if retention == RetainFlows {
-			demux.Extra = cache.flowRecorders()
-		}
-		sniff.AddTap(demux)
+	demux := cache.demux()
+	demux.Extra = nil
+	if retention == RetainFlows {
+		demux.Extra = cache.flowRecorders()
 	}
+	sniff.AddTap(demux)
 
 	// Pre-run network checks.
 	pingBefore := probe.StartPing(tb.Client, site.Profile.Addr, probe.PingOptions{Count: 10, Interval: 200 * time.Millisecond, ID: 100}, nil)
@@ -267,30 +264,26 @@ func runPair(ctx context.Context, seed int64, set int, class media.Class, opts O
 		EventsFired:     tb.Net.Sched.Fired(),
 		HeapPeak:        tb.Net.Sched.PeakQueue(),
 	}
-	if demux != nil {
-		wmp, real := demux.To(WMPDataPort), demux.To(RDTDataPort)
-		if wmp == nil || real == nil {
-			return nil, nil, fmt.Errorf("core: pair %d/%v missing data flows in capture", set, class)
-		}
-		cmp := &Comparison{
-			Set:       run.Set,
-			ClassName: run.Class.String(),
-			Real:      ProfileFromMetrics(real.Metrics),
-			WMP:       ProfileFromMetrics(wmp.Metrics),
-		}
-		if retention == RetainFlows {
-			run.WMPFlow = wmp.Extra.(*capture.FlowRecorder).FlowTrace()
-			run.RealFlow = real.Extra.(*capture.FlowRecorder).FlowTrace()
-		}
-		return run, cmp, nil
-	}
-	run.Trace = sniff.Trace()
-	run.WMPFlow = run.Trace.FlowTo(WMPDataPort)
-	run.RealFlow = run.Trace.FlowTo(RDTDataPort)
-	if run.WMPFlow == nil || run.RealFlow == nil {
+	wmp, real := demux.To(WMPDataPort), demux.To(RDTDataPort)
+	if wmp == nil || real == nil {
 		return nil, nil, fmt.Errorf("core: pair %d/%v missing data flows in capture", set, class)
 	}
-	return run, nil, nil
+	cmp := &Comparison{
+		Set:       run.Set,
+		ClassName: run.Class.String(),
+		Real:      ProfileFromMetrics(real.Metrics),
+		WMP:       ProfileFromMetrics(wmp.Metrics),
+	}
+	switch retention {
+	case RetainFlows:
+		run.WMPFlow = wmp.Extra.(*capture.FlowRecorder).FlowTrace()
+		run.RealFlow = real.Extra.(*capture.FlowRecorder).FlowTrace()
+	case RetainTraces:
+		run.Trace = sniff.Trace()
+		run.WMPFlow = run.Trace.FlowTo(WMPDataPort)
+		run.RealFlow = run.Trace.FlowTo(RDTDataPort)
+	}
+	return run, cmp, nil
 }
 
 // PairKey identifies one pair experiment.

@@ -14,7 +14,8 @@ import (
 // streamParityPlanCheck runs one plan in both worlds — traces retained and
 // profiled by Compare (the reference), then StreamProfiles at several
 // worker counts — and requires the online profiles to be *exactly* equal
-// to the trace-derived ones, cell by cell.
+// to the trace-derived ones, cell by cell, the reference cells' own
+// online Comparisons included.
 func streamParityPlanCheck(t *testing.T, plan *Plan, workerSet []int) {
 	t.Helper()
 	ref, err := NewRunner(WithWorkers(0), WithTraceRetention(RetainTraces)).Run(plan)
@@ -27,6 +28,9 @@ func streamParityPlanCheck(t *testing.T, plan *Plan, workerSet []int) {
 			t.Fatalf("reference cell %v missing its trace", res.Key)
 		}
 		want[res.Key.Index] = Compare(res.Run)
+		if res.Comparison == nil || *res.Comparison != want[res.Key.Index] {
+			t.Fatalf("reference cell %v: its own online Comparison %v differs from Compare on its trace", res.Key, res.Comparison)
+		}
 	}
 	for _, workers := range workerSet {
 		results, err := NewRunner(WithWorkers(workers), WithTraceRetention(StreamProfiles)).Run(plan)

@@ -29,10 +29,15 @@
 // -result-store. The file is opened for appending, and framelog.Append
 // writes each frame in one Write, so every handle's frames land whole at
 // the end of the file and none overwrites another's; a reopen indexes
-// them all. A handle's index holds what the file held at its Open plus its
-// own inserts, not what other handles append later. Two handles creating
-// a fresh store at the same instant may both write a header, which makes
-// the file unreadable; create the store once before sharing it.
+// them all. Each Insert first indexes the whole frames other handles have
+// appended since its handle last read the file, so a cell one handle
+// wrote is not written again by another: a shared directory holds each
+// cell once. Two handles inserting one digest at the same instant may
+// still both write it, which costs bytes, never correctness. Lookups do
+// not re-read the file: a handle serves what the file held at its Open,
+// at its latest Insert, and its own inserts. Two handles creating a fresh
+// store at the same instant may both write a header, which makes the
+// file unreadable; create the store once before sharing it.
 package resultstore
 
 import (
@@ -73,7 +78,8 @@ type Store struct {
 	mu      sync.RWMutex
 	entries map[string]*core.Comparison
 	f       *os.File
-	dead    bool // a failed append stops persisting; lookups still work
+	read    int64 // the file is indexed up to here: the end of its last whole frame seen
+	dead    bool  // a failed append stops persisting; lookups still work
 	logf    func(format string, args ...any)
 
 	hits    atomic.Uint64
@@ -134,6 +140,7 @@ func Open(dir string, opts ...Option) (*Store, error) {
 			return nil, fmt.Errorf("resultstore: %w", err)
 		}
 		s.bytes.Store(uint64(n))
+		s.read = int64(n)
 		return s, nil
 	}
 	end, err := s.load(path, info.Size())
@@ -146,6 +153,7 @@ func Open(dir string, opts ...Option) (*Store, error) {
 		return nil, fmt.Errorf("resultstore: cannot trim %s to its last whole frame: %w", path, err)
 	}
 	s.bytes.Store(uint64(end))
+	s.read = end
 	return s, nil
 }
 
@@ -173,6 +181,21 @@ func (s *Store) load(path string, size int64) (int64, error) {
 		return 0, fmt.Errorf("resultstore: %s holds results in store format %d from wire v%d / engine v%d; this build uses store format %d, wire v%d / engine v%d — use a fresh directory",
 			path, h.Format, h.Wire, h.Engine, storeFormat, wire.Version, wire.EngineVersion)
 	}
+	end, err := s.index(sc)
+	if err != nil {
+		// A torn or corrupt frame: a miss, never data. Everything before
+		// it is good; the caller trims the rest away.
+		s.corrupt.Add(1)
+		s.logf("resultstore: dropping corrupt tail of %s (%v); cells re-simulate", path, err)
+	}
+	return end, nil
+}
+
+// index adds every entry frame sc yields to the index until the scan
+// ends. It returns the offset in sc just past the last entry it indexed
+// and the error that stopped the scan: nil at a clean end, else a frame
+// that is torn, fails its checksum or is not a well-formed entry record.
+func (s *Store) index(sc *framelog.Scanner) (int64, error) {
 	end := sc.End()
 	for {
 		body, err := sc.Next()
@@ -185,15 +208,25 @@ func (s *Store) load(path string, size int64) (int64, error) {
 			digest, err = decodeEntry(body, &cmp)
 		}
 		if err != nil {
-			// A torn or corrupt frame: a miss, never data. Everything
-			// before it is good; the caller trims the rest away.
-			s.corrupt.Add(1)
-			s.logf("resultstore: dropping corrupt tail of %s (%v); cells re-simulate", path, err)
-			return end, nil
+			return end, err
 		}
 		s.entries[digest] = &cmp
 		end = sc.End()
 	}
+}
+
+// catchUp indexes the entry frames other handles appended since this
+// handle last read the file, so Insert dedups against them too. It stops
+// quietly at a frame that does not verify, which may be one still being
+// written, and reads on from there next time; only Open trims.
+func (s *Store) catchUp() {
+	size, err := s.f.Seek(0, io.SeekEnd)
+	if err != nil || size <= s.read {
+		return
+	}
+	n := size - s.read
+	end, _ := s.index(framelog.NewScanner(io.NewSectionReader(s.f, s.read, n), n))
+	s.read += end
 }
 
 // Close closes the file. Lookups after Close still serve the in-memory
@@ -237,23 +270,29 @@ func (s *Store) Contains(digest string) bool {
 
 // Insert records a cell result under its digest: first writer wins,
 // re-inserts of a held digest are free no-ops (results are content-
-// addressed, so a second writer's value is the same result). The
-// Comparison is copied in, decoupling the store from later caller
-// mutation. A failed append disables persistence for the rest of the
-// process — the in-memory index keeps working — because the file may now
-// end in a torn frame that must stay the *last* thing in it.
+// addressed, so a second writer's value is the same result). Before it
+// dedups, Insert indexes what other handles on the directory have
+// appended since this one last read the file, so a cell they hold is not
+// written again. The Comparison is copied in, decoupling the store from
+// later caller mutation. A failed append disables persistence for the
+// rest of the process — the in-memory index keeps working — because the
+// file may now end in a torn frame that must stay the *last* thing in it.
 func (s *Store) Insert(digest string, cmp *core.Comparison) {
 	if cmp == nil {
 		return
 	}
-	c := *cmp
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	persist := !s.dead && s.f != nil
+	if persist {
+		s.catchUp()
+	}
 	if _, dup := s.entries[digest]; dup {
 		return
 	}
+	c := *cmp
 	s.entries[digest] = &c
-	if s.dead || s.f == nil {
+	if !persist {
 		return
 	}
 	n, err := framelog.Append(s.f, appendEntry(nil, digest, &c))
@@ -263,6 +302,12 @@ func (s *Store) Insert(digest string, cmp *core.Comparison) {
 		return
 	}
 	s.bytes.Add(uint64(n))
+	// O_APPEND leaves the offset just past the frame. When the frame
+	// starts where the index ends, no other handle's frame came between,
+	// and the index covers the file through it.
+	if end, err := s.f.Seek(0, io.SeekCurrent); err == nil && end-int64(n) == s.read {
+		s.read = end
+	}
 }
 
 // Stats snapshots the store's counters.

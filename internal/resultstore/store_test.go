@@ -156,6 +156,95 @@ func TestStoreSharedDirectory(t *testing.T) {
 	}
 }
 
+// frameCount reads back how many whole frames the store file in dir
+// holds, header included.
+func frameCount(t *testing.T, dir string) int {
+	t.Helper()
+	raw, err := os.ReadFile(filepath.Join(dir, storeFile))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sc := framelog.NewScanner(bytes.NewReader(raw), int64(len(raw)))
+	n := 0
+	for {
+		if _, err := sc.Next(); err != nil {
+			return n
+		}
+		n++
+	}
+}
+
+// TestStoreSharedDirectoryOnce pins that handles sharing a directory
+// write each cell once: a handle's Insert first indexes what the other
+// appended, so the second insert of one digest writes nothing, and the
+// file holds the header plus one entry frame.
+func TestStoreSharedDirectoryOnce(t *testing.T) {
+	dir := t.TempDir()
+	a, b := open(t, dir), open(t, dir)
+	defer a.Close()
+	defer b.Close()
+	a.Insert("d0", cmpFor(0))
+	b.Insert("d0", cmpFor(0))
+	if got := frameCount(t, dir); got != 2 {
+		t.Fatalf("store holds %d frames after two handles inserted one digest, want 2 (header + one entry)", got)
+	}
+	if got, ok := b.Lookup("d0"); !ok || got.Set != 0 {
+		t.Fatalf("b.Lookup(d0) = %+v, %v", got, ok)
+	}
+	// b's own insert still lands once, and a indexes it in turn.
+	b.Insert("d1", cmpFor(1))
+	a.Insert("d1", cmpFor(1))
+	if got := frameCount(t, dir); got != 3 {
+		t.Fatalf("store holds %d frames, want 3", got)
+	}
+}
+
+// TestStoreSharedDirectoryPartialFrame pins that Insert stops quietly at
+// another handle's frame that is not whole yet: nothing is counted as
+// corrupt or trimmed, and once the frame is whole the next Insert
+// indexes it.
+func TestStoreSharedDirectoryPartialFrame(t *testing.T) {
+	dir := t.TempDir()
+	a := open(t, dir)
+	defer a.Close()
+	a.Insert("d0", cmpFor(0))
+	var frame bytes.Buffer
+	if _, err := framelog.Append(&frame, appendEntry(nil, "other", cmpFor(7))); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(dir, storeFile)
+	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	size := func() int64 {
+		t.Helper()
+		info, err := os.Stat(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return info.Size()
+	}
+	half := frame.Len() / 2
+	if _, err := f.Write(frame.Bytes()[:half]); err != nil {
+		t.Fatal(err)
+	}
+	partial := size()
+	a.Insert("d0", cmpFor(0)) // held: reads the file, appends nothing
+	if a.Contains("other") || a.Stats().CorruptFrames != 0 || size() != partial {
+		t.Fatalf("partial frame indexed, counted or trimmed: %+v, size %d, want %d", a.Stats(), size(), partial)
+	}
+	if _, err := f.Write(frame.Bytes()[half:]); err != nil {
+		t.Fatal(err)
+	}
+	whole := size()
+	a.Insert("other", cmpFor(7))
+	if !a.Contains("other") || size() != whole {
+		t.Fatalf("completed frame not indexed before the insert: size %d, want %d", size(), whole)
+	}
+}
+
 func TestStoreTornTailReopen(t *testing.T) {
 	dir := t.TempDir()
 	s := open(t, dir)

@@ -94,9 +94,9 @@ func CellSpecs(p *core.Plan) []CellSpec {
 
 // RunFromCached builds the wire shape of a cell served from a result store:
 // the requesting plan's labels (Index, names, seed) around the stored
-// Comparison. Because FromResult also encodes only the Comparison for a
-// streamed cell, a cached Run is byte-identical to the Run a fresh
-// execution of the same cell would ship.
+// Comparison. FromResult builds every executed cell's Run through it, so
+// a cached Run is byte-identical to the Run a fresh execution of the same
+// cell would ship.
 func RunFromCached(k core.RunKey, seed int64, cmp *core.Comparison) Run {
 	r := Run{
 		Index: k.Index,

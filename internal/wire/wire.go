@@ -3,8 +3,9 @@
 // StreamProfiles, encodes the per-cell profiles (gob for Go collectors,
 // JSON for everything else), ships them home, and the collector merges the
 // batches back into canonical plan order. Traces never ride along — the
-// wire shape is the cell's identity, seed and turbulence profiles, which
-// is exactly what the streaming retention produces.
+// wire shape is the cell's identity, seed and turbulence profiles, the
+// Comparison every completed cell carries under any retention, so a
+// sweep's wire output does not depend on what its Runner retained.
 package wire
 
 import (
@@ -37,30 +38,12 @@ type Run struct {
 	Err string `json:",omitempty"`
 }
 
-// FromResult flattens one executed cell. Profiles come from the result's
-// Comparison (StreamProfiles fills it); under RetainTraces they are
-// computed here from the retained flows.
+// FromResult flattens one executed cell: RunFromCached around the cell's
+// Comparison, plus its error text when it failed.
 func FromResult(res core.RunResult) Run {
-	r := Run{
-		Index: res.Key.Index,
-		Set:   res.Key.Pair.Set,
-		Class: res.Key.Pair.Class.String(),
-		Seed:  res.Seed,
-	}
-	if res.Key.Scenario != nil {
-		r.Scenario = res.Key.Scenario.Name
-	}
-	r.Variant = res.Key.Variant.Name
+	r := RunFromCached(res.Key, res.Seed, res.Comparison)
 	if res.Err != nil {
 		r.Err = res.Err.Error()
-		return r
-	}
-	if res.Comparison != nil {
-		c := *res.Comparison
-		r.Comparison = &c
-	} else if res.Run != nil && res.Run.WMPFlow != nil && res.Run.RealFlow != nil {
-		c := core.Compare(res.Run)
-		r.Comparison = &c
 	}
 	return r
 }

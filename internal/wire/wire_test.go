@@ -108,20 +108,19 @@ func TestShardShipMerge(t *testing.T) {
 	}
 }
 
-// TestFromResultRetained pins that retained-trace results profile on the
-// way out, and errors carry their text.
+// TestFromResultRetained pins that a retained-trace result ships the
+// Comparison it carries, as a copy, and that errors carry their text.
 func TestFromResultRetained(t *testing.T) {
 	results, err := core.NewRunner().Run(core.NewPlan(7).ForPairs(core.PairKey{Set: 1, Class: media.Low}))
 	if err != nil {
 		t.Fatal(err)
 	}
 	r := FromResult(results[0])
-	if r.Comparison == nil {
+	if r.Comparison == nil || results[0].Comparison == nil {
 		t.Fatal("retained run produced no profiles")
 	}
-	want := core.Compare(results[0].Run)
-	if *r.Comparison != want {
-		t.Fatal("wire profiles differ from Compare on the retained run")
+	if r.Comparison == results[0].Comparison || *r.Comparison != *results[0].Comparison {
+		t.Fatal("wire profiles are not a copy of the run's Comparison")
 	}
 	bad, _ := core.NewRunner().Run(core.NewPlan(7).ForPairs(core.PairKey{Set: 99, Class: media.Low}))
 	if len(bad) != 1 {
@@ -129,5 +128,27 @@ func TestFromResultRetained(t *testing.T) {
 	}
 	if r := FromResult(bad[0]); r.Err == "" || r.Comparison != nil {
 		t.Fatalf("failed cell encodes as %+v", r)
+	}
+}
+
+// TestRetainTracesWireMatchesStream pins that a sweep's wire output does
+// not depend on its retention: the JSON batch of a two-pair RetainTraces
+// sweep is byte-identical to the StreamProfiles sweep of the same plan.
+func TestRetainTracesWireMatchesStream(t *testing.T) {
+	plan := core.NewPlan(7).ForPairs(core.PairKey{Set: 1, Class: media.Low}, core.PairKey{Set: 3, Class: media.Low})
+	encode := func(retention core.TraceRetention) []byte {
+		results, err := core.NewRunner(core.WithWorkers(0), core.WithTraceRetention(retention)).Run(plan)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		if err := WriteJSON(&buf, FromResults(results)); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	traces, stream := encode(core.RetainTraces), encode(core.StreamProfiles)
+	if !bytes.Equal(traces, stream) {
+		t.Fatalf("RetainTraces wire batch differs from StreamProfiles:\n%s\n%s", traces, stream)
 	}
 }

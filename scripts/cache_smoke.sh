@@ -5,7 +5,8 @@
 # the cells the cold run did not cover, and (c) still merges to the exact
 # committed golden digest (testdata/dispatch_smoke.sha256) — then tear the
 # store's tail frame and prove the corrupted cell is detected, recomputed,
-# and never served as data.
+# and never served as data. Last, prove that a coordinator and a worker
+# sharing one store directory write each cell into it once.
 #
 # Three sweeps against one store directory:
 #
@@ -15,6 +16,13 @@
 #   3. torn   the store's last frame is truncated mid-frame; the reopen
 #             drops it as corrupt, that one cell re-simulates, digest
 #             still == golden
+#
+# and one against a fresh directory:
+#
+#   4. shared subset plan with the directory given to -serve and to its
+#             one -work: each cell is inserted by both, yet results.store
+#             is byte for byte the size of step 1's store, and the merged
+#             output equals step 1's
 #
 # The full plan must stay in lockstep with scripts/dispatch_smoke.sh and
 # TestDispatchSmokeGoldenDigest:
@@ -47,14 +55,16 @@ metric() {
     printf '%s\n' "$2" | awk -v name="$1" '$1 == name { print $2; found = 1 } END { if (!found) print "absent" }'
 }
 
-# sweep LABEL PAIRS — run a coordinator (with the store) plus two workers
-# on the given pair spec; leaves merged JSON, serve/worker logs, and the
-# mid-sweep /metrics scrape under $out/$LABEL.*.
+# sweep LABEL PAIRS [STORE] — run a coordinator (with the store,
+# $out/store unless STORE is given) plus two workers on the given pair
+# spec; with STORE, one worker, given the same store directory. Leaves
+# merged JSON, serve/worker logs, and the mid-sweep /metrics scrape under
+# $out/$LABEL.*.
 sweep() {
-    local label="$1" pairs="$2"
+    local label="$1" pairs="$2" store="${3:-$out/store}"
     "$out/turbulence" -serve "127.0.0.1:$port" -seed 7 \
         -pairs "$pairs" -scenario dsl -serve-shards 2 \
-        -result-store "$out/store" \
+        -result-store "$store" \
         >"$out/$label.json" 2>"$out/$label.serve.log" &
     local serve_pid=$!
     sleep 1
@@ -65,19 +75,25 @@ sweep() {
         sed 's/^/  serve: /' "$out/$label.serve.log" >&2
         exit 1
     fi
-    "$out/turbulence" -work "127.0.0.1:$port" -parallel 1 2>"$out/$label.w1.log" &
-    local w1_pid=$!
-    "$out/turbulence" -work "127.0.0.1:$port" -parallel 1 2>"$out/$label.w2.log" &
-    local w2_pid=$!
+    local w1_pid w2_pid=""
+    if [ $# -ge 3 ]; then
+        "$out/turbulence" -work "127.0.0.1:$port" -parallel 1 -result-store "$store" 2>"$out/$label.w1.log" &
+        w1_pid=$!
+    else
+        "$out/turbulence" -work "127.0.0.1:$port" -parallel 1 2>"$out/$label.w1.log" &
+        w1_pid=$!
+        "$out/turbulence" -work "127.0.0.1:$port" -parallel 1 2>"$out/$label.w2.log" &
+        w2_pid=$!
+    fi
     local serve_rc=0
     wait "$serve_pid" || serve_rc=$?
     wait "$w1_pid" || true
-    wait "$w2_pid" || true
+    if [ -n "$w2_pid" ]; then wait "$w2_pid" || true; fi
     if [ "$serve_rc" -ne 0 ]; then
         echo "cache smoke: $label: coordinator failed (rc=$serve_rc)" >&2
         sed 's/^/  serve: /' "$out/$label.serve.log" >&2
         sed 's/^/  w1: /' "$out/$label.w1.log" >&2
-        sed 's/^/  w2: /' "$out/$label.w2.log" >&2
+        if [ -n "$w2_pid" ]; then sed 's/^/  w2: /' "$out/$label.w2.log" >&2; fi
         exit 1
     fi
 }
@@ -112,6 +128,7 @@ if [ "$(simulated cold)" -ne "$subset_size" ]; then
     echo "cache smoke: cold run simulated $(simulated cold) cells, want $subset_size" >&2
     exit 1
 fi
+cold_bytes="$(wc -c <"$out/store/results.store")"
 
 # --- 2. warm: the superset hits on every cold cell -------------------------
 sweep warm "$full_pairs"
@@ -151,4 +168,23 @@ if [ "$got" != "$want" ]; then
     exit 1
 fi
 
-echo "cache smoke ok: $subset_size/$full_size cells served warm, torn frame recomputed, digest $want throughout"
+# --- 4. shared: one directory for -serve and -work holds each cell once ----
+# The worker inserts each cell it simulates and the coordinator inserts
+# the shipped result again; the second insert must find the first.
+sweep shared "$subset_pairs" "$out/shared-store"
+expect shared turbulence_cache_misses_total "$subset_size"
+if [ "$(simulated shared)" -ne "$subset_size" ]; then
+    echo "cache smoke: shared run simulated $(simulated shared) cells, want $subset_size" >&2
+    exit 1
+fi
+shared_bytes="$(wc -c <"$out/shared-store/results.store")"
+if [ "$shared_bytes" -ne "$cold_bytes" ]; then
+    echo "cache smoke: shared store holds $shared_bytes bytes, want $cold_bytes (step 1's serve-only store): a cell was written twice" >&2
+    exit 1
+fi
+if ! cmp -s "$out/cold.json" "$out/shared.json"; then
+    echo "cache smoke: shared-store merged output differs from the serve-only cold run" >&2
+    exit 1
+fi
+
+echo "cache smoke ok: $subset_size/$full_size cells served warm, torn frame recomputed, digest $want throughout, shared store holds each cell once ($shared_bytes bytes)"

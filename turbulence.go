@@ -211,8 +211,9 @@ const (
 	// SeedPerCell gives every cell an independent random stream.
 	SeedPerCell = core.SeedPerCell
 	// RetainTraces keeps each run's full packet capture, payload bytes
-	// included (the Runner default): what writing, filtering or comparing
-	// whole captures needs. The experiments keep less (see
+	// included (the Runner default): what writing or filtering whole
+	// captures needs. Its cells carry RunResult.Comparison too, like
+	// every retention's. The experiments keep less (see
 	// ExperimentContext).
 	RetainTraces = core.RetainTraces
 	// StreamProfiles never stores records at all: captured packets stream
@@ -248,9 +249,9 @@ func WithContext(ctx context.Context) RunnerOption { return core.WithContext(ctx
 // progress on long sweeps.
 func WithProgress(fn func(Progress)) RunnerOption { return core.WithProgress(fn) }
 
-// WithTraceRetention selects what each completed run keeps: RetainTraces
-// (full captures, for figures) or StreamProfiles (profiles only, for
-// sweeps).
+// WithTraceRetention selects what each completed run keeps besides its
+// profiles, which RunResult.Comparison carries under either: RetainTraces
+// (full captures) or StreamProfiles (nothing more, for sweeps).
 func WithTraceRetention(tr TraceRetention) RunnerOption { return core.WithTraceRetention(tr) }
 
 // WithSweepStats registers a callback receiving the sweep's aggregate
@@ -276,12 +277,12 @@ func OpenResultStore(dir string, logf func(format string, args ...any)) (*Result
 	return resultstore.Open(dir, resultstore.WithLogf(logf))
 }
 
-// WithResultStore installs a result store as the Runner's read-through
-// cache: under StreamProfiles, cells whose digest is present are served
-// from the store without simulating, and freshly simulated cells are
-// inserted for the next sweep. Under RetainTraces the store is bypassed
-// (it holds profiles, not packet captures). Served results are
-// byte-identical to simulated ones.
+// WithResultStore installs a result store on the Runner: every freshly
+// simulated cell is inserted for the next sweep, under any retention.
+// Only under StreamProfiles is it also a read-through cache: cells whose
+// digest is present are served from the store without simulating. Under
+// RetainTraces it is never read (it holds profiles, not packet
+// captures). Served results are byte-identical to simulated ones.
 func WithResultStore(s *ResultStore) RunnerOption { return core.WithResultStore(s) }
 
 // NewMetricsRegistry creates an empty metric registry. Serve it with
@@ -297,8 +298,9 @@ func NewMetricsSink(reg *MetricsRegistry) *MetricsSink { return obs.NewSink(reg)
 // unsharded sweep exactly.
 func MergeRuns(shards ...[]RunResult) []RunResult { return core.MergeRuns(shards...) }
 
-// WireRuns flattens executed cells to their wire shape (profiles computed
-// from retained flows when the retention left no Comparison).
+// WireRuns flattens executed cells to their wire shape: identity, seed and
+// the Comparison every completed cell carries, so the output is the same
+// under any retention.
 func WireRuns(results []RunResult) []WireRun { return wire.FromResults(results) }
 
 // MergeWireRuns recombines shipped shard batches into canonical plan
